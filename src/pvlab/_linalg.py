@@ -1,17 +1,24 @@
 """Exact linear algebra on list-of-lists matrices over int / Fraction.
 
 Rank, kernel and determinant decisions feed classification verdicts, so
-everything here is exact rational arithmetic.  A mod-p elimination is
-provided as a fast certificate: the rank mod p never exceeds the true rank,
-so reaching the maximal possible rank mod p proves it exactly.
+everything here is exact.  One eliminator, :func:`_echelon`, serves them
+all: each row is scaled to integers once, then fraction-free elimination
+(Bareiss 1968) divides exactly by the previous pivot, so entries stay
+integer minors of the input and no rational is formed until a caller asks
+for one.  Forward mode clears below the pivots (rank, determinant);
+Gauss-Jordan mode clears above them too (kernel, solve), leaving a common
+pivot value ``d`` such that the reduced row echelon form is ``m / d``.
+
+A mod-p elimination is provided as a fast certificate: the rank mod p
+never exceeds the true rank, so reaching the maximal possible rank mod p
+proves it exactly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 P61 = (1 << 61) - 1  # Mersenne prime
-P2 = (1 << 31) - 1   # fallback second prime
 
 Vec = list
 Mat = list  # list of row lists
@@ -54,35 +61,67 @@ def modp_rank(rows: Mat, p: int = P61) -> int:
     return rank
 
 
-def frac_rref(rows: Mat) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rref rows, pivot columns)."""
-    m = [[Fraction(v) for v in row] for row in rows]
+def _integer_row(row: Vec) -> tuple[Vec, int]:
+    """The row times the least common denominator of its entries, and that
+    factor; a row of ints is returned as it is."""
+    if all(type(v) is int for v in row):
+        return row, 1
+    fr = [Fraction(v) for v in row]
+    mult = lcm(*(v.denominator for v in fr))
+    return [v.numerator * (mult // v.denominator) for v in fr], mult
+
+
+def _echelon(rows: Mat, jordan: bool) -> tuple[list, list[int], int, int, int]:
+    """Fraction-free echelon form of ``rows``; the input is not modified.
+
+    Returns ``(m, pivots, d, sign, scale)``: the integer matrix, its pivot
+    columns, the last pivot value, the sign of the row swaps and the
+    product of the integer factors the rows were scaled by.  Every pivot
+    row ``r`` of ``m`` starts with zeros up to column ``pivots[r]``; rows
+    past ``len(pivots)`` are zero.  With ``jordan`` every pivot equals ``d``
+    and the pivot columns are zero elsewhere, so the reduced row echelon
+    form is ``m / d``.  Without it only rows below a pivot are cleared, and
+    for a square matrix of full rank ``sign * d / scale`` is the
+    determinant.
+    """
+    m, scale = [], 1
+    for row in rows:
+        ints, mult = _integer_row(row)
+        m.append(ints)
+        scale *= mult
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
-    row = 0
+    d, sign = 1, 1
     for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col]), None)
+        k = len(pivots)
+        piv = next((r for r in range(k, nrows) if m[r][col]), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        prow = m[row]
-        for r in range(nrows):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], prow)]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        prow = m[k]
+        p = prow[col]
+        for r in range(0 if jordan else k + 1, nrows):
+            if r == k:
+                continue
+            mr = m[r]
+            f = mr[col]
+            if f:
+                m[r] = [(p * a - f * b) // d for a, b in zip(mr, prow)]
+            elif p != d:
+                m[r] = [p * a // d for a in mr]
         pivots.append(col)
-        row += 1
-        if row == nrows:
+        d = p
+        if k + 1 == nrows:
             break
-    return m, pivots
+    return m, pivots, d, sign, scale
 
 
 def rank(rows: Mat) -> int:
     """Exact rank over Q."""
-    return len(frac_rref(rows)[1])
+    return len(_echelon(rows, False)[1])
 
 
 def clear_denominators(vec: Vec) -> list[int]:
@@ -91,90 +130,51 @@ def clear_denominators(vec: Vec) -> list[int]:
     The leading nonzero entry is made positive, so the output is a canonical
     representative of the line spanned by the input.
     """
-    fr = [Fraction(v) for v in vec]
-    mult = 1
-    for v in fr:
-        mult = mult * v.denominator // gcd(mult, v.denominator)
-    out = [int(v * mult) for v in fr]
-    g = 0
-    for v in out:
-        g = gcd(g, v)
-    if g > 1:
-        out = [v // g for v in out]
-    lead = next((v for v in out if v), 0)
-    if lead < 0:
-        out = [-v for v in out]
-    return out
+    out = _integer_row(vec)[0]
+    g = gcd(*out)
+    if next((v for v in out if v), 0) < 0:
+        g = -g
+    return [v // g for v in out] if g else list(out)
 
 
 def kernel_basis(rows: Mat) -> list[list[int]]:
     """Basis of the right kernel {x : A x = 0}, as primitive integer vectors.
 
     Deterministic: one basis vector per free column, ordered by free column.
+    With the reduced row echelon form ``m / d``, the vector of free column f
+    is ``d e_f - sum_r m[r][f] e_{pivot r}``, made primitive.
     """
     ncols = len(rows[0]) if rows else 0
-    rref, pivots = frac_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots, d, _, _ = _echelon(rows, True)
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        x = [0] * ncols
+        x[f] = d
         for r, c in enumerate(pivots):
-            x[c] = -rref[r][f]
+            x[c] = -m[r][f]
         basis.append(clear_denominators(x))
     return basis
-
-
-def bareiss_det(rows: Mat) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    m = [list(map(int, row)) for row in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def det(rows: Mat) -> Fraction:
     """Exact determinant for rational input (rows are scaled to integers)."""
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scaled = []
-    scale = Fraction(1)
-    for row in rows:
-        fr = [Fraction(v) for v in row]
-        mult = 1
-        for v in fr:
-            mult = mult * v.denominator // gcd(mult, v.denominator)
-        scale *= mult
-        scaled.append([int(v * mult) for v in fr])
-    return Fraction(bareiss_det(scaled)) / scale
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    _, pivots, d, sign, scale = _echelon(rows, False)
+    return Fraction(sign * d, scale) if len(pivots) == n else Fraction(0)
 
 
 def solve(a: Mat, b: Vec) -> list[Fraction]:
     """Solve A x = b for square nonsingular A, exactly."""
     n = len(a)
-    aug = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    rref, pivots = frac_rref(aug)
+    m, pivots, d, _, _ = _echelon([list(row) + [b[i]] for i, row in enumerate(a)], True)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n] for row in rref]
+    return [Fraction(row[n], d) for row in m]
 
 
 def matvec(m: Mat, v: Vec) -> list:

@@ -34,6 +34,7 @@ def _build_nconst(rs: RootSystem) -> dict[tuple[Root, Root], int]:
     posset = set(pos)
     order = {r: i for i, r in enumerate(pos)}
     n2 = rs.norm2
+    canonical = {r: r for r in rs.roots}  # keys share the root system's tuples
     N: dict[tuple[Root, Root], int] = {}
 
     def down_len(alpha: Root, beta: Root) -> int:
@@ -43,6 +44,7 @@ def _build_nconst(rs: RootSystem) -> dict[tuple[Root, Root], int]:
         return p
 
     def put(a: Root, b: Root, v: int) -> None:
+        a, b = canonical[a], canonical[b]
         N[(a, b)] = v
         N[(b, a)] = -v
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from ._linalg import solve
 from .diagram import WeightedDiagram
-from .rootsys import Root, build_root_system, pairing
+from .rootsys import Root, build_root_system
 
 
 class NotAdjacent(ValueError):
@@ -103,15 +103,3 @@ def level_roots(d: WeightedDiagram, level: int) -> list[Root]:
 
 def simple_root(rank: int, i: int) -> Root:
     return tuple(1 if j == i - 1 else 0 for j in range(rank))
-
-
-def _pairing_check(d: WeightedDiagram) -> bool:
-    """rules_R agrees with the Cartan pairing on every admissible pair."""
-    rs = build_root_system(d.type)
-    for a in d.circled:
-        for b in rs.neighbors(a):
-            if b in d.circled:
-                continue
-            if rules_R(d, a, b) != pairing(rs, simple_root(d.type.rank, a), b):
-                return False
-    return True

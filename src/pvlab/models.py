@@ -310,10 +310,6 @@ def _sample_so(stream: Stream, n: int) -> list[list[Fraction]]:
     return matmul(a, _inv(b))
 
 
-def _group_matrix(blocks: list[_Block], act: Callable[[dict], dict]) -> list[list]:
-    return _operator(blocks, act)
-
-
 # ---------------------------------------------------------------------------
 # the models
 
@@ -374,7 +370,7 @@ def dual_pair(n: int) -> ModelSpec:
         b = Fraction(stream.nonzero(-4, 4))
         g = _sample_sl(stream, n)
         gti = transpose(_inv(g))
-        mat = _group_matrix(blocks, lambda pt: {
+        mat = _operator(blocks, lambda pt: {
             "v": [[a * r[0]] for r in matmul(gti, pt["v"])],
             "w": [[r[0] / b] for r in matmul(g, pt["w"])],
         })
@@ -427,7 +423,7 @@ def sym_vector(n: int) -> ModelSpec:
         gt = transpose(g)
         gti = transpose(_inv(g))
         a = Fraction(stream.nonzero(-4, 4))
-        mat = _group_matrix(blocks, lambda pt: {
+        mat = _operator(blocks, lambda pt: {
             "S": _mm(g, pt["S"], gt),
             "v": [[a * r[0]] for r in matmul(gti, pt["v"])],
         })
@@ -504,7 +500,7 @@ def descending_chains(n: int) -> ModelSpec:
                     left = r if m == n else gs[m + 1]
                     out[f"V[{m}]"] = _mm(left, pt[f"V[{m}]"], invs[m])
                 return out
-            return _group_matrix(blocks, act), Fraction(1, dets[k] ** 2)
+            return _operator(blocks, act), Fraction(1, dets[k] ** 2)
         return sample
 
     invariants = tuple(
@@ -556,7 +552,7 @@ def matrix_pair(p: int, q: int, r: int) -> ModelSpec:
             g2, _ = _sample_gl(stream, q)
             g3, d3 = _sample_gl(stream, r)
             i1, i2 = _inv(g1), _inv(g2)
-            mat = _group_matrix(blocks, lambda pt: {
+            mat = _operator(blocks, lambda pt: {
                 "X": _mm(g2, pt["X"], i1), "Y": _mm(g3, pt["Y"], i2)})
             return mat, Fraction(d3, d1)
 
@@ -614,7 +610,7 @@ def skew_pair(p: int, r: int) -> ModelSpec:
             i1 = _inv(g1)
             g2ti = transpose(_inv(g2))
             g2t = transpose(g2)
-            mat = _group_matrix(blocks, lambda pt: {
+            mat = _operator(blocks, lambda pt: {
                 "X": _mm(g2ti, pt["X"], i1), "Y": _mm(g2, pt["Y"], g2t)})
             return mat, Fraction(1, d1)
 
@@ -664,7 +660,7 @@ def diag_chain(p: int, q: int) -> ModelSpec:
             d = [Fraction(stream.nonzero(-4, 4)) for _ in range(2)]
             i1, i2 = _inv(g1), _inv(g2)
             g3 = [[d[0], 0], [0, d[1]]]
-            mat = _group_matrix(blocks, lambda pt: {
+            mat = _operator(blocks, lambda pt: {
                 "X": _mm(g2, pt["X"], i1), "Y": _mm(g3, pt["Y"], i2)})
             return mat, mult_of(d, d1)
         return sample
@@ -746,7 +742,7 @@ def vector_skew(n: int) -> ModelSpec:
         g, dg = _sample_gl(stream, n)
         gt = transpose(g)
         a = Fraction(stream.nonzero(-4, 4))
-        mat = _group_matrix(blocks, lambda pt: {
+        mat = _operator(blocks, lambda pt: {
             "X": [[a * r[0]] for r in matmul(g, pt["X"])],
             "Y": _mm(g, pt["Y"], gt)})
         return mat, a * dg
@@ -789,7 +785,7 @@ def det_augmented(n: int) -> ModelSpec:
         g, dg = _sample_gl(stream, n)
         h, dh = _sample_gl(stream, n - 1)
         ih = _inv(h)
-        mat = _group_matrix(blocks, lambda pt: {
+        mat = _operator(blocks, lambda pt: {
             "X": _mm(g, pt["X"], ih), "Y": matmul(g, pt["Y"])})
         return mat, Fraction(dg, dh)
 

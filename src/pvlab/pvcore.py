@@ -204,24 +204,23 @@ def isotropy_algebra(pv: PVInstance, x: Sequence) -> list[list[int]]:
     return kernel_basis(_action_columns(pv, x))
 
 
+def _gram(form: Matrix, vectors: Sequence[Sequence]) -> list[list]:
+    """The form on the span of the vectors: S F S^t for the rows S of ``vectors``."""
+    sparse_form = [[(b, fb) for b, fb in enumerate(row) if fb] for row in form]
+    images = [[sum(fb * s[b] for b, fb in row) for row in sparse_form] for s in vectors]
+    supports = [[(a, ta) for a, ta in enumerate(t) if ta] for t in vectors]
+    return [[sum(ta * image[a] for a, ta in support) for image in images] for support in supports]
+
+
 def is_reductive(pv: PVInstance, subalgebra: Sequence[Sequence]) -> ReductivityCert:
     """Nondegeneracy verdict of the instance form restricted to a subalgebra.
 
     Sound as a reductivity test because every instance form is the trace
     form of a faithful module of the ambient algebra.
     """
-    k = len(subalgebra)
-    if k == 0:
+    if not subalgebra:
         return ReductivityCert(True, Fraction(1))
-    fs = []
-    for s in subalgebra:
-        col = [0] * pv.dim_g
-        for a, fa in enumerate(pv.form):
-            col[a] = sum(fa[b] * s[b] for b in range(pv.dim_g) if fa[b] and s[b])
-        fs.append(col)
-    gram = [[sum(t[a] * fs[j][a] for a in range(pv.dim_g) if t[a] and fs[j][a])
-             for j in range(k)] for t in subalgebra]
-    d = det(gram)
+    d = det(_gram(pv.form, subalgebra))
     return ReductivityCert(d != 0, d)
 
 
@@ -304,11 +303,7 @@ def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence], name: str |
                     if row[c]:
                         m[a][c] += sb * row[c]
         operators.append(m)
-    k = len(vectors)
-    fs = []
-    for s in vectors:
-        fs.append([sum(fa[b] * s[b] for b in range(pv.dim_g) if fa[b] and s[b]) for fa in pv.form])
-    form = [[sum(t[a] * fs[j][a] for a in range(pv.dim_g)) for j in range(k)] for t in vectors]
+    form = _gram(pv.form, vectors)
     characters = [[sum(row[b] * s[b] for b in range(pv.dim_g)) for s in vectors]
                   for row in pv.characters]
     return make_instance(name or pv.name + ".isotropy", operators, pv.dim_v,
@@ -476,7 +471,6 @@ class InvariantReport:
     hessian_nonzero: bool | None
     dlog_rank: int | None
     group_elements_checked: int
-    mode: str
 
 
 def _derivative_weights(degree: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -500,16 +494,6 @@ def _derivative_weights(degree: int) -> tuple[list[Fraction], list[Fraction]]:
         w1.append(poly[1] / denom if len(poly) > 1 else Fraction(0))
         w2.append(2 * poly[2] / denom if len(poly) > 2 else Fraction(0))
     return w1, w2
-
-
-TOL = 1e-9
-
-
-def _eq(a, b, float_mode: bool) -> bool:
-    if not float_mode:
-        return a == b
-    fa, fb = float(a), float(b)
-    return abs(fa - fb) <= TOL * max(1.0, abs(fa), abs(fb))
 
 
 def _directional_derivative(f: Invariant, x: Sequence, u: Sequence, w1: Sequence) -> object:
@@ -565,7 +549,6 @@ def _hessian(f: Invariant, x: Sequence, w1: Sequence, w2: Sequence) -> list[list
 def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
                      expect_nondegenerate: bool = True,
                      group_checks: Sequence[GroupCheck] = (),
-                     float_mode: bool = False,
                      points: int = 20) -> InvariantReport:
     """Certify that f transforms by a character under the instance's algebra.
 
@@ -575,30 +558,26 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     graded-logarithm differential f*H - grad*grad^t has full rank there;
     (d) any supplied group samplers satisfy f(g x) = multiplier * f(x).
 
-    Everything is exact unless ``float_mode`` (relative tolerance 1e-9).
+    Everything is exact.
     """
     stream = Stream(seed, context=f"invariant:{pv.name}:{f.name}")
-    conv = float if float_mode else Fraction
-    xs = [[conv(v) for v in stream.vector(pv.dim_v)] for _ in range(points)]
+    xs = [[Fraction(v) for v in stream.vector(pv.dim_v)] for _ in range(points)]
     vals = [f.evaluate(x) for x in xs]
     base = next((i for i, v in enumerate(vals) if v != 0), None)
     if base is None:
         raise DegenerateInvariant(f"{f.name} vanishes at all {points} sample points")
     w1, w2 = _derivative_weights(f.degree)
-    if float_mode:
-        w1 = [float(w) for w in w1]
-        w2 = [float(w) for w in w2]
     constants = []
     for mi, op in enumerate(pv.operators):
         c = None
         for x, v in zip(xs, vals):
             g = _directional_derivative(f, x, matvec(op, x), w1)
             if v == 0:
-                ok = _eq(g, 0 * g, float_mode)  # f = 0 forces the derivative to 0
+                ok = g == 0  # f = 0 forces the derivative to 0
             elif c is None:
                 c, ok = g / v, True
             else:
-                ok = _eq(g, c * v, float_mode)
+                ok = g == c * v
             if not ok:
                 raise NotRelativeInvariant(
                     f"{f.name}: derivative along operator {mi} is not proportional to f",
@@ -607,8 +586,6 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     hessian_nonzero = None
     dlog_rank = None
     if expect_nondegenerate:
-        if float_mode:
-            raise ValueError("nondegeneracy certification requires exact mode")
         tried = 0
         for i in range(base, len(xs)):
             if vals[i] == 0:
@@ -635,7 +612,7 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
             g, multiplier = gc.sample(gstream)
             x = xs[base]
             gx = matvec(g, x)
-            if not _eq(f.evaluate(gx), multiplier * vals[base], float_mode):
+            if f.evaluate(gx) != multiplier * vals[base]:
                 raise NotRelativeInvariant(
                     f"{f.name}: group element from {gc.name} violates the character law")
             checked += 1
@@ -646,7 +623,6 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
         hessian_nonzero=hessian_nonzero,
         dlog_rank=dlog_rank,
         group_elements_checked=checked,
-        mode="float" if float_mode else "exact",
     )
 
 

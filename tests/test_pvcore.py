@@ -175,7 +175,6 @@ def test_verify_invariant_accepts_pairing():
     assert rep.hessian_nonzero
     assert rep.dlog_rank == spec.instance.dim_v
     assert rep.group_elements_checked == 3
-    assert rep.mode == "exact"
 
 
 def test_verify_invariant_rejects_non_invariant():
@@ -193,13 +192,6 @@ def test_verify_invariant_flags_degenerate_hessian():
     # Without the nondegeneracy demand the same invariant certifies fine.
     rep = verify_invariant(spec.instance, entry, expect_nondegenerate=False)
     assert rep.hessian_nonzero is None
-
-
-def test_verify_invariant_float_mode():
-    spec = dual_pair(2)
-    rep = verify_invariant(spec.instance, spec.invariants[0].invariant,
-                           expect_nondegenerate=False, float_mode=True)
-    assert rep.mode == "float"
 
 
 def test_hessian_identity_violation_on_wrong_degree():
