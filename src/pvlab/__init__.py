@@ -20,9 +20,10 @@ from .diagram import (DiagramError, ParseError, WeightedDiagram, parse_diagram,
 from .grading import Component, Grading, components, compute_grading, level_roots, rules_R
 from .models import MODELS, ModelSpec, build_model, pfaffian, verify_model
 from .pvcore import (GroupCheck, Invariant, PVError, PVInstance, RegularityReport,
-                     build_parabolic_pv, completely_q_reducible, count_fundamental_invariants,
-                     decompose_filtration, generic_point, is_reductive, is_regular,
-                     isotropy_algebra, q_irreducible, restrict, verify_invariant)
+                     SubsetLattice, build_parabolic_pv, completely_q_reducible,
+                     count_fundamental_invariants, decompose_filtration, generic_point,
+                     is_reductive, is_regular, isotropy_algebra, q_irreducible, restrict,
+                     verify_invariant)
 from .rootsys import RootSystem, SimpleType, build_root_system, cartan_matrix
 
 __version__ = "0.1.0"
@@ -36,7 +37,7 @@ __all__ = [
     "Grading", "Component", "compute_grading", "components", "level_roots", "rules_R",
     "PVInstance", "PVError", "build_parabolic_pv", "generic_point", "isotropy_algebra",
     "is_reductive", "is_regular", "count_fundamental_invariants", "restrict",
-    "q_irreducible", "completely_q_reducible", "decompose_filtration",
+    "SubsetLattice", "q_irreducible", "completely_q_reducible", "decompose_filtration",
     "Invariant", "GroupCheck", "RegularityReport", "verify_invariant",
     "ModelSpec", "MODELS", "build_model", "verify_model", "pfaffian",
     "FamilyMatch", "ClassificationReport", "AdjacentSplit", "MismatchError",

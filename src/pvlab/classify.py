@@ -4,9 +4,11 @@ A weighted diagram with at least two circled nodes is Q-irreducible for
 exactly nine families of circle placements, encoded here as block profiles
 (the sizes of the uncircled stretches between and around the circles), so
 that each family is matched up to the diagram symmetry of its type.  The
-pattern path answers from that table alone; the oracle path computes the
-verdict from scratch on :func:`~pvlab.pvcore.build_parabolic_pv` instances,
-and ``mode="both"`` cross-validates the two.
+pattern path answers from that table alone; the oracle path reads every
+verdict, for any number of circles, from one
+:class:`~pvlab.pvcore.SubsetLattice` over the
+:func:`~pvlab.pvcore.build_parabolic_pv` instance, and ``mode="both"``
+cross-validates the two wherever the table has rows.
 """
 from __future__ import annotations
 
@@ -258,21 +260,18 @@ def adjacent_split(d: WeightedDiagram) -> AdjacentSplit:
 
 
 def _oracle_verdicts(d: WeightedDiagram, seed: int) -> tuple[Verdicts, Witnesses]:
-    pv = pvcore.build_parabolic_pv(d)
-    oracle = pvcore._SubsetOracle(pv, seed)
-    full = tuple(range(len(pv.components)))
-    rep = oracle.regular(full)
-    witness = oracle.regular_proper_subset(full) if rep.regular else None
-    q_irr = rep.regular and witness is None
+    lattice = pvcore.SubsetLattice(pvcore.build_parabolic_pv(d), seed)
+    q = lattice.q_irreducibility()
+    rep = q.regularity
     verdicts = Verdicts(
         prehomogeneous=rep.prehomogeneous,
         regular=rep.regular,
         n_invariants=rep.n_fundamental_invariants,
-        one_irreducible=q_irr and rep.n_fundamental_invariants == 1,
-        q_irreducible=q_irr,
-        completely_q_reducible=oracle.completely_q_reducible(full),
+        one_irreducible=q.q_irreducible and rep.n_fundamental_invariants == 1,
+        q_irreducible=q.q_irreducible,
+        completely_q_reducible=lattice.completely_q_reducible(lattice.full),
     )
-    gamma = tuple(d.circled[i] for i in witness) if witness else None
+    gamma = tuple(d.circled[i] for i in q.witness) if q.witness else None
     witnesses = Witnesses(
         generic_point=rep.generic_point.vector,
         regular_gamma=gamma,
@@ -291,11 +290,12 @@ def _pattern_verdicts(match: FamilyMatch | None) -> Verdicts:
 def classify(d: WeightedDiagram, mode: str = "both", seed: int = 0) -> ClassificationReport:
     """Full verdicts for one diagram.
 
-    ``pattern`` answers from the family table (irreducible diagrams fall
-    back to a single regularity computation, where Q-irreducible just means
-    regular); ``oracle`` computes everything on the built instance; ``both``
-    does the latter and raises :class:`MismatchError` if the table
-    disagrees.
+    ``oracle`` reads every verdict from the subset lattice of the built
+    instance; ``both`` does the same and raises :class:`MismatchError` if
+    the family table disagrees; ``pattern`` answers from the table alone.
+    The table lists only multi-circle diagrams, so a single-circle diagram
+    takes the oracle path in every mode, and its one component makes
+    Q-irreducible and completely Q-reducible both mean regular.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -304,21 +304,8 @@ def classify(d: WeightedDiagram, mode: str = "both", seed: int = 0) -> Classific
     if mode == "pattern" and not irreducible:
         return ClassificationReport(d, _pattern_verdicts(match), match, _NO_WITNESSES,
                                     "pattern", seed)
-    if irreducible:
-        rep = pvcore.is_regular(pvcore.build_parabolic_pv(d), seed)
-        verdicts = Verdicts(
-            prehomogeneous=rep.prehomogeneous,
-            regular=rep.regular,
-            n_invariants=rep.n_fundamental_invariants,
-            one_irreducible=rep.regular and rep.n_fundamental_invariants == 1,
-            q_irreducible=rep.regular,
-            completely_q_reducible=rep.regular,
-        )
-        witnesses = Witnesses(rep.generic_point.vector, None, rep.isotropy_dim,
-                              rep.form_determinant)
-        return ClassificationReport(d, verdicts, None, witnesses, mode, seed)
     verdicts, witnesses = _oracle_verdicts(d, seed)
-    if mode == "both" and (match is not None) != verdicts.q_irreducible:
+    if mode == "both" and not irreducible and (match is not None) != verdicts.q_irreducible:
         raise MismatchError(d, match, verdicts, witnesses)
     return ClassificationReport(d, verdicts, match, witnesses, mode, seed)
 

@@ -809,13 +809,14 @@ class ModelCheckLine:
 
 def verify_model(spec: ModelSpec, seed: int = 0) -> tuple[bool, list[ModelCheckLine]]:
     """Recompute a model's certificates and compare against its expected values."""
-    from .pvcore import PVError, is_regular, q_irreducible, verify_invariant
+    from .pvcore import PVError, SubsetLattice, verify_invariant
 
     lines: list[ModelCheckLine] = []
-    report = is_regular(spec.instance, seed=seed)
+    lattice = SubsetLattice(spec.instance, seed)
+    report = lattice.regular(lattice.full)
     for key, want in spec.expected.items():
         if key == "q_irreducible":
-            got = q_irreducible(spec.instance, seed=seed).q_irreducible
+            got = lattice.q_irreducibility().q_irreducible
         else:
             got = getattr(report, key)
         lines.append(ModelCheckLine(key, got == want, f"expected {want}, got {got}"))

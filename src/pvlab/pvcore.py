@@ -6,7 +6,8 @@ an invariant symmetric form on the algebra (reductivity of isotropy
 subalgebras = nondegenerate restriction), the character functionals of the
 group (independent relative invariants = characters killed by the generic
 isotropy), and the decomposition of the module into its irreducible
-components (the only subspaces the subspace searches ever consult).
+components (the only subspaces the subspace searches ever consult).  One
+:class:`SubsetLattice` per instance backs those searches.
 
 All verdicts use exact rational arithmetic.  A large-prime modular rank is
 used as a fast certificate during candidate selection; it can only
@@ -182,15 +183,16 @@ def _action_columns(pv: PVInstance, x: Sequence) -> list[list]:
 def _generic_search(pv: PVInstance, seed: int) -> tuple[GenericPoint, list[list[int]]]:
     stream = Stream(seed, context="generic:" + pv.name)
     cap = min(pv.dim_v, pv.dim_g)
-    best_x, best_r = None, -1
+    best_x, best_cols, best_r = None, None, -1
     for _ in range(CANDIDATES):
         x = stream.vector(pv.dim_v)
-        r = modp_rank(_action_columns(pv, x))
+        cols = _action_columns(pv, x)
+        r = modp_rank(cols)
         if r > best_r:
-            best_x, best_r = x, r
+            best_x, best_cols, best_r = x, cols, r
         if best_r == cap:
             break
-    iso = kernel_basis(_action_columns(pv, best_x))
+    iso = kernel_basis(best_cols)
     return GenericPoint(tuple(best_x), seed, pv.dim_g - len(iso)), iso
 
 
@@ -310,12 +312,32 @@ def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence], name: str |
                          form, characters, pv.components, pv.labels)
 
 
-class _SubsetOracle:
-    """Memoized regular/Q-irreducible/completely-Q-reducible verdicts per subset."""
+@dataclass(frozen=True)
+class QIrreducibilityReport:
+    q_irreducible: bool
+    witness: tuple[int, ...] | None
+    regularity: RegularityReport
 
-    def __init__(self, pv: PVInstance, seed: int) -> None:
+
+class SubsetLattice:
+    """Regularity of every sum of irreducible components of one instance.
+
+    One :class:`RegularityReport` per subset of component indices (``full``
+    is all of them), computed on first use at the lattice's seed; every
+    Q-verdict reads from that table.
+
+    >>> from pvlab.diagram import parse_diagram
+    >>> lattice = SubsetLattice(build_parabolic_pv(parse_diagram("A3[1,3]")))
+    >>> lattice.q_irreducibility().q_irreducible
+    True
+    >>> lattice.regular((0,)).regular
+    False
+    """
+
+    def __init__(self, pv: PVInstance, seed: int = 0) -> None:
         self.pv = pv
         self.seed = seed
+        self.full = tuple(range(len(pv.components)))
         self._regular: dict[tuple[int, ...], RegularityReport] = {}
         self._cqr: dict[tuple[int, ...], bool] = {}
 
@@ -340,48 +362,35 @@ class _SubsetOracle:
         if not subset:
             return True
         if subset not in self._cqr:
-            self._cqr[subset] = False  # guard against re-entry
-            found = False
-            first = subset[0]
-            rest = subset[1:]
-            for k in range(len(rest) + 1):
-                for extra in itertools.combinations(rest, k):
-                    block = (first,) + extra
-                    remainder = tuple(i for i in subset if i not in block)
-                    if self.q_irreducible(block) and self.completely_q_reducible(remainder):
-                        found = True
-                        break
-                if found:
-                    break
-            self._cqr[subset] = found
+            first, rest = subset[0], subset[1:]
+            blocks = ((first,) + extra for k in range(len(rest) + 1)
+                      for extra in itertools.combinations(rest, k))
+            self._cqr[subset] = any(
+                self.q_irreducible(block)
+                and self.completely_q_reducible(tuple(i for i in subset if i not in block))
+                for block in blocks)
         return self._cqr[subset]
 
+    def q_irreducibility(self) -> QIrreducibilityReport:
+        """Regular, with no proper component sum whose restriction is regular.
 
-@dataclass(frozen=True)
-class QIrreducibilityReport:
-    q_irreducible: bool
-    witness: tuple[int, ...] | None
-    regularity: RegularityReport
+        When a regular proper restriction exists, the witness names its
+        component indices; when the instance is not even regular, the
+        witness is None and the regularity report tells why.
+        """
+        report = self.regular(self.full)
+        witness = self.regular_proper_subset(self.full) if report.regular else None
+        return QIrreducibilityReport(report.regular and witness is None, witness, report)
 
 
 def q_irreducible(pv: PVInstance, seed: int = 0) -> QIrreducibilityReport:
-    """Regular, with no proper component sum whose restriction is regular.
-
-    When a regular proper restriction exists, the witness names its
-    component indices; when the instance is not even regular, the witness
-    is None and the regularity report tells why.
-    """
-    oracle = _SubsetOracle(pv, seed)
-    full = tuple(range(len(pv.components)))
-    report = oracle.regular(full)
-    if not report.regular:
-        return QIrreducibilityReport(False, None, report)
-    witness = oracle.regular_proper_subset(full)
-    return QIrreducibilityReport(witness is None, witness, report)
+    """:meth:`SubsetLattice.q_irreducibility` of a fresh lattice."""
+    return SubsetLattice(pv, seed).q_irreducibility()
 
 
 def completely_q_reducible(pv: PVInstance, seed: int = 0) -> bool:
-    return _SubsetOracle(pv, seed).completely_q_reducible(tuple(range(len(pv.components))))
+    lattice = SubsetLattice(pv, seed)
+    return lattice.completely_q_reducible(lattice.full)
 
 
 @dataclass(frozen=True)
@@ -408,37 +417,33 @@ def decompose_filtration(pv: PVInstance, seed: int = 0) -> FiltrationReport:
     choose the largest-dimensional eligible sum (lexicographically first
     component set on ties).
     """
-    if not is_regular(pv, seed).regular:
+    lattice = SubsetLattice(pv, seed)
+    if not lattice.regular(lattice.full).regular:
         raise NotRegular(pv.name)
     stages: list[FiltrationStage] = []
-    cur = pv
-    while cur.components:
-        oracle = _SubsetOracle(cur, seed)
-        best: tuple[int, tuple[int, ...]] | None = None
-        m = len(cur.components)
-        for size in range(1, m + 1):
-            for subset in itertools.combinations(range(m), size):
-                if not (oracle.regular(subset).regular and oracle.completely_q_reducible(subset)):
-                    continue
-                dim = sum(len(cur.components[i]) for i in subset)
-                if best is None or dim > best[0] or (dim == best[0] and subset < best[1]):
-                    best = (dim, subset)
-        if best is None:
+    while True:
+        cur = lattice.pv
+        dims = {subset: sum(len(cur.components[i]) for i in subset)
+                for size in range(1, len(lattice.full) + 1)
+                for subset in itertools.combinations(lattice.full, size)
+                if lattice.regular(subset).regular and lattice.completely_q_reducible(subset)}
+        if not dims:
             raise PartialFiltration(
                 f"no regular completely-Q-reducible sum among {cur.labels}", tuple(stages))
-        dim, subset = best
-        report = oracle.regular(subset)
+        subset = min(dims, key=lambda s: (-dims[s], s))
+        report = lattice.regular(subset)
         stages.append(FiltrationStage(
             labels=tuple(cur.labels[i] for i in subset),
-            dim=dim,
+            dim=dims[subset],
             isotropy_dim=report.isotropy_dim,
             reductive=report.reductive,
             determinant=report.form_determinant,
         ))
-        rest = tuple(i for i in range(m) if i not in subset)
+        rest = tuple(i for i in lattice.full if i not in subset)
         if not rest:
             break
-        cur = restrict(subalgebra_instance(cur, report.isotropy_basis), rest)
+        rest_pv = restrict(subalgebra_instance(cur, report.isotropy_basis), rest)
+        lattice = SubsetLattice(rest_pv, seed)
     return FiltrationReport(tuple(stages), stages[-1].isotropy_dim, stages[-1].reductive)
 
 

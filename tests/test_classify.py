@@ -186,13 +186,26 @@ def test_classify_records_reducibility_witness():
     assert rep.witnesses.regular_gamma in ((1,), (2,))
 
 
-def test_classify_single_circle_falls_back_to_regularity():
+SINGLE_CIRCLE_TYPES = ([("A", n) for n in range(1, 6)] + [("B", n) for n in range(2, 6)]
+                       + [("C", n) for n in range(3, 6)] + [("D", 4), ("D", 5)]
+                       + [("E", 6), ("F", 4), ("G", 2)])
+
+
+def test_classify_single_circle_q_verdicts_mean_regular():
     rep = classify(parse_diagram("A3[2]"))
     assert rep.family is None
     assert rep.verdicts.regular and rep.verdicts.q_irreducible
     bad = classify(parse_diagram("A3[1]"))
     assert bad.verdicts.prehomogeneous and not bad.verdicts.regular
     assert not bad.verdicts.q_irreducible
+    for family, rank in SINGLE_CIRCLE_TYPES:
+        for node in range(1, rank + 1):
+            rep = classify(WeightedDiagram(SimpleType(family, rank), (node,)), "both", 0)
+            v = rep.verdicts
+            assert rep.family is None
+            assert v.q_irreducible == v.completely_q_reducible == v.regular
+            assert v.one_irreducible == (v.regular and v.n_invariants == 1)
+            assert rep.witnesses.regular_gamma is None
 
 
 def test_classify_both_raises_on_planted_disagreement(monkeypatch):

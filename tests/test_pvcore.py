@@ -1,15 +1,17 @@
 """The exact oracle: generic points, isotropy, regularity, invariant counts."""
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from pvlab import pvcore
 from pvlab._linalg import matvec
 from pvlab.diagram import parse_diagram
-from pvlab.models import diag_chain, dual_pair, matrix_pair
+from pvlab.models import build_model, diag_chain, dual_pair, matrix_pair, sym_vector, verify_model
 from pvlab.pvcore import (DegenerateInvariant, EmptySubset, IdentityViolation, Invariant,
-                          NonGenericPoint, NotRegular, NotRelativeInvariant,
+                          NonGenericPoint, NotRegular, NotRelativeInvariant, SubsetLattice,
                           build_parabolic_pv, completely_q_reducible,
                           count_fundamental_invariants, decompose_filtration,
                           generic_point, hessian_product_identity_check, is_reductive,
@@ -150,6 +152,28 @@ def test_is_reductive_on_spans():
     assert is_reductive(pv, full).reductive
     cert = is_reductive(pv, [])
     assert cert.reductive and cert.determinant == 1
+
+
+def test_each_regularity_verdict_is_computed_once(monkeypatch):
+    calls = Counter()
+    original = pvcore.is_regular
+
+    def counting(pv, seed=0):
+        calls[pv] += 1
+        return original(pv, seed)
+
+    monkeypatch.setattr(pvcore, "is_regular", counting)
+    ok, _ = verify_model(build_model("matrix-pair:p=2,q=3,r=2"))
+    assert ok and calls and max(calls.values()) == 1
+    calls.clear()
+    decompose_filtration(sym_vector(3).instance)
+    assert calls and max(calls.values()) == 1
+    calls.clear()
+    lattice = SubsetLattice(build_parabolic_pv(parse_diagram("A3[1,3]")))
+    first = lattice.q_irreducibility()
+    computed = sum(calls.values())
+    assert lattice.q_irreducibility() == first
+    assert sum(calls.values()) == computed > 0
 
 
 def test_filtration_requires_regularity():
