@@ -294,8 +294,9 @@ def classify(d: WeightedDiagram, mode: str = "both", seed: int = 0) -> Classific
     instance; ``both`` does the same and raises :class:`MismatchError` if
     the family table disagrees; ``pattern`` answers from the table alone.
     The table lists only multi-circle diagrams, so a single-circle diagram
-    takes the oracle path in every mode, and its one component makes
-    Q-irreducible and completely Q-reducible both mean regular.
+    takes the oracle path in every mode (its ``pattern`` report is labelled
+    ``method="oracle"``), and its one component makes Q-irreducible and
+    completely Q-reducible both mean regular.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -307,7 +308,8 @@ def classify(d: WeightedDiagram, mode: str = "both", seed: int = 0) -> Classific
     verdicts, witnesses = _oracle_verdicts(d, seed)
     if mode == "both" and not irreducible and (match is not None) != verdicts.q_irreducible:
         raise MismatchError(d, match, verdicts, witnesses)
-    return ClassificationReport(d, verdicts, match, witnesses, mode, seed)
+    method = "oracle" if mode == "pattern" else mode
+    return ClassificationReport(d, verdicts, match, witnesses, method, seed)
 
 
 def enumerate_reports(types: Iterable[SimpleType], mode: str = "both", seed: int = 0,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._linalg import matmul, solve, transpose
+from ._linalg import _echelon, matmul, transpose
 from ._rand import Stream
 from .pvcore import GroupCheck, Invariant, PVInstance, make_instance
 
@@ -266,10 +266,14 @@ def _mm(*ms):
 
 
 def _inv(m: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Exact inverse from one Gauss-Jordan pass on [m | I]: the reduced
+    form is d * [I | m^-1], so the inverse is the right half over d."""
     n = len(m)
-    cols = [solve([list(r) for r in m], [1 if r == k else 0 for r in range(n)])
-            for k in range(n)]
-    return [[cols[k][r] for k in range(n)] for r in range(n)]
+    red, pivots, d, _, _ = _echelon(
+        [list(row) + [int(r == k) for k in range(n)] for r, row in enumerate(m)], True)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[Fraction(v, d) for v in row[n:]] for row in red]
 
 
 def _sample_unit_triangular(stream: Stream, n: int, lower: bool) -> list[list]:

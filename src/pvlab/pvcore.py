@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from ._linalg import det, kernel_basis, matvec, modp_rank, rank
@@ -453,7 +454,13 @@ def decompose_filtration(pv: PVInstance, seed: int = 0) -> FiltrationReport:
 
 @dataclass(frozen=True)
 class Invariant:
-    """A polynomial on the module, given as a black-box exact evaluator."""
+    """A polynomial on the module, given as a black-box exact evaluator.
+
+    ``evaluate`` gets a list of ``int`` coordinates at the sample points of
+    :func:`verify_invariant` and :func:`hessian_product_identity_check`, and
+    of ``Fraction`` coordinates at the points moved by a group check.  It
+    must use exact arithmetic (``/`` on two ints makes a float).
+    """
 
     name: str
     degree: int
@@ -478,76 +485,74 @@ class InvariantReport:
     group_elements_checked: int
 
 
-def _derivative_weights(degree: int) -> tuple[list[Fraction], list[Fraction]]:
-    """First/second derivative-at-0 weights over the nodes 0..degree.
+def _derivative_weights(degree: int) -> tuple[list[int], list[int], int]:
+    """Integer first/second derivative-at-0 weights over the nodes 0..degree.
 
-    Any univariate polynomial p of degree <= ``degree`` satisfies, exactly,
-    p'(0) = sum_j w1[j] p(j) and p''(0) = sum_j w2[j] p(j).
+    Returns ``(w1, w2, scale)``, where ``scale`` is the least common multiple
+    of the Lagrange denominators.  Any univariate polynomial p of degree
+    <= ``degree`` satisfies, exactly, scale * p'(0) = sum_j w1[j] p(j) and
+    scale**2 * p''(0) = sum_j w2[j] p(j).
+
+    Examples
+    ========
+    >>> _derivative_weights(2)
+    ([-3, 4, -1], [4, -8, 4], 2)
     """
     nodes = list(range(degree + 1))
-    w1, w2 = [], []
+    polys, denoms = [], []
     for j in nodes:
-        poly = [Fraction(1)]  # ascending coefficients of prod_{k != j} (t - k)
+        poly = [1]  # ascending coefficients of prod_{k != j} (t - k)
         denom = 1
         for k in nodes:
             if k == j:
                 continue
             denom *= j - k
-            poly = [Fraction(0)] + poly
+            poly = [0] + poly
             for a in range(len(poly) - 1):
                 poly[a] -= k * poly[a + 1]
-        w1.append(poly[1] / denom if len(poly) > 1 else Fraction(0))
-        w2.append(2 * poly[2] / denom if len(poly) > 2 else Fraction(0))
-    return w1, w2
+        polys.append(poly + [0, 0])  # degree < 2 reads zero coefficients
+        denoms.append(denom)
+    scale = lcm(*denoms)
+    w1 = [poly[1] * (scale // denom) for poly, denom in zip(polys, denoms)]
+    w2 = [2 * poly[2] * scale * (scale // denom) for poly, denom in zip(polys, denoms)]
+    return w1, w2, scale
 
 
-def _directional_derivative(f: Invariant, x: Sequence, u: Sequence, w1: Sequence) -> object:
-    acc = 0
-    for j, w in enumerate(w1):
-        if w:
-            acc += w * f.evaluate([xc + j * uc for xc, uc in zip(x, u)])
+def _directional_derivative(f: Invariant, x: Sequence, fx, u: Sequence, w: Sequence) -> object:
+    """sum_j w[j] f(x + j u), given fx = f(x): with the weights of
+    :func:`_derivative_weights`, scale (resp. scale**2) times the first
+    (second) derivative of f along u."""
+    acc = w[0] * fx
+    for j in range(1, len(w)):
+        if w[j]:
+            acc += w[j] * f.evaluate([xc + j * uc for xc, uc in zip(x, u)])
     return acc
 
 
-def _gradient(f: Invariant, x: Sequence, w1: Sequence) -> list:
-    n = len(x)
-    grad = []
-    for i in range(n):
-        acc = 0
-        for j, w in enumerate(w1):
-            if w:
-                y = list(x)
-                y[i] += j
-                acc += w * f.evaluate(y)
-        grad.append(acc)
-    return grad
+def _unit(n: int, *axes: int) -> list[int]:
+    return [int(a in axes) for a in range(n)]
 
 
-def _hessian(f: Invariant, x: Sequence, w1: Sequence, w2: Sequence) -> list[list]:
+def _gradient(f: Invariant, x: Sequence, fx, w1: Sequence) -> list:
+    """scale times the gradient of f at x."""
+    return [_directional_derivative(f, x, fx, _unit(len(x), i), w1) for i in range(len(x))]
+
+
+def _hessian(f: Invariant, x: Sequence, fx, w2: Sequence) -> list[list]:
+    """2 * scale**2 times the Hessian of f at x, by polarization.
+
+    With D(u) the second derivative along u, D(e_i + e_l) - D(e_i) - D(e_l)
+    is twice the (i, l) entry, so the diagonal is doubled to match and no
+    entry is ever divided.
+    """
     n = len(x)
+    diag = [_directional_derivative(f, x, fx, _unit(n, i), w2) for i in range(n)]
     h = [[0] * n for _ in range(n)]
     for i in range(n):
-        acc = 0
-        for j, w in enumerate(w2):
-            if w:
-                y = list(x)
-                y[i] += j
-                acc += w * f.evaluate(y)
-        h[i][i] = acc
-    for i in range(n):
+        h[i][i] = 2 * diag[i]
         for l in range(i + 1, n):
-            acc = 0
-            for a, wa in enumerate(w1):
-                if not wa:
-                    continue
-                for b, wb in enumerate(w1):
-                    if not wb:
-                        continue
-                    y = list(x)
-                    y[i] += a
-                    y[l] += b
-                    acc += wa * wb * f.evaluate(y)
-            h[i][l] = h[l][i] = acc
+            h[i][l] = h[l][i] = (_directional_derivative(f, x, fx, _unit(n, i, l), w2)
+                                 - diag[i] - diag[l])
     return h
 
 
@@ -563,31 +568,36 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     graded-logarithm differential f*H - grad*grad^t has full rank there;
     (d) any supplied group samplers satisfy f(g x) = multiplier * f(x).
 
-    Everything is exact.
+    Everything is exact.  Sample points are integer vectors and derivatives
+    carry the integer scaling of :func:`_derivative_weights`, so with an
+    integer evaluator no rational is formed until the reported constants.
+    Proportionality is tested by cross-multiplying, and (b) and (c) use
+    2 * scale**2 times H and f*H - grad*grad^t, which have the same
+    determinant sign and rank.
     """
     stream = Stream(seed, context=f"invariant:{pv.name}:{f.name}")
-    xs = [[Fraction(v) for v in stream.vector(pv.dim_v)] for _ in range(points)]
+    xs = [stream.vector(pv.dim_v) for _ in range(points)]
     vals = [f.evaluate(x) for x in xs]
     base = next((i for i, v in enumerate(vals) if v != 0), None)
     if base is None:
         raise DegenerateInvariant(f"{f.name} vanishes at all {points} sample points")
-    w1, w2 = _derivative_weights(f.degree)
+    w1, w2, scale = _derivative_weights(f.degree)
     constants = []
     for mi, op in enumerate(pv.operators):
-        c = None
+        g0 = v0 = None
         for x, v in zip(xs, vals):
-            g = _directional_derivative(f, x, matvec(op, x), w1)
+            g = _directional_derivative(f, x, v, matvec(op, x), w1)
             if v == 0:
                 ok = g == 0  # f = 0 forces the derivative to 0
-            elif c is None:
-                c, ok = g / v, True
+            elif v0 is None:
+                g0, v0, ok = g, v, True
             else:
-                ok = g == c * v
+                ok = g * v0 == g0 * v
             if not ok:
                 raise NotRelativeInvariant(
                     f"{f.name}: derivative along operator {mi} is not proportional to f",
                     direction=mi)
-        constants.append(c)
+        constants.append(Fraction(g0, scale * v0))
     hessian_nonzero = None
     dlog_rank = None
     if expect_nondegenerate:
@@ -596,11 +606,11 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
             if vals[i] == 0:
                 continue
             tried += 1
-            h = _hessian(f, xs[i], w1, w2)
+            h = _hessian(f, xs[i], vals[i], w2)
             if det(h) != 0:
                 hessian_nonzero = True
-                grad = _gradient(f, xs[i], w1)
-                dlog = [[vals[i] * h[a][b] - grad[a] * grad[b] for b in range(pv.dim_v)]
+                grad = _gradient(f, xs[i], vals[i], w1)
+                dlog = [[vals[i] * h[a][b] - 2 * grad[a] * grad[b] for b in range(pv.dim_v)]
                         for a in range(pv.dim_v)]
                 dlog_rank = rank(dlog)
                 break
@@ -643,25 +653,29 @@ def hessian_product_identity_check(f: Invariant, dim: int, seed: int = 0,
                                    points: int = 5) -> HessianIdentityReport:
     """Exact check of  f^dim * det(Hessian f) = (1 - deg f) * det(f*H - grad*grad^t).
 
-    Both sides are polynomials; they are compared as exact rationals at
-    seeded sample points, resampling any point where f vanishes.
+    Both sides are polynomials; they are compared at seeded integer sample
+    points, resampling any point where f vanishes.  The check uses
+    h = 2 * scale**2 * H and g = scale * grad from the integer derivative
+    weights, so f*h - 2*g*g^t is 2 * scale**2 * (f*H - grad*grad^t) and both
+    sides carry the same factor (2 * scale**2)**dim.  Nothing is divided:
+    with an integer evaluator both sides are integer-valued.
     """
     stream = Stream(seed, context=f"hessid:{f.name}")
-    w1, w2 = _derivative_weights(f.degree)
+    w1, w2, _ = _derivative_weights(f.degree)
     done = 0
     attempts = 0
     while done < points:
         attempts += 1
         if attempts > 50 * points:
             raise DegenerateInvariant(f"{f.name}: could not find {points} nonvanishing points")
-        x = [Fraction(v) for v in stream.vector(dim)]
+        x = stream.vector(dim)
         fx = f.evaluate(x)
         if fx == 0:
             continue
-        h = _hessian(f, x, w1, w2)
-        grad = _gradient(f, x, w1)
+        h = _hessian(f, x, fx, w2)
+        grad = _gradient(f, x, fx, w1)
         lhs = fx ** dim * det(h)
-        rhs = (1 - f.degree) * det([[fx * h[a][b] - grad[a] * grad[b] for b in range(dim)]
+        rhs = (1 - f.degree) * det([[fx * h[a][b] - 2 * grad[a] * grad[b] for b in range(dim)]
                                     for a in range(dim)])
         if lhs != rhs:
             raise IdentityViolation(f"{f.name} at {x}: {lhs} != {rhs}")

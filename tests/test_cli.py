@@ -88,6 +88,20 @@ def test_classify_json(capsys):
     assert doc["inputs"] == {"diagram": "C6[2,5]", "mode": "both", "seed": 0}
 
 
+def test_classify_single_circle_in_pattern_mode_is_labelled_oracle(capsys):
+    # The family table has no single-circle rows: the verdicts and
+    # witnesses come from the oracle, and the report says so.
+    code, doc, _ = run_json(capsys, "classify", "A3[2]", "--mode", "pattern")
+    assert code == 0
+    res = doc["results"]
+    assert res["method"] == "oracle"
+    assert res["witnesses"]["form_determinant"] == -29491200
+    assert doc["inputs"]["mode"] == "pattern"
+    code, doc, _ = run_json(capsys, "classify", "A3[1,3]", "--mode", "pattern")
+    assert doc["results"]["method"] == "pattern"
+    assert doc["results"]["witnesses"]["form_determinant"] is None
+
+
 def test_enumerate_pattern_counts(capsys):
     code, doc, _ = run_json(capsys, "enumerate", "--types", "A", "--max-rank", "4",
                             "--mode", "pattern")

@@ -1,10 +1,15 @@
 """The exact oracle: generic points, isotropy, regularity, invariant counts."""
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvlab import pvcore
 from pvlab._linalg import matvec
@@ -224,6 +229,82 @@ def test_hessian_identity_violation_on_wrong_degree():
     lying = Invariant("mislabelled", 3, q.evaluate)
     with pytest.raises((IdentityViolation, DegenerateInvariant)):
         hessian_product_identity_check(lying, spec.instance.dim_v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.integers(-99, 99), min_size=1, max_size=d + 1))))
+def test_integer_derivative_weights_are_exact(case):
+    degree, coeffs = case
+    w1, w2, scale = pvcore._derivative_weights(degree)
+    assert all(type(w) is int for w in (*w1, *w2, scale)) and scale > 0
+
+    def p(t):
+        return sum(c * t ** k for k, c in enumerate(coeffs))
+
+    first = coeffs[1] if len(coeffs) > 1 else 0
+    second = 2 * coeffs[2] if len(coeffs) > 2 else 0
+    assert sum(w * p(j) for j, w in enumerate(w1)) == scale * first
+    assert sum(w * p(j) for j, w in enumerate(w2)) == scale ** 2 * second
+
+
+@pytest.mark.parametrize("model,point", [
+    ("vector-skew:n=3", [3, -1, 4, 1, -5, 9]),
+    ("vector-skew:n=5", [2, -7, 1, 8, -2, 8, 1, -8, 2, 8, -4, 5, 9, 0, -4]),
+])
+def test_hessian_and_gradient_match_sympy(model, point):
+    spec = build_model(model)
+    f = spec.invariants[0].invariant
+    syms = sympy.symbols(f"x0:{spec.instance.dim_v}")
+    expr = sympy.expand(f.evaluate(list(syms)))
+    at = dict(zip(syms, point))
+    fx = f.evaluate(point)
+    w1, w2, scale = pvcore._derivative_weights(f.degree)
+    hess = sympy.hessian(expr, syms).subs(at)
+    want = [[2 * scale ** 2 * int(hess[i, j]) for j in range(len(syms))]
+            for i in range(len(syms))]
+    assert pvcore._hessian(f, point, fx, w2) == want
+    assert any(any(row) for row in want)
+    assert pvcore._gradient(f, point, fx, w1) == [scale * int(sympy.diff(expr, s).subs(at))
+                                              for s in syms]
+
+
+def test_rational_coefficient_invariant_is_certified_exactly():
+    # Halving the polarized Hessian with // would floor these Fraction
+    # entries; the integer scaling must never divide.
+    spec = dual_pair(3)
+    mi = spec.invariants[0]
+    third = Invariant("Q/3", 2, lambda x: Fraction(1, 3) * mi.invariant.evaluate(x))
+    rep = verify_invariant(spec.instance, third, group_checks=mi.group_checks)
+    base = verify_invariant(spec.instance, mi.invariant)
+    assert rep.constants == base.constants
+    assert rep.hessian_nonzero and rep.dlog_rank == spec.instance.dim_v
+    assert rep.group_elements_checked == 3
+    ident = hessian_product_identity_check(third, spec.instance.dim_v)
+    assert ident.points_checked == 5
+
+
+def test_gate_invariant_reports_are_frozen():
+    # tests/data/invariant_reports_seed0.json holds the reports of the
+    # eight invariant gates at seed 0, as computed at Fraction sample points.
+    frozen = json.loads((Path(__file__).parent / "data" / "invariant_reports_seed0.json")
+                        .read_text())
+    rows = []
+    for model in dict.fromkeys(row["model"] for row in frozen):
+        spec = build_model(model)
+        for mi in spec.invariants:
+            rep = verify_invariant(spec.instance, mi.invariant, seed=0,
+                                   expect_nondegenerate=mi.nondegenerate,
+                                   group_checks=mi.group_checks)
+            assert all(type(c) is Fraction for c in rep.constants)
+            rows.append({"model": model, "invariant": rep.name,
+                         "constants": [str(c) for c in rep.constants],
+                         "points_checked": rep.points_checked,
+                         "hessian_nonzero": rep.hessian_nonzero,
+                         "dlog_rank": rep.dlog_rank,
+                         "group_elements_checked": rep.group_elements_checked})
+    assert len(rows) == 9
+    assert rows == frozen
 
 
 def test_matrix_pair_unipotent_witness():
