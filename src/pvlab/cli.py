@@ -486,6 +486,21 @@ def _emit_mismatch(e: MismatchError, args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Form determinants of large diagrams (A20[3,18] has one) run past the
+    # 4300-digit limit on int-to-str conversion; print every digit, and
+    # restore the caller's limit afterwards.  Python 3.10 may lack the limit.
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _run(argv)
+    finally:
+        set_limit(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,6 +9,15 @@ isotropy), and the decomposition of the module into its irreducible
 components (the only subspaces the subspace searches ever consult).  One
 :class:`SubsetLattice` per instance backs those searches.
 
+A proper component sum of a parabolic instance is regular exactly when
+every piece of its :func:`~pvlab.diagram.subdiagram` is: the Levi's image
+in GL(V_Gamma) is the product of the pieces' Levi images (the Cartans have
+the same image, because every piece's Cartan matrix is nondegenerate), the
+generic isotropy is reductive exactly when it is reductive modulo the
+reductive kernel of the action, and a product PV is regular exactly when
+each factor is.  The lattice therefore decides such sums from one
+process-wide table of piece verdicts.
+
 All verdicts use exact rational arithmetic.  A large-prime modular rank is
 used as a fast certificate during candidate selection; it can only
 under-report, and every reported rank comes from an exact kernel.
@@ -16,7 +25,7 @@ under-report, and every reported rank comes from an exact kernel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple, Sequence
@@ -24,7 +33,7 @@ from typing import Callable, NamedTuple, Sequence
 from ._linalg import det, kernel_basis, matvec, modp_rank, rank
 from ._rand import Stream
 from .chevalley import ChevalleyBasis, chevalley_basis
-from .diagram import WeightedDiagram, render_compact
+from .diagram import WeightedDiagram, render_compact, subdiagram
 from .grading import components as level_one_components
 from .grading import degree
 
@@ -81,7 +90,12 @@ def _freeze(m: Matrix) -> tuple[tuple, ...]:
 
 @dataclass(frozen=True)
 class PVInstance:
-    """A linear Lie algebra action with component/form/character bookkeeping."""
+    """A linear Lie algebra action with component/form/character bookkeeping.
+
+    ``diagram`` is the weighted diagram of a :func:`build_parabolic_pv`
+    instance, whose component i sits at circled node ``diagram.circled[i]``;
+    restrictions, subalgebra instances and the matrix models have none.
+    """
 
     name: str
     operators: tuple[tuple[tuple, ...], ...]
@@ -90,6 +104,7 @@ class PVInstance:
     characters: tuple[tuple, ...]
     components: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
+    diagram: WeightedDiagram | None = None
 
     @property
     def dim_g(self) -> int:
@@ -141,7 +156,8 @@ def build_parabolic_pv(d: WeightedDiagram, alg: ChevalleyBasis | None = None) ->
         components.append(tuple(range(offset, offset + c.dim)))
         labels.append(f"V[{c.alpha}]")
         offset += c.dim
-    return make_instance(render_compact(d), operators, dim_v, form, characters, components, labels)
+    pv = make_instance(render_compact(d), operators, dim_v, form, characters, components, labels)
+    return replace(pv, diagram=d)
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +336,23 @@ class QIrreducibilityReport:
     regularity: RegularityReport
 
 
+# Regularity verdict of each subdiagram piece, keyed by (compact form, seed).
+_PIECE_VERDICTS: dict[tuple[str, int], bool] = {}
+
+
 class SubsetLattice:
     """Regularity of every sum of irreducible components of one instance.
 
     One :class:`RegularityReport` per subset of component indices (``full``
-    is all of them), computed on first use at the lattice's seed; every
-    Q-verdict reads from that table.
+    is all of them), computed on first use at the lattice's seed by direct
+    restriction.  Every Q-verdict reads the yes/no answer of
+    :meth:`is_regular_sum`.  For a proper subset of a parabolic instance
+    that answer is the conjunction of the verdicts of the subset's
+    :func:`~pvlab.diagram.subdiagram` pieces, because the restriction is
+    the product of the pieces' PVs up to a reductive kernel (see the module
+    docstring).  Each piece verdict is computed once per process and seed,
+    by restricting the instance at hand to that piece's components, so
+    diagrams that share a piece share its verdict.
 
     >>> from pvlab.diagram import parse_diagram
     >>> lattice = SubsetLattice(build_parabolic_pv(parse_diagram("A3[1,3]")))
@@ -340,23 +367,44 @@ class SubsetLattice:
         self.seed = seed
         self.full = tuple(range(len(pv.components)))
         self._regular: dict[tuple[int, ...], RegularityReport] = {}
+        self._verdict: dict[tuple[int, ...], bool] = {}
         self._cqr: dict[tuple[int, ...], bool] = {}
 
     def regular(self, subset: tuple[int, ...]) -> RegularityReport:
+        """The exact report of the restriction to ``subset``."""
         if subset not in self._regular:
             self._regular[subset] = is_regular(restrict(self.pv, subset), self.seed)
         return self._regular[subset]
+
+    def is_regular_sum(self, subset: tuple[int, ...]) -> bool:
+        """Whether the restriction to ``subset`` is regular, piece by piece
+        for a proper subset of a parabolic instance."""
+        d = self.pv.diagram
+        if d is None or subset == self.full:
+            return self.regular(subset).regular
+        if subset not in self._verdict:
+            gamma = [d.circled[i] for i in subset]
+            self._verdict[subset] = all(self._piece_verdict(nodes, piece)
+                                        for nodes, piece in subdiagram(d, gamma).pieces)
+        return self._verdict[subset]
+
+    def _piece_verdict(self, nodes: tuple[int, ...], piece: WeightedDiagram) -> bool:
+        key = (render_compact(piece), self.seed)
+        if key not in _PIECE_VERDICTS:
+            own = tuple(i for i, a in enumerate(self.pv.diagram.circled) if a in nodes)
+            _PIECE_VERDICTS[key] = self.regular(own).regular
+        return _PIECE_VERDICTS[key]
 
     def regular_proper_subset(self, subset: tuple[int, ...]) -> tuple[int, ...] | None:
         """First (by size, then lexicographic) proper nonempty regular subset."""
         for size in range(1, len(subset)):
             for sub in itertools.combinations(subset, size):
-                if self.regular(sub).regular:
+                if self.is_regular_sum(sub):
                     return sub
         return None
 
     def q_irreducible(self, subset: tuple[int, ...]) -> bool:
-        return self.regular(subset).regular and self.regular_proper_subset(subset) is None
+        return self.is_regular_sum(subset) and self.regular_proper_subset(subset) is None
 
     def completely_q_reducible(self, subset: tuple[int, ...]) -> bool:
         """True iff the subset splits into parts with Q-irreducible restrictions."""
@@ -427,7 +475,7 @@ def decompose_filtration(pv: PVInstance, seed: int = 0) -> FiltrationReport:
         dims = {subset: sum(len(cur.components[i]) for i in subset)
                 for size in range(1, len(lattice.full) + 1)
                 for subset in itertools.combinations(lattice.full, size)
-                if lattice.regular(subset).regular and lattice.completely_q_reducible(subset)}
+                if lattice.is_regular_sum(subset) and lattice.completely_q_reducible(subset)}
         if not dims:
             raise PartialFiltration(
                 f"no regular completely-Q-reducible sum among {cur.labels}", tuple(stages))

@@ -15,14 +15,14 @@ from pvlab._rand import Stream
 from pvlab.chevalley import chevalley_basis
 from pvlab.classify import enumerate_reports
 from pvlab.cli import main
-from pvlab.diagram import WeightedDiagram, parse_diagram, render_compact
+from pvlab.diagram import WeightedDiagram, parse_diagram, render_compact, subdiagram
 from pvlab.grading import components, compute_grading, rules_R, simple_root
 from pvlab.models import (MODELS, build_model, descending_chains, diag_chain,
                           dual_pair, matrix_pair, skew_pair, sym_vector, vector_skew,
                           verify_model)
-from pvlab.pvcore import (Invariant, build_parabolic_pv, decompose_filtration,
-                          hessian_product_identity_check, is_regular,
-                          isotropy_algebra, q_irreducible, restrict)
+from pvlab.pvcore import (Invariant, SubsetLattice, build_parabolic_pv,
+                          decompose_filtration, hessian_product_identity_check,
+                          is_regular, isotropy_algebra, q_irreducible, restrict)
 from pvlab.rootsys import SimpleType, build_root_system, pairing
 
 DATA = Path(__file__).parent / "data"
@@ -58,6 +58,36 @@ def test_family_catalog_reproduction():
                 assert r.family is not None
                 assert r.verdicts.regular and r.verdicts.n_invariants == 1
     assert time.monotonic() - start < 600
+
+
+def test_piece_verdicts_match_direct_restriction():
+    # The lattice decides a proper component sum from its subdiagram pieces;
+    # here every proper sum of every sweep diagram is decided both by direct
+    # restriction and by standalone instances of its pieces, and the two
+    # must agree, as must the lattice's own piece-read verdict.
+    standalone: dict[str, bool] = {}
+
+    def piece_regular(piece: WeightedDiagram) -> bool:
+        key = render_compact(piece)
+        if key not in standalone:
+            standalone[key] = is_regular(build_parabolic_pv(piece)).regular
+        return standalone[key]
+
+    checked = 0
+    for t in SWEEP_TYPES:
+        for size in range(2, t.rank + 1):
+            for circled in itertools.combinations(range(1, t.rank + 1), size):
+                d = WeightedDiagram(t, circled)
+                lattice = SubsetLattice(build_parabolic_pv(d))
+                for k in range(1, size):
+                    for subset in itertools.combinations(lattice.full, k):
+                        gamma = [d.circled[i] for i in subset]
+                        direct = lattice.regular(subset).regular
+                        pieces = all(piece_regular(p) for _, p in subdiagram(d, gamma).pieces)
+                        assert direct == pieces, (render_compact(d), gamma)
+                        assert lattice.is_regular_sum(subset) == direct
+                        checked += 1
+    assert checked == 11698
 
 
 # The multi-circle pairwise-non-adjacent diagrams of E6 up to its mirror

@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from pvlab.cli import main
 from pvlab.models import MODELS, dual_pair
 
 classify_module = importlib.import_module("pvlab.classify")
+cli_module = importlib.import_module("pvlab.cli")
 
 DATA = Path(__file__).parent / "data"
 
@@ -142,6 +146,35 @@ def test_json_output_is_byte_stable(capsys):
     _, second, _ = run(capsys, "classify", "B3[1,3]", "--json")
     _, third, _ = run(capsys, "classify", "B3[1,3]", "--seed", "0", "--json")
     assert first == second == third
+
+
+def test_sweep_json_matches_golden_digest(capsys):
+    # The digest was taken from the output before subset verdicts were read
+    # from subdiagram pieces; any change to a byte of the sweep shows here.
+    code, out, err = run(capsys, "enumerate", "--types", "A,B,C,D,E6", "--max-rank", "7",
+                         "--json", "--seed", "0")
+    assert code == 0 and err == ""
+    golden = (DATA / "enumerate_sweep_seed0.sha256").read_text().strip()
+    assert hashlib.sha256(out.encode()).hexdigest() == golden
+
+
+def test_classify_prints_every_digit_of_a_huge_determinant(capsys, monkeypatch):
+    real = cli_module.classify
+    big = 10 ** 4999 + 7  # 5000 digits, past the default int-to-str limit
+    digits = "1" + "0" * 4998 + "7"
+
+    def huge(d, mode, seed):
+        report = real(d, mode=mode, seed=seed)
+        witnesses = dataclasses.replace(report.witnesses, form_determinant=Fraction(big))
+        return dataclasses.replace(report, witnesses=witnesses)
+
+    monkeypatch.setattr(cli_module, "classify", huge)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, "classify", "A3[1,3]", *flags)
+        assert code == 0 and err == ""
+        assert digits in out
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_output_flags_work_on_either_side_of_the_subcommand(capsys):

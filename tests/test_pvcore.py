@@ -181,6 +181,26 @@ def test_each_regularity_verdict_is_computed_once(monkeypatch):
     assert sum(calls.values()) == computed > 0
 
 
+def test_shared_piece_verdict_is_computed_once(monkeypatch):
+    # A3[1,3] and A4[1,3] restricted to V[1] both have the one piece A2[1].
+    names = []
+    original = pvcore.is_regular
+
+    def counting(pv, seed=0):
+        names.append(pv.name)
+        return original(pv, seed)
+
+    monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
+    monkeypatch.setattr(pvcore, "is_regular", counting)
+    first = SubsetLattice(build_parabolic_pv(parse_diagram("A3[1,3]")))
+    assert first.regular_proper_subset(first.full) is None
+    assert names == ["A3[1,3]/V[1]", "A3[1,3]/V[3]"]
+    names.clear()
+    second = SubsetLattice(build_parabolic_pv(parse_diagram("A4[1,3]")))
+    assert second.regular_proper_subset(second.full) == (1,)  # the piece A3[2]
+    assert names == ["A4[1,3]/V[3]"]
+
+
 def test_filtration_requires_regularity():
     with pytest.raises(NotRegular):
         decompose_filtration(build_parabolic_pv(parse_diagram("A3[1]")))
