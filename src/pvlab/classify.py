@@ -1,11 +1,15 @@
 """Q-irreducibility of weighted diagrams, by pattern and by oracle.
 
 A weighted diagram with at least two circled nodes is Q-irreducible for
-exactly nine families of circle placements, encoded here as block profiles
-(the sizes of the uncircled stretches between and around the circles), so
-that each family is matched up to the diagram symmetry of its type.  The
-pattern path answers from that table alone; the oracle path reads every
-verdict, for any number of circles, from one
+exactly nine families of circle placements.  The pattern path reads a
+placement once, as a shape (two circles on a chain, a D tip with one
+circle, the D fork, or an exceptional circle set) and its block profile
+(the sizes of the uncircled stretches between and around the circles),
+and looks the pair (type, shape) up in one row table, whose value is the
+row's name and its condition on the blocks; so each family is matched up
+to the diagram symmetry of its type, and the table reads like the
+paper's.  The pattern path answers from that table alone; the oracle path
+reads every verdict, for any number of circles, from one
 :class:`~pvlab.pvcore.SubsetLattice` over the
 :func:`~pvlab.pvcore.build_parabolic_pv` instance, and ``mode="both"``
 cross-validates the two wherever the table has rows.
@@ -112,83 +116,46 @@ class ClassificationReport:
 # pattern table
 
 
-def _chain_blocks(n: int, c1: int, c2: int) -> tuple[int, int, int]:
-    """Uncircled block sizes (before, between, after) on a chain 1..n."""
-    return c1 - 1, c2 - c1 - 1, n - c2
+def _profile(d: WeightedDiagram) -> tuple[object, tuple[int, ...]]:
+    """The circle placement's shape and its uncircled block sizes.
+
+    ``"chain"``: two circles and no D tip, blocks (before, between, after)
+    on 1..n.  ``"tip"``: in D, one tip and one circle c <= n-2, blocks
+    (c-1, n-1-c).  ``"fork"``: in D, the circles {2, n-1, n}, blocks
+    (1, n-4).  An exceptional type's shape is its circle set, with no
+    blocks.  Any other placement has shape None.
+    """
+    n, c, family = d.type.rank, d.circled, d.type.family
+    if family not in "ABCD":
+        return c, ()
+    if family == "D" and c == (2, n - 1, n):
+        return "fork", (1, n - 4)
+    tips = [a for a in c if family == "D" and a >= n - 1]
+    if len(c) == 2 and not tips:
+        return "chain", (c[0] - 1, c[1] - c[0] - 1, n - c[1])
+    if len(c) == 2 and len(tips) == 1:
+        return "tip", (c[0] - 1, n - 1 - c[0])
+    return None, ()
 
 
-def _match_a(d: WeightedDiagram) -> FamilyMatch | None:
-    if len(d.circled) != 2:
-        return None
-    p1, p2, p3 = _chain_blocks(d.type.rank, *d.circled)
-    if p1 == p3 and p2 > p1:
-        return FamilyMatch("A", (p1, p2, p1), d)
-    return None
-
-
-def _match_b(d: WeightedDiagram) -> FamilyMatch | None:
-    if len(d.circled) != 2:
-        return None
-    p1, p2, p3 = _chain_blocks(d.type.rank, *d.circled)
-    if p2 > p1 and 2 * p3 == p1:
-        return FamilyMatch("B", (p1, p2, p3), d)
-    return None
-
-
-def _match_c(d: WeightedDiagram) -> FamilyMatch | None:
+# (type, shape) -> (row, condition on the blocks).  A classical row holds
+# for every rank, so it is keyed by the family letter; an exceptional row
+# by the type itself.
+_ROWS = {
+    ("A", "chain"): ("A", lambda p1, p2, p3: p1 == p3 and p2 > p1),
+    ("B", "chain"): ("B", lambda p1, p2, p3: p2 > p1 and 2 * p3 == p1),
     # No parity condition on p2: both parities verify as Q-irreducible
     # (e.g. C6[2,5] with p2 = 2 and C7[2,6] with p2 = 3).
-    if len(d.circled) != 2:
-        return None
-    p1, p2, p3 = _chain_blocks(d.type.rank, *d.circled)
-    if p2 > p1 and 2 * p3 == p1 + 1 and p3 > 0:
-        return FamilyMatch("C", (p1, p2, p3), d)
-    return None
-
-
-def _match_d(d: WeightedDiagram) -> FamilyMatch | None:
-    n = d.type.rank
-    c = d.circled
-    tips = {n - 1, n}
-    if len(c) == 3:
-        if set(c) == {2} | tips and n - 4 > 1:
-            return FamilyMatch("D3", (1, n - 4), d)
-        return None
-    if len(c) != 2:
-        return None
-    circled_tips = [a for a in c if a in tips]
-    if not circled_tips:
-        c1, c2 = c
-        if c2 > n - 3:
-            return None  # trailing theta splits at the fork: wrong row shape
-        p1, p2, p3 = c1 - 1, c2 - c1 - 1, n - c2
-        if p2 > p1 and 2 * p3 == p1 + 1 and p3 >= 2 and p2 % 2 == 0:
-            return FamilyMatch("D1", (p1, p2, p3), d)
-        return None
-    if len(circled_tips) == 1:
-        chain = min(c)
-        if chain <= n - 2:
-            p1, p2 = chain - 1, n - 1 - chain
-            if p1 == p2 - 1 and p2 >= 2 and p2 % 2 == 0:
-                return FamilyMatch("D2", (p1, p2), d)
-    return None
-
-
-_E_ROWS = {
-    ("E", 6): ({(1, 2), (2, 6)}, "E6"),
-    ("E", 7): ({(2, 5)}, "E7"),
-    ("E", 8): ({(1, 2)}, "E8"),
+    ("C", "chain"): ("C", lambda p1, p2, p3: p2 > p1 and 2 * p3 == p1 + 1),
+    ("D", "chain"): ("D1", lambda p1, p2, p3: (p2 > p1 and 2 * p3 == p1 + 1
+                                               and p3 >= 3 and p2 % 2 == 0)),
+    ("D", "tip"): ("D2", lambda p1, p2: p1 == p2 - 1 and p2 % 2 == 0),
+    ("D", "fork"): ("D3", lambda p1, p2: p2 > 1),
+    ("E6", (1, 2)): ("E6", lambda: True),
+    ("E6", (2, 6)): ("E6", lambda: True),
+    ("E7", (2, 5)): ("E7", lambda: True),
+    ("E8", (1, 2)): ("E8", lambda: True),
 }
-
-
-def _match_e(d: WeightedDiagram) -> FamilyMatch | None:
-    row = _E_ROWS.get((d.type.family, d.type.rank))
-    if row and d.circled in row[0]:
-        return FamilyMatch(row[1], (), d)
-    return None
-
-
-_MATCHERS = {"A": _match_a, "B": _match_b, "C": _match_c, "D": _match_d, "E": _match_e}
 
 
 def family_match(d: WeightedDiagram) -> FamilyMatch | None:
@@ -199,8 +166,10 @@ def family_match(d: WeightedDiagram) -> FamilyMatch | None:
     """
     if len(d.circled) < 2:
         raise ValueError("family_match needs at least two circled nodes")
-    matcher = _MATCHERS.get(d.type.family)
-    return matcher(d) if matcher else None
+    family = d.type.family
+    shape, blocks = _profile(d)
+    row = _ROWS.get((family if family in "ABCD" else str(d.type), shape))
+    return FamilyMatch(row[0], blocks, d) if row and row[1](*blocks) else None
 
 
 # ---------------------------------------------------------------------------

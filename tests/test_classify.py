@@ -3,15 +3,19 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 from pvlab.classify import (MismatchError, NoAdjacentCircles, adjacent_split,
                             classify, enumerate_reports, family_match)
-from pvlab.diagram import SimpleType, WeightedDiagram, parse_diagram
+from pvlab.diagram import SimpleType, WeightedDiagram, parse_diagram, render_compact
 from pvlab.pvcore import build_parabolic_pv, is_regular, restrict
 
 classify_module = importlib.import_module("pvlab.classify")
+
+DATA = Path(__file__).parent / "data"
 
 
 def _match(text: str):
@@ -66,6 +70,31 @@ def test_family_hits(text, family, params):
 ])
 def test_family_misses(text):
     assert _match(text) is None
+
+
+# Every 2- and 3-circle diagram of these types: 29,440 diagrams.
+ROW_GUARD_TYPES = ([SimpleType("A", n) for n in range(1, 21)]
+                   + [SimpleType("B", n) for n in range(2, 21)]
+                   + [SimpleType("C", n) for n in range(3, 21)]
+                   + [SimpleType("D", n) for n in range(4, 21)]
+                   + [SimpleType("E", n) for n in (6, 7, 8)]
+                   + [SimpleType("F", 4), SimpleType("G", 2)])
+
+
+def test_family_rows_are_frozen():
+    # tests/data/family_rows.json lists every (diagram, row, params) hit of
+    # the table over the guard range; the table must reproduce it exactly.
+    hits, count = [], 0
+    for t in ROW_GUARD_TYPES:
+        for size in (2, 3):
+            for circled in itertools.combinations(range(1, t.rank + 1), size):
+                d = WeightedDiagram(t, circled)
+                count += 1
+                m = family_match(d)
+                if m is not None:
+                    hits.append([render_compact(d), m.family, list(m.params)])
+    assert count == 29440
+    assert hits == json.loads((DATA / "family_rows.json").read_text())
 
 
 def test_family_match_requires_two_circles():
