@@ -13,7 +13,7 @@ from pathlib import Path
 
 from pvlab._rand import Stream
 from pvlab.chevalley import chevalley_basis
-from pvlab.classify import enumerate_reports
+from pvlab.classify import classify, enumerate_reports
 from pvlab.cli import main
 from pvlab.diagram import WeightedDiagram, parse_diagram, render_compact, subdiagram
 from pvlab.grading import components, compute_grading, rules_R, simple_root
@@ -58,6 +58,32 @@ def test_family_catalog_reproduction():
                 assert r.family is not None
                 assert r.verdicts.regular and r.verdicts.n_invariants == 1
     assert time.monotonic() - start < 600
+
+
+# Probes of the D1 row, M_{m x k} + M_{k x m} under GL_m x GL_k x SO_m with
+# m = p1+1 and k = p2+1: p2 of both parities, the tail D2 at the fork
+# (p3 = 2), and p3 = 3.  The generic isotropy is GL_{k-m} x SO_m, so its
+# dimension is (k-m)^2 + m(m-1)/2; no group name is asserted.
+D1_HITS = {"D11[4,9]": (0, 1, 2), "D12[4,10]": (0, 1, 2), "D17[6,14]": (0,)}
+
+
+def test_d1_row_probes():
+    dims = set()
+    for text, seeds in D1_HITS.items():
+        for seed in seeds:
+            rep = classify(parse_diagram(text), mode="both", seed=seed)
+            p1, p2, _ = rep.family.params
+            m, k = p1 + 1, p2 + 1
+            assert rep.family.family == "D1"
+            assert rep.verdicts.q_irreducible and rep.verdicts.n_invariants == 1
+            assert rep.witnesses.isotropy_dim == (k - m) ** 2 + m * (m - 1) // 2
+            dims.add(rep.witnesses.isotropy_dim)
+    assert dims == {7, 10, 19}
+    not_regular = classify(parse_diagram("D9[4,7]"), mode="both")
+    assert not_regular.family is None and not not_regular.verdicts.regular
+    reducible = classify(parse_diagram("D10[4,8]"), mode="both")
+    assert reducible.family is None and reducible.verdicts.regular
+    assert reducible.witnesses.regular_gamma == (4,)
 
 
 def test_piece_verdicts_match_direct_restriction():

@@ -34,7 +34,10 @@ def _match(text: str):
     ("C6[2,5]", "C", (1, 2, 1)),
     ("C7[2,6]", "C", (1, 3, 1)),
     ("C11[4,9]", "C", (3, 4, 2)),
+    ("D11[4,9]", "D1", (3, 4, 2)),
+    ("D12[4,10]", "D1", (3, 5, 2)),
     ("D16[6,13]", "D1", (5, 6, 3)),
+    ("D17[6,14]", "D1", (5, 7, 3)),
     ("D5[2,4]", "D2", (1, 2)),
     ("D5[2,5]", "D2", (1, 2)),
     ("D6[2,5,6]", "D3", (1, 2)),
@@ -57,7 +60,7 @@ def test_family_hits(text, family, params):
     "C5[2,5]",      # last node circled
     "C3[1,2]",      # adjacent circles
     "D13[4,9]",     # tail vs head mismatch
-    "D16[6,14]",    # second circle runs into the fork
+    "D16[6,14]",    # second circle at the fork, tail vs head mismatch
     "D16[6,13,16]", # three circles but not the fork row
     "D6[2,5]",      # tip circled with the wrong chain offset
     "D6[3,5]",      # p2 odd in the tip row
