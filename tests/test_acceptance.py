@@ -60,6 +60,25 @@ def test_family_catalog_reproduction():
     assert time.monotonic() - start < 600
 
 
+# The second catalog: rank 8 and the exceptional types, where the E7 and E8
+# rows make their only claims, frozen from a seed-0 pass in mode "both".
+SECOND_CATALOG_TYPES = [SimpleType("A", 8), SimpleType("B", 8), SimpleType("C", 8),
+                        SimpleType("D", 8), SimpleType("E", 7), SimpleType("E", 8),
+                        SimpleType("F", 4), SimpleType("G", 2)]
+SECOND_CATALOG = frozenset({"A8[1,8]", "A8[2,7]", "B8[1,8]", "B8[3,7]", "C8[2,7]",
+                            "D8[2,7,8]", "E7[2,5]", "E8[1,2]"})
+
+
+def test_second_catalog_reproduction():
+    start = time.monotonic()
+    reports = enumerate_reports(SECOND_CATALOG_TYPES, mode="both", seed=0)
+    assert len(reports) == 1367
+    hits = {render_compact(r.diagram) for r in reports if r.verdicts.q_irreducible}
+    assert hits == SECOND_CATALOG
+    assert all(r.family is not None for r in reports if r.verdicts.q_irreducible)
+    assert time.monotonic() - start < 120
+
+
 # Probes of the D1 row, M_{m x k} + M_{k x m} under GL_m x GL_k x SO_m with
 # m = p1+1 and k = p2+1: p2 of both parities, the tail D2 at the fork
 # (p3 = 2), and p3 = 3.  The generic isotropy is GL_{k-m} x SO_m, so its

@@ -34,10 +34,7 @@ def _match(text: str):
     ("C6[2,5]", "C", (1, 2, 1)),
     ("C7[2,6]", "C", (1, 3, 1)),
     ("C11[4,9]", "C", (3, 4, 2)),
-    ("D11[4,9]", "D1", (3, 4, 2)),
-    ("D12[4,10]", "D1", (3, 5, 2)),
     ("D16[6,13]", "D1", (5, 6, 3)),
-    ("D17[6,14]", "D1", (5, 7, 3)),
     ("D5[2,4]", "D2", (1, 2)),
     ("D5[2,5]", "D2", (1, 2)),
     ("D6[2,5,6]", "D3", (1, 2)),
@@ -46,6 +43,9 @@ def _match(text: str):
     ("E6[2,6]", "E6", ()),
     ("E7[2,5]", "E7", ()),
     ("E8[1,2]", "E8", ()),
+    ("D11[4,9]", "D1", (3, 4, 2)),
+    ("D12[4,10]", "D1", (3, 5, 2)),
+    ("D17[6,14]", "D1", (5, 7, 3)),
 ])
 def test_family_hits(text, family, params):
     m = _match(text)

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvlab._linalg import det, identity
+from pvlab._linalg import det, identity, matmul, transpose
 from pvlab._rand import Stream
 from pvlab.diagram import parse_diagram
-from pvlab.models import (MODELS, NotSkew, OddSize, build_model, descending_chains,
-                          diag_chain, dual_pair, matrix_pair, pfaffian, skew_pair,
+from pvlab.models import (MODELS, ModelInvariant, ModelSpec, NotSkew, OddSize,
+                          _inv, _layout, _mm, _ModelBuilder, _operator, _sample_gl,
+                          _sample_so, _unpack, build_model, descending_chains, diag_chain,
+                          dual_pair, generic_det, matrix_pair, pfaffian, skew_pair,
                           sym_vector, vector_skew, verify_model)
-from pvlab.pvcore import (build_parabolic_pv, is_regular, isotropy_algebra,
-                          q_irreducible)
+from pvlab.pvcore import (GroupCheck, Invariant, build_parabolic_pv, is_regular,
+                          isotropy_algebra, q_irreducible)
 
 J2 = [[0, 1], [-1, 0]]
 
@@ -233,3 +235,56 @@ def test_vector_skew_matches_exceptional_diagram():
     assert model.dim_v == graded.dim_v == 15
     assert _quadruple(model) == _quadruple(graded)
     assert is_regular(model).isotropy_dim == is_regular(graded).isotropy_dim == 11
+
+
+def _gl_gl_so(m: int, k: int) -> ModelSpec:
+    """GL_m x GL_k x SO_m on M_{m x k} + M_{k x m}, acting by
+    (X, Y) -> (g1 X g2^-1, g2 Y h^-1), with the relative invariant det(XY).
+
+    This is the D1 row of the family table with the tail acting through
+    SO_m; it is regular with generic isotropy GL_{k-m} x SO_m for k > m.
+    """
+    blocks = _layout([("X", "mat", m, k), ("Y", "mat", k, m)])
+    bld = _ModelBuilder(f"gl-gl-so(m={m},k={k})", blocks)
+    neg = lambda z: [[-v for v in row] for row in z]  # noqa: E731
+    bld.add_gl_factor("g1", m, lambda a: lambda pt: {
+        "X": matmul(a, pt["X"]), "Y": [[0] * m for _ in range(k)]})
+    bld.add_gl_factor("g2", k, lambda b: lambda pt: {
+        "X": neg(matmul(pt["X"], b)), "Y": matmul(b, pt["Y"])})
+    bld.add_so_factor("h", m, lambda c: lambda pt: {
+        "X": [[0] * k for _ in range(m)], "Y": neg(matmul(pt["Y"], c))})
+
+    def det_xy(x):
+        pt = _unpack(blocks, x)
+        return generic_det(matmul(pt["X"], pt["Y"]))
+
+    def sample(stream: Stream):
+        g1, d1 = _sample_gl(stream, m)
+        g2, _ = _sample_gl(stream, k)
+        h = _sample_so(stream, m)
+        i2 = _inv(g2)
+        mat = _operator(blocks, lambda pt: {
+            "X": _mm(g1, pt["X"], i2), "Y": _mm(g2, pt["Y"], transpose(h))})
+        return mat, Fraction(d1)
+
+    return ModelSpec(
+        name=bld.name, params={"m": m, "k": k}, instance=bld.instance(),
+        invariants=(ModelInvariant(Invariant("det(XY)", 2 * m, det_xy),
+                                   (GroupCheck("factors", sample),), True),),
+        expected={"regular": True, "isotropy_dim": (k - m) ** 2 + m * (m - 1) // 2,
+                  "n_fundamental_invariants": 1, "q_irreducible": True},
+        blocks=tuple(blocks))
+
+
+@pytest.mark.parametrize("m,k", [(4, 5), (4, 6)])
+def test_d1_row_model_is_q_irreducible(m, k):
+    # An independent check of the D1 row: at (4, 5) and (4, 6) the model's
+    # isotropy dimensions, 7 and 10, are the oracle's for D11[4,9] and
+    # D12[4,10].  The model stays out of MODELS, which holds the shipped eight.
+    spec = _gl_gl_so(m, k)
+    ok, lines = verify_model(spec)
+    assert ok, [line for line in lines if not line.passed]
+    assert [line.name for line in lines] == ["regular", "isotropy_dim",
+                                             "n_fundamental_invariants", "q_irreducible",
+                                             "invariant det(XY)"]
+    assert "gl-gl-so" not in MODELS
