@@ -200,9 +200,10 @@ class AdjacentSplit(NamedTuple):
 def adjacent_split(d: WeightedDiagram) -> AdjacentSplit:
     """Split around the first (lowest) pair of adjacent circled nodes.
 
-    The instance is regular exactly when both component restrictions are,
-    which both prunes classification (a Q-irreducible diagram never has two
-    adjacent circles) and gives an independently testable equivalence.
+    The instance is regular exactly when both component restrictions are
+    (so a Q-irreducible diagram never has two adjacent circles).  Nothing
+    in classification calls this; it is an equivalence the tests check
+    against the regularity oracle.
     """
     pairs = circled_adjacent_pairs(d)
     if not pairs:
