@@ -147,9 +147,10 @@ _ROWS = {
     # No parity condition on p2: both parities verify as Q-irreducible
     # (e.g. C6[2,5] with p2 = 2 and C7[2,6] with p2 = 3).
     ("C", "chain"): ("C", lambda p1, p2, p3: p2 > p1 and 2 * p3 == p1 + 1),
-    # D1 is C's row: V = M_{m x k} + M_{k x 2p3} under GL_m x GL_k x SO_{2p3},
-    # m = p1+1, k = p2+1, has generic isotropy GL_{k-m} x SO_m for every
-    # k > m, and at p3 = 2 the tail D2 at the fork acts as SO_4.
+    # D1 has C's condition: with m = p1+1 and k = p2+1, V = M_{m x k} +
+    # M_{k x 2p3} under GL_m x GL_k x SO_{2p3} has generic isotropy
+    # GL_{k-m} x SO_m whenever 2p3 = m < k, whatever the parity of p2, and
+    # at p3 = 2 the tail D2 at the fork acts as SO_4.
     ("D", "chain"): ("D1", lambda p1, p2, p3: p2 > p1 and 2 * p3 == p1 + 1),
     ("D", "tip"): ("D2", lambda p1, p2: p1 == p2 - 1 and p2 % 2 == 0),
     ("D", "fork"): ("D3", lambda p1, p2: p2 > 1),

@@ -281,10 +281,8 @@ def test_d1_row_model_is_q_irreducible(m, k):
     # An independent check of the D1 row: at (4, 5) and (4, 6) the model's
     # isotropy dimensions, 7 and 10, are the oracle's for D11[4,9] and
     # D12[4,10].  The model stays out of MODELS, which holds the shipped eight.
-    spec = _gl_gl_so(m, k)
-    ok, lines = verify_model(spec)
+    ok, lines = verify_model(_gl_gl_so(m, k))
     assert ok, [line for line in lines if not line.passed]
     assert [line.name for line in lines] == ["regular", "isotropy_dim",
                                              "n_fundamental_invariants", "q_irreducible",
                                              "invariant det(XY)"]
-    assert "gl-gl-so" not in MODELS
