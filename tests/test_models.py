@@ -1,7 +1,11 @@
 """Matrix-space models: builders, Pfaffians, and certificate cross-checks."""
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from pvlab.pvcore import (GroupCheck, Invariant, build_parabolic_pv, is_regular,
                           isotropy_algebra, q_irreducible)
 
 J2 = [[0, 1], [-1, 0]]
+DATA = Path(__file__).parent / "data"
 
 
 def test_registry_is_frozen():
@@ -154,6 +159,16 @@ def test_models_verify_against_their_own_certificates(spec_string):
     ok, lines = verify_model(build_model(spec_string), seed=0)
     failures = [f"{line.name}: {line.detail}" for line in lines if not line.passed]
     assert ok, failures
+
+
+def test_model_instances_are_frozen():
+    # sha256 of repr(astuple(instance)) for the invariant gates, the three
+    # filtration models and the specs above: operators, generator order,
+    # form, characters and components must not drift.
+    frozen = json.loads((DATA / "model_instances.json").read_text())
+    got = {s: hashlib.sha256(repr(dataclasses.astuple(build_model(s).instance)).encode())
+           .hexdigest() for s in frozen}
+    assert got == frozen
 
 
 def test_verify_model_reports_every_expected_key():
