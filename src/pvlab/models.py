@@ -7,9 +7,14 @@ bordered Pfaffians) as exact evaluators, samplers of honest group elements
 with their predicted multipliers, and the certificate values the model is
 expected to reproduce.
 
-The instance form is the direct sum of the factors' defining trace forms
-(a faithful module of the product algebra), so reductivity of isotropy
-subalgebras is again nondegeneracy of a restriction.
+A builder states its group once, as a factor table: each factor (gl, sl,
+so, a scalar or a diagonal torus) with the blocks it moves and the role by
+which it moves each.  One reader turns the table into the instance and one
+sampler turns it into group elements, so the Lie action and the group
+action are written once per role, not once per model.  The instance form is
+the direct sum of the factors' defining trace forms (a faithful module of
+the product algebra), so reductivity of isotropy subalgebras is again
+nondegeneracy of a restriction.
 """
 from __future__ import annotations
 
@@ -156,104 +161,6 @@ def _operator(blocks: list[_Block], act: Callable[[dict], dict]) -> list[list]:
     return [[cols[c][r] for c in range(dim)] for r in range(dim)]
 
 
-def _gl_basis(m: int) -> list[tuple[list[list], bool]]:
-    """(matrix, is_diagonal) for the elementary-matrix basis of gl(m)."""
-    out = []
-    for a in range(m):
-        for b in range(m):
-            e = [[1 if (i, j) == (a, b) else 0 for j in range(m)] for i in range(m)]
-            out.append((e, a == b))
-    return out
-
-
-def _sl_basis(m: int) -> list[list[list]]:
-    out = [e for e, diag in _gl_basis(m) if not diag]
-    for a in range(m - 1):
-        e = [[0] * m for _ in range(m)]
-        e[a][a] = 1
-        e[a + 1][a + 1] = -1
-        out.append(e)
-    return out
-
-
-def _so_basis(m: int) -> list[list[list]]:
-    out = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            e = [[0] * m for _ in range(m)]
-            e[a][b] = 1
-            e[b][a] = -1
-            out.append(e)
-    return out
-
-
-class _ModelBuilder:
-    """Accumulates generators, character rows, and block bookkeeping."""
-
-    def __init__(self, name: str, blocks: list[_Block]) -> None:
-        self.name = name
-        self.blocks = blocks
-        self.dim_v = sum(b.size for b in blocks)
-        self.operators: list[list[list]] = []
-        self._factors: list[tuple[str, list[list]]] = []
-        self._char_rows: dict[str, list[int]] = {}
-
-    def add_generator(self, act: Callable[[dict], dict], char_keys: Sequence[str] = (),
-                      *, factor: str, gmat: list[list] | None = None) -> None:
-        idx = len(self.operators)
-        self.operators.append(_operator(self.blocks, act))
-        self._factors.append((factor, gmat if gmat is not None else [[1]]))
-        for key in char_keys:
-            self._char_rows.setdefault(key, []).append(idx)
-
-    def add_gl_factor(self, key: str, m: int, act_of) -> None:
-        """gl(m) generators; diagonal ones contribute to the factor's trace character."""
-        for e, diag in _gl_basis(m):
-            self.add_generator(act_of(e), (key,) if diag else (), factor=key, gmat=e)
-
-    def add_sl_factor(self, key: str, m: int, act_of) -> None:
-        for e in _sl_basis(m):
-            self.add_generator(act_of(e), factor=key, gmat=e)
-
-    def add_so_factor(self, key: str, m: int, act_of) -> None:
-        for e in _so_basis(m):
-            self.add_generator(act_of(e), factor=key, gmat=e)
-
-    def _form(self) -> list[list]:
-        """Direct sum of the factors' defining trace forms.
-
-        This is the trace form of a faithful module of the product algebra,
-        so its restrictions certify reductivity of subalgebras.
-        """
-        g = len(self.operators)
-        form = [[0] * g for _ in range(g)]
-        for i in range(g):
-            fi, mi = self._factors[i]
-            for j in range(i, g):
-                fj, mj = self._factors[j]
-                if fi != fj:
-                    continue
-                n = len(mi)
-                tr = sum(mi[a][b] * mj[b][a] for a in range(n) for b in range(n)
-                         if mi[a][b] and mj[b][a])
-                form[i][j] = form[j][i] = tr
-        return form
-
-    def instance(self) -> PVInstance:
-        characters = []
-        for key in self._char_rows:
-            row = [0] * len(self.operators)
-            for idx in self._char_rows[key]:
-                row[idx] = 1
-            characters.append(row)
-        components, labels = [], []
-        for b in self.blocks:
-            components.append(tuple(range(b.offset, b.offset + b.size)))
-            labels.append(b.name)
-        return make_instance(self.name, self.operators, self.dim_v,
-                             self._form(), characters, components, labels)
-
-
 # ---------------------------------------------------------------------------
 # small exact matrix utilities for the samplers
 
@@ -315,6 +222,143 @@ def _sample_so(stream: Stream, n: int) -> list[list[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
+# factor tables
+#
+# A model states its group once, as a table of factors
+# (key, kind, size, moves).  The kind is "gl", "sl", "so", "torus" (the
+# diagonal of GL_size) or "scalar" (size 1), and moves maps each block the
+# factor acts on to a role:
+#
+#   role     group            Lie
+#   left     X -> g X         a X
+#   dual     X -> g^-t X      -a^t X
+#   right    X -> X g^-1      -X a
+#   cong     S -> g S g^t     a S + S a^t
+#   e (int)  X -> t^e X       e X        (scalar factors only)
+#
+# The instance is read from the Lie meanings and the group samplers from
+# the group meanings, so the group checks test the operators role by role.
+# The characters are one per gl or scalar factor (named by its key) and
+# one per torus entry (key1, key2, ...); an invariant declares its weight
+# as {character: exponent}, and a group element multiplies it by the
+# product of (det g, or the scalar or torus entry) ** exponent.
+
+
+def _lie_basis(key: str, kind: str, size: int) -> list[tuple[list[list], str | None]]:
+    """The factor's generators in instance order, each with its character."""
+    def mat(entries):
+        return [[entries.get((i, j), 0) for j in range(size)] for i in range(size)]
+
+    r = range(size)
+    if kind == "gl":
+        return [(mat({(a, b): 1}), key if a == b else None) for a in r for b in r]
+    if kind == "sl":
+        return ([(mat({(a, b): 1}), None) for a in r for b in r if a != b]
+                + [(mat({(a, a): 1, (a + 1, a + 1): -1}), None) for a in range(size - 1)])
+    if kind == "so":
+        return [(mat({(a, b): 1, (b, a): -1}), None) for a in r for b in r if a < b]
+    if kind == "torus":
+        return [(mat({(a, a): 1}), f"{key}{a + 1}") for a in r]
+    return [([[1]], key)]
+
+
+def _lie_move(role, a: list[list], x: list[list]) -> list[list]:
+    """The Lie meaning of a role: the generator a acting on a block x."""
+    if role == "left":
+        return matmul(a, x)
+    if role == "dual":
+        return [[-v for v in row] for row in matmul(transpose(a), x)]
+    if role == "right":
+        return [[-v for v in row] for row in matmul(x, a)]
+    if role == "cong":  # in one pass: two matmuls slow the model builds by about a quarter
+        n = len(x)
+        return [[sum(a[i][k] * x[k][j] + x[i][k] * a[j][k] for k in range(n))
+                 for j in range(n)] for i in range(n)]
+    return [[role * v for v in row] for row in x]  # a scalar's generator is 1
+
+
+def _group_move(role, g) -> Callable[[list[list]], list[list]]:
+    """The group meaning of a role: the element g acting on a block."""
+    if role == "left":
+        return lambda x: matmul(g, x)
+    if role == "dual":
+        gti = transpose(_inv(g))
+        return lambda x: matmul(gti, x)
+    if role == "right":
+        gi = _inv(g)
+        return lambda x: matmul(x, gi)
+    if role == "cong":
+        gt = transpose(g)
+        return lambda x: _mm(g, x, gt)
+    t = g ** role
+    return lambda x: [[t * v for v in row] for row in x]
+
+
+def _draw(stream: Stream, key: str, kind: str, size: int) -> tuple[object, dict]:
+    """A group element of one factor, with its character values."""
+    if kind == "gl":
+        g, d = _sample_gl(stream, size)
+        return g, {key: d}
+    if kind == "sl":
+        return _sample_sl(stream, size), {}
+    if kind == "so":
+        return _sample_so(stream, size), {}
+    t = [Fraction(stream.nonzero(-4, 4)) for _ in range(size)]
+    if kind == "torus":
+        return ([[t[i] if i == j else 0 for j in range(size)] for i in range(size)],
+                {f"{key}{i + 1}": t[i] for i in range(size)})
+    return t[0], {key: t[0]}
+
+
+def _instance(name: str, blocks: list[_Block], factors: list[tuple]) -> PVInstance:
+    """Operators in table order, the direct sum of the factors' defining
+    trace forms, the characters, and one component per block."""
+    gens = [(f, a, char) for f, (key, kind, size, _) in enumerate(factors)
+            for a, char in _lie_basis(key, kind, size)]
+
+    def act_of(moves, a):
+        return lambda pt: {b.name: _lie_move(moves[b.name], a, pt[b.name]) if b.name in moves
+                           else [[0] * b.cols for _ in range(b.rows)] for b in blocks}
+
+    def trace(a, c):  # tr(ac); the generators are sparse
+        return sum(v * c[j][i] for i, row in enumerate(a) for j, v in enumerate(row) if v)
+
+    operators = [_operator(blocks, act_of(factors[f][3], a)) for f, a, _ in gens]
+    form = [[trace(a, c) if f == h else 0 for h, c, _ in gens] for f, a, _ in gens]
+    names = list(dict.fromkeys(char for _, _, char in gens if char))
+    characters = [[int(char == name) for _, _, char in gens] for name in names]
+    components = [tuple(range(b.offset, b.offset + b.size)) for b in blocks]
+    return make_instance(name, operators, sum(b.size for b in blocks), form, characters,
+                         components, [b.name for b in blocks])
+
+
+def _sampler(blocks: list[_Block], factors: list[tuple], weight: dict) -> Callable:
+    """Draws one element per factor, in table order; returns its operator
+    on the module and the weight's predicted multiplier."""
+    def sample(stream: Stream):
+        values, moves = {}, {b.name: [] for b in blocks}
+        for key, kind, size, roles in factors:
+            g, vals = _draw(stream, key, kind, size)
+            values.update(vals)
+            for name, role in roles.items():
+                moves[name].append(_group_move(role, g))
+
+        def act(pt):
+            out = {}
+            for name, x in pt.items():
+                for move in moves[name]:
+                    x = move(x)
+                out[name] = x
+            return out
+
+        multiplier = Fraction(1)
+        for char, e in weight.items():
+            multiplier *= Fraction(values[char]) ** e
+        return _operator(blocks, act), multiplier
+    return sample
+
+
+# ---------------------------------------------------------------------------
 # the models
 
 
@@ -339,6 +383,22 @@ class ModelSpec:
         return _pack(list(self.blocks), point)
 
 
+def _spec(name: str, params: dict, blocks: list[_Block], factors: list[tuple],
+          invariants, expected: dict) -> ModelSpec:
+    """A model from its factor table.  Each invariant is given as
+    (Invariant, group-check name, weight, expect_nondegenerate)."""
+    return ModelSpec(
+        name=name,
+        params=params,
+        instance=_instance(name, blocks, factors),
+        invariants=tuple(
+            ModelInvariant(inv, (GroupCheck(check, _sampler(blocks, factors, weight)),), nondeg)
+            for inv, check, weight, nondeg in invariants),
+        expected=expected,
+        blocks=tuple(blocks),
+    )
+
+
 def dual_pair(n: int) -> ModelSpec:
     """Scalars on both sides of a traceless action on two copies of C^n.
 
@@ -347,49 +407,19 @@ def dual_pair(n: int) -> ModelSpec:
     """
     if n < 2:
         raise ValueError("dual_pair needs n >= 2")
-    name = f"dual-pair(n={n})"
     blocks = _layout([("v", "mat", n, 1), ("w", "mat", n, 1)])
-    bld = _ModelBuilder(name, blocks)
-
-    bld.add_generator(lambda pt: {"v": pt["v"], "w": [[0] for _ in range(n)]}, ("x",),
-                      factor="x")
-
-    def act_sl(a):
-        at = transpose(a)
-        return lambda pt: {"v": [[-r[0]] for r in matmul(at, pt["v"])],
-                           "w": matmul(a, pt["w"])}
-
-    bld.add_sl_factor("g", n, act_sl)
-    bld.add_generator(lambda pt: {"v": [[0] for _ in range(n)],
-                                  "w": [[-r[0]] for r in pt["w"]]}, ("y",),
-                      factor="y")
-    inst = bld.instance()
+    factors = [("x", "scalar", 1, {"v": 1}),
+               ("g", "sl", n, {"v": "dual", "w": "left"}),
+               ("y", "scalar", 1, {"w": -1})]
 
     def q_eval(x):
         pt = _unpack(blocks, x)
         return sum(pt["v"][i][0] * pt["w"][i][0] for i in range(n))
 
-    def sample(stream: Stream):
-        a = Fraction(stream.nonzero(-4, 4))
-        b = Fraction(stream.nonzero(-4, 4))
-        g = _sample_sl(stream, n)
-        gti = transpose(_inv(g))
-        mat = _operator(blocks, lambda pt: {
-            "v": [[a * r[0]] for r in matmul(gti, pt["v"])],
-            "w": [[r[0] / b] for r in matmul(g, pt["w"])],
-        })
-        return mat, a / b
-
-    q = Invariant("Q", 2, q_eval)
-    return ModelSpec(
-        name=name,
-        params={"n": n},
-        instance=inst,
-        invariants=(ModelInvariant(q, (GroupCheck("factors", sample),), True),),
-        expected={"regular": True, "isotropy_dim": (n - 1) ** 2,
-                  "n_fundamental_invariants": 1, "q_irreducible": True},
-        blocks=tuple(blocks),
-    )
+    return _spec(f"dual-pair(n={n})", {"n": n}, blocks, factors,
+                 [(Invariant("Q", 2, q_eval), "factors", {"x": 1, "y": -1}, True)],
+                 {"regular": True, "isotropy_dim": (n - 1) ** 2,
+                  "n_fundamental_invariants": 1, "q_irreducible": True})
 
 
 def sym_vector(n: int) -> ModelSpec:
@@ -400,49 +430,17 @@ def sym_vector(n: int) -> ModelSpec:
     """
     if n < 2:
         raise ValueError("sym_vector needs n >= 2")
-    name = f"sym-vector(n={n})"
     blocks = _layout([("S", "sym", n, n), ("v", "mat", n, 1)])
-    bld = _ModelBuilder(name, blocks)
-
-    def act_of(a):
-        at = transpose(a)
-
-        def act(pt):
-            s = pt["S"]
-            return {"S": [[sum(a[i][k] * s[k][j] + s[i][k] * a[j][k] for k in range(n))
-                           for j in range(n)] for i in range(n)],
-                    "v": [[-r[0]] for r in matmul(at, pt["v"])]}
-        return act
-
-    bld.add_gl_factor("g", n, act_of)
-    bld.add_generator(lambda pt: {"S": [[0] * n for _ in range(n)], "v": pt["v"]}, ("a",),
-                      factor="a")
-    inst = bld.instance()
+    factors = [("g", "gl", n, {"S": "cong", "v": "dual"}),
+               ("a", "scalar", 1, {"v": 1})]
 
     def det_s(x):
         return generic_det(_unpack(blocks, x)["S"])
 
-    def sample(stream: Stream):
-        g, dg = _sample_gl(stream, n)
-        gt = transpose(g)
-        gti = transpose(_inv(g))
-        a = Fraction(stream.nonzero(-4, 4))
-        mat = _operator(blocks, lambda pt: {
-            "S": _mm(g, pt["S"], gt),
-            "v": [[a * r[0]] for r in matmul(gti, pt["v"])],
-        })
-        return mat, Fraction(dg) ** 2
-
-    inv = Invariant("det(S)", n, det_s)
-    return ModelSpec(
-        name=name,
-        params={"n": n},
-        instance=inst,
-        invariants=(ModelInvariant(inv, (GroupCheck("factors", sample),), False),),
-        expected={"regular": True, "isotropy_dim": (n - 1) * (n - 2) // 2,
-                  "n_fundamental_invariants": 2},
-        blocks=tuple(blocks),
-    )
+    return _spec(f"sym-vector(n={n})", {"n": n}, blocks, factors,
+                 [(Invariant("det(S)", n, det_s), "factors", {"g": 2}, False)],
+                 {"regular": True, "isotropy_dim": (n - 1) * (n - 2) // 2,
+                  "n_fundamental_invariants": 2})
 
 
 def descending_chains(n: int) -> ModelSpec:
@@ -453,32 +451,13 @@ def descending_chains(n: int) -> ModelSpec:
     """
     if not 1 <= n <= 3:
         raise ValueError("descending_chains needs 1 <= n <= 3")
-    name = f"descending-chains(n={n})"
     blocks = _layout([(f"V[{m}]", "mat", m + 1, m) for m in range(n, 0, -1)])
-    bld = _ModelBuilder(name, blocks)
-
-    def act_top(a):
-        def act(pt):
-            out = {b.name: [[0] * b.cols for _ in range(b.rows)] for b in blocks}
-            out[f"V[{n}]"] = matmul(a, pt[f"V[{n}]"])
-            return out
-        return act
-
-    bld.add_so_factor("so", n + 1, act_top)
+    factors = [("so", "so", n + 1, {f"V[{n}]": "left"})]
     for m in range(n, 0, -1):
-        def act_of(a, m=m):
-            def act(pt):
-                out = {}
-                for b in blocks:
-                    out[b.name] = [[0] * b.cols for _ in range(b.rows)]
-                xm = pt[f"V[{m}]"]
-                out[f"V[{m}]"] = [[-v for v in row] for row in matmul(xm, a)]
-                if m - 1 >= 1:
-                    out[f"V[{m-1}]"] = matmul(a, pt[f"V[{m-1}]"])
-                return out
-            return act
-        bld.add_gl_factor(f"g{m}", m, act_of)
-    inst = bld.instance()
+        moves = {f"V[{m}]": "right"}
+        if m > 1:
+            moves[f"V[{m - 1}]"] = "left"
+        factors.append((f"g{m}", "gl", m, moves))
 
     def p_eval(k):
         def ev(x):
@@ -489,39 +468,10 @@ def descending_chains(n: int) -> ModelSpec:
             return generic_det(matmul(transpose(prod), prod))
         return ev
 
-    def sample_for(k):
-        def sample(stream: Stream):
-            r = _sample_so(stream, n + 1)
-            gs = {}
-            dets = {}
-            for m in range(n, 0, -1):
-                gs[m], dets[m] = _sample_gl(stream, m)
-            invs = {m: _inv(gs[m]) for m in gs}
-
-            def act(pt):
-                out = {}
-                for m in range(n, 0, -1):
-                    left = r if m == n else gs[m + 1]
-                    out[f"V[{m}]"] = _mm(left, pt[f"V[{m}]"], invs[m])
-                return out
-            return _operator(blocks, act), Fraction(1, dets[k] ** 2)
-        return sample
-
-    invariants = tuple(
-        ModelInvariant(Invariant(f"P[{k}]", 2 * k * (n - k + 1), p_eval(k)),
-                       (GroupCheck(f"factors-P{k}", sample_for(k)),),
-                       False)
-        for k in range(1, n + 1)
-    )
-    return ModelSpec(
-        name=name,
-        params={"n": n},
-        instance=inst,
-        invariants=invariants,
-        expected={"regular": True, "isotropy_dim": 0,
-                  "n_fundamental_invariants": n},
-        blocks=tuple(blocks),
-    )
+    return _spec(f"descending-chains(n={n})", {"n": n}, blocks, factors,
+                 [(Invariant(f"P[{k}]", 2 * k * (n - k + 1), p_eval(k)), f"factors-P{k}",
+                   {f"g{k}": -2}, False) for k in range(1, n + 1)],
+                 {"regular": True, "isotropy_dim": 0, "n_fundamental_invariants": n})
 
 
 def matrix_pair(p: int, q: int, r: int) -> ModelSpec:
@@ -531,46 +481,23 @@ def matrix_pair(p: int, q: int, r: int) -> ModelSpec:
     """
     if not (p < q and r < q):
         raise ValueError("matrix_pair needs p < q and r < q")
-    name = f"matrix-pair(p={p},q={q},r={r})"
     blocks = _layout([("X", "mat", q, p), ("Y", "mat", r, q)])
-    bld = _ModelBuilder(name, blocks)
+    factors = [("g1", "gl", p, {"X": "right"}),
+               ("g2", "gl", q, {"X": "left", "Y": "right"}),
+               ("g3", "gl", r, {"Y": "left"})]
 
-    zx = lambda: [[0] * p for _ in range(q)]  # noqa: E731
-    zy = lambda: [[0] * q for _ in range(r)]  # noqa: E731
-    bld.add_gl_factor("g1", p, lambda a: lambda pt: {
-        "X": [[-v for v in row] for row in matmul(pt["X"], a)], "Y": zy()})
-    bld.add_gl_factor("g2", q, lambda a: lambda pt: {
-        "X": matmul(a, pt["X"]),
-        "Y": [[-v for v in row] for row in matmul(pt["Y"], a)]})
-    bld.add_gl_factor("g3", r, lambda a: lambda pt: {"X": zx(), "Y": matmul(a, pt["Y"])})
-    inst = bld.instance()
+    def det_yx(x):
+        pt = _unpack(blocks, x)
+        return generic_det(matmul(pt["Y"], pt["X"]))
 
-    invariants = ()
+    invariants = []
     if p == r:
-        def det_yx(x):
-            pt = _unpack(blocks, x)
-            return generic_det(matmul(pt["Y"], pt["X"]))
-
-        def sample(stream: Stream):
-            g1, d1 = _sample_gl(stream, p)
-            g2, _ = _sample_gl(stream, q)
-            g3, d3 = _sample_gl(stream, r)
-            i1, i2 = _inv(g1), _inv(g2)
-            mat = _operator(blocks, lambda pt: {
-                "X": _mm(g2, pt["X"], i1), "Y": _mm(g3, pt["Y"], i2)})
-            return mat, Fraction(d3, d1)
-
-        invariants = (ModelInvariant(Invariant("det(YX)", 2 * p, det_yx),
-                                     (GroupCheck("factors", sample),), True),)
-    return ModelSpec(
-        name=name,
-        params={"p": p, "q": q, "r": r},
-        instance=inst,
-        invariants=invariants,
-        expected={"regular": p == r,
-                  **({"n_fundamental_invariants": 1, "q_irreducible": True} if p == r else {})},
-        blocks=tuple(blocks),
-    )
+        invariants.append((Invariant("det(YX)", 2 * p, det_yx), "factors",
+                           {"g1": -1, "g3": 1}, True))
+    return _spec(f"matrix-pair(p={p},q={q},r={r})", {"p": p, "q": q, "r": r}, blocks,
+                 factors, invariants,
+                 {"regular": p == r,
+                  **({"n_fundamental_invariants": 1, "q_irreducible": True} if p == r else {})})
 
 
 def skew_pair(p: int, r: int) -> ModelSpec:
@@ -581,55 +508,22 @@ def skew_pair(p: int, r: int) -> ModelSpec:
     """
     if r % 2 == 0 or r < 3 or not 1 <= p <= r - 1:
         raise ValueError("skew_pair needs odd r >= 3 and 1 <= p <= r-1")
-    name = f"skew-pair(p={p},r={r})"
     blocks = _layout([("X", "mat", r, p), ("Y", "skew", r, r)])
-    bld = _ModelBuilder(name, blocks)
+    factors = [("g1", "gl", p, {"X": "right"}),
+               ("g2", "gl", r, {"X": "dual", "Y": "cong"})]
 
-    bld.add_gl_factor("g1", p, lambda a: lambda pt: {
-        "X": [[-v for v in row] for row in matmul(pt["X"], a)],
-        "Y": [[0] * r for _ in range(r)]})
+    def pf_xyx(x):
+        pt = _unpack(blocks, x)
+        return pfaffian(_mm(transpose(pt["X"]), pt["Y"], pt["X"]))
 
-    def act_g2(a):
-        at = transpose(a)
-
-        def act(pt):
-            y = pt["Y"]
-            return {"X": [[-v for v in row] for row in matmul(at, pt["X"])],
-                    "Y": [[sum(a[i][k] * y[k][j] + y[i][k] * a[j][k] for k in range(r))
-                           for j in range(r)] for i in range(r)]}
-        return act
-
-    bld.add_gl_factor("g2", r, act_g2)
-    inst = bld.instance()
-
-    invariants = ()
+    invariants = []
     if p % 2 == 0:
-        def pf_xyx(x):
-            pt = _unpack(blocks, x)
-            return pfaffian(_mm(transpose(pt["X"]), pt["Y"], pt["X"]))
-
-        def sample(stream: Stream):
-            g1, d1 = _sample_gl(stream, p)
-            g2, _ = _sample_gl(stream, r)
-            i1 = _inv(g1)
-            g2ti = transpose(_inv(g2))
-            g2t = transpose(g2)
-            mat = _operator(blocks, lambda pt: {
-                "X": _mm(g2ti, pt["X"], i1), "Y": _mm(g2, pt["Y"], g2t)})
-            return mat, Fraction(1, d1)
-
-        invariants = (ModelInvariant(Invariant("Pf(XtYX)", 3 * p // 2, pf_xyx),
-                                     (GroupCheck("factors", sample),), p == r - 1),)
-    return ModelSpec(
-        name=name,
-        params={"p": p, "r": r},
-        instance=inst,
-        invariants=invariants,
-        expected={"regular": p == r - 1,
+        invariants.append((Invariant("Pf(XtYX)", 3 * p // 2, pf_xyx), "factors",
+                           {"g1": -1}, p == r - 1))
+    return _spec(f"skew-pair(p={p},r={r})", {"p": p, "r": r}, blocks, factors, invariants,
+                 {"regular": p == r - 1,
                   **({"n_fundamental_invariants": 1, "q_irreducible": True}
-                     if p == r - 1 else {})},
-        blocks=tuple(blocks),
-    )
+                     if p == r - 1 else {})})
 
 
 def diag_chain(p: int, q: int) -> ModelSpec:
@@ -640,56 +534,25 @@ def diag_chain(p: int, q: int) -> ModelSpec:
     """
     if not q > p >= 1:
         raise ValueError("diag_chain needs q > p >= 1")
-    name = f"diag-chain(p={p},q={q})"
     blocks = _layout([("X", "mat", q, p), ("Y", "mat", 2, q)])
-    bld = _ModelBuilder(name, blocks)
+    factors = [("g1", "gl", p, {"X": "right"}),
+               ("g2", "sl", q, {"X": "left", "Y": "right"}),
+               ("d", "torus", 2, {"Y": "left"})]
 
-    bld.add_gl_factor("g1", p, lambda a: lambda pt: {
-        "X": [[-v for v in row] for row in matmul(pt["X"], a)],
-        "Y": [[0] * q for _ in range(2)]})
-    bld.add_sl_factor("g2", q, lambda a: lambda pt: {
-        "X": matmul(a, pt["X"]),
-        "Y": [[-v for v in row] for row in matmul(pt["Y"], a)]})
-    for which in range(2):
-        e = [[1 if i == j == which else 0 for j in range(2)] for i in range(2)]
-        bld.add_generator(lambda pt, e=e: {"X": [[0] * p for _ in range(q)],
-                                           "Y": matmul(e, pt["Y"])},
-                          (f"d{which + 1}",), factor="d", gmat=e)
-    inst = bld.instance()
+    def yx(x):
+        pt = _unpack(blocks, x)
+        return matmul(pt["Y"], pt["X"])
 
-    def sampler(mult_of):
-        def sample(stream: Stream):
-            g1, d1 = _sample_gl(stream, p)
-            g2 = _sample_sl(stream, q)
-            d = [Fraction(stream.nonzero(-4, 4)) for _ in range(2)]
-            i1, i2 = _inv(g1), _inv(g2)
-            g3 = [[d[0], 0], [0, d[1]]]
-            mat = _operator(blocks, lambda pt: {
-                "X": _mm(g2, pt["X"], i1), "Y": _mm(g3, pt["Y"], i2)})
-            return mat, mult_of(d, d1)
-        return sample
+    def entry(i):
+        return lambda x: yx(x)[i][0]
 
-    invariants = ()
+    invariants = []
     if p == 2:
-        def det_yx(x):
-            pt = _unpack(blocks, x)
-            return generic_det(matmul(pt["Y"], pt["X"]))
-
-        invariants = (ModelInvariant(
-            Invariant("det(YX)", 4, det_yx),
-            (GroupCheck("factors", sampler(lambda d, d1: d[0] * d[1] / d1)),), True),)
+        invariants.append((Invariant("det(YX)", 4, lambda x: generic_det(yx(x))), "factors",
+                           {"g1": -1, "d1": 1, "d2": 1}, True))
     elif p == 1:
-        def entry(i):
-            def ev(x):
-                pt = _unpack(blocks, x)
-                return matmul(pt["Y"], pt["X"])[i][0]
-            return ev
-
-        invariants = tuple(
-            ModelInvariant(Invariant(f"(YX)[{i + 1}]", 2, entry(i)),
-                           (GroupCheck(f"factors-{i + 1}",
-                                       sampler(lambda d, d1, i=i: d[i] / d1)),), False)
-            for i in range(2))
+        invariants += [(Invariant(f"(YX)[{i + 1}]", 2, entry(i)), f"factors-{i + 1}",
+                        {"g1": -1, f"d{i + 1}": 1}, False) for i in range(2)]
     if p == 2:
         expected = {"regular": True, "n_fundamental_invariants": 1, "q_irreducible": True}
     elif (p, q) == (1, 2):
@@ -700,14 +563,8 @@ def diag_chain(p: int, q: int) -> ModelSpec:
         expected = {"regular": False, "n_fundamental_invariants": 2}
     else:
         expected = {"regular": False}
-    return ModelSpec(
-        name=name,
-        params={"p": p, "q": q},
-        instance=inst,
-        invariants=invariants,
-        expected=expected,
-        blocks=tuple(blocks),
-    )
+    return _spec(f"diag-chain(p={p},q={q})", {"p": p, "q": q}, blocks, factors, invariants,
+                 expected)
 
 
 def vector_skew(n: int) -> ModelSpec:
@@ -718,22 +575,9 @@ def vector_skew(n: int) -> ModelSpec:
     """
     if n % 2 == 0 or n < 3:
         raise ValueError("vector_skew needs odd n >= 3")
-    name = f"vector-skew(n={n})"
     blocks = _layout([("X", "mat", n, 1), ("Y", "skew", n, n)])
-    bld = _ModelBuilder(name, blocks)
-
-    def act_of(a):
-        def act(pt):
-            y = pt["Y"]
-            return {"X": matmul(a, pt["X"]),
-                    "Y": [[sum(a[i][k] * y[k][j] + y[i][k] * a[j][k] for k in range(n))
-                           for j in range(n)] for i in range(n)]}
-        return act
-
-    bld.add_gl_factor("g", n, act_of)
-    bld.add_generator(lambda pt: {"X": pt["X"], "Y": [[0] * n for _ in range(n)]}, ("a",),
-                      factor="a")
-    inst = bld.instance()
+    factors = [("g", "gl", n, {"X": "left", "Y": "cong"}),
+               ("a", "scalar", 1, {"X": 1})]
 
     def bordered(x):
         pt = _unpack(blocks, x)
@@ -742,25 +586,11 @@ def vector_skew(n: int) -> ModelSpec:
         z.append([-xv[j][0] for j in range(n)] + [0])
         return pfaffian(z)
 
-    def sample(stream: Stream):
-        g, dg = _sample_gl(stream, n)
-        gt = transpose(g)
-        a = Fraction(stream.nonzero(-4, 4))
-        mat = _operator(blocks, lambda pt: {
-            "X": [[a * r[0]] for r in matmul(g, pt["X"])],
-            "Y": _mm(g, pt["Y"], gt)})
-        return mat, a * dg
-
-    inv = Invariant("borderedPf", (n + 1) // 2, bordered)
-    return ModelSpec(
-        name=name,
-        params={"n": n},
-        instance=inst,
-        invariants=(ModelInvariant(inv, (GroupCheck("factors", sample),), True),),
-        expected={"regular": True, "isotropy_dim": (n * n - n + 2) // 2,
-                  "n_fundamental_invariants": 1, "q_irreducible": True},
-        blocks=tuple(blocks),
-    )
+    return _spec(f"vector-skew(n={n})", {"n": n}, blocks, factors,
+                 [(Invariant("borderedPf", (n + 1) // 2, bordered), "factors",
+                   {"g": 1, "a": 1}, True)],
+                 {"regular": True, "isotropy_dim": (n * n - n + 2) // 2,
+                  "n_fundamental_invariants": 1, "q_irreducible": True})
 
 
 def det_augmented(n: int) -> ModelSpec:
@@ -770,38 +600,17 @@ def det_augmented(n: int) -> ModelSpec:
     """
     if n < 2:
         raise ValueError("det_augmented needs n >= 2")
-    name = f"det-augmented(n={n})"
     blocks = _layout([("X", "mat", n, n - 1), ("Y", "mat", n, 1)])
-    bld = _ModelBuilder(name, blocks)
-
-    bld.add_gl_factor("g", n, lambda a: lambda pt: {
-        "X": matmul(a, pt["X"]), "Y": matmul(a, pt["Y"])})
-    bld.add_gl_factor("h", n - 1, lambda a: lambda pt: {
-        "X": [[-v for v in row] for row in matmul(pt["X"], a)],
-        "Y": [[0] for _ in range(n)]})
-    inst = bld.instance()
+    factors = [("g", "gl", n, {"X": "left", "Y": "left"}),
+               ("h", "gl", n - 1, {"X": "right"})]
 
     def det_xy(x):
         pt = _unpack(blocks, x)
         return generic_det([pt["X"][i] + [pt["Y"][i][0]] for i in range(n)])
 
-    def sample(stream: Stream):
-        g, dg = _sample_gl(stream, n)
-        h, dh = _sample_gl(stream, n - 1)
-        ih = _inv(h)
-        mat = _operator(blocks, lambda pt: {
-            "X": _mm(g, pt["X"], ih), "Y": matmul(g, pt["Y"])})
-        return mat, Fraction(dg, dh)
-
-    inv = Invariant("det[X|Y]", n, det_xy)
-    return ModelSpec(
-        name=name,
-        params={"n": n},
-        instance=inst,
-        invariants=(ModelInvariant(inv, (GroupCheck("factors", sample),), True),),
-        expected={"regular": True, "n_fundamental_invariants": 1, "q_irreducible": True},
-        blocks=tuple(blocks),
-    )
+    return _spec(f"det-augmented(n={n})", {"n": n}, blocks, factors,
+                 [(Invariant("det[X|Y]", n, det_xy), "factors", {"g": 1, "h": -1}, True)],
+                 {"regular": True, "n_fundamental_invariants": 1, "q_irreducible": True})
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvlab._linalg import det, identity, matmul, transpose
+from pvlab._linalg import det, identity, matmul
 from pvlab._rand import Stream
 from pvlab.diagram import parse_diagram
-from pvlab.models import (MODELS, ModelInvariant, ModelSpec, NotSkew, OddSize,
-                          _inv, _layout, _mm, _ModelBuilder, _operator, _sample_gl,
-                          _sample_so, _unpack, build_model, descending_chains, diag_chain,
-                          dual_pair, generic_det, matrix_pair, pfaffian, skew_pair,
-                          sym_vector, vector_skew, verify_model)
-from pvlab.pvcore import (GroupCheck, Invariant, build_parabolic_pv, is_regular,
-                          isotropy_algebra, q_irreducible)
+from pvlab.models import (MODELS, ModelSpec, NotSkew, OddSize, _layout, _spec, _unpack,
+                          build_model, descending_chains, diag_chain, dual_pair,
+                          generic_det, matrix_pair, pfaffian, skew_pair, sym_vector,
+                          vector_skew, verify_model)
+from pvlab.pvcore import (Invariant, build_parabolic_pv, is_regular, isotropy_algebra,
+                          q_irreducible)
 
 J2 = [[0, 1], [-1, 0]]
 DATA = Path(__file__).parent / "data"
@@ -260,35 +259,18 @@ def _gl_gl_so(m: int, k: int) -> ModelSpec:
     SO_m; it is regular with generic isotropy GL_{k-m} x SO_m for k > m.
     """
     blocks = _layout([("X", "mat", m, k), ("Y", "mat", k, m)])
-    bld = _ModelBuilder(f"gl-gl-so(m={m},k={k})", blocks)
-    neg = lambda z: [[-v for v in row] for row in z]  # noqa: E731
-    bld.add_gl_factor("g1", m, lambda a: lambda pt: {
-        "X": matmul(a, pt["X"]), "Y": [[0] * m for _ in range(k)]})
-    bld.add_gl_factor("g2", k, lambda b: lambda pt: {
-        "X": neg(matmul(pt["X"], b)), "Y": matmul(b, pt["Y"])})
-    bld.add_so_factor("h", m, lambda c: lambda pt: {
-        "X": [[0] * k for _ in range(m)], "Y": neg(matmul(pt["Y"], c))})
+    factors = [("g1", "gl", m, {"X": "left"}),
+               ("g2", "gl", k, {"X": "right", "Y": "left"}),
+               ("h", "so", m, {"Y": "right"})]
 
     def det_xy(x):
         pt = _unpack(blocks, x)
         return generic_det(matmul(pt["X"], pt["Y"]))
 
-    def sample(stream: Stream):
-        g1, d1 = _sample_gl(stream, m)
-        g2, _ = _sample_gl(stream, k)
-        h = _sample_so(stream, m)
-        i2 = _inv(g2)
-        mat = _operator(blocks, lambda pt: {
-            "X": _mm(g1, pt["X"], i2), "Y": _mm(g2, pt["Y"], transpose(h))})
-        return mat, Fraction(d1)
-
-    return ModelSpec(
-        name=bld.name, params={"m": m, "k": k}, instance=bld.instance(),
-        invariants=(ModelInvariant(Invariant("det(XY)", 2 * m, det_xy),
-                                   (GroupCheck("factors", sample),), True),),
-        expected={"regular": True, "isotropy_dim": (k - m) ** 2 + m * (m - 1) // 2,
-                  "n_fundamental_invariants": 1, "q_irreducible": True},
-        blocks=tuple(blocks))
+    return _spec(f"gl-gl-so(m={m},k={k})", {"m": m, "k": k}, blocks, factors,
+                 [(Invariant("det(XY)", 2 * m, det_xy), "factors", {"g1": 1}, True)],
+                 {"regular": True, "isotropy_dim": (k - m) ** 2 + m * (m - 1) // 2,
+                  "n_fundamental_invariants": 1, "q_irreducible": True})
 
 
 @pytest.mark.parametrize("m,k", [(4, 5), (4, 6)])
