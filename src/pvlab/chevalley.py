@@ -107,7 +107,6 @@ class ChevalleyBasis:
         self._killing_h = [[sum(pairing(self.rs, g, i + 1) * pairing(self.rs, g, j + 1)
                                 for g in self.rs.roots)
                             for j in range(self.rank)] for i in range(self.rank)]
-        self._killing_e: dict[Root, int] = {}
 
     # -- basis bookkeeping -------------------------------------------------
     def e_index(self, root: Root) -> int:
@@ -165,18 +164,10 @@ class ChevalleyBasis:
         g, d = self.rs.roots[i - n], self.rs.roots[j - n]
         if any(x + y for x, y in zip(g, d)):
             return 0
-        npos = len(self.rs.positive)
-        p = g if self.rs.index(g) < npos else d
-        if p not in self._killing_e:
-            acc = 4
-            for delta in self.rs.roots:
-                if delta == p or delta == _neg(p):
-                    continue
-                dm = _sub(delta, p)
-                if self.rs.is_root(dm):
-                    acc += self.nconst[(_neg(p), delta)] * self.nconst[(p, dm)]
-            self._killing_e[p] = acc
-        return self._killing_e[p]
+        # h = [e_g, e_-g] and g(h) = 2, so K(h, h) = K(e_g, [e_-g, h]) = 2 K(e_g, e_-g).
+        c = self._coroot[g]
+        kh = self._killing_h
+        return sum(c[a] * kh[a][b] * c[b] for a in range(n) for b in range(n)) // 2
 
     def killing_matrix(self) -> list[list[int]]:
         return [[self.killing(i, j) for j in range(self.dim)] for i in range(self.dim)]

@@ -113,6 +113,19 @@ def test_killing_form_invariance_sampled():
         assert left + right == 0
 
 
+@pytest.mark.parametrize("t", [SimpleType("A", 3), SimpleType("B", 3), SimpleType("C", 3),
+                               SimpleType("D", 4), SimpleType("G", 2)], ids=str)
+def test_killing_is_trace_of_ad_products(t):
+    # Invariance alone holds for any multiple of the form; this pins the scale.
+    cb = chevalley_basis(t)
+    ads = [cb.ad_matrix(i) for i in range(cb.dim)]
+    cols = [list(zip(*m)) for m in ads]
+    for i in range(cb.dim):
+        for j in range(cb.dim):
+            trace = sum(x * y for row, col in zip(ads[i], cols[j]) for x, y in zip(row, col))
+            assert cb.killing(i, j) == trace, (i, j)
+
+
 def test_killing_matrix_nondegenerate():
     from pvlab._linalg import det
     for t in (SimpleType("A", 2), SimpleType("G", 2)):
