@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from ._linalg import det, kernel_basis, matvec, modp_rank, rank
 from ._rand import Stream
-from .chevalley import ChevalleyBasis, chevalley_basis
+from .chevalley import chevalley_basis
 from .diagram import WeightedDiagram, render_compact, subdiagram
 from .grading import components as level_one_components
 from .grading import degree
@@ -123,7 +123,7 @@ def make_instance(name, operators, dim_v, form, characters, components, labels) 
     )
 
 
-def build_parabolic_pv(d: WeightedDiagram, alg: ChevalleyBasis | None = None) -> PVInstance:
+def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
     """The level-0 subalgebra of a weighted diagram acting on level 1.
 
     Operator basis: the full Cartan followed by the level-0 root vectors.
@@ -131,7 +131,7 @@ def build_parabolic_pv(d: WeightedDiagram, alg: ChevalleyBasis | None = None) ->
     one per circled node (the Cartan coefficients that survive the derived
     subalgebra).
     """
-    alg = alg or chevalley_basis(d.type)
+    alg = chevalley_basis(d.type)
     rs = alg.rs
     n = d.type.rank
     comps = level_one_components(d)
