@@ -672,6 +672,8 @@ def build_model(spec_string: str) -> ModelSpec:
             key = key.strip()
             if key not in param_names:
                 raise ValueError(f"unknown parameter {key!r} for {name} (takes {param_names})")
+            if key in params:
+                raise ValueError(f"parameter {key} given twice")
             try:
                 params[key] = int(value)
             except ValueError:

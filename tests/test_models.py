@@ -107,6 +107,8 @@ def test_build_model_error_messages():
         build_model("dual-pair:n=three")
     with pytest.raises(ValueError, match="needs parameters"):
         build_model("matrix-pair:p=2")
+    with pytest.raises(ValueError, match="given twice"):
+        build_model("dual-pair:n=2,n=3")
 
 
 def test_builders_validate_parameters():
