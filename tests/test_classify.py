@@ -26,26 +26,29 @@ def _match(text: str):
 # the pattern table
 
 
+# Explicit ids: the automatic ones end in the list index, so inserting a case
+# renamed every later test.  These are the automatic ids as they stood; a
+# new case takes its diagram text as its id.
 @pytest.mark.parametrize("text,family,params", [
-    ("A3[1,3]", "A", (0, 1, 0)),
-    ("A6[2,5]", "A", (1, 2, 1)),
-    ("B6[1,6]", "B", (0, 4, 0)),
-    ("B8[3,7]", "B", (2, 3, 1)),
-    ("C6[2,5]", "C", (1, 2, 1)),
-    ("C7[2,6]", "C", (1, 3, 1)),
-    ("C11[4,9]", "C", (3, 4, 2)),
-    ("D16[6,13]", "D1", (5, 6, 3)),
-    ("D5[2,4]", "D2", (1, 2)),
-    ("D5[2,5]", "D2", (1, 2)),
-    ("D6[2,5,6]", "D3", (1, 2)),
-    ("D7[2,6,7]", "D3", (1, 3)),
-    ("E6[1,2]", "E6", ()),
-    ("E6[2,6]", "E6", ()),
-    ("E7[2,5]", "E7", ()),
-    ("E8[1,2]", "E8", ()),
-    ("D11[4,9]", "D1", (3, 4, 2)),
-    ("D12[4,10]", "D1", (3, 5, 2)),
-    ("D17[6,14]", "D1", (5, 7, 3)),
+    pytest.param("A3[1,3]", "A", (0, 1, 0), id="A3[1,3]-A-params0"),
+    pytest.param("A6[2,5]", "A", (1, 2, 1), id="A6[2,5]-A-params1"),
+    pytest.param("B6[1,6]", "B", (0, 4, 0), id="B6[1,6]-B-params2"),
+    pytest.param("B8[3,7]", "B", (2, 3, 1), id="B8[3,7]-B-params3"),
+    pytest.param("C6[2,5]", "C", (1, 2, 1), id="C6[2,5]-C-params4"),
+    pytest.param("C7[2,6]", "C", (1, 3, 1), id="C7[2,6]-C-params5"),
+    pytest.param("C11[4,9]", "C", (3, 4, 2), id="C11[4,9]-C-params6"),
+    pytest.param("D16[6,13]", "D1", (5, 6, 3), id="D16[6,13]-D1-params7"),
+    pytest.param("D5[2,4]", "D2", (1, 2), id="D5[2,4]-D2-params8"),
+    pytest.param("D5[2,5]", "D2", (1, 2), id="D5[2,5]-D2-params9"),
+    pytest.param("D6[2,5,6]", "D3", (1, 2), id="D6[2,5,6]-D3-params10"),
+    pytest.param("D7[2,6,7]", "D3", (1, 3), id="D7[2,6,7]-D3-params11"),
+    pytest.param("E6[1,2]", "E6", (), id="E6[1,2]-E6-params12"),
+    pytest.param("E6[2,6]", "E6", (), id="E6[2,6]-E6-params13"),
+    pytest.param("E7[2,5]", "E7", (), id="E7[2,5]-E7-params14"),
+    pytest.param("E8[1,2]", "E8", (), id="E8[1,2]-E8-params15"),
+    pytest.param("D11[4,9]", "D1", (3, 4, 2), id="D11[4,9]-D1-params16"),
+    pytest.param("D12[4,10]", "D1", (3, 5, 2), id="D12[4,10]-D1-params17"),
+    pytest.param("D17[6,14]", "D1", (5, 7, 3), id="D17[6,14]-D1-params18"),
 ])
 def test_family_hits(text, family, params):
     m = _match(text)
