@@ -543,16 +543,14 @@ def diag_chain(p: int, q: int) -> ModelSpec:
         pt = _unpack(blocks, x)
         return matmul(pt["Y"], pt["X"])
 
-    def entry(i):
-        return lambda x: yx(x)[i][0]
-
     invariants = []
     if p == 2:
         invariants.append((Invariant("det(YX)", 4, lambda x: generic_det(yx(x))), "factors",
                            {"g1": -1, "d1": 1, "d2": 1}, True))
     elif p == 1:
-        invariants += [(Invariant(f"(YX)[{i + 1}]", 2, entry(i)), f"factors-{i + 1}",
-                        {"g1": -1, f"d{i + 1}": 1}, False) for i in range(2)]
+        invariants += [(Invariant(f"(YX)[{i + 1}]", 2, lambda x, i=i: yx(x)[i][0]),
+                        f"factors-{i + 1}", {"g1": -1, f"d{i + 1}": 1}, False)
+                       for i in range(2)]
     if p == 2:
         expected = {"regular": True, "n_fundamental_invariants": 1, "q_irreducible": True}
     elif (p, q) == (1, 2):
