@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import shlex
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -195,6 +196,32 @@ def test_quiet_is_one_line(capsys):
     code, out, _ = run(capsys, "classify", "C6[2,5]", "--quiet")
     assert code == 0
     assert out == "C6[2,5]: Q-irreducible (family C)\n"
+
+
+def _digest(capsys, key, with_err=False):
+    code, out, err = run(capsys, *shlex.split(key))
+    return hashlib.sha256(f"{code}\n{out}{err if with_err else ''}".encode()).hexdigest()
+
+
+def test_cli_outputs_are_frozen(capsys, monkeypatch):
+    # sha256 of the exit code and stdout of each argv: every subcommand in
+    # text, --json, --markdown and --quiet, and the usage errors.
+    monkeypatch.delenv("PV_LAB_SEED", raising=False)
+    frozen = json.loads((DATA / "cli_outputs.json").read_text())["argv"]
+    assert {key: _digest(capsys, key) for key in frozen} == frozen
+
+
+def test_mismatch_outputs_are_frozen(capsys, monkeypatch):
+    # The oracle finds D5[2,4] Q-irreducible and B3[1,2] not; a table that
+    # misses the first and hits the second makes both mismatch.  stderr is
+    # hashed too, since the text rendering prints the payloads there.
+    def wrong(d):
+        return classify_module.FamilyMatch("A", (1, 1), d) if d.type.family == "B" else None
+
+    monkeypatch.delenv("PV_LAB_SEED", raising=False)
+    monkeypatch.setattr(classify_module, "family_match", wrong)
+    frozen = json.loads((DATA / "cli_outputs.json").read_text())["mismatch"]
+    assert {key: _digest(capsys, key, with_err=True) for key in frozen} == frozen
 
 
 # ---------------------------------------------------------------------------
