@@ -3,10 +3,18 @@
 Every subcommand builds one report document ``{schema_version, command,
 inputs, results}``; with ``--json`` it is dumped with sorted keys so equal
 inputs (including the seed) give byte-identical output.
+
+``_run`` owns every decision the subcommands share: it resolves ``--seed``
+against ``PV_LAB_SEED``, echoes the parsed arguments as ``inputs``, picks
+the rendering, and maps each error to its exit code, printing the diagram
+grammar only after a diagram or type error.  A ``_cmd_*`` handler only
+computes its results, their text, markdown and one-line renderings and, for
+``verify-model``, its exit code.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -14,7 +22,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import models, pvcore
-from .classify import MismatchError, classify, enumerate_reports
+from .classify import FamilyMatch, MismatchError, classify, enumerate_reports
 from .diagram import (DiagramError, WeightedDiagram, parse_diagram, render_ascii,
                       render_compact, subdiagram)
 from .grading import components, compute_grading
@@ -44,27 +52,14 @@ def _num(x: Any) -> Any:
     return x
 
 
-def _parse(text: str) -> WeightedDiagram:
-    return parse_diagram(text)
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
+def _resolve_seed(seed: int | None) -> int:
+    if seed is not None:
+        return seed
     raw = os.environ.get("PV_LAB_SEED", "0")
     try:
         return int(raw)
     except ValueError:
         raise UsageError(f"PV_LAB_SEED must be an integer, got {raw!r}") from None
-
-
-def _component_payload(d: WeightedDiagram) -> list[dict]:
-    return [{
-        "alpha": c.alpha,
-        "dim": c.dim,
-        "j_alpha": list(c.j_alpha),
-        "highest_weight": {str(k): v for k, v in sorted(c.highest_weight.items())},
-    } for c in components(d)]
 
 
 def _md_table(rows: list[tuple], header: tuple) -> list[str]:
@@ -74,30 +69,30 @@ def _md_table(rows: list[tuple], header: tuple) -> list[str]:
     return out
 
 
+def _component_report(d: WeightedDiagram) -> tuple[list[dict], list[str], list[str]]:
+    """The level-1 components as payload, text lines and a markdown table."""
+    comps = [{
+        "alpha": c.alpha,
+        "dim": c.dim,
+        "j_alpha": list(c.j_alpha),
+        "highest_weight": {str(k): v for k, v in sorted(c.highest_weight.items())},
+    } for c in components(d)]
+    lines = [f"  V[{c['alpha']}]: dim {c['dim']}, theta neighbors {c['j_alpha']}, "
+             f"highest weight {c['highest_weight']}" for c in comps]
+    table = _md_table([(f"V[{c['alpha']}]", c["dim"], c["j_alpha"], c["highest_weight"])
+                       for c in comps], ("component", "dim", "theta neighbors", "highest weight"))
+    return comps, lines, table
+
+
+@dataclasses.dataclass(frozen=True)
 class Document:
-    """One command's output in all three renderings."""
+    """One command's results, their three renderings and its exit code."""
 
-    def __init__(self, command: str, inputs: dict, results: dict,
-                 text: list[str], markdown: list[str], summary: str) -> None:
-        self.payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "inputs": inputs,
-            "results": results,
-        }
-        self.text = text
-        self.markdown = markdown
-        self.summary = summary
-
-    def emit(self, args: argparse.Namespace) -> None:
-        if args.json:
-            print(json.dumps(self.payload, indent=2, sort_keys=True))
-        elif args.quiet:
-            print(self.summary)
-        elif args.markdown:
-            print("\n".join(self.markdown))
-        else:
-            print("\n".join(self.text))
+    results: dict
+    text: list[str]
+    markdown: list[str]
+    summary: str
+    exit_code: int = _EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +100,9 @@ class Document:
 
 
 def _cmd_describe(args: argparse.Namespace) -> Document:
-    d = _parse(args.diagram)
+    d = parse_diagram(args.diagram)
     name = render_compact(d)
-    comps = _component_payload(d)
+    comps, lines, table = _component_report(d)
     dim_v = sum(c["dim"] for c in comps)
     results = {
         "diagram": name,
@@ -121,19 +116,14 @@ def _cmd_describe(args: argparse.Namespace) -> Document:
     }
     text = [render_ascii(d), "",
             f"{name}: rank {d.type.rank}, circled {list(d.circled)}, theta {list(d.theta)}"]
-    rows = []
-    for c in comps:
-        text.append(f"  V[{c['alpha']}]: dim {c['dim']}, theta neighbors {c['j_alpha']}, "
-                    f"highest weight {c['highest_weight']}")
-        rows.append((f"V[{c['alpha']}]", c["dim"], c["j_alpha"], c["highest_weight"]))
+    text += lines
     summary = f"{name}: {len(comps)} level-1 components, dim {dim_v}"
-    md = [f"# describe {name}", "", "```", render_ascii(d), "```", ""]
-    md += _md_table(rows, ("component", "dim", "theta neighbors", "highest weight"))
-    return Document("describe", {"diagram": args.diagram}, results, text, md, summary)
+    md = [f"# describe {name}", "", "```", render_ascii(d), "```", ""] + table
+    return Document(results, text, md, summary)
 
 
 def _cmd_grade(args: argparse.Namespace) -> Document:
-    d = _parse(args.diagram)
+    d = parse_diagram(args.diagram)
     name = render_compact(d)
     g = compute_grading(d)
     levels = sorted(g.dim_by_level.items())
@@ -149,28 +139,22 @@ def _cmd_grade(args: argparse.Namespace) -> Document:
                f"dim g = {results['dim_g']}")
     md = [f"# grade {name}", "", f"H = ({', '.join(str(x) for x in g.h_theta)})", ""]
     md += _md_table(levels, ("level", "dim"))
-    return Document("grade", {"diagram": args.diagram}, results, text, md, summary)
+    return Document(results, text, md, summary)
 
 
 def _cmd_components(args: argparse.Namespace) -> Document:
-    d = _parse(args.diagram)
+    d = parse_diagram(args.diagram)
     name = render_compact(d)
-    comps = _component_payload(d)
+    comps, lines, table = _component_report(d)
     results = {"diagram": name, "components": comps}
-    text = [f"{name}: {len(comps)} level-1 components"]
-    rows = []
-    for c in comps:
-        text.append(f"  V[{c['alpha']}]: dim {c['dim']}, theta neighbors {c['j_alpha']}, "
-                    f"highest weight {c['highest_weight']}")
-        rows.append((f"V[{c['alpha']}]", c["dim"], c["j_alpha"], c["highest_weight"]))
-    md = [f"# components {name}", ""]
-    md += _md_table(rows, ("component", "dim", "theta neighbors", "highest weight"))
+    text = [f"{name}: {len(comps)} level-1 components"] + lines
+    md = [f"# components {name}", ""] + table
     summary = f"{name}: {len(comps)} components, dims {[c['dim'] for c in comps]}"
-    return Document("components", {"diagram": args.diagram}, results, text, md, summary)
+    return Document(results, text, md, summary)
 
 
 def _cmd_subdiagram(args: argparse.Namespace) -> Document:
-    d = _parse(args.diagram)
+    d = parse_diagram(args.diagram)
     name = render_compact(d)
     try:
         gamma = tuple(int(tok) for tok in args.gamma.split(","))
@@ -195,37 +179,24 @@ def _cmd_subdiagram(args: argparse.Namespace) -> Document:
     md = [f"# subdiagram {name} gamma={list(s.gamma)}", ""]
     md += _md_table([(p["nodes"], p["diagram"]) for p in pieces], ("nodes", "piece"))
     summary = f"{name} | gamma {list(s.gamma)}: " + ", ".join(p["diagram"] for p in pieces)
-    return Document("subdiagram", {"diagram": args.diagram, "gamma": args.gamma},
-                    results, text, md, summary)
+    return Document(results, text, md, summary)
 
 
-def _family_payload(report) -> dict | None:
-    if report.family is None:
+def _family_payload(match: FamilyMatch | None) -> dict | None:
+    if match is None:
         return None
-    return {"family": report.family.family, "params": list(report.family.params)}
+    return {"family": match.family, "params": list(match.params)}
 
 
 def _classification_payload(report) -> dict:
-    v, w = report.verdicts, report.witnesses
+    w = report.witnesses
     return {
         "diagram": render_compact(report.diagram),
         "method": report.method,
         "seed": report.seed,
-        "family": _family_payload(report),
-        "verdicts": {
-            "prehomogeneous": v.prehomogeneous,
-            "regular": v.regular,
-            "n_invariants": v.n_invariants,
-            "one_irreducible": v.one_irreducible,
-            "q_irreducible": v.q_irreducible,
-            "completely_q_reducible": v.completely_q_reducible,
-        },
-        "witnesses": {
-            "generic_point": list(w.generic_point) if w.generic_point else None,
-            "regular_gamma": list(w.regular_gamma) if w.regular_gamma else None,
-            "isotropy_dim": w.isotropy_dim,
-            "form_determinant": _num(w.form_determinant),
-        },
+        "family": _family_payload(report.family),
+        "verdicts": dataclasses.asdict(report.verdicts),
+        "witnesses": {**dataclasses.asdict(w), "form_determinant": _num(w.form_determinant)},
     }
 
 
@@ -246,9 +217,7 @@ def _classify_lines(payload: dict) -> list[str]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> Document:
-    d = _parse(args.diagram)
-    seed = _resolve_seed(args)
-    report = classify(d, mode=args.mode, seed=seed)
+    report = classify(parse_diagram(args.diagram), mode=args.mode, seed=args.seed)
     payload = _classification_payload(report)
     name = payload["diagram"]
     text = _classify_lines(payload)
@@ -265,8 +234,7 @@ def _cmd_classify(args: argparse.Namespace) -> Document:
                         ("family", "params", "diagram"))
         md.append("")
     md += _md_table(sorted(payload["verdicts"].items()), ("verdict", "value"))
-    inputs = {"diagram": args.diagram, "mode": args.mode, "seed": seed}
-    return Document("classify", inputs, payload, text, md, summary)
+    return Document(payload, text, md, summary)
 
 
 def _expand_types(tokens: list[str], max_rank: int) -> list[SimpleType]:
@@ -286,12 +254,11 @@ def _expand_types(tokens: list[str], max_rank: int) -> list[SimpleType]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> Document:
-    seed = _resolve_seed(args)
     tokens = [t.strip() for t in args.types.split(",") if t.strip()]
     if not tokens:
         raise UsageError("--types wants a comma-separated list, e.g. A,B,C,D,E6")
     types = _expand_types(tokens, args.max_rank)
-    reports = enumerate_reports(types, mode=args.mode, seed=seed,
+    reports = enumerate_reports(types, mode=args.mode, seed=args.seed,
                                 include_irreducible=args.include_irreducible)
     totals: dict[str, int] = {}
     for r in reports:
@@ -300,7 +267,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> Document:
     results = {
         "types": [str(t) for t in types],
         "mode": args.mode,
-        "seed": seed,
+        "seed": args.seed,
         "processed": len(reports),
         "totals": totals,
         "q_irreducible": [_classification_payload(r) for r in hits],
@@ -308,14 +275,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> Document:
             "diagram": render_compact(r.diagram),
             "q_irreducible": r.verdicts.q_irreducible,
             "regular": r.verdicts.regular,
-            "family": _family_payload(r),
+            "family": _family_payload(r.family),
         } for r in reports],
     }
-    text = [f"enumerate {', '.join(str(t) for t in types)}  mode={args.mode}  seed={seed}",
+    text = [f"enumerate {', '.join(str(t) for t in types)}  mode={args.mode}  seed={args.seed}",
             f"  processed {len(reports)} diagrams"]
     rows = []
     for r in hits:
-        fam = _family_payload(r)
+        fam = _family_payload(r.family)
         label = f"{fam['family']} {tuple(fam['params'])}" if fam else "(irreducible)"
         text.append(f"  Q-irreducible: {render_compact(r.diagram)}  [{label}]")
         rows.append((fam["family"] if fam else "-",
@@ -324,26 +291,27 @@ def _cmd_enumerate(args: argparse.Namespace) -> Document:
     md = [f"# enumerate {', '.join(tokens)} (max rank {args.max_rank})", "",
           summary, ""]
     md += _md_table(rows, ("family", "params", "diagram"))
-    inputs = {"types": args.types, "max_rank": args.max_rank, "mode": args.mode,
-              "seed": seed, "include_irreducible": args.include_irreducible}
-    return Document("enumerate", inputs, results, text, md, summary)
+    return Document(results, text, md, summary)
+
+
+def _build_model(model_id: str) -> models.ModelSpec:
+    try:
+        return models.build_model(model_id)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _cmd_verify_model(args: argparse.Namespace) -> Document:
-    seed = _resolve_seed(args)
-    try:
-        spec = models.build_model(args.model)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    passed, checks = models.verify_model(spec, seed=seed)
+    spec = _build_model(args.model)
+    passed, checks = models.verify_model(spec, seed=args.seed)
     results = {
         "model": spec.name,
         "params": spec.params,
-        "seed": seed,
+        "seed": args.seed,
         "passed": passed,
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+        "checks": [dataclasses.asdict(c) for c in checks],
     }
-    text = [f"{spec.name}  seed={seed}"]
+    text = [f"{spec.name}  seed={args.seed}"]
     text += [f"  {'ok  ' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks]
     verdict = "PASS" if passed else "FAIL"
     text.append(f"  => {verdict}")
@@ -352,42 +320,29 @@ def _cmd_verify_model(args: argparse.Namespace) -> Document:
     md += _md_table([(c.name, "ok" if c.passed else "FAIL", c.detail) for c in checks],
                     ("check", "status", "detail"))
     md += ["", f"**{verdict}**"]
-    doc = Document("verify-model", {"model": args.model, "seed": seed},
-                   results, text, md, summary)
-    doc.exit_code = _EXIT_OK if passed else _EXIT_MODEL
-    return doc
+    return Document(results, text, md, summary, _EXIT_OK if passed else _EXIT_MODEL)
 
 
 def _cmd_decompose(args: argparse.Namespace) -> Document:
-    seed = _resolve_seed(args)
     if "[" in args.target:
-        pv = pvcore.build_parabolic_pv(_parse(args.target))
+        pv = pvcore.build_parabolic_pv(parse_diagram(args.target))
     else:
-        try:
-            pv = models.build_model(args.target).instance
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+        pv = _build_model(args.target).instance
     try:
-        rep = pvcore.decompose_filtration(pv, seed=seed)
+        rep = pvcore.decompose_filtration(pv, seed=args.seed)
     except pvcore.NotRegular:
         raise UsageError(f"{pv.name} is not regular; nothing to decompose") from None
     except pvcore.PartialFiltration as e:
         raise UsageError(f"filtration stalled on {pv.name}: {e}") from None
-    stages = [{
-        "labels": list(s.labels),
-        "dim": s.dim,
-        "isotropy_dim": s.isotropy_dim,
-        "reductive": s.reductive,
-        "determinant": _num(s.determinant),
-    } for s in rep.stages]
+    stages = [{**dataclasses.asdict(s), "determinant": _num(s.determinant)} for s in rep.stages]
     results = {
         "input": pv.name,
-        "seed": seed,
+        "seed": args.seed,
         "stages": stages,
         "final_isotropy_dim": rep.final_isotropy_dim,
         "final_reductive": rep.final_reductive,
     }
-    text = [f"{pv.name}  seed={seed}"]
+    text = [f"{pv.name}  seed={args.seed}"]
     for i, s in enumerate(stages, 1):
         text.append(f"  stage {i}: {'+'.join(s['labels'])}  dim {s['dim']}, isotropy dim "
                     f"{s['isotropy_dim']}, reductive={s['reductive']}")
@@ -398,8 +353,7 @@ def _cmd_decompose(args: argparse.Namespace) -> Document:
     md = [f"# decompose {pv.name}", ""]
     md += _md_table([( '+'.join(s["labels"]), s["dim"], s["isotropy_dim"], s["reductive"])
                      for s in stages], ("stage", "dim", "isotropy dim", "reductive"))
-    return Document("decompose", {"target": args.target, "seed": seed},
-                    results, text, md, summary)
+    return Document(results, text, md, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +374,8 @@ def _add_output_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="pvlab", description=__doc__)
+    # --help shows the module docstring up to the paragraph for maintainers.
+    parser = _Parser(prog="pvlab", description=__doc__.partition("\n\n``_run``")[0])
     _add_output_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -460,7 +415,7 @@ def _build_parser() -> _Parser:
 
 
 def _emit_mismatch(e: MismatchError, args: argparse.Namespace) -> None:
-    fam = {"family": e.family.family, "params": list(e.family.params)} if e.family else None
+    fam = _family_payload(e.family)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
@@ -500,19 +455,18 @@ def main(argv: list[str] | None = None) -> int:
         set_limit(limit)
 
 
+# Parsed arguments that are not echoed as the document's inputs.
+_NOT_INPUTS = {"command", "handler", "json", "markdown", "quiet"}
+
+
 def _run(argv: list[str] | None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        print(GRAMMAR, file=sys.stderr)
-        return _EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
+        if "seed" in args:
+            args.seed = _resolve_seed(args.seed)
         doc = args.handler(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
-        print(GRAMMAR, file=sys.stderr)
         return _EXIT_USAGE
     except (DiagramError, InadmissibleType) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -521,8 +475,17 @@ def _run(argv: list[str] | None) -> int:
     except MismatchError as e:
         _emit_mismatch(e, args)
         return _EXIT_MISMATCH
-    doc.emit(args)
-    return getattr(doc, "exit_code", _EXIT_OK)
+    if args.json:
+        inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
+        print(json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command,
+                          "inputs": inputs, "results": doc.results}, indent=2, sort_keys=True))
+    elif args.quiet:
+        print(doc.summary)
+    elif args.markdown:
+        print("\n".join(doc.markdown))
+    else:
+        print("\n".join(doc.text))
+    return doc.exit_code
 
 
 if __name__ == "__main__":

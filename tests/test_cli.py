@@ -270,6 +270,21 @@ def test_parse_error_reports_column_and_grammar(capsys):
     assert "diagram ::=" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-model", "dual-pair:m=3"],
+    ["verify-model", "dual-pair:n=2,n=3"],
+    ["decompose", "A3[1]"],
+    ["enumerate", "--types", "Z"],
+    [],
+], ids=["unknown-parameter", "repeated-parameter", "not-regular", "unknown-type",
+        "no-subcommand"])
+def test_usage_error_without_a_diagram_prints_no_grammar(capsys, argv):
+    # The grammar describes diagrams; only a diagram or type error gets it.
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 def test_semantic_diagram_error(capsys):
     code, _, err = run(capsys, "describe", "A3[7]")
     assert code == 1 and "error" in err
