@@ -333,8 +333,8 @@ def _instance(name: str, blocks: list[_Block], factors: list[tuple]) -> PVInstan
 
 
 def _sampler(blocks: list[_Block], factors: list[tuple], weight: dict) -> Callable:
-    """Draws one element per factor, in table order; returns its operator
-    on the module and the weight's predicted multiplier."""
+    """Draws one element per factor, in table order; returns its action on
+    packed coordinates and the weight's predicted multiplier."""
     def sample(stream: Stream):
         values, moves = {}, {b.name: [] for b in blocks}
         for key, kind, size, roles in factors:
@@ -354,7 +354,7 @@ def _sampler(blocks: list[_Block], factors: list[tuple], weight: dict) -> Callab
         multiplier = Fraction(1)
         for char, e in weight.items():
             multiplier *= Fraction(values[char]) ** e
-        return _operator(blocks, act), multiplier
+        return (lambda x: _pack(blocks, act(_unpack(blocks, x)))), multiplier
     return sample
 
 

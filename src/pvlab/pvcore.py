@@ -517,10 +517,14 @@ class Invariant:
 
 @dataclass(frozen=True)
 class GroupCheck:
-    """Sampler of group elements with their predicted multipliers."""
+    """Sampler of group elements with their predicted multipliers.
+
+    ``sample`` draws an element g and returns the map x -> g x on packed
+    coordinates, with the multiplier that f(g x) / f(x) should equal.
+    """
 
     name: str
-    sample: Callable[[Stream], tuple[list[list[Fraction]], Fraction]]
+    sample: Callable[[Stream], tuple[Callable[[Sequence], list], Fraction]]
 
 
 @dataclass(frozen=True)
@@ -674,7 +678,7 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
         for _ in range(3):
             g, multiplier = gc.sample(gstream)
             x = xs[base]
-            gx = matvec(g, x)
+            gx = g(x)
             if f.evaluate(gx) != multiplier * vals[base]:
                 raise NotRelativeInvariant(
                     f"{f.name}: group element from {gc.name} violates the character law")
