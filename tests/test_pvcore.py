@@ -1,6 +1,9 @@
 """The exact oracle: generic points, isotropy, regularity, invariant counts."""
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import itertools
 import json
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from pvlab import pvcore
 from pvlab._linalg import matvec
-from pvlab.diagram import parse_diagram
+from pvlab.diagram import WeightedDiagram, parse_diagram
 from pvlab.models import build_model, diag_chain, dual_pair, matrix_pair, sym_vector, verify_model
 from pvlab.pvcore import (DegenerateInvariant, EmptySubset, IdentityViolation, Invariant,
                           NonGenericPoint, NotRegular, NotRelativeInvariant, SubsetLattice,
@@ -22,6 +25,7 @@ from pvlab.pvcore import (DegenerateInvariant, EmptySubset, IdentityViolation, I
                           generic_point, hessian_product_identity_check, is_reductive,
                           is_regular, isotropy_algebra, q_irreducible, restrict,
                           verify_invariant)
+from pvlab.rootsys import SimpleType
 
 
 def test_parabolic_instance_shapes():
@@ -31,6 +35,41 @@ def test_parabolic_instance_shapes():
     assert len(pv.components) == 2
     assert [len(c) for c in pv.components] == [2, 2]
     assert len(pv.characters) == 2  # one character per circled node
+
+
+# Every multi-circle diagram of the tier-1 sweep (A1-7, B2-7, C3-7, D4-7,
+# E6) and of the second catalog (rank 8 of A-D, E7, E8, F4, G2), plus the
+# few-circle rank 10-14 and E8 diagrams of the benchmark's large workload.
+_FROZEN_ENUMERATED = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+                      + [("C", n) for n in range(3, 9)] + [("D", n) for n in range(4, 9)]
+                      + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+_FROZEN_LARGE = ("A12[1,12]", "A12[3,10]", "B10[1,10]", "C12[3,10]", "D12[2,11,12]",
+                 "D10[2,4,6,8]", "A14[2,13]", "E8[1,3,5,7]", "E8[1,2]")
+
+
+def test_parabolic_instances_are_frozen():
+    # tests/data/parabolic_instances.json maps each simple type to the
+    # sha256 of repr(astuple(instance)) over its diagrams in enumeration
+    # order (size, then circled nodes): operators, generator order, form,
+    # characters and components must not drift.
+    diagrams: dict[str, set] = {}
+    for family, rank in _FROZEN_ENUMERATED:
+        t = SimpleType(family, rank)
+        for size in range(2, rank + 1):
+            for circled in itertools.combinations(range(1, rank + 1), size):
+                diagrams.setdefault(str(t), set()).add(WeightedDiagram(t, circled))
+    for text in _FROZEN_LARGE:
+        d = parse_diagram(text)
+        diagrams.setdefault(str(d.type), set()).add(d)
+    assert sum(map(len, diagrams.values())) == 927 + 1367 + 7
+    got = {}
+    for t, ds in diagrams.items():
+        digest = hashlib.sha256()
+        for d in sorted(ds, key=lambda d: (len(d.circled), d.circled)):
+            digest.update(repr(dataclasses.astuple(build_parabolic_pv(d))).encode())
+        got[t] = digest.hexdigest()
+    frozen = json.loads((Path(__file__).parent / "data" / "parabolic_instances.json").read_text())
+    assert got == frozen
 
 
 def test_generic_point_determinism():
