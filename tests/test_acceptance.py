@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from pathlib import Path
 
 from pvlab._rand import Stream
@@ -339,6 +340,55 @@ def test_filtration_stage_sequences():
     assert [s.labels for s in rep.stages] == [("V[2]",), ("V[1]",)]
     assert rep.final_isotropy_dim == 0
     assert rep.final_reductive
+
+
+def _q_partitions(lattice: SubsetLattice, subset: tuple[int, ...]) -> list[tuple]:
+    """Every partition of ``subset`` into blocks with Q-irreducible restrictions."""
+    if not subset:
+        return [()]
+    first, rest = subset[0], subset[1:]
+    out = []
+    for k in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, k):
+            block = (first,) + extra
+            if lattice.q_irreducible(block):
+                remaining = tuple(i for i in rest if i not in extra)
+                out += [(block,) + p for p in _q_partitions(lattice, remaining)]
+    return out
+
+
+def test_structural_theorems_over_the_sweep():
+    # The abstract's two structural claims on every sweep diagram at seed 0.
+    # (b) A regular PV is a sum of Q-irreducible ones in the filtered sense:
+    # decompose_filtration completes on every regular diagram, ending in a
+    # reductive isotropy.  (a) The Q-isotypic components of a completely
+    # Q-reducible PV are intrinsic.  In parabolic type no two components are
+    # isomorphic, because each circled node has its own central character
+    # (the grading element of that node alone acts by 1 on its component
+    # and by 0 on the others).  So every isotypic component is a single
+    # component, and (a) says the partition of the components into
+    # Q-irreducible blocks is unique.
+    stages = Counter()
+    reducible = 0
+    for t in SWEEP_TYPES:
+        for size in range(2, t.rank + 1):
+            for circled in itertools.combinations(range(1, t.rank + 1), size):
+                pv = build_parabolic_pv(WeightedDiagram(t, circled))
+                lattice = SubsetLattice(pv)
+                partitions = _q_partitions(lattice, lattice.full)
+                assert bool(partitions) == lattice.completely_q_reducible(lattice.full)
+                if not lattice.regular(lattice.full).regular:
+                    assert not partitions, pv.name
+                    continue
+                rep = decompose_filtration(pv)
+                assert rep.final_reductive, pv.name
+                stages[len(rep.stages)] += 1
+                if partitions:
+                    assert len(partitions) == 1, (pv.name, partitions)
+                    assert len(rep.stages) == 1, pv.name
+                    reducible += 1
+    assert stages == {1: 226, 2: 99, 3: 4}
+    assert reducible == 226
 
 
 def test_out_of_scope_claims_are_not_asserted():
