@@ -9,6 +9,13 @@ isotropy), and the decomposition of the module into its irreducible
 components (the only subspaces the subspace searches ever consult).  One
 :class:`SubsetLattice` per instance backs those searches.
 
+A parabolic instance (:func:`build_parabolic_pv`) is written from the
+root data alone, with no bracket or form evaluated that is known to be
+zero: the Cartan acts on level 1 by the diagonal pairings, a level-0 root
+vector e_g moves e_r to N(g, r) e_s for each pair of level-1 roots with
+s - r = g, and the Killing form has the Cartan block plus one entry
+K(e_g, e_-g) per level-0 root g.
+
 A proper component sum of a parabolic instance is regular exactly when
 every piece of its :func:`~pvlab.diagram.subdiagram` is: the Levi's image
 in GL(V_Gamma) is the product of the pieces' Levi images (the Cartans have
@@ -16,7 +23,10 @@ the same image, because every piece's Cartan matrix is nondegenerate), the
 generic isotropy is reductive exactly when it is reductive modulo the
 reductive kernel of the action, and a product PV is regular exactly when
 each factor is.  The lattice therefore decides such sums from one
-process-wide table of piece verdicts.
+process-wide table of piece verdicts.  It finds the pieces without
+splitting the diagram again for every sum: a piece is the union of
+linked closures, the closure of a circled node being the node plus the
+theta-components next to it.
 
 All verdicts use exact rational arithmetic.  A large-prime modular rank is
 used as a fast certificate during candidate selection; it can only
@@ -28,14 +38,14 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
+from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 from ._linalg import det, kernel_basis, matvec, modp_rank, rank
 from ._rand import Stream
 from .chevalley import chevalley_basis
-from .diagram import WeightedDiagram, render_compact, subdiagram
-from .grading import components as level_one_components
-from .grading import degree
+from .diagram import WeightedDiagram, render_compact
+from .rootsys import build_root_system, induced_piece
 
 Matrix = Sequence[Sequence]
 
@@ -130,33 +140,63 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
     Form: the ambient Killing form restricted to that basis.  Characters:
     one per circled node (the Cartan coefficients that survive the derived
     subalgebra).
+
+    The roots are sorted by level once, and only the nonzero entries are
+    written.  H_i acts on the level-1 root vector e_r by the pairing r(H_i).
+    The root vector e_g of a level-0 root g sends e_r to N(g, r) e_s for
+    each pair of level-1 roots (r, s) with s - r = g; such a pair lies in
+    one component.  The Killing form pairs the Cartan with itself and each
+    e_g with e_-g only.
     """
     alg = chevalley_basis(d.type)
     rs = alg.rs
     n = d.type.rank
-    comps = level_one_components(d)
-    level1 = [r for c in comps for r in c.roots]
+    circled_axes = [a - 1 for a in d.circled]
+    level0: list = []
+    by_node: dict[int, list] = {a: [] for a in d.circled}
+    for r in rs.roots:
+        level = sum(map(r.__getitem__, circled_axes))
+        if level == 0:
+            level0.append(r)
+        elif level == 1:
+            by_node[next(a for a in d.circled if r[a - 1])].append(r)
+    level1 = [r for roots in by_node.values() for r in roots]
     if not level1:
         raise EmptyLevelOne(render_compact(d))
-    coord = {r: i for i, r in enumerate(level1)}
     dim_v = len(level1)
-    level0 = [r for r in rs.roots if degree(d, r) == 0]
-    alg_idx = list(range(n)) + [alg.e_index(r) for r in level0]
-    operators = []
-    for gi in alg_idx:
-        m = [[0] * dim_v for _ in range(dim_v)]
-        for r in level1:
-            for k, c in alg.bracket(gi, alg.e_index(r)):
-                m[coord[alg.root_of(k)]][coord[r]] = c
-        operators.append(m)
-    form = [[alg.killing(a, b) for b in alg_idx] for a in alg_idx]
-    characters = [[1 if j == a - 1 else 0 for j in range(len(alg_idx))] for a in d.circled]
+    cartan_ops = [[[0] * dim_v for _ in range(dim_v)] for _ in range(n)]
+    columns = list(zip(*rs.cartan))
+    for k, r in enumerate(level1):
+        for i, column in enumerate(columns):
+            cartan_ops[i][k][k] = sum(map(mul, r, column))  # the pairing r(H_i)
+    position = {g: p for p, g in enumerate(level0)}
+    root_ops = [[[0] * dim_v for _ in range(dim_v)] for _ in level0]
+    offset = 0
+    for roots in by_node.values():
+        for k, r in enumerate(roots, offset):
+            for l, s in enumerate(roots, offset):
+                p = position.get(tuple(map(sub, s, r)))
+                if p is not None:
+                    root_ops[p][l][k] = alg.nconst[(level0[p], r)]
+        offset += len(roots)
+    dim_g = n + len(level0)
+    form = [[0] * dim_g for _ in range(dim_g)]
+    for i in range(n):
+        for j in range(n):
+            form[i][j] = alg.killing(i, j)
+    for p, g in enumerate(level0):
+        q = position[tuple(-x for x in g)]
+        if p < q:
+            form[n + p][n + q] = form[n + q][n + p] = alg.killing(alg.e_index(g),
+                                                                  alg.e_index(level0[q]))
+    characters = [[1 if j == a - 1 else 0 for j in range(dim_g)] for a in d.circled]
     components, labels, offset = [], [], 0
-    for c in comps:
-        components.append(tuple(range(offset, offset + c.dim)))
-        labels.append(f"V[{c.alpha}]")
-        offset += c.dim
-    pv = make_instance(render_compact(d), operators, dim_v, form, characters, components, labels)
+    for a, roots in by_node.items():
+        components.append(tuple(range(offset, offset + len(roots))))
+        labels.append(f"V[{a}]")
+        offset += len(roots)
+    pv = make_instance(render_compact(d), cartan_ops + root_ops, dim_v, form, characters,
+                       components, labels)
     return replace(pv, diagram=d)
 
 
@@ -354,12 +394,20 @@ class SubsetLattice:
     by restricting the instance at hand to that piece's components, so
     diagrams that share a piece share its verdict.
 
+    The pieces come from the diagram, split once per lattice into the
+    closure of each circled node: the node plus the theta-components next
+    to it.  A subset's circled nodes fall into groups of linked closures,
+    and each group's piece is classified once per lattice (see
+    :meth:`pieces`).
+
     >>> from pvlab.diagram import parse_diagram
     >>> lattice = SubsetLattice(build_parabolic_pv(parse_diagram("A3[1,3]")))
     >>> lattice.q_irreducibility().q_irreducible
     True
     >>> lattice.regular((0,)).regular
     False
+    >>> lattice.pieces((0,))
+    (((1, 2), WeightedDiagram(type=SimpleType(family='A', rank=2), circled=(1,))),)
     """
 
     def __init__(self, pv: PVInstance, seed: int = 0) -> None:
@@ -369,6 +417,10 @@ class SubsetLattice:
         self._regular: dict[tuple[int, ...], RegularityReport] = {}
         self._verdict: dict[tuple[int, ...], bool] = {}
         self._cqr: dict[tuple[int, ...], bool] = {}
+        self._rs = None  # the diagram's root system, once it is split
+        self._closures: list[set[int]] = []
+        self._links: list[set[int]] = []
+        self._pieces: dict[tuple[int, ...], tuple[tuple[int, ...], WeightedDiagram]] = {}
 
     def regular(self, subset: tuple[int, ...]) -> RegularityReport:
         """The exact report of the restriction to ``subset``."""
@@ -379,14 +431,55 @@ class SubsetLattice:
     def is_regular_sum(self, subset: tuple[int, ...]) -> bool:
         """Whether the restriction to ``subset`` is regular, piece by piece
         for a proper subset of a parabolic instance."""
-        d = self.pv.diagram
-        if d is None or subset == self.full:
+        if self.pv.diagram is None or subset == self.full:
             return self.regular(subset).regular
         if subset not in self._verdict:
-            gamma = [d.circled[i] for i in subset]
             self._verdict[subset] = all(self._piece_verdict(nodes, piece)
-                                        for nodes, piece in subdiagram(d, gamma).pieces)
+                                        for nodes, piece in self.pieces(subset))
         return self._verdict[subset]
+
+    def pieces(self, subset: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], WeightedDiagram], ...]:
+        """``subdiagram(diagram, gamma).pieces`` for the circled nodes gamma
+        of a proper component subset of a parabolic instance.
+
+        Two circled nodes of gamma lie in one piece exactly when a chain of
+        linked closures joins them: closures are linked when they share a
+        theta-component or their nodes are adjacent.
+        """
+        d = self.pv.diagram
+        if self._rs is None:
+            self._rs = rs = build_root_system(d.type)
+            for a in d.circled:
+                closure, todo = {a}, [a]
+                while todo:
+                    for b in rs.neighbors(todo.pop()):
+                        if b not in closure and b not in d.circled:
+                            closure.add(b)
+                            todo.append(b)
+                self._closures.append(closure)
+            self._links = [{j for j, b in enumerate(d.circled)
+                            if j != i and any(rs.adjacent(b, c) for c in closure)}
+                           for i, closure in enumerate(self._closures)]
+        inside, seen, out = set(subset), set(), []
+        for i in subset:
+            if i in seen:
+                continue
+            group, todo = {i}, [i]
+            while todo:
+                for j in (self._links[todo.pop()] & inside) - group:
+                    group.add(j)
+                    todo.append(j)
+            seen |= group
+            out.append(self._piece(tuple(sorted(group))))
+        return tuple(sorted(out, key=lambda piece: piece[0]))
+
+    def _piece(self, group: tuple[int, ...]) -> tuple[tuple[int, ...], WeightedDiagram]:
+        if group not in self._pieces:
+            d = self.pv.diagram
+            p = induced_piece(self._rs, set().union(*(self._closures[i] for i in group)))
+            marks = tuple(p.relabel[d.circled[i]] for i in group)
+            self._pieces[group] = (p.nodes, WeightedDiagram(p.type, marks))
+        return self._pieces[group]
 
     def _piece_verdict(self, nodes: tuple[int, ...], piece: WeightedDiagram) -> bool:
         key = (render_compact(piece), self.seed)

@@ -12,6 +12,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+from pvlab import pvcore
 from pvlab._rand import Stream
 from pvlab.chevalley import chevalley_basis
 from pvlab.classify import classify, enumerate_reports
@@ -134,6 +135,41 @@ def test_piece_verdicts_match_direct_restriction():
                         assert lattice.is_regular_sum(subset) == direct
                         checked += 1
     assert checked == 11698
+
+
+def test_lattice_pieces_match_subdiagram(monkeypatch):
+    # The lattice splits each diagram once into the closures of its circled
+    # nodes and builds the pieces of a proper component sum from them.  They
+    # must be subdiagram's pieces, node for node and diagram for diagram,
+    # and each must key the piece-verdict table by its compact form.  The
+    # table here answers every lookup with "regular", so no verdict is
+    # computed and every piece of every sum is looked up.
+    looked_up = []
+
+    class Recording(dict):
+        def __contains__(self, key):
+            looked_up.append(key)
+            return True
+
+        def __getitem__(self, key):
+            return True
+
+    monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", Recording())
+    checked = 0
+    for t in SWEEP_TYPES + SECOND_CATALOG_TYPES:
+        for size in range(2, t.rank + 1):
+            for circled in itertools.combinations(range(1, t.rank + 1), size):
+                d = WeightedDiagram(t, circled)
+                lattice = SubsetLattice(build_parabolic_pv(d), seed=3)
+                for k in range(1, size):
+                    for subset in itertools.combinations(lattice.full, k):
+                        want = subdiagram(d, [d.circled[i] for i in subset]).pieces
+                        assert lattice.pieces(subset) == want, (render_compact(d), subset)
+                        looked_up.clear()
+                        assert lattice.is_regular_sum(subset)
+                        assert looked_up == [(render_compact(p), 3) for _, p in want]
+                        checked += 1
+    assert checked == 11698 + 32234
 
 
 # The multi-circle pairwise-non-adjacent diagrams of E6 up to its mirror
