@@ -400,8 +400,8 @@ def test_structural_theorems_over_the_sweep():
     # reductive isotropy.  (a) The Q-isotypic components of a completely
     # Q-reducible PV are intrinsic.  In parabolic type no two components are
     # isomorphic, because each circled node has its own central character
-    # (the grading element of that node alone acts by 1 on its component
-    # and by 0 on the others).  So every isotypic component is a single
+    # (grading by that node alone puts its component at level 1 and the
+    # others at level 0).  So every isotypic component is a single
     # component, and (a) says the partition of the components into
     # Q-irreducible blocks is unique.
     stages = Counter()
