@@ -1,17 +1,20 @@
 """Exact linear algebra on list-of-lists matrices over int / Fraction.
 
 Rank, kernel and determinant decisions feed classification verdicts, so
-everything here is exact.  One eliminator, :func:`_echelon`, serves them
-all: each row is scaled to integers once, then fraction-free elimination
-(Bareiss 1968) divides exactly by the previous pivot, so entries stay
-integer minors of the input and no rational is formed until a caller asks
-for one.  Forward mode clears below the pivots (rank, determinant);
-Gauss-Jordan mode clears above them too (kernel, solve), leaving a common
-pivot value ``d`` such that the reduced row echelon form is ``m / d``.
+everything here is exact.  One eliminator, :func:`_echelon`, serves rank,
+det, kernel, inverse and solve: each row is scaled to integers once by
+:func:`_integer_row`, then fraction-free elimination (Bareiss 1968)
+divides exactly by the previous pivot, so entries stay integer minors of
+the input and no rational is formed until a caller asks for one.  Forward
+mode clears below the pivots (rank, determinant); Gauss-Jordan mode clears
+above them too (kernel, inverse), leaving a common pivot value ``d`` such
+that the reduced row echelon form is ``m / d``.  Solve applies the inverse.
 
-A mod-p elimination is provided as a fast certificate: the rank mod p
-never exceeds the true rank, so reaching the maximal possible rank mod p
-proves it exactly.
+A mod-p elimination is provided as a fast certificate: it reduces the rows
+scaled to integers by :func:`_integer_row` mod the Mersenne prime P61.
+Scaling a row by a nonzero integer keeps its rank over Q, and the rank mod
+p never exceeds the rank over Z, so reaching the maximal possible rank mod
+p proves it exactly.
 """
 from __future__ import annotations
 
@@ -24,18 +27,11 @@ Vec = list
 Mat = list  # list of row lists
 
 
-def _residue(value, p: int) -> int:
-    if isinstance(value, Fraction):
-        den = value.denominator % p
-        if den == 0:
-            raise ZeroDivisionError("denominator divisible by the modulus")
-        return value.numerator * pow(den, -1, p) % p
-    return value % p
-
-
-def modp_rank(rows: Mat, p: int = P61) -> int:
-    """Rank of the matrix reduced mod p (a lower bound for the exact rank)."""
-    m = [[_residue(v, p) for v in row] for row in rows]
+def modp_rank(rows: Mat) -> int:
+    """Rank mod P61 of the rows scaled to integers (a lower bound for the
+    exact rank)."""
+    p = P61
+    m = [[v % p for v in _integer_row(row)[0]] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank = 0
@@ -168,13 +164,21 @@ def det(rows: Mat) -> Fraction:
     return Fraction(sign * d, scale) if len(pivots) == n else Fraction(0)
 
 
-def solve(a: Mat, b: Vec) -> list[Fraction]:
-    """Solve A x = b for square nonsingular A, exactly."""
+def inverse(a: Mat) -> list[list[Fraction]]:
+    """Exact inverse of a square matrix, from one Gauss-Jordan pass on
+    [a | I]: the reduced form is d * [I | a^-1], so the inverse is the
+    right half over d."""
     n = len(a)
-    m, pivots, d, _, _ = _echelon([list(row) + [b[i]] for i, row in enumerate(a)], True)
+    m, pivots, d, _, _ = _echelon([list(row) + [int(r == k) for k in range(n)]
+                                   for r, row in enumerate(a)], True)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [Fraction(row[n], d) for row in m]
+    return [[Fraction(v, d) for v in row[n:]] for row in m]
+
+
+def solve(a: Mat, b: Vec) -> list[Fraction]:
+    """Solve A x = b for square nonsingular A, exactly."""
+    return matvec(inverse(a), b)
 
 
 def matvec(m: Mat, v: Vec) -> list:

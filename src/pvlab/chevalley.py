@@ -120,10 +120,6 @@ class ChevalleyBasis:
         hs = [f"h{i + 1}" for i in range(self.rank)]
         return hs + ["e" + "".join(f"{m:+d}" for m in r) for r in self.rs.roots]
 
-    def coroot(self, root: Root) -> tuple[int, ...]:
-        """Coefficients of h_root = [e_root, e_-root] over H_1..H_n."""
-        return self._coroot[root]
-
     # -- brackets ----------------------------------------------------------
     def bracket(self, i: int, j: int) -> list[tuple[int, int]]:
         """[b_i, b_j] as a sparse list of (basis index, integer coefficient)."""

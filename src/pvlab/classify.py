@@ -23,7 +23,6 @@ from typing import Iterable, NamedTuple
 
 from . import pvcore
 from .diagram import DiagramError, WeightedDiagram, circled_adjacent_pairs, render_compact
-from .grading import components
 from .rootsys import SimpleType, build_root_system, connected_components
 
 __all__ = [

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import models, pvcore
-from .classify import FamilyMatch, MismatchError, classify, enumerate_reports
+from .classify import MODES, FamilyMatch, MismatchError, classify, enumerate_reports
 from .diagram import (DiagramError, WeightedDiagram, parse_diagram, render_ascii,
                       render_compact, subdiagram)
 from .grading import components, compute_grading
@@ -396,12 +396,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--gamma", required=True, help="comma-separated circled node indices")
     p = add("classify", _cmd_classify, help="Q-irreducibility verdicts for one diagram")
     p.add_argument("diagram")
-    p.add_argument("--mode", choices=["pattern", "oracle", "both"], default="both")
+    p.add_argument("--mode", choices=MODES, default="both")
     p.add_argument("--seed", type=int, default=None)
     p = add("enumerate", _cmd_enumerate, help="classify every diagram of the given types")
     p.add_argument("--types", required=True, help="e.g. A,B,C,D,E6,E7,E8")
     p.add_argument("--max-rank", type=int, default=5, help="largest classical rank")
-    p.add_argument("--mode", choices=["pattern", "oracle", "both"], default="both")
+    p.add_argument("--mode", choices=MODES, default="both")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--include-irreducible", action="store_true",
                    help="also classify single-circle diagrams")

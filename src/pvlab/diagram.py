@@ -117,7 +117,7 @@ def parse_diagram(text: str) -> WeightedDiagram:
         nonlocal i
         skip_ws()
         start = i
-        while i < n and text[i].isdigit():
+        while i < n and text[i].isdecimal():
             i += 1
         if i == start:
             raise fail(what)

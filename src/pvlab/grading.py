@@ -58,8 +58,8 @@ def compute_grading(d: WeightedDiagram) -> Grading:
     """
     rs = build_root_system(d.type)
     n = d.type.rank
-    targets = [Fraction(2 if i in d.circled else 0) for i in range(1, n + 1)]
-    h = solve([[Fraction(c) for c in row] for row in rs.cartan], targets)
+    targets = [2 if i in d.circled else 0 for i in range(1, n + 1)]
+    h = solve(rs.cartan, targets)
     degrees = {r: degree(d, r) for r in rs.roots}
     dims: dict[int, int] = {0: n}
     for lvl in degrees.values():
@@ -68,15 +68,24 @@ def compute_grading(d: WeightedDiagram) -> Grading:
 
 
 def components(d: WeightedDiagram) -> list[Component]:
-    """The irreducible pieces of level 1, one per circled node, ascending."""
+    """The irreducible pieces of level 1, one per circled node, ascending.
+
+    One pass over the positive roots: a root of level 1 has coefficient 1
+    at exactly one circled node, and joins that node's piece.  Each piece
+    keeps the positive roots' order.
+    """
     rs = build_root_system(d.type)
+    axes = [a - 1 for a in d.circled]
+    by_node: dict[int, list[Root]] = {a: [] for a in d.circled}
+    for r in rs.positive:
+        coeffs = [r[i] for i in axes]
+        if sum(coeffs) == 1:
+            by_node[d.circled[coeffs.index(1)]].append(r)
     out = []
-    for a in sorted(d.circled):
-        roots = tuple(r for r in rs.positive
-                      if r[a - 1] == 1 and degree(d, r) == 1)
+    for a, roots in by_node.items():
         j = tuple(b for b in rs.neighbors(a) if b not in d.circled)
         hw = {b: rs.cartan[a - 1][b - 1] for b in j}
-        out.append(Component(a, roots, len(roots), j, hw))
+        out.append(Component(a, tuple(roots), len(roots), j, hw))
     return out
 
 

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._linalg import _echelon, matmul, transpose
+from ._linalg import inverse, matmul, transpose
 from ._rand import Stream
-from .pvcore import GroupCheck, Invariant, PVInstance, make_instance
+from .pvcore import (GroupCheck, Invariant, PVError, PVInstance, SubsetLattice, make_instance,
+                     verify_invariant)
 
 __all__ = [
     "ModelSpec", "ModelInvariant", "ModelCheckLine", "pfaffian", "NotSkew",
@@ -162,25 +163,7 @@ def _operator(blocks: list[_Block], act: Callable[[dict], dict]) -> list[list]:
 
 
 # ---------------------------------------------------------------------------
-# small exact matrix utilities for the samplers
-
-
-def _mm(*ms):
-    out = ms[0]
-    for m in ms[1:]:
-        out = matmul(out, m)
-    return out
-
-
-def _inv(m: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact inverse from one Gauss-Jordan pass on [m | I]: the reduced
-    form is d * [I | m^-1], so the inverse is the right half over d."""
-    n = len(m)
-    red, pivots, d, _, _ = _echelon(
-        [list(row) + [int(r == k) for k in range(n)] for r, row in enumerate(m)], True)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [[Fraction(v, d) for v in row[n:]] for row in red]
+# group elements for the samplers
 
 
 def _sample_unit_triangular(stream: Stream, n: int, lower: bool) -> list[list]:
@@ -215,10 +198,9 @@ def _sample_so(stream: Stream, n: int) -> list[list[Fraction]]:
         for j in range(i + 1, n):
             s[i][j] = stream.randint(-2, 2)
             s[j][i] = -s[i][j]
-    eye = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    a = [[eye[i][j] - s[i][j] for j in range(n)] for i in range(n)]
-    b = [[eye[i][j] + s[i][j] for j in range(n)] for i in range(n)]
-    return matmul(a, _inv(b))
+    a = [[int(i == j) - s[i][j] for j in range(n)] for i in range(n)]
+    b = [[int(i == j) + s[i][j] for j in range(n)] for i in range(n)]
+    return matmul(a, inverse(b))
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +264,14 @@ def _group_move(role, g) -> Callable[[list[list]], list[list]]:
     if role == "left":
         return lambda x: matmul(g, x)
     if role == "dual":
-        gti = transpose(_inv(g))
+        gti = transpose(inverse(g))
         return lambda x: matmul(gti, x)
     if role == "right":
-        gi = _inv(g)
+        gi = inverse(g)
         return lambda x: matmul(x, gi)
     if role == "cong":
         gt = transpose(g)
-        return lambda x: _mm(g, x, gt)
+        return lambda x: matmul(matmul(g, x), gt)
     t = g ** role
     return lambda x: [[t * v for v in row] for row in x]
 
@@ -514,7 +496,7 @@ def skew_pair(p: int, r: int) -> ModelSpec:
 
     def pf_xyx(x):
         pt = _unpack(blocks, x)
-        return pfaffian(_mm(transpose(pt["X"]), pt["Y"], pt["X"]))
+        return pfaffian(matmul(matmul(transpose(pt["X"]), pt["Y"]), pt["X"]))
 
     invariants = []
     if p % 2 == 0:
@@ -620,8 +602,6 @@ class ModelCheckLine:
 
 def verify_model(spec: ModelSpec, seed: int = 0) -> tuple[bool, list[ModelCheckLine]]:
     """Recompute a model's certificates and compare against its expected values."""
-    from .pvcore import PVError, SubsetLattice, verify_invariant
-
     lines: list[ModelCheckLine] = []
     lattice = SubsetLattice(spec.instance, seed)
     report = lattice.regular(lattice.full)

@@ -25,8 +25,11 @@ reductive kernel of the action, and a product PV is regular exactly when
 each factor is.  The lattice therefore decides such sums from one
 process-wide table of piece verdicts.  It finds the pieces without
 splitting the diagram again for every sum: a piece is the union of
-linked closures, the closure of a circled node being the node plus the
-theta-components next to it.
+linked closures, the closure of a circled node a being the support of its
+level-1 component V_a, read from :func:`pvlab.grading.components`.  That
+support is a plus the theta-components next to it: a level-1 root's
+support is connected and holds no other circled node, and the simple roots
+of a connected node set sum to a root.
 
 All verdicts use exact rational arithmetic.  A large-prime modular rank is
 used as a fast certificate during candidate selection; it can only
@@ -41,6 +44,7 @@ from math import lcm
 from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
 
+from . import grading
 from ._linalg import det, kernel_basis, matvec, modp_rank, rank
 from ._rand import Stream
 from .chevalley import chevalley_basis
@@ -141,8 +145,9 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
     one per circled node (the Cartan coefficients that survive the derived
     subalgebra).
 
-    The roots are sorted by level once, and only the nonzero entries are
-    written.  H_i acts on the level-1 root vector e_r by the pairing r(H_i).
+    The level-1 basis is that of :func:`pvlab.grading.components`, one
+    component after another, and only the nonzero entries are written.
+    H_i acts on the level-1 root vector e_r by the pairing r(H_i).
     The root vector e_g of a level-0 root g sends e_r to N(g, r) e_s for
     each pair of level-1 roots (r, s) with s - r = g; such a pair lies in
     one component.  The Killing form pairs the Cartan with itself and each
@@ -152,15 +157,9 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
     rs = alg.rs
     n = d.type.rank
     circled_axes = [a - 1 for a in d.circled]
-    level0: list = []
-    by_node: dict[int, list] = {a: [] for a in d.circled}
-    for r in rs.roots:
-        level = sum(map(r.__getitem__, circled_axes))
-        if level == 0:
-            level0.append(r)
-        elif level == 1:
-            by_node[next(a for a in d.circled if r[a - 1])].append(r)
-    level1 = [r for roots in by_node.values() for r in roots]
+    level0 = [r for r in rs.roots if not any(map(r.__getitem__, circled_axes))]
+    components = grading.components(d)
+    level1 = [r for c in components for r in c.roots]
     if not level1:
         raise EmptyLevelOne(render_compact(d))
     dim_v = len(level1)
@@ -171,14 +170,15 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
             cartan_ops[i][k][k] = sum(map(mul, r, column))  # the pairing r(H_i)
     position = {g: p for p, g in enumerate(level0)}
     root_ops = [[[0] * dim_v for _ in range(dim_v)] for _ in level0]
-    offset = 0
-    for roots in by_node.values():
-        for k, r in enumerate(roots, offset):
-            for l, s in enumerate(roots, offset):
+    ranges, offset = [], 0
+    for c in components:
+        for k, r in enumerate(c.roots, offset):
+            for l, s in enumerate(c.roots, offset):
                 p = position.get(tuple(map(sub, s, r)))
                 if p is not None:
                     root_ops[p][l][k] = alg.nconst[(level0[p], r)]
-        offset += len(roots)
+        ranges.append(range(offset, offset + c.dim))
+        offset += c.dim
     dim_g = n + len(level0)
     form = [[0] * dim_g for _ in range(dim_g)]
     for i in range(n):
@@ -190,13 +190,8 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
             form[n + p][n + q] = form[n + q][n + p] = alg.killing(alg.e_index(g),
                                                                   alg.e_index(level0[q]))
     characters = [[1 if j == a - 1 else 0 for j in range(dim_g)] for a in d.circled]
-    components, labels, offset = [], [], 0
-    for a, roots in by_node.items():
-        components.append(tuple(range(offset, offset + len(roots))))
-        labels.append(f"V[{a}]")
-        offset += len(roots)
     pv = make_instance(render_compact(d), cartan_ops + root_ops, dim_v, form, characters,
-                       components, labels)
+                       ranges, [f"V[{c.alpha}]" for c in components])
     return replace(pv, diagram=d)
 
 
@@ -395,10 +390,11 @@ class SubsetLattice:
     diagrams that share a piece share its verdict.
 
     The pieces come from the diagram, split once per lattice into the
-    closure of each circled node: the node plus the theta-components next
-    to it.  A subset's circled nodes fall into groups of linked closures,
-    and each group's piece is classified once per lattice (see
-    :meth:`pieces`).
+    closure of each circled node: the support of the node's level-1
+    component, read from :func:`pvlab.grading.components`, which is the
+    node plus the theta-components next to it.  A subset's circled nodes
+    fall into groups of linked closures, and each group's piece is
+    classified once per lattice (see :meth:`pieces`).
 
     >>> from pvlab.diagram import parse_diagram
     >>> lattice = SubsetLattice(build_parabolic_pv(parse_diagram("A3[1,3]")))
@@ -449,14 +445,8 @@ class SubsetLattice:
         d = self.pv.diagram
         if self._rs is None:
             self._rs = rs = build_root_system(d.type)
-            for a in d.circled:
-                closure, todo = {a}, [a]
-                while todo:
-                    for b in rs.neighbors(todo.pop()):
-                        if b not in closure and b not in d.circled:
-                            closure.add(b)
-                            todo.append(b)
-                self._closures.append(closure)
+            self._closures = [{i + 1 for r in c.roots for i, m in enumerate(r) if m}
+                              for c in grading.components(d)]
             self._links = [{j for j, b in enumerate(d.circled)
                             if j != i and any(rs.adjacent(b, c) for c in closure)}
                            for i, closure in enumerate(self._closures)]
@@ -701,10 +691,12 @@ def _hessian(f: Invariant, x: Sequence, fx, w2: Sequence) -> list[list]:
     return h
 
 
+INVARIANT_POINTS = 20
+
+
 def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
                      expect_nondegenerate: bool = True,
-                     group_checks: Sequence[GroupCheck] = (),
-                     points: int = 20) -> InvariantReport:
+                     group_checks: Sequence[GroupCheck] = ()) -> InvariantReport:
     """Certify that f transforms by a character under the instance's algebra.
 
     Checks, in order: (a) for every operator M the derivative of f along Mx
@@ -721,11 +713,11 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     determinant sign and rank.
     """
     stream = Stream(seed, context=f"invariant:{pv.name}:{f.name}")
-    xs = [stream.vector(pv.dim_v) for _ in range(points)]
+    xs = [stream.vector(pv.dim_v) for _ in range(INVARIANT_POINTS)]
     vals = [f.evaluate(x) for x in xs]
     base = next((i for i, v in enumerate(vals) if v != 0), None)
     if base is None:
-        raise DegenerateInvariant(f"{f.name} vanishes at all {points} sample points")
+        raise DegenerateInvariant(f"{f.name} vanishes at all {INVARIANT_POINTS} sample points")
     w1, w2, scale = _derivative_weights(f.degree)
     constants = []
     for mi, op in enumerate(pv.operators):

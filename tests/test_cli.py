@@ -270,6 +270,17 @@ def test_parse_error_reports_column_and_grammar(capsys):
     assert "diagram ::=" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("A\u00b2[1]", "expected a rank number, got '\u00b2' (column 2)"),
+    ("A3[1,\u00b2]", "expected a node index, got '\u00b2' (column 6)"),
+])
+def test_non_decimal_digit_is_a_parse_error(capsys, text, message):
+    code, out, err = run(capsys, "describe", text)
+    assert code == 1 and out == ""
+    assert message in err and "diagram ::=" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-model", "dual-pair:m=3"],
     ["verify-model", "dual-pair:n=2,n=3"],

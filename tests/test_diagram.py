@@ -56,6 +56,23 @@ def test_parse_error_columns(text, column):
     assert f"column {column}" in str(err.value)
 
 
+@pytest.mark.parametrize("text,column,message", [
+    ("A\u00b2[1]", 2, "expected a rank number, got '\u00b2'"),
+    ("A3[1,\u00b2]", 6, "expected a node index, got '\u00b2'"),
+])
+def test_parse_rejects_digits_that_int_rejects(text, column, message):
+    # A superscript two is a digit to str.isdigit but not a decimal that
+    # int() parses; the parser reports it like any other bad character.
+    with pytest.raises(ParseError) as err:
+        parse_diagram(text)
+    assert err.value.column == column
+    assert str(err.value) == f"{message} (column {column})"
+
+
+def test_parse_accepts_any_decimal_digit():
+    assert parse_diagram("A3[1,\uff13]") == parse_diagram("A3[1,3]")  # fullwidth three
+
+
 def test_parse_error_is_diagram_error():
     assert issubclass(ParseError, DiagramError)
 

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvlab._linalg import (_echelon, clear_denominators, det, identity, kernel_basis,
+from pvlab._linalg import (_echelon, clear_denominators, det, identity, inverse, kernel_basis,
                            matmul, matvec, modp_rank, rank, solve, transpose, zeros)
 
 small_entries = st.integers(min_value=-9, max_value=9)
@@ -23,13 +23,13 @@ def small_matrix(max_side: int = 5, entries=small_entries):
 
 
 @st.composite
-def low_rank_matrix(draw):
+def low_rank_matrix(draw, entries=small_entries):
     """A wide, tall or square product B C of inner size k below both sides."""
     rows, cols = draw(st.integers(2, 7)), draw(st.integers(2, 7))
     k = draw(st.integers(1, min(rows, cols) - 1))
-    b = draw(st.lists(st.lists(small_entries, min_size=k, max_size=k),
+    b = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
                       min_size=rows, max_size=rows))
-    c = draw(st.lists(st.lists(small_entries, min_size=cols, max_size=cols),
+    c = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
                       min_size=k, max_size=k))
     return matmul(b, c)
 
@@ -40,7 +40,8 @@ def test_rank_matches_sympy(m):
     assert rank(m) == sympy.Matrix(m).rank()
 
 
-@given(small_matrix())
+@given(st.one_of(small_matrix(), small_matrix(entries=fraction_entries),
+                 low_rank_matrix(fraction_entries)))
 @settings(max_examples=60, deadline=None)
 def test_modp_rank_never_exceeds_exact_rank(m):
     # A single-prime rank is a one-sided certificate: it can only drop.
@@ -136,6 +137,28 @@ def test_solve_rational_input():
     assert all(isinstance(v, Fraction) for v in x)
     assert matvec(a, x) == b
     assert x == [Fraction(-1, 6), Fraction(-3, 8)]
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(fraction_entries, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@settings(max_examples=60, deadline=None)
+def test_inverse_is_a_two_sided_inverse(a):
+    if det(a) == 0:
+        with pytest.raises(ValueError):
+            inverse(a)
+        return
+    inv = inverse(a)
+    assert all(isinstance(v, Fraction) for row in inv for v in row)
+    assert matmul(a, inv) == identity(len(a))
+    assert matmul(inv, a) == identity(len(a))
+
+
+def test_inverse_rejects_singular():
+    with pytest.raises(ValueError):
+        inverse([[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        inverse([[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 3]])
 
 
 def test_solve_rejects_singular():
