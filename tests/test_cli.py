@@ -159,6 +159,18 @@ def test_sweep_json_matches_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == golden
 
 
+@pytest.mark.parametrize("diagram", sorted(json.loads(
+    (DATA / "large_classify_seed0.json").read_text())))
+def test_large_classify_json_is_frozen(capsys, diagram):
+    # The benchmark's rank 10-14 and E8 diagrams: their instances are frozen
+    # in tests/data/parabolic_instances.json, and this freezes what the CLI
+    # prints from them, form determinants of up to 4,181 bits included.
+    code, out, err = run(capsys, "classify", diagram, "--json", "--seed", "0")
+    assert code == 0 and err == ""
+    golden = json.loads((DATA / "large_classify_seed0.json").read_text())[diagram]
+    assert hashlib.sha256(out.encode()).hexdigest() == golden
+
+
 def test_classify_prints_every_digit_of_a_huge_determinant(capsys, monkeypatch):
     real = cli_module.classify
     big = 10 ** 4999 + 7  # 5000 digits, past the default int-to-str limit
