@@ -10,6 +10,13 @@ mode clears below the pivots (rank, determinant); Gauss-Jordan mode clears
 above them too (kernel, inverse), leaving a common pivot value ``d`` such
 that the reduced row echelon form is ``m / d``.  Solve applies the inverse.
 
+Row scaling is lazy.  Textbook Bareiss multiplies every row whose entry in
+the pivot column is zero by ``p / d`` at every step; on the sparse
+isotropy kernels and Gram matrices of this package that is most rows.
+Here such a row is left as it is, with the pivot value at which it was
+last brought current, and scaled once, when it is next combined, chosen
+as pivot or (Gauss-Jordan mode) returned.  The result is the same matrix.
+
 A mod-p elimination is provided as a fast certificate: it reduces the rows
 scaled to integers by :func:`_integer_row` mod the Mersenne prime P61.
 Scaling a row by a nonzero integer keeps its rank over Q, and the rank mod
@@ -79,6 +86,14 @@ def _echelon(rows: Mat, jordan: bool) -> tuple[list, list[int], int, int, int]:
     form is ``m / d``.  Without it only rows below a pivot are cleared, and
     for a square matrix of full rank ``sign * d / scale`` is the
     determinant.
+
+    ``at[r]`` is the pivot value at which row r was last brought current:
+    its current value is ``m[r] * d / at[r]``, an integer.  A row with a
+    zero in the pivot column is not touched.  A row with entry f there
+    becomes ``(p * m[r] - f * prow) // at[r]``, the Bareiss step with the
+    pending factor ``d / at[r]`` cancelled, and is current at the new pivot
+    p.  The pivot row is brought current before it is used, and in
+    Gauss-Jordan mode every row is brought current at the end.
     """
     m, scale = [], 1
     for row in rows:
@@ -89,6 +104,7 @@ def _echelon(rows: Mat, jordan: bool) -> tuple[list, list[int], int, int, int]:
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
     d, sign = 1, 1
+    at = [1] * nrows  # the pivot value at which each row was last brought current
     for col in range(ncols):
         k = len(pivots)
         piv = next((r for r in range(k, nrows) if m[r][col]), None)
@@ -96,22 +112,27 @@ def _echelon(rows: Mat, jordan: bool) -> tuple[list, list[int], int, int, int]:
             continue
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
+            at[k], at[piv] = at[piv], at[k]
             sign = -sign
+        if at[k] != d:
+            m[k] = [a * d // at[k] for a in m[k]]
         prow = m[k]
         p = prow[col]
+        at[k] = p
         for r in range(0 if jordan else k + 1, nrows):
             if r == k:
                 continue
             mr = m[r]
             f = mr[col]
             if f:
-                m[r] = [(p * a - f * b) // d for a, b in zip(mr, prow)]
-            elif p != d:
-                m[r] = [p * a // d for a in mr]
+                m[r] = [(p * a - f * b) // at[r] for a, b in zip(mr, prow)]
+                at[r] = p
         pivots.append(col)
         d = p
         if k + 1 == nrows:
             break
+    if jordan:
+        m = [row if a == d else [v * d // a for v in row] for row, a in zip(m, at)]
     return m, pivots, d, sign, scale
 
 

@@ -34,6 +34,39 @@ def low_rank_matrix(draw, entries=small_entries):
     return matmul(b, c)
 
 
+# Mostly zero: a row whose pivot-column entry is zero is left stale by
+# _echelon until it is next used, which dense input rarely exercises.
+sparse_entries = st.one_of(st.just(0), st.just(0), st.just(0), small_entries, fraction_entries)
+
+
+@st.composite
+def sparse_matrix(draw):
+    """A square, wide, tall or low-rank matrix of mostly zero entries."""
+    shape = draw(st.sampled_from(["square", "wide", "tall", "low-rank"]))
+    if shape == "low-rank":
+        return draw(low_rank_matrix(sparse_entries))
+    a, b = sorted(draw(st.lists(st.integers(1, 7), min_size=2, max_size=2)))
+    rows, cols = {"square": (b, b), "wide": (a, b + 1), "tall": (b + 1, a)}[shape]
+    return draw(st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@given(sparse_matrix())
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_sympy_on_sparse_input(m):
+    # Jordan mode: m / d is the reduced row echelon form.  Forward mode on
+    # a square matrix: sign * d / scale is the determinant at full rank.
+    expected = sympy.Matrix(m)
+    reduced, pivots = expected.rref()
+    em, got_pivots, d, _, _ = _echelon(m, True)
+    assert tuple(got_pivots) == pivots
+    assert sympy.Matrix(em) / d == reduced
+    if len(m) == len(m[0]):
+        _, got_pivots, d, sign, scale = _echelon(m, False)
+        full = len(got_pivots) == len(m)
+        assert (Fraction(sign * d, scale) if full else 0) == expected.det()
+
+
 @given(small_matrix())
 @settings(max_examples=60, deadline=None)
 def test_rank_matches_sympy(m):
