@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ._linalg import solve
 from .diagram import WeightedDiagram
@@ -67,12 +68,14 @@ def compute_grading(d: WeightedDiagram) -> Grading:
     return Grading(d, tuple(h), degrees, dict(sorted(dims.items())))
 
 
-def components(d: WeightedDiagram) -> list[Component]:
+@lru_cache(maxsize=256)
+def components(d: WeightedDiagram) -> tuple[Component, ...]:
     """The irreducible pieces of level 1, one per circled node, ascending.
 
     One pass over the positive roots: a root of level 1 has coefficient 1
     at exactly one circled node, and joins that node's piece.  Each piece
-    keeps the positive roots' order.
+    keeps the positive roots' order.  The split is cached per diagram, so
+    the instance builder and the diagram's subset lattice share one.
     """
     rs = build_root_system(d.type)
     axes = [a - 1 for a in d.circled]
@@ -86,7 +89,7 @@ def components(d: WeightedDiagram) -> list[Component]:
         j = tuple(b for b in rs.neighbors(a) if b not in d.circled)
         hw = {b: rs.cartan[a - 1][b - 1] for b in j}
         out.append(Component(a, tuple(roots), len(roots), j, hw))
-    return out
+    return tuple(out)
 
 
 def rules_R(d: WeightedDiagram, alpha: int, beta: int) -> int:

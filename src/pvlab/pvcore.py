@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from operator import mul, sub
@@ -109,6 +110,10 @@ class PVInstance:
     ``diagram`` is the weighted diagram of a :func:`build_parabolic_pv`
     instance, whose component i sits at circled node ``diagram.circled[i]``;
     restrictions, subalgebra instances and the matrix models have none.
+
+    :attr:`operator_entries` lists each operator's nonzero entries, found
+    once per instance.  It is a cached property, not a field, so equality,
+    ``astuple`` and the frozen digests see the fields alone.
     """
 
     name: str
@@ -123,6 +128,13 @@ class PVInstance:
     @property
     def dim_g(self) -> int:
         return len(self.operators)
+
+    @cached_property
+    def operator_entries(self) -> tuple[tuple[tuple[int, int, object], ...], ...]:
+        """``(row, col, value)`` for each nonzero entry of each operator, by
+        rows.  A parabolic root operator has at most one per column."""
+        return tuple(tuple((a, b, v) for a, row in enumerate(op) for b, v in enumerate(row) if v)
+                     for op in self.operators)
 
 
 def make_instance(name, operators, dim_v, form, characters, components, labels) -> PVInstance:
@@ -227,9 +239,13 @@ CANDIDATES = 8
 
 
 def _action_columns(pv: PVInstance, x: Sequence) -> list[list]:
-    """dim_v x dim_g matrix whose column i is (operator_i) x."""
-    cols = [matvec(op, x) for op in pv.operators]
-    return [[col[r] for col in cols] for r in range(pv.dim_v)]
+    """dim_v x dim_g matrix whose column i is (operator_i) x, summed over
+    the operator's nonzero entries only."""
+    rows = [[0] * pv.dim_g for _ in range(pv.dim_v)]
+    for i, entries in enumerate(pv.operator_entries):
+        for a, b, v in entries:
+            rows[a][i] += v * x[b]
+    return rows
 
 
 def _generic_search(pv: PVInstance, seed: int) -> tuple[GenericPoint, list[list[int]]]:
@@ -259,11 +275,21 @@ def isotropy_algebra(pv: PVInstance, x: Sequence) -> list[list[int]]:
 
 
 def _gram(form: Matrix, vectors: Sequence[Sequence]) -> list[list]:
-    """The form on the span of the vectors: S F S^t for the rows S of ``vectors``."""
+    """The form on the span of the vectors: S F S^t for the rows S of ``vectors``.
+
+    Every instance form is symmetric, so S F S^t is: the entries on and
+    above the diagonal are computed and mirrored below it.
+    """
     sparse_form = [[(b, fb) for b, fb in enumerate(row) if fb] for row in form]
     images = [[sum(fb * s[b] for b, fb in row) for row in sparse_form] for s in vectors]
     supports = [[(a, ta) for a, ta in enumerate(t) if ta] for t in vectors]
-    return [[sum(ta * image[a] for a, ta in support) for image in images] for support in supports]
+    n = len(vectors)
+    gram = [[0] * n for _ in range(n)]
+    for i, support in enumerate(supports):
+        for j in range(i, n):
+            image = images[j]
+            gram[i][j] = gram[j][i] = sum(ta * image[a] for a, ta in support)
+    return gram
 
 
 def is_reductive(pv: PVInstance, subalgebra: Sequence[Sequence]) -> ReductivityCert:
@@ -348,14 +374,9 @@ def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence], name: str |
     for s in vectors:
         m = [[0] * pv.dim_v for _ in range(pv.dim_v)]
         for b, sb in enumerate(s):
-            if not sb:
-                continue
-            op = pv.operators[b]
-            for a in range(pv.dim_v):
-                row = op[a]
-                for c in range(pv.dim_v):
-                    if row[c]:
-                        m[a][c] += sb * row[c]
+            if sb:
+                for a, c, v in pv.operator_entries[b]:
+                    m[a][c] += sb * v
         operators.append(m)
     form = _gram(pv.form, vectors)
     characters = [[sum(row[b] * s[b] for b in range(pv.dim_g)) for s in vectors]
@@ -786,8 +807,10 @@ class HessianIdentityReport:
     points_checked: int
 
 
-def hessian_product_identity_check(f: Invariant, dim: int, seed: int = 0,
-                                   points: int = 5) -> HessianIdentityReport:
+HESSIAN_POINTS = 5
+
+
+def hessian_product_identity_check(f: Invariant, dim: int, seed: int = 0) -> HessianIdentityReport:
     """Exact check of  f^dim * det(Hessian f) = (1 - deg f) * det(f*H - grad*grad^t).
 
     Both sides are polynomials; they are compared at seeded integer sample
@@ -801,10 +824,11 @@ def hessian_product_identity_check(f: Invariant, dim: int, seed: int = 0,
     w1, w2, _ = _derivative_weights(f.degree)
     done = 0
     attempts = 0
-    while done < points:
+    while done < HESSIAN_POINTS:
         attempts += 1
-        if attempts > 50 * points:
-            raise DegenerateInvariant(f"{f.name}: could not find {points} nonvanishing points")
+        if attempts > 50 * HESSIAN_POINTS:
+            raise DegenerateInvariant(
+                f"{f.name}: could not find {HESSIAN_POINTS} nonvanishing points")
         x = stream.vector(dim)
         fx = f.evaluate(x)
         if fx == 0:

@@ -170,6 +170,10 @@ def test_model_instances_are_frozen():
     got = {s: hashlib.sha256(repr(dataclasses.astuple(build_model(s).instance)).encode())
            .hexdigest() for s in frozen}
     assert got == frozen
+    # pvcore._gram computes S F S^t on and above the diagonal only.
+    for s in frozen:
+        form = build_model(s).instance.form
+        assert form == tuple(zip(*form)), f"asymmetric form on {s}"
 
 
 def test_verify_model_reports_every_expected_key():

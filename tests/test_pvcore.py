@@ -14,7 +14,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvlab import pvcore
+from pvlab import grading, pvcore
+from pvlab.classify import classify
 from pvlab._linalg import matvec
 from pvlab.diagram import WeightedDiagram, parse_diagram
 from pvlab.models import build_model, diag_chain, dual_pair, matrix_pair, sym_vector, verify_model
@@ -67,6 +68,8 @@ def test_parabolic_instances_are_frozen():
         digest = hashlib.sha256()
         for d in sorted(ds, key=lambda d: (len(d.circled), d.circled)):
             pv = build_parabolic_pv(d)
+            # pvcore._gram computes S F S^t on and above the diagonal only.
+            assert pv.form == tuple(zip(*pv.form)), f"asymmetric form on {d}"
             # repr(astuple(pv)), without astuple's deep copy of every matrix
             # entry: the diagram is the one field that is a dataclass.
             fields = (getattr(pv, f.name) for f in dataclasses.fields(pv))
@@ -75,6 +78,19 @@ def test_parabolic_instances_are_frozen():
         got[t] = digest.hexdigest()
     frozen = json.loads((Path(__file__).parent / "data" / "parabolic_instances.json").read_text())
     assert got == frozen
+
+
+@pytest.mark.parametrize("pv", [build_parabolic_pv(parse_diagram("E6[1,2]")),
+                                build_parabolic_pv(parse_diagram("C6[2,5]")),
+                                build_model("skew-pair:p=2,r=5").instance,
+                                sym_vector(3).instance],
+                         ids=["E6[1,2]", "C6[2,5]", "skew-pair", "sym-vector"])
+def test_action_columns_are_the_dense_products(pv):
+    # Column i is operator i times x, read from the nonzero entries alone.
+    x = list(range(-3, pv.dim_v - 3))
+    expected = [list(col) for col in zip(*(matvec(op, x) for op in pv.operators))]
+    assert pvcore._action_columns(pv, x) == expected
+    assert all(v for entries in pv.operator_entries for _, _, v in entries)
 
 
 def test_generic_point_determinism():
@@ -243,6 +259,19 @@ def test_shared_piece_verdict_is_computed_once(monkeypatch):
     second = SubsetLattice(build_parabolic_pv(parse_diagram("A4[1,3]")))
     assert second.regular_proper_subset(second.full) == (1,)  # the piece A3[2]
     assert names == ["A4[1,3]/V[3]"]
+
+
+def test_level_one_is_split_once_per_diagram():
+    # build_parabolic_pv and the diagram's lattice read one cached split.
+    diagrams = [WeightedDiagram(SimpleType(family, 5), circled)
+                for family in "AD" for size in (2, 3, 4)
+                for circled in itertools.combinations(range(1, 6), size)]
+    grading.components.cache_clear()
+    for d in diagrams:
+        classify(d, "both", 0)
+    info = grading.components.cache_info()
+    assert info.misses == len(diagrams) == 50
+    assert info.hits >= len(diagrams)
 
 
 def test_filtration_requires_regularity():
