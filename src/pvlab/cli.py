@@ -31,6 +31,7 @@ from .rootsys import InadmissibleType, SimpleType
 SCHEMA_VERSION = "1"
 GRAMMAR = "diagram ::= FAMILY RANK '[' node (',' node)* ']'    e.g. A3[1,3], D9[2,3,5,8]"
 _EXIT_OK, _EXIT_USAGE, _EXIT_MISMATCH, _EXIT_MODEL = 0, 1, 2, 3
+_EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports a process killed by SIGPIPE
 
 _CLASSICAL_MIN = {"A": 1, "B": 2, "C": 3, "D": 4}
 _FIXED_TYPES = {"E6": ("E", 6), "E7": ("E", 7), "E8": ("E", 8), "F4": ("F", 4), "G2": ("G", 2)}
@@ -444,15 +445,21 @@ def main(argv: list[str] | None = None) -> int:
     # Form determinants of large diagrams (A20[3,18] has one) run past the
     # 4300-digit limit on int-to-str conversion; print every digit, and
     # restore the caller's limit afterwards.  Python 3.10 may lack the limit.
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        return _run(argv)
-    limit = sys.get_int_max_str_digits()
-    set_limit(0)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return _run(argv)
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`pvlab ... | head`).  Point stdout at devnull
+        # so that the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT_BROKEN_PIPE
     finally:
-        set_limit(limit)
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    return code
 
 
 # Parsed arguments that are not echoed as the document's inputs.

@@ -5,7 +5,9 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -341,6 +343,20 @@ def test_mismatch_exit_code_and_payload(capsys, monkeypatch):
     code, out, err = run(capsys, "classify", "D5[2,4]")
     assert code == 2 and out == ""
     assert "mismatch:" in err and "oracle" in err
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    # As in `pvlab enumerate ... --json | head -c 100`, the reader is gone
+    # before the report is written; the exit code is 128 + SIGPIPE.
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "pvlab.cli", "enumerate", "--types", "A",
+                             "--max-rank", "7", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_failed_model_check_exit_code(capsys, monkeypatch):
