@@ -813,8 +813,8 @@ HESSIAN_POINTS = 5
 def hessian_product_identity_check(f: Invariant, dim: int, seed: int = 0) -> HessianIdentityReport:
     """Exact check of  f^dim * det(Hessian f) = (1 - deg f) * det(f*H - grad*grad^t).
 
-    Both sides are polynomials; they are compared at seeded integer sample
-    points, resampling any point where f vanishes.  The check uses
+    Both sides are polynomials; they are compared at ``HESSIAN_POINTS``
+    seeded integer sample points, resampling any point where f vanishes.  The check uses
     h = 2 * scale**2 * H and g = scale * grad from the integer derivative
     weights, so f*h - 2*g*g^t is 2 * scale**2 * (f*H - grad*grad^t) and both
     sides carry the same factor (2 * scale**2)**dim.  Nothing is divided:

@@ -348,8 +348,8 @@ def test_mismatch_exit_code_and_payload(capsys, monkeypatch):
 def test_closed_pipe_exits_141_without_a_traceback():
     # As in `pvlab enumerate ... --json | head -c 100`, the reader is gone
     # before the report is written; the exit code is 128 + SIGPIPE.
-    src = str(Path(__file__).parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.Popen([sys.executable, "-m", "pvlab.cli", "enumerate", "--types", "A",
                              "--max-rank", "7", "--json"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
