@@ -30,7 +30,7 @@ from .rootsys import InadmissibleType, SimpleType
 
 SCHEMA_VERSION = "1"
 GRAMMAR = "diagram ::= FAMILY RANK '[' node (',' node)* ']'    e.g. A3[1,3], D9[2,3,5,8]"
-_EXIT_OK, _EXIT_USAGE, _EXIT_MISMATCH, _EXIT_MODEL = 0, 1, 2, 3
+_EXIT_OK, _EXIT_USAGE, _EXIT_MISMATCH, _EXIT_MODEL, _EXIT_NON_GENERIC = 0, 1, 2, 3, 4
 _EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports a process killed by SIGPIPE
 
 _CLASSICAL_MIN = {"A": 1, "B": 2, "C": 3, "D": 4}
@@ -482,6 +482,9 @@ def _run(argv: list[str] | None) -> int:
     except MismatchError as e:
         _emit_mismatch(e, args)
         return _EXIT_MISMATCH
+    except pvcore.NonGenericPoint as e:
+        print(f"error: no generic point found: {e}", file=sys.stderr)
+        return _EXIT_NON_GENERIC
     if args.json:
         inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
         print(json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command,

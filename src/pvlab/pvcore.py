@@ -31,9 +31,28 @@ support is a plus the theta-components next to it: a level-1 root's
 support is connected and holds no other circled node, and the simple roots
 of a connected node set sum to a root.
 
+Each piece verdict is decided by (ad x)^2 on level -1
+(:func:`ad_square_regular`), with no isotropy kernel and no Gram matrix.
+Let V be a component sum of level 1, V^* the span of the e_-r for the
+roots r of V, K the Killing form, and x in V with a -> [a, x] mapping g_0
+onto V; its kernel h is the isotropy.  For a in g_0 and y in V^*,
+K(a, [x, y]) = K([a, x], y), and K pairs V with V^* nondegenerately.  So
+[x, V^*] is orthogonal to h, y -> [x, y] is injective on V^* (a y with
+[x, y] = 0 is orthogonal to every [a, x], that is to all of V), and since K
+is nondegenerate on g_0, [x, V^*] is the whole orthogonal of h: both have
+dimension dim g_0 - dim h = dim V.  The radical of K on h is therefore
+h ∩ [x, V^*] = {[x, y] : [[x, y], x] = 0}, isomorphic to the kernel of
+y -> [[x, y], x] from V^* to V.  In coordinates that map is M = A_x B_x:
+A_x is the action matrix at x and column r of B_x is [x, e_-r] in the
+operator basis, so h is reductive, and the sum regular, exactly when the
+dim V x dim V matrix M is invertible.  This is the linear-algebra form of
+the classical fact that a parabolic PV is regular when a generic x lies in
+an sl2-triple (y, H_0, x) with y at level -1.
+
 All verdicts use exact rational arithmetic.  A large-prime modular rank is
-used as a fast certificate during candidate selection; it can only
-under-report, and every reported rank comes from an exact kernel.
+used as a fast certificate during candidate selection and for M; it can
+only under-report.  Every reported rank comes from an exact kernel, and a
+piece verdict from full rank mod p or, failing that, an exact determinant.
 """
 from __future__ import annotations
 
@@ -114,6 +133,8 @@ class PVInstance:
     :attr:`operator_entries` lists each operator's nonzero entries, found
     once per instance.  It is a cached property, not a field, so equality,
     ``astuple`` and the frozen digests see the fields alone.
+    :func:`build_parabolic_pv` and :func:`restrict` fill it in from the
+    entries they write; any other instance scans its operators on first use.
     """
 
     name: str
@@ -137,6 +158,13 @@ class PVInstance:
                      for op in self.operators)
 
 
+def _with_entries(pv: PVInstance, entries) -> PVInstance:
+    """``pv`` with :attr:`PVInstance.operator_entries` set to entries already
+    known, in the scan's order, so that no operator is scanned for them."""
+    pv.__dict__["operator_entries"] = tuple(map(tuple, entries))
+    return pv
+
+
 def make_instance(name, operators, dim_v, form, characters, components, labels) -> PVInstance:
     return PVInstance(
         name=name,
@@ -158,7 +186,8 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
     subalgebra).
 
     The level-1 basis is that of :func:`pvlab.grading.components`, one
-    component after another, and only the nonzero entries are written.
+    component after another, and only the nonzero entries are written, row
+    by row, into the operators and :attr:`PVInstance.operator_entries`.
     H_i acts on the level-1 root vector e_r by the pairing r(H_i).
     The root vector e_g of a level-0 root g sends e_r to N(g, r) e_s for
     each pair of level-1 roots (r, s) with s - r = g; such a pair lies in
@@ -176,19 +205,24 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
         raise EmptyLevelOne(render_compact(d))
     dim_v = len(level1)
     cartan_ops = [[[0] * dim_v for _ in range(dim_v)] for _ in range(n)]
+    entries: list[list] = [[] for _ in range(n + len(level0))]
     columns = list(zip(*rs.cartan))
     for k, r in enumerate(level1):
         for i, column in enumerate(columns):
-            cartan_ops[i][k][k] = sum(map(mul, r, column))  # the pairing r(H_i)
+            v = sum(map(mul, r, column))  # the pairing r(H_i)
+            if v:
+                cartan_ops[i][k][k] = v
+                entries[i].append((k, k, v))
     position = {g: p for p, g in enumerate(level0)}
     root_ops = [[[0] * dim_v for _ in range(dim_v)] for _ in level0]
     ranges, offset = [], 0
     for c in components:
-        for k, r in enumerate(c.roots, offset):
-            for l, s in enumerate(c.roots, offset):
+        for l, s in enumerate(c.roots, offset):
+            for k, r in enumerate(c.roots, offset):
                 p = position.get(tuple(map(sub, s, r)))
                 if p is not None:
-                    root_ops[p][l][k] = alg.nconst[(level0[p], r)]
+                    v = root_ops[p][l][k] = alg.nconst[(level0[p], r)]
+                    entries[n + p].append((l, k, v))
         ranges.append(range(offset, offset + c.dim))
         offset += c.dim
     dim_g = n + len(level0)
@@ -204,7 +238,7 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
     characters = [[1 if j == a - 1 else 0 for j in range(dim_g)] for a in d.circled]
     pv = make_instance(render_compact(d), cartan_ops + root_ops, dim_v, form, characters,
                        ranges, [f"V[{c.alpha}]" for c in components])
-    return replace(pv, diagram=d)
+    return _with_entries(replace(pv, diagram=d), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +381,10 @@ def count_fundamental_invariants(pv: PVInstance, x: Sequence, certified_rank: in
 
 
 def restrict(pv: PVInstance, indices) -> PVInstance:
-    """Same algebra acting on the sum of the selected components."""
+    """Same algebra acting on the sum of the selected components.
+
+    The operators and their nonzero entries are the parent's entries whose
+    row and column both lie in the sum, renumbered."""
     idxs = tuple(sorted(set(indices)))
     if not idxs:
         raise EmptySubset(pv.name)
@@ -357,7 +394,13 @@ def restrict(pv: PVInstance, indices) -> PVInstance:
     if idxs == tuple(range(len(pv.components))):
         return pv
     coords = [c for i in idxs for c in pv.components[i]]
-    operators = [[[op[a][b] for b in coords] for a in coords] for op in pv.operators]
+    new = {c: k for k, c in enumerate(coords)}
+    entries = [sorted((new[a], new[b], v) for a, b, v in op if a in new and b in new)
+               for op in pv.operator_entries]
+    operators = [[[0] * len(coords) for _ in coords] for _ in entries]
+    for op, op_entries in zip(operators, entries):
+        for a, b, v in op_entries:
+            op[a][b] = v
     components, offset = [], 0
     for i in idxs:
         size = len(pv.components[i])
@@ -365,7 +408,57 @@ def restrict(pv: PVInstance, indices) -> PVInstance:
         offset += size
     labels = [pv.labels[i] for i in idxs]
     name = pv.name + "/" + "+".join(labels)
-    return make_instance(name, operators, len(coords), pv.form, pv.characters, components, labels)
+    return _with_entries(make_instance(name, operators, len(coords), pv.form, pv.characters,
+                                       components, labels), entries)
+
+
+def ad_square_regular(pv: PVInstance, subset: tuple[int, ...], seed: int = 0) -> bool:
+    """Whether the restriction of a parabolic instance to the component sum
+    ``subset`` is regular, decided by (ad x)^2 on level -1 (see the module
+    docstring).
+
+    x is the point :func:`is_regular` takes on the restriction: the first
+    draw of the same seeded stream whose action matrix A_x has mod-p rank
+    dim_v, which certifies that a -> a.x is onto.  Column r of B_x is
+    [x, e_-r] = sum_s x_s [e_s, e_-r], read from the Chevalley basis, and
+    the sum is regular exactly when M = A_x B_x is invertible: full rank mod
+    p certifies it, and otherwise the exact determinant decides.  Every
+    component sum of a parabolic instance is prehomogeneous (Vinberg), so a
+    run of draws that never reaches dim_v raises :class:`NonGenericPoint`.
+    """
+    d = pv.diagram
+    alg = chevalley_basis(d.type)
+    n = d.type.rank
+    sub = restrict(pv, subset)
+    roots = [r for i in sorted(set(subset)) for r in grading.components(d)[i].roots]
+    up = [alg.e_index(r) for r in roots]
+    down = [alg.e_index(tuple(-v for v in r)) for r in roots]
+    # lowering[r] lists [e_s, e_-r] as (s, operator, coefficient): the coroot
+    # of r for s = r, and for s - r = g a multiple of e_g.  The root operator
+    # of g moves e_r to e_s, so those pairs are its nonzero entries (s, r).
+    lowering = [[(r, k, c) for k, c in alg.bracket(up[r], down[r])] for r in range(len(roots))]
+    for j, entries in enumerate(sub.operator_entries[n:], n):
+        for s, r, _ in entries:
+            [(_, c)] = alg.bracket(up[s], down[r])
+            lowering[r].append((s, j, c))
+    stream = Stream(seed, context="generic:" + sub.name)
+    for _ in range(CANDIDATES):
+        x = stream.vector(sub.dim_v)
+        a = _action_columns(sub, x)
+        if modp_rank(a) == sub.dim_v:
+            break
+    else:
+        raise NonGenericPoint(f"{sub.name}: orbit rank below {sub.dim_v} at {CANDIDATES} draws")
+    columns = list(zip(*a))
+    mt = []  # M transposed: row r is A_x [x, e_-r], one column of A_x per bracket
+    for brackets in lowering:
+        row = [0] * sub.dim_v
+        for s, j, c in brackets:
+            if x[s]:
+                f = c * x[s]
+                row = [u + f * v for u, v in zip(row, columns[j])]
+        mt.append(row)
+    return modp_rank(mt) == sub.dim_v or det(mt) != 0
 
 
 def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence], name: str | None = None) -> PVInstance:
@@ -407,8 +500,12 @@ class SubsetLattice:
     :func:`~pvlab.diagram.subdiagram` pieces, because the restriction is
     the product of the pieces' PVs up to a reductive kernel (see the module
     docstring).  Each piece verdict is computed once per process and seed,
-    by restricting the instance at hand to that piece's components, so
-    diagrams that share a piece share its verdict.
+    on the restriction of the instance at hand to that piece's components,
+    so diagrams that share a piece share its verdict.  It is a yes/no that
+    is never printed, so it comes from :func:`ad_square_regular`: one
+    dim_v x dim_v matrix M = A_x B_x at the point :func:`is_regular` would
+    take, with no isotropy kernel and no Gram determinant.  Full reports,
+    which print their form determinant, still come from :func:`is_regular`.
 
     The pieces come from the diagram, split once per lattice into the
     closure of each circled node: the support of the node's level-1
@@ -496,7 +593,7 @@ class SubsetLattice:
         key = (render_compact(piece), self.seed)
         if key not in _PIECE_VERDICTS:
             own = tuple(i for i, a in enumerate(self.pv.diagram.circled) if a in nodes)
-            _PIECE_VERDICTS[key] = self.regular(own).regular
+            _PIECE_VERDICTS[key] = ad_square_regular(self.pv, own, self.seed)
         return _PIECE_VERDICTS[key]
 
     def regular_proper_subset(self, subset: tuple[int, ...]) -> tuple[int, ...] | None:

@@ -137,6 +137,57 @@ def test_piece_verdicts_match_direct_restriction():
     assert checked == 11698
 
 
+def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
+    # ad_square_regular decides regularity from M = A_x B_x, with no
+    # isotropy kernel and no Gram matrix.  On every sweep diagram at seed 0
+    # it must agree with is_regular on the full instance and on the direct
+    # restriction to every proper sum the lattice queries while classifying.
+    queried = []
+    original = SubsetLattice.is_regular_sum
+
+    def recording(lattice, subset):
+        queried.append(subset)
+        return original(lattice, subset)
+
+    monkeypatch.setattr(SubsetLattice, "is_regular_sum", recording)
+    fulls = sums = regular_sums = 0
+    for t in SWEEP_TYPES:
+        for size in range(2, t.rank + 1):
+            for circled in itertools.combinations(range(1, t.rank + 1), size):
+                d = WeightedDiagram(t, circled)
+                lattice = SubsetLattice(build_parabolic_pv(d))
+                queried.clear()
+                lattice.q_irreducibility()
+                lattice.completely_q_reducible(lattice.full)
+                full = lattice.regular(lattice.full).regular
+                assert pvcore.ad_square_regular(lattice.pv, lattice.full) == full, d
+                fulls += 1
+                for subset in set(queried) - {lattice.full}:
+                    direct = is_regular(restrict(lattice.pv, subset)).regular
+                    assert pvcore.ad_square_regular(lattice.pv, subset) == direct, (d, subset)
+                    sums += 1
+                    regular_sums += direct
+    assert (fulls, sums, regular_sums) == (927, 6128, 2052)
+
+
+def test_operator_entries_match_the_dense_scan():
+    # build_parabolic_pv and restrict hand operator_entries the entries they
+    # write; they must be the scan of the dense operators, in its order.
+    scan = pvcore.PVInstance.operator_entries.func
+    checked = 0
+    for t in SWEEP_TYPES:
+        for size in range(2, t.rank + 1):
+            for circled in itertools.combinations(range(1, t.rank + 1), size):
+                pv = build_parabolic_pv(WeightedDiagram(t, circled))
+                assert pv.operator_entries == scan(pv), pv.name
+                for k in range(1, size):
+                    for subset in itertools.combinations(range(size), k):
+                        sub = restrict(pv, subset)
+                        assert sub.operator_entries == scan(sub), sub.name
+                        checked += 1
+    assert checked == 11698
+
+
 def test_lattice_pieces_match_subdiagram(monkeypatch):
     # The lattice splits each diagram once into the closures of its circled
     # nodes and builds the pieces of a proper component sum from them.  They

@@ -359,6 +359,19 @@ def test_closed_pipe_exits_141_without_a_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+def test_non_generic_point_exits_4_without_a_traceback(capsys, monkeypatch):
+    # A mod-p rank that under-reports leaves no certified generic point for
+    # the proper sums of A3[1,3], so their piece verdicts raise.
+    pvcore = importlib.import_module("pvlab.pvcore")
+    monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
+    monkeypatch.setattr(pvcore, "modp_rank", lambda rows: 0)
+    code, out, err = run(capsys, "classify", "A3[1,3]")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: no generic point found: A3[1,3]/V[1]")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_failed_model_check_exit_code(capsys, monkeypatch):
     def broken(n: int):
         spec = dual_pair(n)

@@ -243,15 +243,17 @@ def test_each_regularity_verdict_is_computed_once(monkeypatch):
 
 def test_shared_piece_verdict_is_computed_once(monkeypatch):
     # A3[1,3] and A4[1,3] restricted to V[1] both have the one piece A2[1].
+    # Piece verdicts come from ad_square_regular, so its calls are counted,
+    # each named by the restriction it decides.
     names = []
-    original = pvcore.is_regular
+    original = pvcore.ad_square_regular
 
-    def counting(pv, seed=0):
-        names.append(pv.name)
-        return original(pv, seed)
+    def counting(pv, subset, seed=0):
+        names.append(restrict(pv, subset).name)
+        return original(pv, subset, seed)
 
     monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
-    monkeypatch.setattr(pvcore, "is_regular", counting)
+    monkeypatch.setattr(pvcore, "ad_square_regular", counting)
     first = SubsetLattice(build_parabolic_pv(parse_diagram("A3[1,3]")))
     assert first.regular_proper_subset(first.full) is None
     assert names == ["A3[1,3]/V[1]", "A3[1,3]/V[3]"]
