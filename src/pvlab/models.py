@@ -152,14 +152,16 @@ def _pack(blocks: list[_Block], pt: dict[str, list[list]]) -> list:
     return x
 
 
-def _operator(blocks: list[_Block], act: Callable[[dict], dict]) -> list[list]:
+def _operator(blocks: list[_Block], act: Callable[[dict], dict]) -> list[tuple]:
+    """The nonzero entries ``(row, col, value)`` of ``act`` on packed coordinates, by rows."""
     dim = sum(b.size for b in blocks)
-    cols = []
+    entries = []
     for k in range(dim):
         e = [0] * dim
         e[k] = 1
-        cols.append(_pack(blocks, act(_unpack(blocks, e))))
-    return [[cols[c][r] for c in range(dim)] for r in range(dim)]
+        entries.extend((r, k, v) for r, v in enumerate(_pack(blocks, act(_unpack(blocks, e))))
+                       if v)
+    return sorted(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Exact prehomogeneity analysis.
 
 An :class:`PVInstance` packages a basis of the acting Lie algebra *as
-operators on the module* together with everything needed for exact verdicts:
+operators on the module*, each stored as its nonzero entries only, together
+with everything needed for exact verdicts:
 an invariant symmetric form on the algebra (reductivity of isotropy
 subalgebras = nondegenerate restriction), the character functionals of the
 group (independent relative invariants = characters killed by the generic
@@ -57,15 +58,14 @@ piece verdict from full rank mod p or, failing that, an exact determinant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import grading
-from ._linalg import det, kernel_basis, matvec, modp_rank, rank
+from ._linalg import det, kernel_basis, modp_rank, rank
 from ._rand import Stream
 from .chevalley import chevalley_basis
 from .diagram import WeightedDiagram, render_compact
@@ -130,15 +130,14 @@ class PVInstance:
     instance, whose component i sits at circled node ``diagram.circled[i]``;
     restrictions, subalgebra instances and the matrix models have none.
 
-    :attr:`operator_entries` lists each operator's nonzero entries, found
-    once per instance.  It is a cached property, not a field, so equality,
-    ``astuple`` and the frozen digests see the fields alone.
-    :func:`build_parabolic_pv` and :func:`restrict` fill it in from the
-    entries they write; any other instance scans its operators on first use.
+    Each of ``operators`` is a dim_v x dim_v matrix given by its nonzero
+    entries ``(row, col, value)``, ordered by row and then column; no
+    operator is stored densely.  A parabolic root operator has at most one
+    entry per column, and a Cartan operator is diagonal.
     """
 
     name: str
-    operators: tuple[tuple[tuple, ...], ...]
+    operators: tuple[tuple[tuple[int, int, object], ...], ...]
     dim_v: int
     form: tuple[tuple, ...]
     characters: tuple[tuple, ...]
@@ -150,30 +149,18 @@ class PVInstance:
     def dim_g(self) -> int:
         return len(self.operators)
 
-    @cached_property
-    def operator_entries(self) -> tuple[tuple[tuple[int, int, object], ...], ...]:
-        """``(row, col, value)`` for each nonzero entry of each operator, by
-        rows.  A parabolic root operator has at most one per column."""
-        return tuple(tuple((a, b, v) for a, row in enumerate(op) for b, v in enumerate(row) if v)
-                     for op in self.operators)
 
-
-def _with_entries(pv: PVInstance, entries) -> PVInstance:
-    """``pv`` with :attr:`PVInstance.operator_entries` set to entries already
-    known, in the scan's order, so that no operator is scanned for them."""
-    pv.__dict__["operator_entries"] = tuple(map(tuple, entries))
-    return pv
-
-
-def make_instance(name, operators, dim_v, form, characters, components, labels) -> PVInstance:
+def make_instance(name, operators, dim_v, form, characters, components, labels,
+                  diagram: WeightedDiagram | None = None) -> PVInstance:
     return PVInstance(
         name=name,
-        operators=tuple(_freeze(m) for m in operators),
+        operators=tuple(map(tuple, operators)),
         dim_v=dim_v,
         form=_freeze(form),
         characters=_freeze(characters),
         components=tuple(tuple(c) for c in components),
         labels=tuple(labels),
+        diagram=diagram,
     )
 
 
@@ -187,7 +174,7 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
 
     The level-1 basis is that of :func:`pvlab.grading.components`, one
     component after another, and only the nonzero entries are written, row
-    by row, into the operators and :attr:`PVInstance.operator_entries`.
+    by row, into the operators.
     H_i acts on the level-1 root vector e_r by the pairing r(H_i).
     The root vector e_g of a level-0 root g sends e_r to N(g, r) e_s for
     each pair of level-1 roots (r, s) with s - r = g; such a pair lies in
@@ -203,26 +190,21 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
     level1 = [r for c in components for r in c.roots]
     if not level1:
         raise EmptyLevelOne(render_compact(d))
-    dim_v = len(level1)
-    cartan_ops = [[[0] * dim_v for _ in range(dim_v)] for _ in range(n)]
     entries: list[list] = [[] for _ in range(n + len(level0))]
     columns = list(zip(*rs.cartan))
     for k, r in enumerate(level1):
         for i, column in enumerate(columns):
             v = sum(map(mul, r, column))  # the pairing r(H_i)
             if v:
-                cartan_ops[i][k][k] = v
                 entries[i].append((k, k, v))
     position = {g: p for p, g in enumerate(level0)}
-    root_ops = [[[0] * dim_v for _ in range(dim_v)] for _ in level0]
     ranges, offset = [], 0
     for c in components:
         for l, s in enumerate(c.roots, offset):
             for k, r in enumerate(c.roots, offset):
                 p = position.get(tuple(map(sub, s, r)))
                 if p is not None:
-                    v = root_ops[p][l][k] = alg.nconst[(level0[p], r)]
-                    entries[n + p].append((l, k, v))
+                    entries[n + p].append((l, k, alg.nconst[(level0[p], r)]))
         ranges.append(range(offset, offset + c.dim))
         offset += c.dim
     dim_g = n + len(level0)
@@ -236,9 +218,8 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
             form[n + p][n + q] = form[n + q][n + p] = alg.killing(alg.e_index(g),
                                                                   alg.e_index(level0[q]))
     characters = [[1 if j == a - 1 else 0 for j in range(dim_g)] for a in d.circled]
-    pv = make_instance(render_compact(d), cartan_ops + root_ops, dim_v, form, characters,
-                       ranges, [f"V[{c.alpha}]" for c in components])
-    return _with_entries(replace(pv, diagram=d), entries)
+    return make_instance(render_compact(d), entries, len(level1), form, characters,
+                         ranges, [f"V[{c.alpha}]" for c in components], d)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +254,9 @@ CANDIDATES = 8
 
 
 def _action_columns(pv: PVInstance, x: Sequence) -> list[list]:
-    """dim_v x dim_g matrix whose column i is (operator_i) x, summed over
-    the operator's nonzero entries only."""
+    """dim_v x dim_g matrix whose column i is (operator_i) x."""
     rows = [[0] * pv.dim_g for _ in range(pv.dim_v)]
-    for i, entries in enumerate(pv.operator_entries):
+    for i, entries in enumerate(pv.operators):
         for a, b, v in entries:
             rows[a][i] += v * x[b]
     return rows
@@ -348,10 +328,15 @@ def _invariant_count(pv: PVInstance, subalgebra: Sequence[Sequence]) -> int:
 
 
 def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
-    """Full verdict at a seeded generic point, everything exact."""
+    """Full verdict at a seeded generic point, everything exact.  An instance
+    with a ``diagram`` is prehomogeneous (Vinberg), so there an orbit rank
+    below dim_v raises :class:`NonGenericPoint` instead of becoming a verdict."""
     gp, iso = _generic_search(pv, seed)
-    cert = is_reductive(pv, iso)
     preh = gp.orbit_rank == pv.dim_v
+    if pv.diagram is not None and not preh:
+        raise NonGenericPoint(f"{pv.name}: orbit rank {gp.orbit_rank} below {pv.dim_v} "
+                              f"at {CANDIDATES} draws")
+    cert = is_reductive(pv, iso)
     return RegularityReport(
         prehomogeneous=preh,
         generic_point=gp,
@@ -383,8 +368,8 @@ def count_fundamental_invariants(pv: PVInstance, x: Sequence, certified_rank: in
 def restrict(pv: PVInstance, indices) -> PVInstance:
     """Same algebra acting on the sum of the selected components.
 
-    The operators and their nonzero entries are the parent's entries whose
-    row and column both lie in the sum, renumbered."""
+    The operators are the parent's entries whose row and column both lie in
+    the sum, renumbered."""
     idxs = tuple(sorted(set(indices)))
     if not idxs:
         raise EmptySubset(pv.name)
@@ -395,12 +380,8 @@ def restrict(pv: PVInstance, indices) -> PVInstance:
         return pv
     coords = [c for i in idxs for c in pv.components[i]]
     new = {c: k for k, c in enumerate(coords)}
-    entries = [sorted((new[a], new[b], v) for a, b, v in op if a in new and b in new)
-               for op in pv.operator_entries]
-    operators = [[[0] * len(coords) for _ in coords] for _ in entries]
-    for op, op_entries in zip(operators, entries):
-        for a, b, v in op_entries:
-            op[a][b] = v
+    operators = [sorted((new[a], new[b], v) for a, b, v in op if a in new and b in new)
+                 for op in pv.operators]
     components, offset = [], 0
     for i in idxs:
         size = len(pv.components[i])
@@ -408,8 +389,7 @@ def restrict(pv: PVInstance, indices) -> PVInstance:
         offset += size
     labels = [pv.labels[i] for i in idxs]
     name = pv.name + "/" + "+".join(labels)
-    return _with_entries(make_instance(name, operators, len(coords), pv.form, pv.characters,
-                                       components, labels), entries)
+    return make_instance(name, operators, len(coords), pv.form, pv.characters, components, labels)
 
 
 def ad_square_regular(pv: PVInstance, subset: tuple[int, ...], seed: int = 0) -> bool:
@@ -437,7 +417,7 @@ def ad_square_regular(pv: PVInstance, subset: tuple[int, ...], seed: int = 0) ->
     # of r for s = r, and for s - r = g a multiple of e_g.  The root operator
     # of g moves e_r to e_s, so those pairs are its nonzero entries (s, r).
     lowering = [[(r, k, c) for k, c in alg.bracket(up[r], down[r])] for r in range(len(roots))]
-    for j, entries in enumerate(sub.operator_entries[n:], n):
+    for j, entries in enumerate(sub.operators[n:], n):
         for s, r, _ in entries:
             [(_, c)] = alg.bracket(up[s], down[r])
             lowering[r].append((s, j, c))
@@ -462,15 +442,16 @@ def ad_square_regular(pv: PVInstance, subset: tuple[int, ...], seed: int = 0) ->
 
 
 def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence], name: str | None = None) -> PVInstance:
-    """The same module under the subalgebra spanned by the given vectors."""
+    """The same module under the subalgebra spanned by the given vectors;
+    an operator entry whose terms cancel is dropped."""
     operators = []
     for s in vectors:
-        m = [[0] * pv.dim_v for _ in range(pv.dim_v)]
+        sums: dict[tuple[int, int], object] = {}
         for b, sb in enumerate(s):
             if sb:
-                for a, c, v in pv.operator_entries[b]:
-                    m[a][c] += sb * v
-        operators.append(m)
+                for a, c, v in pv.operators[b]:
+                    sums[a, c] = sums.get((a, c), 0) + sb * v
+        operators.append(sorted((a, c, v) for (a, c), v in sums.items() if v))
     form = _gram(pv.form, vectors)
     characters = [[sum(row[b] * s[b] for b in range(pv.dim_g)) for s in vectors]
                   for row in pv.characters]
@@ -833,15 +814,16 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     stream = Stream(seed, context=f"invariant:{pv.name}:{f.name}")
     xs = [stream.vector(pv.dim_v) for _ in range(INVARIANT_POINTS)]
     vals = [f.evaluate(x) for x in xs]
+    images = [list(zip(*_action_columns(pv, x))) for x in xs]  # images[k][i] = (op_i) x_k
     base = next((i for i, v in enumerate(vals) if v != 0), None)
     if base is None:
         raise DegenerateInvariant(f"{f.name} vanishes at all {INVARIANT_POINTS} sample points")
     w1, w2, scale = _derivative_weights(f.degree)
     constants = []
-    for mi, op in enumerate(pv.operators):
+    for mi in range(pv.dim_g):
         g0 = v0 = None
-        for x, v in zip(xs, vals):
-            g = _directional_derivative(f, x, v, matvec(op, x), w1)
+        for x, v, image in zip(xs, vals, images):
+            g = _directional_derivative(f, x, v, image[mi], w1)
             if v == 0:
                 ok = g == 0  # f = 0 forces the derivative to 0
             elif v0 is None:

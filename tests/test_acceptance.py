@@ -27,6 +27,8 @@ from pvlab.pvcore import (Invariant, SubsetLattice, build_parabolic_pv,
                           is_regular, isotropy_algebra, q_irreducible, restrict)
 from pvlab.rootsys import SimpleType, build_root_system, pairing
 
+from _instances import dense_operator
+
 DATA = Path(__file__).parent / "data"
 
 SWEEP_TYPES = ([SimpleType("A", n) for n in range(1, 8)]
@@ -142,6 +144,8 @@ def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
     # isotropy kernel and no Gram matrix.  On every sweep diagram at seed 0
     # it must agree with is_regular on the full instance and on the direct
     # restriction to every proper sum the lattice queries while classifying.
+    # Each of those is a product of parabolic PVs, so by Vinberg's theorem
+    # it is prehomogeneous, and the report must say so.
     queried = []
     original = SubsetLattice.is_regular_sum
 
@@ -159,31 +163,37 @@ def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
                 queried.clear()
                 lattice.q_irreducibility()
                 lattice.completely_q_reducible(lattice.full)
-                full = lattice.regular(lattice.full).regular
-                assert pvcore.ad_square_regular(lattice.pv, lattice.full) == full, d
+                report = lattice.regular(lattice.full)
+                assert report.prehomogeneous, d
+                assert pvcore.ad_square_regular(lattice.pv, lattice.full) == report.regular, d
                 fulls += 1
                 for subset in set(queried) - {lattice.full}:
-                    direct = is_regular(restrict(lattice.pv, subset)).regular
+                    report = is_regular(restrict(lattice.pv, subset))
+                    assert report.prehomogeneous, (d, subset)
+                    direct = report.regular
                     assert pvcore.ad_square_regular(lattice.pv, subset) == direct, (d, subset)
                     sums += 1
                     regular_sums += direct
     assert (fulls, sums, regular_sums) == (927, 6128, 2052)
 
 
-def test_operator_entries_match_the_dense_scan():
-    # build_parabolic_pv and restrict hand operator_entries the entries they
-    # write; they must be the scan of the dense operators, in its order.
-    scan = pvcore.PVInstance.operator_entries.func
+def test_restricted_operators_are_the_parent_submatrices():
+    # An operator is its nonzero entries (row, col, value), by rows.  The
+    # restriction to a component sum must hold, for each parent operator,
+    # the nonzeros of its submatrix on the sum's coordinates, renumbered.
     checked = 0
     for t in SWEEP_TYPES:
         for size in range(2, t.rank + 1):
             for circled in itertools.combinations(range(1, t.rank + 1), size):
                 pv = build_parabolic_pv(WeightedDiagram(t, circled))
-                assert pv.operator_entries == scan(pv), pv.name
+                dense = [dense_operator(pv, op) for op in pv.operators]
                 for k in range(1, size):
                     for subset in itertools.combinations(range(size), k):
-                        sub = restrict(pv, subset)
-                        assert sub.operator_entries == scan(sub), sub.name
+                        coords = [c for i in subset for c in pv.components[i]]
+                        want = tuple(tuple((a, b, m[r][c]) for a, r in enumerate(coords)
+                                           for b, c in enumerate(coords) if m[r][c])
+                                     for m in dense)
+                        assert restrict(pv, subset).operators == want, (pv.name, subset)
                         checked += 1
     assert checked == 11698
 

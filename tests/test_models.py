@@ -1,7 +1,6 @@
 """Matrix-space models: builders, Pfaffians, and certificate cross-checks."""
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -20,6 +19,8 @@ from pvlab.models import (MODELS, ModelSpec, NotSkew, OddSize, _layout, _spec, _
                           vector_skew, verify_model)
 from pvlab.pvcore import (Invariant, build_parabolic_pv, is_regular, isotropy_algebra,
                           q_irreducible)
+
+from _instances import dense_repr
 
 J2 = [[0, 1], [-1, 0]]
 DATA = Path(__file__).parent / "data"
@@ -164,11 +165,12 @@ def test_models_verify_against_their_own_certificates(spec_string):
 
 def test_model_instances_are_frozen():
     # sha256 of repr(astuple(instance)) for the invariant gates, the three
-    # filtration models and the specs above: operators, generator order,
-    # form, characters and components must not drift.
+    # filtration models and the specs above, each operator rebuilt dense:
+    # operators, generator order, form, characters and components must not
+    # drift.
     frozen = json.loads((DATA / "model_instances.json").read_text())
-    got = {s: hashlib.sha256(repr(dataclasses.astuple(build_model(s).instance)).encode())
-           .hexdigest() for s in frozen}
+    got = {s: hashlib.sha256(dense_repr(build_model(s).instance).encode()).hexdigest()
+           for s in frozen}
     assert got == frozen
     # pvcore._gram computes S F S^t on and above the diagonal only.
     for s in frozen:

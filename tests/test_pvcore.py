@@ -1,7 +1,6 @@
 """The exact oracle: generic points, isotropy, regularity, invariant counts."""
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 from pvlab import grading, pvcore
 from pvlab.classify import classify
 from pvlab._linalg import matvec
+from pvlab._rand import Stream
 from pvlab.diagram import WeightedDiagram, parse_diagram
 from pvlab.models import build_model, diag_chain, dual_pair, matrix_pair, sym_vector, verify_model
 from pvlab.pvcore import (DegenerateInvariant, EmptySubset, IdentityViolation, Invariant,
@@ -27,6 +27,8 @@ from pvlab.pvcore import (DegenerateInvariant, EmptySubset, IdentityViolation, I
                           is_regular, isotropy_algebra, q_irreducible, restrict,
                           verify_invariant)
 from pvlab.rootsys import SimpleType
+
+from _instances import dense_operator, dense_repr
 
 
 def test_parabolic_instance_shapes():
@@ -51,8 +53,9 @@ _FROZEN_LARGE = ("A12[1,12]", "A12[3,10]", "B10[1,10]", "C12[3,10]", "D12[2,11,1
 def test_parabolic_instances_are_frozen():
     # tests/data/parabolic_instances.json maps each simple type to the
     # sha256 of repr(astuple(instance)) over its diagrams in enumeration
-    # order (size, then circled nodes): operators, generator order, form,
-    # characters and components must not drift.
+    # order (size, then circled nodes), each operator rebuilt dense:
+    # operators, generator order, form, characters and components must not
+    # drift.
     diagrams: dict[str, set] = {}
     for family, rank in _FROZEN_ENUMERATED:
         t = SimpleType(family, rank)
@@ -70,27 +73,36 @@ def test_parabolic_instances_are_frozen():
             pv = build_parabolic_pv(d)
             # pvcore._gram computes S F S^t on and above the diagonal only.
             assert pv.form == tuple(zip(*pv.form)), f"asymmetric form on {d}"
-            # repr(astuple(pv)), without astuple's deep copy of every matrix
-            # entry: the diagram is the one field that is a dataclass.
-            fields = (getattr(pv, f.name) for f in dataclasses.fields(pv))
-            digest.update(repr(tuple(dataclasses.astuple(v) if dataclasses.is_dataclass(v) else v
-                                     for v in fields)).encode())
+            digest.update(dense_repr(pv).encode())
         got[t] = digest.hexdigest()
     frozen = json.loads((Path(__file__).parent / "data" / "parabolic_instances.json").read_text())
     assert got == frozen
 
 
+def _first_stage_isotropy(text: str) -> pvcore.PVInstance:
+    # The subalgebra instance that decompose_filtration hands from the first
+    # stage to the second.  For C3[1,3] three of its entry sums cancel.
+    pv = build_parabolic_pv(parse_diagram(text))
+    stage = decompose_filtration(pv).stages[0]
+    subset = tuple(pv.labels.index(label) for label in stage.labels)
+    return pvcore.subalgebra_instance(pv, is_regular(restrict(pv, subset)).isotropy_basis)
+
+
 @pytest.mark.parametrize("pv", [build_parabolic_pv(parse_diagram("E6[1,2]")),
                                 build_parabolic_pv(parse_diagram("C6[2,5]")),
                                 build_model("skew-pair:p=2,r=5").instance,
-                                sym_vector(3).instance],
-                         ids=["E6[1,2]", "C6[2,5]", "skew-pair", "sym-vector"])
+                                sym_vector(3).instance,
+                                _first_stage_isotropy("C3[1,3]")],
+                         ids=["E6[1,2]", "C6[2,5]", "skew-pair", "sym-vector",
+                              "C3[1,3]-isotropy"])
 def test_action_columns_are_the_dense_products(pv):
-    # Column i is operator i times x, read from the nonzero entries alone.
+    # Column i is operator i times x, summed over the operator's entries,
+    # none of which is zero.
+    assert all(v for entries in pv.operators for _, _, v in entries)
     x = list(range(-3, pv.dim_v - 3))
-    expected = [list(col) for col in zip(*(matvec(op, x) for op in pv.operators))]
+    dense = [dense_operator(pv, op) for op in pv.operators]
+    expected = [list(col) for col in zip(*(matvec(op, x) for op in dense))]
     assert pvcore._action_columns(pv, x) == expected
-    assert all(v for entries in pv.operator_entries for _, _, v in entries)
 
 
 def test_generic_point_determinism():
@@ -111,7 +123,7 @@ def test_isotropy_vectors_annihilate_the_point():
         image = [0] * pv.dim_v
         for b, sb in enumerate(s):
             if sb:
-                col = matvec(pv.operators[b], x)
+                col = matvec(dense_operator(pv, pv.operators[b]), x)
                 image = [u + sb * v for u, v in zip(image, col)]
         assert image == [0] * pv.dim_v
 
@@ -208,6 +220,17 @@ def test_count_fundamental_invariants_rejects_special_points():
     pv = build_parabolic_pv(parse_diagram("A3[1,3]"))
     with pytest.raises(NonGenericPoint):
         count_fundamental_invariants(pv, [0] * pv.dim_v)
+
+
+def test_short_orbit_of_a_parabolic_instance_raises(monkeypatch):
+    # Every parabolic instance is prehomogeneous (Vinberg), so candidates
+    # that never reach the full orbit rank give no verdict.  A restriction
+    # has no diagram and still reports "not prehomogeneous".
+    monkeypatch.setattr(Stream, "vector", lambda self, length, lo=-9, hi=9: [0] * length)
+    pv = build_parabolic_pv(parse_diagram("A3[1,3]"))
+    with pytest.raises(NonGenericPoint):
+        is_regular(pv)
+    assert not is_regular(restrict(pv, (0,))).prehomogeneous
 
 
 def test_is_reductive_on_spans():
