@@ -170,6 +170,8 @@ def subdiagram(d: WeightedDiagram, gamma) -> Subdiagram:
     The result covers, for each node of gamma, the connected component of
     theta plus that node; the pieces are the connected components of the
     union, relabelled as standalone diagrams circled at the gamma nodes.
+    This is the one piece split: :class:`pvlab.pvcore.SubsetLattice` reads
+    the pieces of every proper component sum from it.
     """
     gamma = tuple(sorted(set(gamma)))
     if not gamma:

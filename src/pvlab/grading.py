@@ -75,7 +75,8 @@ def components(d: WeightedDiagram) -> tuple[Component, ...]:
     One pass over the positive roots: a root of level 1 has coefficient 1
     at exactly one circled node, and joins that node's piece.  Each piece
     keeps the positive roots' order.  The split is cached per diagram, so
-    the instance builder and the diagram's subset lattice share one.
+    the instance builder and :func:`pvlab.pvcore.ad_square_regular` share
+    one.
     """
     rs = build_root_system(d.type)
     axes = [a - 1 for a in d.circled]

@@ -24,13 +24,7 @@ the same image, because every piece's Cartan matrix is nondegenerate), the
 generic isotropy is reductive exactly when it is reductive modulo the
 reductive kernel of the action, and a product PV is regular exactly when
 each factor is.  The lattice therefore decides such sums from one
-process-wide table of piece verdicts.  It finds the pieces without
-splitting the diagram again for every sum: a piece is the union of
-linked closures, the closure of a circled node a being the support of its
-level-1 component V_a, read from :func:`pvlab.grading.components`.  That
-support is a plus the theta-components next to it: a level-1 root's
-support is connected and holds no other circled node, and the simple roots
-of a connected node set sum to a root.
+process-wide table of piece verdicts.
 
 Each piece verdict is decided by (ad x)^2 on level -1
 (:func:`ad_square_regular`), with no isotropy kernel and no Gram matrix.
@@ -68,8 +62,7 @@ from . import grading
 from ._linalg import det, kernel_basis, modp_rank, rank
 from ._rand import Stream
 from .chevalley import chevalley_basis
-from .diagram import WeightedDiagram, render_compact
-from .rootsys import build_root_system, induced_piece
+from .diagram import WeightedDiagram, render_compact, subdiagram
 
 Matrix = Sequence[Sequence]
 
@@ -365,17 +358,24 @@ def count_fundamental_invariants(pv: PVInstance, x: Sequence, certified_rank: in
 # subspace lattice: restriction, Q-irreducibility, filtration
 
 
-def restrict(pv: PVInstance, indices) -> PVInstance:
-    """Same algebra acting on the sum of the selected components.
-
-    The operators are the parent's entries whose row and column both lie in
-    the sum, renumbered."""
+def _component_subset(pv: PVInstance, indices) -> tuple[int, ...]:
+    """The sorted distinct component indices, raising :class:`EmptySubset`
+    when there are none or one is out of range."""
     idxs = tuple(sorted(set(indices)))
     if not idxs:
         raise EmptySubset(pv.name)
     for i in idxs:
         if not 0 <= i < len(pv.components):
             raise EmptySubset(f"component index {i} out of range in {pv.name}")
+    return idxs
+
+
+def restrict(pv: PVInstance, indices) -> PVInstance:
+    """Same algebra acting on the sum of the selected components.
+
+    The operators are the parent's entries whose row and column both lie in
+    the sum, renumbered."""
+    idxs = _component_subset(pv, indices)
     if idxs == tuple(range(len(pv.components))):
         return pv
     coords = [c for i in idxs for c in pv.components[i]]
@@ -488,21 +488,12 @@ class SubsetLattice:
     take, with no isotropy kernel and no Gram determinant.  Full reports,
     which print their form determinant, still come from :func:`is_regular`.
 
-    The pieces come from the diagram, split once per lattice into the
-    closure of each circled node: the support of the node's level-1
-    component, read from :func:`pvlab.grading.components`, which is the
-    node plus the theta-components next to it.  A subset's circled nodes
-    fall into groups of linked closures, and each group's piece is
-    classified once per lattice (see :meth:`pieces`).
-
     >>> from pvlab.diagram import parse_diagram
     >>> lattice = SubsetLattice(build_parabolic_pv(parse_diagram("A3[1,3]")))
     >>> lattice.q_irreducibility().q_irreducible
     True
     >>> lattice.regular((0,)).regular
     False
-    >>> lattice.pieces((0,))
-    (((1, 2), WeightedDiagram(type=SimpleType(family='A', rank=2), circled=(1,))),)
     """
 
     def __init__(self, pv: PVInstance, seed: int = 0) -> None:
@@ -512,10 +503,6 @@ class SubsetLattice:
         self._regular: dict[tuple[int, ...], RegularityReport] = {}
         self._verdict: dict[tuple[int, ...], bool] = {}
         self._cqr: dict[tuple[int, ...], bool] = {}
-        self._rs = None  # the diagram's root system, once it is split
-        self._closures: list[set[int]] = []
-        self._links: list[set[int]] = []
-        self._pieces: dict[tuple[int, ...], tuple[tuple[int, ...], WeightedDiagram]] = {}
 
     def regular(self, subset: tuple[int, ...]) -> RegularityReport:
         """The exact report of the restriction to ``subset``."""
@@ -525,50 +512,17 @@ class SubsetLattice:
 
     def is_regular_sum(self, subset: tuple[int, ...]) -> bool:
         """Whether the restriction to ``subset`` is regular, piece by piece
-        for a proper subset of a parabolic instance."""
-        if self.pv.diagram is None or subset == self.full:
+        for a proper subset of a parabolic instance.
+
+        The subset is checked as :func:`restrict` checks it."""
+        d = self.pv.diagram
+        if d is None or subset == self.full:
             return self.regular(subset).regular
         if subset not in self._verdict:
-            self._verdict[subset] = all(self._piece_verdict(nodes, piece)
-                                        for nodes, piece in self.pieces(subset))
+            _component_subset(self.pv, subset)
+            pieces = subdiagram(d, [d.circled[i] for i in subset]).pieces
+            self._verdict[subset] = all(self._piece_verdict(nodes, piece) for nodes, piece in pieces)
         return self._verdict[subset]
-
-    def pieces(self, subset: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], WeightedDiagram], ...]:
-        """``subdiagram(diagram, gamma).pieces`` for the circled nodes gamma
-        of a proper component subset of a parabolic instance.
-
-        Two circled nodes of gamma lie in one piece exactly when a chain of
-        linked closures joins them: closures are linked when they share a
-        theta-component or their nodes are adjacent.
-        """
-        d = self.pv.diagram
-        if self._rs is None:
-            self._rs = rs = build_root_system(d.type)
-            self._closures = [{i + 1 for r in c.roots for i, m in enumerate(r) if m}
-                              for c in grading.components(d)]
-            self._links = [{j for j, b in enumerate(d.circled)
-                            if j != i and any(rs.adjacent(b, c) for c in closure)}
-                           for i, closure in enumerate(self._closures)]
-        inside, seen, out = set(subset), set(), []
-        for i in subset:
-            if i in seen:
-                continue
-            group, todo = {i}, [i]
-            while todo:
-                for j in (self._links[todo.pop()] & inside) - group:
-                    group.add(j)
-                    todo.append(j)
-            seen |= group
-            out.append(self._piece(tuple(sorted(group))))
-        return tuple(sorted(out, key=lambda piece: piece[0]))
-
-    def _piece(self, group: tuple[int, ...]) -> tuple[tuple[int, ...], WeightedDiagram]:
-        if group not in self._pieces:
-            d = self.pv.diagram
-            p = induced_piece(self._rs, set().union(*(self._closures[i] for i in group)))
-            marks = tuple(p.relabel[d.circled[i]] for i in group)
-            self._pieces[group] = (p.nodes, WeightedDiagram(p.type, marks))
-        return self._pieces[group]
 
     def _piece_verdict(self, nodes: tuple[int, ...], piece: WeightedDiagram) -> bool:
         key = (render_compact(piece), self.seed)

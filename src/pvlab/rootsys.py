@@ -125,6 +125,8 @@ class RootSystem:
         n = self.rank
         self._gram = [[self.lengths[j] * self.cartan[i][j] if i != j else 2 * self.lengths[i]
                        for j in range(n)] for i in range(n)]
+        self._neighbors = {i: tuple(j for j in range(1, n + 1) if self.adjacent(i, j))
+                           for i in range(1, n + 1)}
 
     def is_root(self, v: Root) -> bool:
         return v in self._index
@@ -142,8 +144,9 @@ class RootSystem:
         """Dynkin-graph adjacency of simple roots i, j (1-based)."""
         return i != j and self.cartan[i - 1][j - 1] != 0
 
-    def neighbors(self, i: int) -> list[int]:
-        return [j for j in range(1, self.rank + 1) if self.adjacent(i, j)]
+    def neighbors(self, i: int) -> tuple[int, ...]:
+        """The nodes adjacent to node i, ascending; computed once per system."""
+        return self._neighbors[i]
 
 
 def _positive_roots(cartan: list[list[int]]) -> list[Root]:
@@ -217,10 +220,10 @@ def connected_components(rs: RootSystem, nodes) -> list[tuple[tuple[int, ...], S
 
 
 def split_pieces(rs: RootSystem, nodes) -> list[DiagramPiece]:
-    nodes = sorted(set(nodes))
+    nodes = set(nodes)
     seen: set[int] = set()
     out: list[DiagramPiece] = []
-    for start in nodes:
+    for start in sorted(nodes):
         if start in seen:
             continue
         comp = {start}
@@ -232,18 +235,24 @@ def split_pieces(rs: RootSystem, nodes) -> list[DiagramPiece]:
                     comp.add(b)
                     todo.append(b)
         seen |= comp
-        out.append(induced_piece(rs, tuple(sorted(comp))))
+        out.append(_induced_piece(rs, tuple(sorted(comp))))
     return out
 
 
-def induced_piece(rs: RootSystem, nodes: tuple[int, ...]) -> DiagramPiece:
+def induced_piece(rs: RootSystem, nodes) -> DiagramPiece:
     """Classify a connected induced sub-diagram and relabel it.
 
-    The relabelling follows the module's numbering conventions for the
-    detected type (short/long root last for B/C, fork tips last for D,
-    Bourbaki branch labels for E).
+    ``nodes`` may be any iterable of nodes.  The relabelling follows the
+    module's numbering conventions for the detected type (short/long root
+    last for B/C, fork tips last for D, Bourbaki branch labels for E).
+    Results are cached per root system and sorted node tuple, so callers
+    share one piece and must not mutate its ``relabel``.
     """
-    nodes = tuple(sorted(set(nodes)))
+    return _induced_piece(rs, tuple(sorted(set(nodes))))
+
+
+@lru_cache(maxsize=None)
+def _induced_piece(rs: RootSystem, nodes: tuple[int, ...]) -> DiagramPiece:
     k = len(nodes)
     C = rs.cartan
     adj = {a: [b for b in nodes if b != a and C[a - 1][b - 1] != 0] for a in nodes}

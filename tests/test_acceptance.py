@@ -25,7 +25,7 @@ from pvlab.models import (MODELS, build_model, descending_chains, diag_chain,
 from pvlab.pvcore import (Invariant, SubsetLattice, build_parabolic_pv,
                           decompose_filtration, hessian_product_identity_check,
                           is_regular, isotropy_algebra, q_irreducible, restrict)
-from pvlab.rootsys import SimpleType, build_root_system, pairing
+from pvlab.rootsys import SimpleType, build_root_system, induced_piece, pairing
 
 from _instances import dense_operator
 
@@ -198,13 +198,16 @@ def test_restricted_operators_are_the_parent_submatrices():
     assert checked == 11698
 
 
-def test_lattice_pieces_match_subdiagram(monkeypatch):
-    # The lattice splits each diagram once into the closures of its circled
-    # nodes and builds the pieces of a proper component sum from them.  They
-    # must be subdiagram's pieces, node for node and diagram for diagram,
-    # and each must key the piece-verdict table by its compact form.  The
-    # table here answers every lookup with "regular", so no verdict is
-    # computed and every piece of every sum is looked up.
+def test_subdiagram_pieces_match_the_closure_split(monkeypatch):
+    # The lattice reads the pieces of a proper component sum from
+    # subdiagram.  Here they are checked against an independent split: the
+    # closure of a circled node is the support of its level-1 component,
+    # closures are joined when they share a node or hold adjacent circled
+    # nodes, and each piece is the induced piece of one joined union, circled
+    # at its relabelled gamma nodes.  Each piece must also key the
+    # piece-verdict table by its compact form.  The table here answers every
+    # lookup with "regular", so no verdict is computed and every piece of
+    # every sum is looked up.
     looked_up = []
 
     class Recording(dict):
@@ -218,14 +221,32 @@ def test_lattice_pieces_match_subdiagram(monkeypatch):
     monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", Recording())
     checked = 0
     for t in SWEEP_TYPES + SECOND_CATALOG_TYPES:
+        rs = build_root_system(t)
         for size in range(2, t.rank + 1):
             for circled in itertools.combinations(range(1, t.rank + 1), size):
                 d = WeightedDiagram(t, circled)
+                closures = [{i + 1 for r in c.roots for i, m in enumerate(r) if m}
+                            for c in components(d)]
+                joined = [{j for j in range(size) if closures[i] & closures[j]
+                           or rs.adjacent(d.circled[i], d.circled[j])} for i in range(size)]
                 lattice = SubsetLattice(build_parabolic_pv(d), seed=3)
                 for k in range(1, size):
                     for subset in itertools.combinations(lattice.full, k):
-                        want = subdiagram(d, [d.circled[i] for i in subset]).pieces
-                        assert lattice.pieces(subset) == want, (render_compact(d), subset)
+                        want, left = [], set(subset)
+                        while left:
+                            group, todo = set(), [min(left)]
+                            while todo:
+                                i = todo.pop()
+                                if i not in group:
+                                    group.add(i)
+                                    todo.extend(joined[i] & left)
+                            left -= group
+                            p = induced_piece(rs, set().union(*(closures[i] for i in group)))
+                            marks = tuple(sorted(p.relabel[d.circled[i]] for i in group))
+                            want.append((p.nodes, WeightedDiagram(p.type, marks)))
+                        want.sort(key=lambda piece: piece[0])
+                        pieces = subdiagram(d, [d.circled[i] for i in subset]).pieces
+                        assert list(pieces) == want, (render_compact(d), subset)
                         looked_up.clear()
                         assert lattice.is_regular_sum(subset)
                         assert looked_up == [(render_compact(p), 3) for _, p in want]

@@ -286,17 +286,32 @@ def test_shared_piece_verdict_is_computed_once(monkeypatch):
     assert names == ["A4[1,3]/V[3]"]
 
 
-def test_level_one_is_split_once_per_diagram():
-    # build_parabolic_pv and the diagram's lattice read one cached split.
+def test_level_one_is_split_once_per_diagram(monkeypatch):
+    # The builder and ad_square_regular read one cached level-1 split.  An
+    # empty piece-verdict table makes ad_square_regular run whatever tests
+    # ran before this one.
     diagrams = [WeightedDiagram(SimpleType(family, 5), circled)
                 for family in "AD" for size in (2, 3, 4)
                 for circled in itertools.combinations(range(1, 6), size)]
+    monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
     grading.components.cache_clear()
     for d in diagrams:
         classify(d, "both", 0)
     info = grading.components.cache_info()
     assert info.misses == len(diagrams) == 50
     assert info.hits >= len(diagrams)
+
+
+def test_is_regular_sum_checks_its_subset():
+    # The subset is checked as restrict checks it: no component, or an index
+    # outside range(len(components)), raises EmptySubset.
+    for pv in (build_parabolic_pv(parse_diagram("A3[1,3]")), build_model("dual-pair:n=2").instance):
+        lattice = SubsetLattice(pv)
+        for subset in ((), (5,), (-1,), (0, 2)):
+            with pytest.raises(EmptySubset):
+                lattice.is_regular_sum(subset)
+            with pytest.raises(EmptySubset):
+                restrict(pv, subset)
 
 
 def test_filtration_requires_regularity():

@@ -114,3 +114,21 @@ def test_split_pieces_and_induced():
     assert piece.type == SimpleType("D", 6)
     same = induced_piece(rs, (4, 5, 6, 7, 8, 9))
     assert same.type == piece.type and same.nodes == piece.nodes
+
+
+def test_induced_piece_takes_any_node_iterable():
+    # Pieces are cached by sorted node tuple; a set of nodes finds the same one.
+    rs = build_root_system(SimpleType("D", 9))
+    assert induced_piece(rs, {9, 8, 7, 6, 5, 4}) == induced_piece(rs, (4, 5, 6, 7, 8, 9))
+
+
+def test_neighbors_match_adjacency():
+    # neighbors(i) is computed once per root system; it must list the
+    # adjacent nodes in ascending order.
+    types = ([SimpleType(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+              for n in range(lo, 9)]
+             + [SimpleType("E", n) for n in (6, 7, 8)] + [SimpleType("F", 4), SimpleType("G", 2)])
+    for t in types:
+        rs = build_root_system(t)
+        for i in range(1, t.rank + 1):
+            assert list(rs.neighbors(i)) == [j for j in range(1, t.rank + 1) if rs.adjacent(i, j)]
