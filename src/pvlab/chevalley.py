@@ -91,7 +91,11 @@ def _build_nconst(rs: RootSystem) -> dict[tuple[Root, Root], int]:
 
 
 class ChevalleyBasis:
-    """Integer structure constants and Killing form of a simple Lie algebra."""
+    """Integer structure constants and Killing form of a simple Lie algebra.
+
+    ``root_killing[g]`` is K(e_g, e_-g), computed once per root; the Killing
+    form pairs each e_g with e_-g only.
+    """
 
     def __init__(self, t: SimpleType) -> None:
         self.type = t
@@ -107,6 +111,13 @@ class ChevalleyBasis:
         self._killing_h = [[sum(pairing(self.rs, g, i + 1) * pairing(self.rs, g, j + 1)
                                 for g in self.rs.roots)
                             for j in range(self.rank)] for i in range(self.rank)]
+        # h = [e_g, e_-g] and g(h) = 2, so K(h, h) = K(e_g, [e_-g, h]) = 2 K(e_g, e_-g);
+        # the coroot of -g is -h, so g and -g share the value.
+        self.root_killing: dict[Root, int] = {}
+        for g in self.rs.positive:
+            c = [(a, ca) for a, ca in enumerate(self._coroot[g]) if ca]
+            kg = sum(ca * cb * self._killing_h[a][b] for a, ca in c for b, cb in c) // 2
+            self.root_killing[g] = self.root_killing[_neg(g)] = kg
 
     # -- basis bookkeeping -------------------------------------------------
     def e_index(self, root: Root) -> int:
@@ -160,10 +171,7 @@ class ChevalleyBasis:
         g, d = self.rs.roots[i - n], self.rs.roots[j - n]
         if any(x + y for x, y in zip(g, d)):
             return 0
-        # h = [e_g, e_-g] and g(h) = 2, so K(h, h) = K(e_g, [e_-g, h]) = 2 K(e_g, e_-g).
-        c = self._coroot[g]
-        kh = self._killing_h
-        return sum(c[a] * kh[a][b] * c[b] for a in range(n) for b in range(n)) // 2
+        return self.root_killing[g]
 
     def killing_matrix(self) -> list[list[int]]:
         return [[self.killing(i, j) for j in range(self.dim)] for i in range(self.dim)]

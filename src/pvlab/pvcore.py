@@ -44,6 +44,34 @@ dim V x dim V matrix M is invertible.  This is the linear-algebra form of
 the classical fact that a parabolic PV is regular when a generic x lies in
 an sl2-triple (y, H_0, x) with y at level -1.
 
+A full report prints the determinant of the form on its isotropy basis S,
+det(S F S^t), with F the form on g_0.  For an instance with a diagram whose
+isotropy dimension k is larger than dim V, :func:`is_regular` computes it
+from the dim V x dim V matrix M instead of the k x k Gram matrix:
+
+    det(S F S^t) = det F * det M * prod_f c_f^2 / (prod_r kappa_r * det(A_P)^2).
+
+1. Invariance gives F B_x = A_x^t D_kappa, with D_kappa the diagonal of
+   kappa_r = K(e_r, e_-r) over the level-1 roots r: entry (i, r) of both
+   sides is K(b_i, [x, e_-r]) = K([b_i, x], e_-r).  So
+   A_x F^-1 A_x^t = M D_kappa^-1.
+2. Let A = A_x, P its pivot columns, A_P its dim V x dim V block on P,
+   S_free the k x k block of S on the other columns, the free ones, and
+   B = [S; e_P], with e_P the unit rows at P; det B = +-det(S_free).  Since
+   A S^t = 0, the last dim V columns of B^-1 are A^t A_P^-t.  Jacobi's
+   theorem on complementary minors, for Y = B F B^t, whose leading k x k
+   block is S F S^t, and Y^-1 = B^-t F^-1 B^-1, then gives
+   det(S F S^t) = det F * det(A F^-1 A^t) * det(S_free)^2 / det(A_P)^2.
+3. :func:`~pvlab._linalg.kernel_basis` gives the vector of free column f
+   as a multiple of d e_f - sum_r m[r][f] e_{p_r}, with pivots p_r < f.  So
+   S_free is diagonal, and c_f, its entry at f, is the vector's last
+   nonzero coordinate.
+
+Here M is nonsingular exactly when the Gram matrix is, and the choice
+depends only on the dimensions, so each report computes the smaller of the
+two complementary minors.  Restrictions, subalgebra instances and the
+matrix models have no diagram and keep the Gram determinant.
+
 All verdicts use exact rational arithmetic.  A large-prime modular rank is
 used as a fast certificate during candidate selection and for M; it can
 only under-report.  Every reported rank comes from an exact kernel, and a
@@ -54,14 +82,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import grading
 from ._linalg import det, kernel_basis, modp_rank, rank
 from ._rand import Stream
-from .chevalley import chevalley_basis
+from .chevalley import ChevalleyBasis, chevalley_basis
 from .diagram import WeightedDiagram, render_compact, subdiagram
 
 Matrix = Sequence[Sequence]
@@ -208,8 +236,7 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
     for p, g in enumerate(level0):
         q = position[tuple(-x for x in g)]
         if p < q:
-            form[n + p][n + q] = form[n + q][n + p] = alg.killing(alg.e_index(g),
-                                                                  alg.e_index(level0[q]))
+            form[n + p][n + q] = form[n + q][n + p] = alg.root_killing[g]
     characters = [[1 if j == a - 1 else 0 for j in range(dim_g)] for a in d.circled]
     return make_instance(render_compact(d), entries, len(level1), form, characters,
                          ranges, [f"V[{c.alpha}]" for c in components], d)
@@ -255,7 +282,9 @@ def _action_columns(pv: PVInstance, x: Sequence) -> list[list]:
     return rows
 
 
-def _generic_search(pv: PVInstance, seed: int) -> tuple[GenericPoint, list[list[int]]]:
+def _generic_search(pv: PVInstance,
+                    seed: int) -> tuple[GenericPoint, list[list], list[list[int]]]:
+    """The best draw, its action matrix A_x and the exact isotropy basis."""
     stream = Stream(seed, context="generic:" + pv.name)
     cap = min(pv.dim_v, pv.dim_g)
     best_x, best_cols, best_r = None, None, -1
@@ -268,7 +297,7 @@ def _generic_search(pv: PVInstance, seed: int) -> tuple[GenericPoint, list[list[
         if best_r == cap:
             break
     iso = kernel_basis(best_cols)
-    return GenericPoint(tuple(best_x), seed, pv.dim_g - len(iso)), iso
+    return GenericPoint(tuple(best_x), seed, pv.dim_g - len(iso)), best_cols, iso
 
 
 def generic_point(pv: PVInstance, seed: int = 0) -> GenericPoint:
@@ -315,21 +344,27 @@ def _invariant_count(pv: PVInstance, subalgebra: Sequence[Sequence]) -> int:
     total = rank([list(row) for row in pv.characters])
     if not subalgebra or not pv.characters:
         return total
-    image = [[sum(row[b] * s[b] for b in range(pv.dim_g)) for s in subalgebra]
-             for row in pv.characters]
+    supports = [[(b, v) for b, v in enumerate(row) if v] for row in pv.characters]
+    image = [[sum(v * s[b] for b, v in support) for s in subalgebra] for support in supports]
     return total - rank(image)
 
 
 def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
     """Full verdict at a seeded generic point, everything exact.  An instance
     with a ``diagram`` is prehomogeneous (Vinberg), so there an orbit rank
-    below dim_v raises :class:`NonGenericPoint` instead of becoming a verdict."""
-    gp, iso = _generic_search(pv, seed)
+    below dim_v raises :class:`NonGenericPoint` instead of becoming a verdict.
+    There, when the isotropy is larger than dim_v, the form determinant comes
+    from det M at the same point (:func:`_ad_square_determinant`)."""
+    gp, a, iso = _generic_search(pv, seed)
     preh = gp.orbit_rank == pv.dim_v
     if pv.diagram is not None and not preh:
         raise NonGenericPoint(f"{pv.name}: orbit rank {gp.orbit_rank} below {pv.dim_v} "
                               f"at {CANDIDATES} draws")
-    cert = is_reductive(pv, iso)
+    if pv.diagram is not None and len(iso) > pv.dim_v:
+        determinant = _ad_square_determinant(pv, gp.vector, a, iso)
+        cert = ReductivityCert(determinant != 0, determinant)
+    else:
+        cert = is_reductive(pv, iso)
     return RegularityReport(
         prehomogeneous=preh,
         generic_point=gp,
@@ -407,20 +442,8 @@ def ad_square_regular(pv: PVInstance, subset: tuple[int, ...], seed: int = 0) ->
     run of draws that never reaches dim_v raises :class:`NonGenericPoint`.
     """
     d = pv.diagram
-    alg = chevalley_basis(d.type)
-    n = d.type.rank
     sub = restrict(pv, subset)
     roots = [r for i in sorted(set(subset)) for r in grading.components(d)[i].roots]
-    up = [alg.e_index(r) for r in roots]
-    down = [alg.e_index(tuple(-v for v in r)) for r in roots]
-    # lowering[r] lists [e_s, e_-r] as (s, operator, coefficient): the coroot
-    # of r for s = r, and for s - r = g a multiple of e_g.  The root operator
-    # of g moves e_r to e_s, so those pairs are its nonzero entries (s, r).
-    lowering = [[(r, k, c) for k, c in alg.bracket(up[r], down[r])] for r in range(len(roots))]
-    for j, entries in enumerate(sub.operators[n:], n):
-        for s, r, _ in entries:
-            [(_, c)] = alg.bracket(up[s], down[r])
-            lowering[r].append((s, j, c))
     stream = Stream(seed, context="generic:" + sub.name)
     for _ in range(CANDIDATES):
         x = stream.vector(sub.dim_v)
@@ -429,16 +452,67 @@ def ad_square_regular(pv: PVInstance, subset: tuple[int, ...], seed: int = 0) ->
             break
     else:
         raise NonGenericPoint(f"{sub.name}: orbit rank below {sub.dim_v} at {CANDIDATES} draws")
+    mt = _ad_square(sub, chevalley_basis(d.type), roots, x, a)
+    return modp_rank(mt) == sub.dim_v or det(mt) != 0
+
+
+def _ad_square(pv: PVInstance, alg: ChevalleyBasis, roots: Sequence, x: Sequence,
+               a: Matrix) -> list[list]:
+    """M transposed, for M = A_x B_x at x with action matrix ``a`` = A_x.
+
+    ``pv`` is a parabolic instance of the algebra ``alg``, or a restriction
+    of one, acting on the span of the level-1 ``roots``, in its coordinate
+    order.  Column r of B_x is [x, e_-r] = sum_s x_s [e_s, e_-r] in the
+    operator basis, so row r of the result is A_x [x, e_-r], one column of
+    A_x per bracket.
+    """
+    n = alg.rank
+    up = [alg.e_index(r) for r in roots]
+    down = [alg.e_index(tuple(-v for v in r)) for r in roots]
+    # lowering[r] lists [e_s, e_-r] as (s, operator, coefficient): the coroot
+    # of r for s = r, and for s - r = g a multiple of e_g.  The root operator
+    # of g moves e_r to e_s, so those pairs are its nonzero entries (s, r).
+    lowering = [[(r, k, c) for k, c in alg.bracket(up[r], down[r])] for r in range(len(roots))]
+    for j, entries in enumerate(pv.operators[n:], n):
+        for s, r, _ in entries:
+            [(_, c)] = alg.bracket(up[s], down[r])
+            lowering[r].append((s, j, c))
     columns = list(zip(*a))
-    mt = []  # M transposed: row r is A_x [x, e_-r], one column of A_x per bracket
+    mt = []
     for brackets in lowering:
-        row = [0] * sub.dim_v
+        row = [0] * pv.dim_v
         for s, j, c in brackets:
             if x[s]:
                 f = c * x[s]
                 row = [u + f * v for u, v in zip(row, columns[j])]
         mt.append(row)
-    return modp_rank(mt) == sub.dim_v or det(mt) != 0
+    return mt
+
+
+def _ad_square_determinant(pv: PVInstance, x: Sequence, a: Matrix,
+                           iso: Sequence[Sequence]) -> Fraction:
+    """det(S F S^t), the form on the isotropy basis ``iso`` = S of a
+    parabolic instance at x, from det M (see the module docstring):
+
+        det F * det M * prod_f c_f^2 / (prod_r kappa_r * det(A_P)^2)
+
+    ``a`` is A_x and ``iso`` its :func:`~pvlab._linalg.kernel_basis`.  The
+    vector of free column f is d e_f - sum m[r][f] e_{p_r} with p_r < f,
+    made primitive, so f is its last nonzero coordinate and c_f the entry
+    there; A_P is A_x on the other columns, the pivots.
+    """
+    d = pv.diagram
+    alg = chevalley_basis(d.type)
+    roots = [r for c in grading.components(d) for r in c.roots]
+    free, scale = set(), 1
+    for s in iso:
+        f = max(b for b, v in enumerate(s) if v)
+        free.add(f)
+        scale *= s[f]
+    a_p = [[row[b] for b in range(pv.dim_g) if b not in free] for row in a]
+    kappa = prod(alg.root_killing[r] for r in roots)
+    return (det(pv.form) * det(_ad_square(pv, alg, roots, x, a)) * scale ** 2
+            / (kappa * det(a_p) ** 2))
 
 
 def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence], name: str | None = None) -> PVInstance:

@@ -8,6 +8,7 @@ behavior rather than internal agreement between modules.
 from __future__ import annotations
 
 import itertools
+import json
 import time
 from collections import Counter
 from pathlib import Path
@@ -175,6 +176,52 @@ def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
                     sums += 1
                     regular_sums += direct
     assert (fulls, sums, regular_sums) == (927, 6128, 2052)
+
+
+def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):
+    # is_regular computes a parabolic report's form determinant from det M
+    # when the isotropy is larger than V (Jacobi's complementary minors; see
+    # the pvcore docstring), and from the Gram matrix otherwise.  Here both
+    # are computed at is_regular's own point on every sweep diagram and
+    # every `large` diagram, at seeds 0 and 1, whichever the rule picks: they
+    # must equal each other and the report, sign included.
+    search, gram = pvcore._generic_search, pvcore.is_reductive
+    searched, gram_calls = [], []
+
+    def recording_search(pv, seed):
+        searched.append(search(pv, seed))
+        return searched[-1]
+
+    def recording_gram(pv, iso):
+        gram_calls.append(pv.name)
+        return gram(pv, iso)
+
+    monkeypatch.setattr(pvcore, "_generic_search", recording_search)
+    monkeypatch.setattr(pvcore, "is_reductive", recording_gram)
+    sweep = [WeightedDiagram(t, circled) for t in SWEEP_TYPES for size in range(2, t.rank + 1)
+             for circled in itertools.combinations(range(1, t.rank + 1), size)]
+    large_json = json.loads((DATA / "large_classify_seed0.json").read_text())
+    large = [parse_diagram(text) for text in large_json]
+    for seed in (0, 1):
+        picked = {}
+        for label, diagrams in (("sweep", sweep), ("large", large)):
+            picked[label] = []
+            for d in diagrams:
+                pv = build_parabolic_pv(d)
+                searched.clear()
+                gram_calls.clear()
+                report = is_regular(pv, seed)
+                [(gp, a, iso)] = searched
+                from_m = pvcore._ad_square_determinant(pv, gp.vector, a, iso)
+                assert from_m == gram(pv, iso).determinant == report.form_determinant, (d, seed)
+                assert report.reductive == (from_m != 0)
+                if not gram_calls:
+                    assert report.isotropy_dim > pv.dim_v
+                    picked[label].append(pv.name)
+                else:
+                    assert report.isotropy_dim <= pv.dim_v
+        assert len(picked["sweep"]) == 158
+        assert picked["large"] == ["A12[1,12]", "B10[1,10]", "D12[2,11,12]", "A14[2,13]"]
 
 
 def test_restricted_operators_are_the_parent_submatrices():

@@ -117,6 +117,16 @@ def test_rank_and_kernel_match_sympy_on_any_shape(m):
         assert expected * sympy.Matrix(v) == sympy.zeros(len(m), 1)
 
 
+@given(st.one_of(sparse_matrix(), small_matrix(7), low_rank_matrix()))
+@settings(max_examples=80, deadline=None)
+def test_kernel_vectors_end_at_their_free_columns(m):
+    # pvcore reads each isotropy vector's free column as its last nonzero
+    # coordinate, and the pivot columns as the rest.
+    _, pivots = sympy.Matrix(m).rref()
+    last = [max(c for c, v in enumerate(vec) if v) for vec in kernel_basis(m)]
+    assert last == sorted(set(range(len(m[0]))) - set(pivots))
+
+
 @given(st.integers(1, 5).flatmap(
     lambda n: st.lists(st.lists(fraction_entries, min_size=n, max_size=n),
                        min_size=n, max_size=n)))
