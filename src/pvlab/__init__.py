@@ -12,9 +12,8 @@ of it (:mod:`~pvlab.cli`).
 from __future__ import annotations
 
 from .chevalley import ChevalleyBasis, chevalley_basis
-from .classify import (AdjacentSplit, ClassificationReport, FamilyMatch, MismatchError,
-                       NoAdjacentCircles, adjacent_split, classify, enumerate_reports,
-                       family_match)
+from .classify import (ClassificationReport, FamilyMatch, MismatchError, classify,
+                       enumerate_reports, family_match)
 from .diagram import (DiagramError, ParseError, WeightedDiagram, parse_diagram,
                       render_ascii, render_compact, subdiagram)
 from .grading import Component, Grading, components, compute_grading, level_roots, rules_R
@@ -40,6 +39,6 @@ __all__ = [
     "SubsetLattice", "q_irreducible", "completely_q_reducible", "decompose_filtration",
     "Invariant", "GroupCheck", "RegularityReport", "verify_invariant",
     "ModelSpec", "MODELS", "build_model", "verify_model", "pfaffian",
-    "FamilyMatch", "ClassificationReport", "AdjacentSplit", "MismatchError",
-    "NoAdjacentCircles", "family_match", "adjacent_split", "classify", "enumerate_reports",
+    "FamilyMatch", "ClassificationReport", "MismatchError", "family_match", "classify",
+    "enumerate_reports",
 ]

@@ -19,32 +19,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from . import pvcore
-from .diagram import DiagramError, WeightedDiagram, circled_adjacent_pairs, render_compact
-from .rootsys import SimpleType, build_root_system, connected_components
+from .diagram import WeightedDiagram, render_compact
+from .rootsys import SimpleType
 
 __all__ = [
     "FamilyMatch",
     "Verdicts",
     "Witnesses",
     "ClassificationReport",
-    "AdjacentSplit",
-    "NoAdjacentCircles",
     "MismatchError",
     "family_match",
-    "adjacent_split",
     "classify",
     "enumerate_reports",
     "MODES",
 ]
 
 MODES = ("pattern", "oracle", "both")
-
-
-class NoAdjacentCircles(DiagramError):
-    pass
 
 
 class MismatchError(Exception):
@@ -172,59 +165,6 @@ def family_match(d: WeightedDiagram) -> FamilyMatch | None:
     shape, blocks = _profile(d)
     row = _ROWS.get((family if family in "ABCD" else str(d.type), shape))
     return FamilyMatch(row[0], blocks, d) if row and row[1](*blocks) else None
-
-
-# ---------------------------------------------------------------------------
-# adjacent-circle split
-
-
-class AdjacentSplit(NamedTuple):
-    """The two halves around the first adjacent circled pair.
-
-    ``psi1``/``psi2`` are the node sets of the connected halves (each keeps
-    one circle of the pair); ``gamma1``/``gamma2`` their circled nodes; the
-    ``components*`` tuples index the level-1 components of the full
-    instance, so restricting to them realizes each half under the same
-    acting algebra.
-    """
-
-    pair: tuple[int, int]
-    psi1: tuple[int, ...]
-    psi2: tuple[int, ...]
-    gamma1: tuple[int, ...]
-    gamma2: tuple[int, ...]
-    components1: tuple[int, ...]
-    components2: tuple[int, ...]
-
-
-def adjacent_split(d: WeightedDiagram) -> AdjacentSplit:
-    """Split around the first (lowest) pair of adjacent circled nodes.
-
-    The instance is regular exactly when both component restrictions are
-    (so a Q-irreducible diagram never has two adjacent circles).  Nothing
-    in classification calls this; it is an equivalence the tests check
-    against the regularity oracle.
-    """
-    pairs = circled_adjacent_pairs(d)
-    if not pairs:
-        raise NoAdjacentCircles(render_compact(d))
-    a1, a2 = pairs[0]
-    rs = build_root_system(d.type)
-    nodes = list(range(1, d.type.rank + 1))
-
-    def half(keep: int, drop: int) -> tuple[int, ...]:
-        for comp, _ in connected_components(rs, [x for x in nodes if x != drop]):
-            if keep in comp:
-                return comp
-        raise AssertionError("node vanished from its own diagram")
-
-    psi1 = half(a1, a2)
-    psi2 = half(a2, a1)
-    gamma1 = tuple(a for a in d.circled if a in psi1)
-    gamma2 = tuple(a for a in d.circled if a in psi2)
-    comps1 = tuple(i for i, a in enumerate(d.circled) if a in psi1)
-    comps2 = tuple(i for i, a in enumerate(d.circled) if a in psi2)
-    return AdjacentSplit((a1, a2), psi1, psi2, gamma1, gamma2, comps1, comps2)
 
 
 # ---------------------------------------------------------------------------

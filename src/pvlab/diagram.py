@@ -18,7 +18,7 @@ from .rootsys import (
 
 __all__ = [
     "WeightedDiagram", "Subdiagram", "parse_diagram", "render_compact",
-    "render_ascii", "subdiagram", "circled_adjacent_pairs", "DiagramError",
+    "render_ascii", "subdiagram", "DiagramError",
     "ParseError", "IndexOutOfRange", "DuplicateIndex", "EmptyCircledSet",
     "NotCircled", "InadmissibleType",
 ]
@@ -155,13 +155,6 @@ def parse_diagram(text: str) -> WeightedDiagram:
 
 def render_compact(d: WeightedDiagram) -> str:
     return f"{d.type}[{','.join(map(str, d.circled))}]"
-
-
-def circled_adjacent_pairs(d: WeightedDiagram) -> list[tuple[int, int]]:
-    """Pairs of circled nodes joined by a Dynkin-graph edge, ascending."""
-    rs = build_root_system(d.type)
-    c = d.circled
-    return [(a, b) for k, a in enumerate(c) for b in c[k + 1:] if rs.adjacent(a, b)]
 
 
 def subdiagram(d: WeightedDiagram, gamma) -> Subdiagram:

@@ -282,9 +282,11 @@ def _action_columns(pv: PVInstance, x: Sequence) -> list[list]:
     return rows
 
 
-def _generic_search(pv: PVInstance,
-                    seed: int) -> tuple[GenericPoint, list[list], list[list[int]]]:
-    """The best draw, its action matrix A_x and the exact isotropy basis."""
+def _generic_draw(pv: PVInstance, seed: int) -> tuple[list, list[list], int]:
+    """The seeded generic-point draw: x, its action matrix A_x and the
+    mod-p rank of A_x.  x is the first of :data:`CANDIDATES` draws of the
+    instance's stream whose rank reaches min(dim_v, dim_g), or else the
+    first draw of the highest rank."""
     stream = Stream(seed, context="generic:" + pv.name)
     cap = min(pv.dim_v, pv.dim_g)
     best_x, best_cols, best_r = None, None, -1
@@ -296,8 +298,15 @@ def _generic_search(pv: PVInstance,
             best_x, best_cols, best_r = x, cols, r
         if best_r == cap:
             break
-    iso = kernel_basis(best_cols)
-    return GenericPoint(tuple(best_x), seed, pv.dim_g - len(iso)), best_cols, iso
+    return best_x, best_cols, best_r
+
+
+def _generic_search(pv: PVInstance,
+                    seed: int) -> tuple[GenericPoint, list[list], list[list[int]]]:
+    """The drawn point, its action matrix A_x and the exact isotropy basis."""
+    x, cols, _ = _generic_draw(pv, seed)
+    iso = kernel_basis(cols)
+    return GenericPoint(tuple(x), seed, pv.dim_g - len(iso)), cols, iso
 
 
 def generic_point(pv: PVInstance, seed: int = 0) -> GenericPoint:
@@ -378,12 +387,11 @@ def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
     )
 
 
-def count_fundamental_invariants(pv: PVInstance, x: Sequence, certified_rank: int | None = None) -> int:
+def count_fundamental_invariants(pv: PVInstance, x: Sequence) -> int:
     """Characters of the group killed by the isotropy at a generic point x."""
     iso = isotropy_algebra(pv, x)
     r = pv.dim_g - len(iso)
-    if certified_rank is None:
-        certified_rank = generic_point(pv).orbit_rank
+    certified_rank = generic_point(pv).orbit_rank
     if r < certified_rank:
         raise NonGenericPoint(f"orbit rank {r} at x, certified maximum {certified_rank}")
     return _invariant_count(pv, iso)
@@ -432,25 +440,21 @@ def ad_square_regular(pv: PVInstance, subset: tuple[int, ...], seed: int = 0) ->
     ``subset`` is regular, decided by (ad x)^2 on level -1 (see the module
     docstring).
 
-    x is the point :func:`is_regular` takes on the restriction: the first
-    draw of the same seeded stream whose action matrix A_x has mod-p rank
-    dim_v, which certifies that a -> a.x is onto.  Column r of B_x is
-    [x, e_-r] = sum_s x_s [e_s, e_-r], read from the Chevalley basis, and
-    the sum is regular exactly when M = A_x B_x is invertible: full rank mod
-    p certifies it, and otherwise the exact determinant decides.  Every
-    component sum of a parabolic instance is prehomogeneous (Vinberg), so a
-    run of draws that never reaches dim_v raises :class:`NonGenericPoint`.
+    x is the point :func:`is_regular` takes on the restriction, because
+    both take it from the one seeded draw, :func:`_generic_draw`: the first
+    draw whose action matrix A_x has mod-p rank dim_v, which certifies that
+    a -> a.x is onto.  Column r of B_x is [x, e_-r] = sum_s x_s [e_s, e_-r],
+    read from the Chevalley basis, and the sum is regular exactly when
+    M = A_x B_x is invertible: full rank mod p certifies it, and otherwise
+    the exact determinant decides.  Every component sum of a parabolic
+    instance is prehomogeneous (Vinberg), so a run of draws that never
+    reaches dim_v raises :class:`NonGenericPoint`.
     """
     d = pv.diagram
     sub = restrict(pv, subset)
     roots = [r for i in sorted(set(subset)) for r in grading.components(d)[i].roots]
-    stream = Stream(seed, context="generic:" + sub.name)
-    for _ in range(CANDIDATES):
-        x = stream.vector(sub.dim_v)
-        a = _action_columns(sub, x)
-        if modp_rank(a) == sub.dim_v:
-            break
-    else:
+    x, a, r = _generic_draw(sub, seed)
+    if r < sub.dim_v:
         raise NonGenericPoint(f"{sub.name}: orbit rank below {sub.dim_v} at {CANDIDATES} draws")
     mt = _ad_square(sub, chevalley_basis(d.type), roots, x, a)
     return modp_rank(mt) == sub.dim_v or det(mt) != 0
@@ -515,7 +519,7 @@ def _ad_square_determinant(pv: PVInstance, x: Sequence, a: Matrix,
             / (kappa * det(a_p) ** 2))
 
 
-def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence], name: str | None = None) -> PVInstance:
+def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence]) -> PVInstance:
     """The same module under the subalgebra spanned by the given vectors;
     an operator entry whose terms cancel is dropped."""
     operators = []
@@ -529,7 +533,7 @@ def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence], name: str |
     form = _gram(pv.form, vectors)
     characters = [[sum(row[b] * s[b] for b in range(pv.dim_g)) for s in vectors]
                   for row in pv.characters]
-    return make_instance(name or pv.name + ".isotropy", operators, pv.dim_v,
+    return make_instance(pv.name + ".isotropy", operators, pv.dim_v,
                          form, characters, pv.components, pv.labels)
 
 

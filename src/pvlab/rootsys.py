@@ -213,13 +213,9 @@ class DiagramPiece(NamedTuple):
     relabel: dict[int, int]
 
 
-def connected_components(rs: RootSystem, nodes) -> list[tuple[tuple[int, ...], SimpleType]]:
-    """Partition ``nodes`` into Dynkin-graph components with induced type labels."""
-    pieces = split_pieces(rs, nodes)
-    return [(p.nodes, p.type) for p in pieces]
-
-
 def split_pieces(rs: RootSystem, nodes) -> list[DiagramPiece]:
+    """Partition ``nodes`` into Dynkin-graph components, in order of their
+    least node, each relabelled to its standalone type."""
     nodes = set(nodes)
     seen: set[int] = set()
     out: list[DiagramPiece] = []

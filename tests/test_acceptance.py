@@ -7,12 +7,15 @@ behavior rather than internal agreement between modules.
 """
 from __future__ import annotations
 
+import ast
+import importlib
 import itertools
 import json
 import time
 from collections import Counter
 from pathlib import Path
 
+import pvlab
 from pvlab import pvcore
 from pvlab._rand import Stream
 from pvlab.chevalley import chevalley_basis
@@ -146,15 +149,27 @@ def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
     # it must agree with is_regular on the full instance and on the direct
     # restriction to every proper sum the lattice queries while classifying.
     # Each of those is a product of parabolic PVs, so by Vinberg's theorem
-    # it is prehomogeneous, and the report must say so.
-    queried = []
-    original = SubsetLattice.is_regular_sum
+    # it is prehomogeneous, and the report must say so.  Both take their
+    # point from one seeded draw, so M is built at the report's own point.
+    queried, points = [], []
+    original, ad_square = SubsetLattice.is_regular_sum, pvcore._ad_square
 
     def recording(lattice, subset):
         queried.append(subset)
         return original(lattice, subset)
 
+    def recording_ad_square(pv, alg, roots, x, a):
+        points.append(tuple(x))
+        return ad_square(pv, alg, roots, x, a)
+
+    def verdict_and_point(pv, subset):
+        points.clear()
+        verdict = pvcore.ad_square_regular(pv, subset)
+        [x] = points
+        return verdict, x
+
     monkeypatch.setattr(SubsetLattice, "is_regular_sum", recording)
+    monkeypatch.setattr(pvcore, "_ad_square", recording_ad_square)
     fulls = sums = regular_sums = 0
     for t in SWEEP_TYPES:
         for size in range(2, t.rank + 1):
@@ -166,13 +181,15 @@ def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
                 lattice.completely_q_reducible(lattice.full)
                 report = lattice.regular(lattice.full)
                 assert report.prehomogeneous, d
-                assert pvcore.ad_square_regular(lattice.pv, lattice.full) == report.regular, d
+                verdict = verdict_and_point(lattice.pv, lattice.full)
+                assert verdict == (report.regular, report.generic_point.vector), d
                 fulls += 1
                 for subset in set(queried) - {lattice.full}:
                     report = is_regular(restrict(lattice.pv, subset))
                     assert report.prehomogeneous, (d, subset)
                     direct = report.regular
-                    assert pvcore.ad_square_regular(lattice.pv, subset) == direct, (d, subset)
+                    verdict = verdict_and_point(lattice.pv, subset)
+                    assert verdict == (direct, report.generic_point.vector), (d, subset)
                     sums += 1
                     regular_sums += direct
     assert (fulls, sums, regular_sums) == (927, 6128, 2052)
@@ -571,3 +588,22 @@ def test_out_of_scope_claims_are_not_asserted():
     assert rep.reductive
 
     assert len(MODELS) == 8
+
+
+def test_public_names_resolve_and_every_import_is_used():
+    # Every name in a module's __all__ exists, and no module imports a name
+    # it never reads: a removal leaves no dangling export or stale import.
+    for path in sorted(Path(pvlab.__file__).parent.glob("*.py")):
+        name = "pvlab" if path.stem == "__init__" else "pvlab." + path.stem
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", [])
+        assert all(hasattr(module, n) for n in exported), name
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= read | set(exported), (name, sorted(imported - read - set(exported)))

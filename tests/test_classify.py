@@ -1,4 +1,5 @@
-"""Pattern table, adjacent-circle splits, and pattern-vs-oracle agreement."""
+"""Pattern table, pattern-vs-oracle agreement, and the split of a diagram
+across an adjacent circled pair, whose halves decide its regularity."""
 from __future__ import annotations
 
 import importlib
@@ -8,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from pvlab.classify import (MismatchError, NoAdjacentCircles, adjacent_split,
-                            classify, enumerate_reports, family_match)
+from pvlab.classify import MismatchError, classify, enumerate_reports, family_match
 from pvlab.diagram import SimpleType, WeightedDiagram, parse_diagram, render_compact
-from pvlab.pvcore import build_parabolic_pv, is_regular, restrict
+from pvlab.pvcore import SubsetLattice, build_parabolic_pv, is_regular, restrict
+from pvlab.rootsys import build_root_system
 
 classify_module = importlib.import_module("pvlab.classify")
 
@@ -86,6 +87,16 @@ ROW_GUARD_TYPES = ([SimpleType("A", n) for n in range(1, 21)]
                    + [SimpleType("E", n) for n in (6, 7, 8)]
                    + [SimpleType("F", 4), SimpleType("G", 2)])
 
+# The tier-1 sweep: every multi-circle diagram of these types, 927 in all.
+SWEEP = [WeightedDiagram(t, circled)
+         for t in ([SimpleType("A", n) for n in range(1, 8)]
+                   + [SimpleType("B", n) for n in range(2, 8)]
+                   + [SimpleType("C", n) for n in range(3, 8)]
+                   + [SimpleType("D", n) for n in range(4, 8)]
+                   + [SimpleType("E", 6)])
+         for size in range(2, t.rank + 1)
+         for circled in itertools.combinations(range(1, t.rank + 1), size)]
+
 
 def test_family_rows_are_frozen():
     # tests/data/family_rows.json lists every (diagram, row, params) hit of
@@ -145,45 +156,86 @@ def test_e6_rows_respect_the_mirror():
 # adjacent-circle splits
 
 
+def _adjacent_split(d: WeightedDiagram) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The node sets on either side of the first adjacent circled pair
+    (a, b): the nodes reached from a without crossing b, and from b without
+    crossing a.  None when no two circled nodes are adjacent."""
+    rs = build_root_system(d.type)
+    pairs = [(a, b) for a, b in itertools.combinations(d.circled, 2) if b in rs.neighbors(a)]
+    if not pairs:
+        return None
+
+    def side(start: int, cut: int) -> tuple[int, ...]:
+        seen, todo = {start}, [start]
+        while todo:
+            for n in rs.neighbors(todo.pop()):
+                if n != cut and n not in seen:
+                    seen.add(n)
+                    todo.append(n)
+        return tuple(sorted(seen))
+
+    a, b = pairs[0]
+    return side(a, b), side(b, a)
+
+
+def _components(d: WeightedDiagram, nodes: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(i for i, a in enumerate(d.circled) if a in nodes)
+
+
 def test_adjacent_split_on_a_chain():
-    s = adjacent_split(parse_diagram("A4[2,3]"))
-    assert s.pair == (2, 3)
-    assert s.psi1 == (1, 2) and s.psi2 == (3, 4)
-    assert s.gamma1 == (2,) and s.gamma2 == (3,)
-    assert s.components1 == (0,) and s.components2 == (1,)
+    d = parse_diagram("A4[2,3]")
+    half1, half2 = _adjacent_split(d)
+    assert (half1, half2) == ((1, 2), (3, 4))
+    assert (_components(d, half1), _components(d, half2)) == ((0,), (1,))
+    assert _adjacent_split(parse_diagram("D9[2,3,5,8]")) == ((1, 2), (3, 4, 5, 6, 7, 8, 9))
 
 
 def test_adjacent_split_at_the_fork():
-    s = adjacent_split(parse_diagram("D5[3,4]"))
-    assert s.pair == (3, 4)
-    assert s.psi2 == (4,)
-    assert set(s.psi1) == {1, 2, 3, 5}
+    # The pair (3, 4) cuts the fork tip 4 off; node 5 stays with node 3.
+    assert _adjacent_split(parse_diagram("D5[3,4]")) == ((1, 2, 3, 5), (4,))
+    assert _adjacent_split(parse_diagram("D5[3,4,5]")) == ((1, 2, 3, 5), (4,))
 
 
 def test_adjacent_split_keeps_remote_circles():
-    s = adjacent_split(parse_diagram("A5[1,3,4]"))
-    assert s.pair == (3, 4)
-    assert s.gamma1 == (1, 3)
-    assert s.components1 == (0, 1)
+    d = parse_diagram("A5[1,3,4]")
+    half1, half2 = _adjacent_split(d)
+    assert (_components(d, half1), _components(d, half2)) == ((0, 1), (2,))
 
 
 def test_adjacent_split_requires_adjacent_circles():
-    with pytest.raises(NoAdjacentCircles):
-        adjacent_split(parse_diagram("A4[1,3]"))
-    with pytest.raises(NoAdjacentCircles):
-        adjacent_split(parse_diagram("D5[4,5]"))  # tips are not adjacent
+    assert _adjacent_split(parse_diagram("A4[1,3]")) is None
+    assert _adjacent_split(parse_diagram("D5[4,5]")) is None  # tips are not adjacent
 
 
 @pytest.mark.parametrize("text", ["A4[2,3]", "B4[2,3]", "C4[1,2]", "D5[3,4]",
                                   "A5[1,3,4]"])
 def test_split_halves_decide_regularity(text):
+    # The halves decided by direct restriction; the sweep test below asks
+    # the lattice, which reads them from their subdiagram pieces.
     d = parse_diagram(text)
-    s = adjacent_split(d)
+    half1, half2 = _adjacent_split(d)
     pv = build_parabolic_pv(d)
     full = is_regular(pv).regular
-    left = is_regular(restrict(pv, s.components1)).regular
-    right = is_regular(restrict(pv, s.components2)).regular
+    left = is_regular(restrict(pv, _components(d, half1))).regular
+    right = is_regular(restrict(pv, _components(d, half2))).regular
     assert full == (left and right)
+
+
+def test_split_halves_decide_regularity_over_the_sweep():
+    # A diagram with an adjacent circled pair is regular exactly when both
+    # halves across the pair are, as the lattice decides them from their
+    # subdiagram pieces; so it is never Q-irreducible.
+    split = 0
+    for d in SWEEP:
+        halves = _adjacent_split(d)
+        if halves is None:
+            continue
+        lattice = SubsetLattice(build_parabolic_pv(d))
+        left, right = (lattice.is_regular_sum(_components(d, h)) for h in halves)
+        assert lattice.regular(lattice.full).regular == (left and right), render_compact(d)
+        assert not lattice.q_irreducible(lattice.full), render_compact(d)
+        split += 1
+    assert split == 702
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvlab.diagram import (DiagramError, DuplicateIndex, EmptyCircledSet, IndexOutOfRange,
-                           NotCircled, ParseError, WeightedDiagram, circled_adjacent_pairs,
-                           parse_diagram, render_ascii, render_compact, subdiagram)
+                           NotCircled, ParseError, WeightedDiagram, parse_diagram,
+                           render_ascii, render_compact, subdiagram)
 from pvlab.rootsys import InadmissibleType, SimpleType
 
 # ---------------------------------------------------------------------------
@@ -126,18 +126,7 @@ def test_render_ascii_fixtures(text, picture):
 
 
 # ---------------------------------------------------------------------------
-# adjacency and subdiagrams
-
-
-@pytest.mark.parametrize("text,pairs", [
-    ("A4[2,3]", [(2, 3)]),
-    ("A4[1,3]", []),
-    ("D9[2,3,5,8]", [(2, 3)]),
-    ("D5[4,5]", []),       # the two fork tips are not adjacent
-    ("D5[3,4,5]", [(3, 4), (3, 5)]),
-])
-def test_circled_adjacent_pairs(text, pairs):
-    assert circled_adjacent_pairs(parse_diagram(text)) == pairs
+# subdiagrams
 
 
 def test_subdiagram_single_gamma():

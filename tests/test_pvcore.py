@@ -224,12 +224,16 @@ def test_count_fundamental_invariants_rejects_special_points():
 
 def test_short_orbit_of_a_parabolic_instance_raises(monkeypatch):
     # Every parabolic instance is prehomogeneous (Vinberg), so candidates
-    # that never reach the full orbit rank give no verdict.  A restriction
-    # has no diagram and still reports "not prehomogeneous".
+    # that never reach the full orbit rank give no verdict, neither in a
+    # full report nor in a piece verdict (called directly: the lattice may
+    # answer from the process-wide piece table).  A restriction has no
+    # diagram and still reports "not prehomogeneous".
     monkeypatch.setattr(Stream, "vector", lambda self, length, lo=-9, hi=9: [0] * length)
     pv = build_parabolic_pv(parse_diagram("A3[1,3]"))
     with pytest.raises(NonGenericPoint):
         is_regular(pv)
+    with pytest.raises(NonGenericPoint):
+        pvcore.ad_square_regular(pv, (0,))
     assert not is_regular(restrict(pv, (0,))).prehomogeneous
 
 

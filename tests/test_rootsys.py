@@ -5,8 +5,7 @@ import pytest
 import sympy.liealgebras.cartan_matrix as sym_cm
 
 from pvlab.rootsys import (InadmissibleType, SimpleType, build_root_system, cartan_matrix,
-                           check_admissible, connected_components, induced_piece,
-                           pairing, split_pieces)
+                           check_admissible, induced_piece, pairing, split_pieces)
 
 # Total root counts |Sigma| for every supported (family, rank), frozen from an
 # independent chain-closure enumeration.
@@ -98,8 +97,8 @@ def test_adjacency_d9():
 
 def test_connected_components_relabel():
     rs = build_root_system(SimpleType("D", 9))
-    comps = connected_components(rs, (1, 2, 6, 7, 8, 9))
-    assert [(nodes, t) for nodes, t in comps] == [
+    pieces = split_pieces(rs, (1, 2, 6, 7, 8, 9))
+    assert [(p.nodes, p.type) for p in pieces] == [
         ((1, 2), SimpleType("A", 2)),
         ((6, 7, 8, 9), SimpleType("D", 4)),
     ]
