@@ -20,9 +20,8 @@ from .grading import Component, Grading, components, compute_grading, level_root
 from .models import MODELS, ModelSpec, build_model, pfaffian, verify_model
 from .pvcore import (GroupCheck, Invariant, PVError, PVInstance, RegularityReport,
                      SubsetLattice, build_parabolic_pv, completely_q_reducible,
-                     count_fundamental_invariants, decompose_filtration, generic_point,
-                     is_reductive, is_regular, isotropy_algebra, q_irreducible, restrict,
-                     verify_invariant)
+                     decompose_filtration, is_reductive, is_regular, isotropy_algebra,
+                     q_irreducible, restrict, verify_invariant)
 from .rootsys import RootSystem, SimpleType, build_root_system, cartan_matrix
 
 __version__ = "0.1.0"
@@ -34,8 +33,8 @@ __all__ = [
     "WeightedDiagram", "DiagramError", "ParseError", "parse_diagram",
     "render_ascii", "render_compact", "subdiagram",
     "Grading", "Component", "compute_grading", "components", "level_roots", "rules_R",
-    "PVInstance", "PVError", "build_parabolic_pv", "generic_point", "isotropy_algebra",
-    "is_reductive", "is_regular", "count_fundamental_invariants", "restrict",
+    "PVInstance", "PVError", "build_parabolic_pv", "isotropy_algebra",
+    "is_reductive", "is_regular", "restrict",
     "SubsetLattice", "q_irreducible", "completely_q_reducible", "decompose_filtration",
     "Invariant", "GroupCheck", "RegularityReport", "verify_invariant",
     "ModelSpec", "MODELS", "build_model", "verify_model", "pfaffian",

@@ -66,8 +66,8 @@ def modp_rank(rows: Mat) -> int:
 
 def _integer_row(row: Vec) -> tuple[Vec, int]:
     """The row times the least common denominator of its entries, and that
-    factor; a row of ints is returned as it is."""
-    if all(type(v) is int for v in row):
+    factor; a row of ints (bools count as ints) is returned as it is."""
+    if all(map(int.__instancecheck__, row)):
         return row, 1
     fr = [Fraction(v) for v in row]
     mult = lcm(*(v.denominator for v in fr))
@@ -217,7 +217,3 @@ def transpose(m: Mat) -> Mat:
 
 def identity(n: int) -> Mat:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(nrows: int, ncols: int) -> Mat:
-    return [[0] * ncols for _ in range(nrows)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+VECTOR_BOUND = 9
 
 
 def _mix(z: int) -> int:
@@ -53,8 +54,8 @@ class Stream:
             if v != 0:
                 return v
 
-    def vector(self, length: int, lo: int = -9, hi: int = 9) -> list[int]:
-        return [self.randint(lo, hi) for _ in range(length)]
+    def vector(self, length: int) -> list[int]:
+        return [self.randint(-VECTOR_BOUND, VECTOR_BOUND) for _ in range(length)]
 
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]

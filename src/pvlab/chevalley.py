@@ -124,13 +124,6 @@ class ChevalleyBasis:
         """Basis index of the root vector of ``root``."""
         return self.rank + self.rs.index(root)
 
-    def root_of(self, index: int) -> Root | None:
-        return None if index < self.rank else self.rs.roots[index - self.rank]
-
-    def labels(self) -> list[str]:
-        hs = [f"h{i + 1}" for i in range(self.rank)]
-        return hs + ["e" + "".join(f"{m:+d}" for m in r) for r in self.rs.roots]
-
     # -- brackets ----------------------------------------------------------
     def bracket(self, i: int, j: int) -> list[tuple[int, int]]:
         """[b_i, b_j] as a sparse list of (basis index, integer coefficient)."""
@@ -172,9 +165,6 @@ class ChevalleyBasis:
         if any(x + y for x, y in zip(g, d)):
             return 0
         return self.root_killing[g]
-
-    def killing_matrix(self) -> list[list[int]]:
-        return [[self.killing(i, j) for j in range(self.dim)] for i in range(self.dim)]
 
 
 @lru_cache(maxsize=None)

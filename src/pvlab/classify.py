@@ -185,7 +185,7 @@ def _oracle_verdicts(d: WeightedDiagram, seed: int) -> tuple[Verdicts, Witnesses
     )
     gamma = tuple(d.circled[i] for i in q.witness) if q.witness else None
     witnesses = Witnesses(
-        generic_point=rep.generic_point.vector,
+        generic_point=rep.generic_point,
         regular_gamma=gamma,
         isotropy_dim=rep.isotropy_dim,
         form_determinant=rep.form_determinant,

@@ -246,12 +246,6 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
 # generic points, isotropy, regularity
 
 
-class GenericPoint(NamedTuple):
-    vector: tuple[int, ...]
-    seed: int
-    orbit_rank: int
-
-
 class ReductivityCert(NamedTuple):
     reductive: bool
     determinant: Fraction
@@ -260,7 +254,7 @@ class ReductivityCert(NamedTuple):
 @dataclass(frozen=True)
 class RegularityReport:
     prehomogeneous: bool
-    generic_point: GenericPoint
+    generic_point: tuple[int, ...]
     orbit_rank: int
     isotropy_dim: int
     isotropy_basis: tuple[tuple[int, ...], ...]
@@ -299,19 +293,6 @@ def _generic_draw(pv: PVInstance, seed: int) -> tuple[list, list[list], int]:
         if best_r == cap:
             break
     return best_x, best_cols, best_r
-
-
-def _generic_search(pv: PVInstance,
-                    seed: int) -> tuple[GenericPoint, list[list], list[list[int]]]:
-    """The drawn point, its action matrix A_x and the exact isotropy basis."""
-    x, cols, _ = _generic_draw(pv, seed)
-    iso = kernel_basis(cols)
-    return GenericPoint(tuple(x), seed, pv.dim_g - len(iso)), cols, iso
-
-
-def generic_point(pv: PVInstance, seed: int = 0) -> GenericPoint:
-    """Best of a few seeded small-integer candidates, with its exact orbit rank."""
-    return _generic_search(pv, seed)[0]
 
 
 def isotropy_algebra(pv: PVInstance, x: Sequence) -> list[list[int]]:
@@ -359,42 +340,39 @@ def _invariant_count(pv: PVInstance, subalgebra: Sequence[Sequence]) -> int:
 
 
 def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
-    """Full verdict at a seeded generic point, everything exact.  An instance
-    with a ``diagram`` is prehomogeneous (Vinberg), so there an orbit rank
-    below dim_v raises :class:`NonGenericPoint` instead of becoming a verdict.
-    There, when the isotropy is larger than dim_v, the form determinant comes
-    from det M at the same point (:func:`_ad_square_determinant`)."""
-    gp, a, iso = _generic_search(pv, seed)
-    preh = gp.orbit_rank == pv.dim_v
+    """Full verdict at a seeded generic point, everything exact.
+
+    This is the one path from an instance and a seed to a point and its
+    isotropy: x and A_x come from :func:`_generic_draw`, the isotropy basis
+    and the orbit rank from the exact kernel of A_x, and the form
+    determinant from that basis.  An instance with a ``diagram`` is
+    prehomogeneous (Vinberg), so there an orbit rank below dim_v raises
+    :class:`NonGenericPoint` instead of becoming a verdict.  There, when the
+    isotropy is larger than dim_v, the form determinant comes from det M at
+    the same point (:func:`_ad_square_determinant`); otherwise it is the
+    Gram determinant (:func:`is_reductive`)."""
+    x, a, _ = _generic_draw(pv, seed)
+    iso = kernel_basis(a)
+    orbit_rank = pv.dim_g - len(iso)
+    preh = orbit_rank == pv.dim_v
     if pv.diagram is not None and not preh:
-        raise NonGenericPoint(f"{pv.name}: orbit rank {gp.orbit_rank} below {pv.dim_v} "
+        raise NonGenericPoint(f"{pv.name}: orbit rank {orbit_rank} below {pv.dim_v} "
                               f"at {CANDIDATES} draws")
     if pv.diagram is not None and len(iso) > pv.dim_v:
-        determinant = _ad_square_determinant(pv, gp.vector, a, iso)
-        cert = ReductivityCert(determinant != 0, determinant)
+        determinant = _ad_square_determinant(pv, x, a, iso)
     else:
-        cert = is_reductive(pv, iso)
+        determinant = is_reductive(pv, iso).determinant
     return RegularityReport(
         prehomogeneous=preh,
-        generic_point=gp,
-        orbit_rank=gp.orbit_rank,
-        isotropy_dim=pv.dim_g - gp.orbit_rank,
+        generic_point=tuple(x),
+        orbit_rank=orbit_rank,
+        isotropy_dim=len(iso),
         isotropy_basis=_freeze(iso),
-        reductive=cert.reductive,
-        regular=preh and cert.reductive,
+        reductive=determinant != 0,
+        regular=preh and determinant != 0,
         n_fundamental_invariants=_invariant_count(pv, iso),
-        form_determinant=cert.determinant,
+        form_determinant=determinant,
     )
-
-
-def count_fundamental_invariants(pv: PVInstance, x: Sequence) -> int:
-    """Characters of the group killed by the isotropy at a generic point x."""
-    iso = isotropy_algebra(pv, x)
-    r = pv.dim_g - len(iso)
-    certified_rank = generic_point(pv).orbit_rank
-    if r < certified_rank:
-        raise NonGenericPoint(f"orbit rank {r} at x, certified maximum {certified_rank}")
-    return _invariant_count(pv, iso)
 
 
 # ---------------------------------------------------------------------------

@@ -182,14 +182,14 @@ def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
                 report = lattice.regular(lattice.full)
                 assert report.prehomogeneous, d
                 verdict = verdict_and_point(lattice.pv, lattice.full)
-                assert verdict == (report.regular, report.generic_point.vector), d
+                assert verdict == (report.regular, report.generic_point), d
                 fulls += 1
                 for subset in set(queried) - {lattice.full}:
                     report = is_regular(restrict(lattice.pv, subset))
                     assert report.prehomogeneous, (d, subset)
                     direct = report.regular
                     verdict = verdict_and_point(lattice.pv, subset)
-                    assert verdict == (direct, report.generic_point.vector), (d, subset)
+                    assert verdict == (direct, report.generic_point), (d, subset)
                     sums += 1
                     regular_sums += direct
     assert (fulls, sums, regular_sums) == (927, 6128, 2052)
@@ -202,18 +202,18 @@ def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):
     # are computed at is_regular's own point on every sweep diagram and
     # every `large` diagram, at seeds 0 and 1, whichever the rule picks: they
     # must equal each other and the report, sign included.
-    search, gram = pvcore._generic_search, pvcore.is_reductive
-    searched, gram_calls = [], []
+    draw, gram = pvcore._generic_draw, pvcore.is_reductive
+    drawn, gram_calls = [], []
 
-    def recording_search(pv, seed):
-        searched.append(search(pv, seed))
-        return searched[-1]
+    def recording_draw(pv, seed):
+        drawn.append(draw(pv, seed))
+        return drawn[-1]
 
     def recording_gram(pv, iso):
         gram_calls.append(pv.name)
         return gram(pv, iso)
 
-    monkeypatch.setattr(pvcore, "_generic_search", recording_search)
+    monkeypatch.setattr(pvcore, "_generic_draw", recording_draw)
     monkeypatch.setattr(pvcore, "is_reductive", recording_gram)
     sweep = [WeightedDiagram(t, circled) for t in SWEEP_TYPES for size in range(2, t.rank + 1)
              for circled in itertools.combinations(range(1, t.rank + 1), size)]
@@ -225,11 +225,12 @@ def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):
             picked[label] = []
             for d in diagrams:
                 pv = build_parabolic_pv(d)
-                searched.clear()
+                drawn.clear()
                 gram_calls.clear()
                 report = is_regular(pv, seed)
-                [(gp, a, iso)] = searched
-                from_m = pvcore._ad_square_determinant(pv, gp.vector, a, iso)
+                [(x, a, _)] = drawn
+                iso = report.isotropy_basis
+                from_m = pvcore._ad_square_determinant(pv, x, a, iso)
                 assert from_m == gram(pv, iso).determinant == report.form_determinant, (d, seed)
                 assert report.reductive == (from_m != 0)
                 if not gram_calls:
@@ -456,13 +457,13 @@ def test_structural_property_suite(capsys):
               SimpleType("B", 4), SimpleType("C", 3), SimpleType("C", 4),
               SimpleType("D", 4), SimpleType("F", 4), SimpleType("G", 2)):
         cb = chevalley_basis(t)
-        dim = len(cb.labels())
+        dim = cb.dim
         for i in range(dim):
             for j in range(i + 1, dim):
                 for k in range(j + 1, dim):
                     assert _jacobi_holds(cb, i, j, k, dim)
     cb = chevalley_basis(SimpleType("E", 8))
-    dim = len(cb.labels())
+    dim = cb.dim
     stream = Stream(0, context="jacobi:e8")
     for _ in range(500):
         assert _jacobi_holds(cb, stream.randint(0, dim - 1),

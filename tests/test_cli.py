@@ -359,6 +359,16 @@ def test_closed_pipe_exits_141_without_a_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+def test_python_dash_m_pvlab_runs_the_cli():
+    # `python -m pvlab` reaches the command line without the console script.
+    path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-m", "pvlab", "classify", "A3[1,3]", "--quiet"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == "A3[1,3]: Q-irreducible (family A)\n"
+
+
 def test_non_generic_point_exits_4_without_a_traceback(capsys, monkeypatch):
     # A mod-p rank that under-reports leaves no certified generic point for
     # the proper sums of A3[1,3], so their piece verdicts raise.

@@ -160,4 +160,4 @@ def test_grading_dim_matches_chevalley():
         d = parse_diagram(text)
         cb = chevalley_basis(d.type)
         g = compute_grading(d)
-        assert sum(g.dim_by_level.values()) == len(cb.labels())
+        assert sum(g.dim_by_level.values()) == cb.dim

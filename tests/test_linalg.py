@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvlab._linalg import (_echelon, clear_denominators, det, identity, inverse, kernel_basis,
-                           matmul, matvec, modp_rank, rank, solve, transpose, zeros)
+                           matmul, matvec, modp_rank, rank, solve, transpose)
 
 small_entries = st.integers(min_value=-9, max_value=9)
 fraction_entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -218,7 +218,6 @@ def test_matrix_helpers():
     a = [[1, 2], [3, 4]]
     assert matmul(a, identity(2)) == a
     assert transpose(a) == [[1, 3], [2, 4]]
-    assert zeros(2, 3) == [[0, 0, 0], [0, 0, 0]]
 
 
 def test_det_multiplicative():

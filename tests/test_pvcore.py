@@ -21,11 +21,9 @@ from pvlab.diagram import WeightedDiagram, parse_diagram
 from pvlab.models import build_model, diag_chain, dual_pair, matrix_pair, sym_vector, verify_model
 from pvlab.pvcore import (DegenerateInvariant, EmptySubset, IdentityViolation, Invariant,
                           NonGenericPoint, NotRegular, NotRelativeInvariant, SubsetLattice,
-                          build_parabolic_pv, completely_q_reducible,
-                          count_fundamental_invariants, decompose_filtration,
-                          generic_point, hessian_product_identity_check, is_reductive,
-                          is_regular, isotropy_algebra, q_irreducible, restrict,
-                          verify_invariant)
+                          build_parabolic_pv, completely_q_reducible, decompose_filtration,
+                          hessian_product_identity_check, is_reductive, is_regular,
+                          isotropy_algebra, q_irreducible, restrict, verify_invariant)
 from pvlab.rootsys import SimpleType
 
 from _instances import dense_operator, dense_repr
@@ -107,18 +105,19 @@ def test_action_columns_are_the_dense_products(pv):
 
 def test_generic_point_determinism():
     pv = build_parabolic_pv(parse_diagram("A4[1,2]"))
-    a = generic_point(pv, seed=3)
-    b = generic_point(pv, seed=3)
+    a = is_regular(pv, 3)
+    b = is_regular(pv, 3)
     assert a == b
-    c = generic_point(pv, seed=4)
+    c = is_regular(pv, 4)
     assert c.orbit_rank == a.orbit_rank  # verdict is seed-stable
 
 
 def test_isotropy_vectors_annihilate_the_point():
     pv = build_parabolic_pv(parse_diagram("A3[1,3]"))
-    x = generic_point(pv).vector
+    rep = is_regular(pv)
+    x = rep.generic_point
     iso = isotropy_algebra(pv, x)
-    assert len(iso) == pv.dim_g - generic_point(pv).orbit_rank
+    assert len(iso) == pv.dim_g - rep.orbit_rank
     for s in iso:
         image = [0] * pv.dim_v
         for b, sb in enumerate(s):
@@ -175,14 +174,14 @@ def test_projection_of_generic_point_is_generic():
     # The projection onto a single component achieves that restriction's
     # maximal orbit rank.
     pv = build_parabolic_pv(parse_diagram("A4[1,3]"))
-    x = generic_point(pv).vector
+    x = is_regular(pv).generic_point
     offset = 0
     for i, comp in enumerate(pv.components):
         sub = restrict(pv, (i,))
         proj = list(x[offset:offset + len(comp)])
         offset += len(comp)
         iso = isotropy_algebra(sub, proj)
-        assert sub.dim_g - len(iso) == generic_point(sub).orbit_rank
+        assert sub.dim_g - len(iso) == is_regular(sub).orbit_rank
 
 
 def test_regular_pieces_sum_rule():
@@ -216,19 +215,13 @@ def test_one_irreducible_implies_q_irreducible():
             assert q_irreducible(pv).q_irreducible
 
 
-def test_count_fundamental_invariants_rejects_special_points():
-    pv = build_parabolic_pv(parse_diagram("A3[1,3]"))
-    with pytest.raises(NonGenericPoint):
-        count_fundamental_invariants(pv, [0] * pv.dim_v)
-
-
 def test_short_orbit_of_a_parabolic_instance_raises(monkeypatch):
     # Every parabolic instance is prehomogeneous (Vinberg), so candidates
     # that never reach the full orbit rank give no verdict, neither in a
     # full report nor in a piece verdict (called directly: the lattice may
     # answer from the process-wide piece table).  A restriction has no
     # diagram and still reports "not prehomogeneous".
-    monkeypatch.setattr(Stream, "vector", lambda self, length, lo=-9, hi=9: [0] * length)
+    monkeypatch.setattr(Stream, "vector", lambda self, length: [0] * length)
     pv = build_parabolic_pv(parse_diagram("A3[1,3]"))
     with pytest.raises(NonGenericPoint):
         is_regular(pv)
