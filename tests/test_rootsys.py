@@ -1,6 +1,9 @@
 """Root systems: admissibility, Cartan matrices, root enumeration, pieces."""
 from __future__ import annotations
 
+import hashlib
+import itertools
+
 import pytest
 import sympy.liealgebras.cartan_matrix as sym_cm
 
@@ -131,3 +134,50 @@ def test_neighbors_match_adjacency():
         rs = build_root_system(t)
         for i in range(1, t.rank + 1):
             assert list(rs.neighbors(i)) == [j for j in range(1, t.rank + 1) if rs.adjacent(i, j)]
+
+
+# Every connected node set of these ambients, with its piece.  The relabel
+# fixes the piece marks, the piece-verdict keys and `pvlab subdiagram`.
+PIECE_AMBIENTS = ([SimpleType("A", n) for n in range(1, 12)]
+                  + [SimpleType("B", n) for n in range(2, 12)]
+                  + [SimpleType("C", n) for n in range(3, 12)]
+                  + [SimpleType("D", n) for n in range(4, 12)]
+                  + [SimpleType("E", n) for n in (6, 7, 8)]
+                  + [SimpleType("F", 4), SimpleType("G", 2)])
+
+
+def _connected_pieces():
+    for t in PIECE_AMBIENTS:
+        rs = build_root_system(t)
+        for k in range(1, t.rank + 1):
+            for nodes in itertools.combinations(range(1, t.rank + 1), k):
+                seen, todo = {nodes[0]}, [nodes[0]]
+                while todo:
+                    a = todo.pop()
+                    for b in nodes:
+                        if b not in seen and rs.adjacent(a, b):
+                            seen.add(b)
+                            todo.append(b)
+                if len(seen) == k:
+                    yield rs, induced_piece(rs, nodes)
+
+
+def test_every_piece_relabel_is_frozen():
+    # sha256 over (ambient, nodes, type, sorted relabel) of the 1,281
+    # connected node sets, in the order above.
+    rows = [(str(rs.type), p.nodes, str(p.type), tuple(sorted(p.relabel.items())))
+            for rs, p in _connected_pieces()]
+    assert len(rows) == 1281
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "93815834c02516a2b35116afc18b7f5efa12a71d276b1f7c535e96fd432568fa")
+
+
+def test_every_piece_relabel_carries_its_cartan_matrix():
+    for rs, p in _connected_pieces():
+        k = len(p.nodes)
+        assert sorted(p.relabel) == list(p.nodes)
+        assert sorted(p.relabel.values()) == list(range(1, k + 1))
+        standard = cartan_matrix(p.type)
+        for a in p.nodes:
+            for b in p.nodes:
+                assert rs.cartan[a - 1][b - 1] == standard[p.relabel[a] - 1][p.relabel[b] - 1]
