@@ -264,7 +264,10 @@ class RegularityReport:
     form_determinant: Fraction
 
 
-CANDIDATES = 8
+# Draws before the search gives up.  The loop stops at the first draw of
+# full rank, so raising the count keeps every point found within fewer draws;
+# at 8, all draws of B6[1,2,3,4,5] at seed 9,002,031 missed the open orbit.
+CANDIDATES = 32
 
 
 def _action_columns(pv: PVInstance, x: Sequence) -> list[list]:
@@ -558,7 +561,6 @@ class SubsetLattice:
         self.full = tuple(range(len(pv.components)))
         self._regular: dict[tuple[int, ...], RegularityReport] = {}
         self._verdict: dict[tuple[int, ...], bool] = {}
-        self._cqr: dict[tuple[int, ...], bool] = {}
 
     def regular(self, subset: tuple[int, ...]) -> RegularityReport:
         """The exact report of the restriction to ``subset``."""
@@ -602,15 +604,12 @@ class SubsetLattice:
         """True iff the subset splits into parts with Q-irreducible restrictions."""
         if not subset:
             return True
-        if subset not in self._cqr:
-            first, rest = subset[0], subset[1:]
-            blocks = ((first,) + extra for k in range(len(rest) + 1)
-                      for extra in itertools.combinations(rest, k))
-            self._cqr[subset] = any(
-                self.q_irreducible(block)
-                and self.completely_q_reducible(tuple(i for i in subset if i not in block))
-                for block in blocks)
-        return self._cqr[subset]
+        first, rest = subset[0], subset[1:]
+        blocks = ((first,) + extra for k in range(len(rest) + 1)
+                  for extra in itertools.combinations(rest, k))
+        return any(self.q_irreducible(block)
+                   and self.completely_q_reducible(tuple(i for i in subset if i not in block))
+                   for block in blocks)
 
     def q_irreducibility(self) -> QIrreducibilityReport:
         """Regular, with no proper component sum whose restriction is regular.

@@ -238,91 +238,54 @@ def split_pieces(rs: RootSystem, nodes) -> list[DiagramPiece]:
 def induced_piece(rs: RootSystem, nodes) -> DiagramPiece:
     """Classify a connected induced sub-diagram and relabel it.
 
-    ``nodes`` may be any iterable of nodes.  The relabelling follows the
-    module's numbering conventions for the detected type (short/long root
-    last for B/C, fork tips last for D, Bourbaki branch labels for E).
-    Results are cached per root system and sorted node tuple, so callers
-    share one piece and must not mutate its ``relabel``.
+    ``nodes`` may be any iterable of nodes.  The piece is named by matching
+    Cartan matrices: its nodes are read in a few candidate orders, and the
+    piece takes the first family in ``_RANK_RANGE`` order, with the first
+    order, for which :func:`cartan_matrix` equals the piece's Cartan matrix
+    read in that order.  A path is read from its least end and then
+    backwards.  A branched piece is read once as D: its longest arm from
+    the far end inward (ties to the least far node), the branch node, then
+    the two other tips by index.  It is read once as E, with the arms sorted
+    by length and then far node: the middle arm's far node, the short arm,
+    the middle arm's near node, the branch node, then the long arm outward.
+    So B keeps its short root last, C its long root last, G2 and F4 their
+    long roots first, and D4 takes its least tip as node 1.  Results are
+    cached per root system and sorted node tuple, so callers share one
+    piece and must not mutate its ``relabel``.
     """
     return _induced_piece(rs, tuple(sorted(set(nodes))))
 
 
 @lru_cache(maxsize=None)
 def _induced_piece(rs: RootSystem, nodes: tuple[int, ...]) -> DiagramPiece:
-    k = len(nodes)
     C = rs.cartan
     adj = {a: [b for b in nodes if b != a and C[a - 1][b - 1] != 0] for a in nodes}
-    if k == 1:
-        return DiagramPiece(nodes, SimpleType("A", 1), {nodes[0]: 1})
-    branch_points = [a for a in nodes if len(adj[a]) == 3]
 
-    if not branch_points:
-        ends = sorted(a for a in nodes if len(adj[a]) == 1)
-        path = [ends[0]]
-        while len(path) < k:
-            prev = path[-2] if len(path) > 1 else None
-            path.append(next(b for b in adj[path[-1]] if b != prev))
-        mult = [max(abs(C[a - 1][b - 1]), abs(C[b - 1][a - 1])) for a, b in zip(path, path[1:])]
-        if all(m == 1 for m in mult):
-            family = SimpleType("A", k)
-        elif 3 in mult:
-            family = SimpleType("G", 2)
-            if rs.lengths[path[0] - 1] < rs.lengths[path[1] - 1]:
-                path.reverse()  # long root first
-        else:
-            j = mult.index(2)
-            if rs.lengths[path[j] - 1] < rs.lengths[path[j + 1] - 1]:
-                path.reverse()  # make the long side come first
-                j = k - 2 - j
-            nlong, nshort = j + 1, k - j - 1
-            if nshort == 1:
-                family = SimpleType("B", k)
-            elif nlong == 1:
-                family = SimpleType("C", k)
-                path.reverse()  # long root last for C
-            elif nlong == 2 and nshort == 2:
-                family = SimpleType("F", 4)
-            else:  # pragma: no cover - cannot occur inside simple ambients
-                raise ValueError(f"unrecognized path piece {nodes}")
-        return DiagramPiece(nodes, family, {a: i + 1 for i, a in enumerate(path)})
+    def walk(prev, a):  # the chain from a, away from prev, to its end
+        out = [a]
+        while step := [b for b in adj[a] if b != prev]:
+            prev, a = a, step[0]
+            out.append(a)
+        return out
 
-    center = branch_points[0]
-    branches = []
-    for nb in sorted(adj[center]):
-        br = [nb]
-        prev = center
-        while True:
-            nxt = [b for b in adj[br[-1]] if b != prev]
-            if not nxt:
-                break
-            prev = br[-1]
-            br.append(nxt[0])
-        branches.append(br)
-    branches.sort(key=lambda br: (len(br), br[-1]))
-    (c_br, b_br, a_br) = branches  # lengths ascending; ties by far-node index
-    relabel: dict[int, int] = {}
-    if len(b_br) == 1:  # D_{len(a)+3}
-        family = SimpleType("D", k)
-        relabel[center] = k - 2
-        if len(a_br) == 1:  # D4: all three tips equivalent; label by index
-            tips = sorted((a_br[0], b_br[0], c_br[0]))
-            relabel[tips[0]] = 1
-            relabel[tips[1]] = 3
-            relabel[tips[2]] = 4
-        else:
-            for i, node in enumerate(reversed(a_br)):
-                relabel[node] = i + 1
-            tips = sorted((c_br[0], b_br[0]))
-            relabel[tips[0]] = k - 1
-            relabel[tips[1]] = k
-    elif len(b_br) == 2 and len(c_br) == 1 and 2 <= len(a_br) <= 4:
-        family = SimpleType("E", k)
-        relabel[center] = 4
-        relabel[c_br[0]] = 2
-        relabel[b_br[0]] = 3
-        relabel[b_br[1]] = 1
-        for i, node in enumerate(a_br):
-            relabel[node] = 5 + i
-    else:  # pragma: no cover - cannot occur inside simple ambients
-        raise ValueError(f"unrecognized branched piece {nodes}")
-    return DiagramPiece(nodes, family, relabel)
+    hubs = [a for a in nodes if len(adj[a]) == 3]
+    if hubs:
+        hub = hubs[0]
+        arms = [walk(hub, b) for b in adj[hub]]
+        longest, tip, last_tip = sorted(arms, key=lambda arm: (-len(arm), arm[-1]))
+        short, middle, rest = sorted(arms, key=lambda arm: (len(arm), arm[-1]))
+        orders = [longest[::-1] + [hub] + tip + last_tip,        # as D
+                  [middle[-1], short[0], middle[0], hub] + rest]  # as E (Bourbaki)
+    else:
+        path = walk(None, min(a for a in nodes if len(adj[a]) < 2))
+        orders = [path, path[::-1]]
+    blocks = [[[C[a - 1][b - 1] for b in order] for a in order] for order in orders]
+    k = len(nodes)
+    for family, (lo, hi) in _RANK_RANGE.items():
+        if lo <= k <= hi:
+            t = SimpleType(family, k)
+            standard = cartan_matrix(t)
+            for order, block in zip(orders, blocks):
+                if block == standard:
+                    return DiagramPiece(nodes, t, {a: i + 1 for i, a in enumerate(order)})
+    raise ValueError(f"unrecognized piece {nodes}")  # pragma: no cover - not in a simple ambient

@@ -230,6 +230,15 @@ def test_short_orbit_of_a_parabolic_instance_raises(monkeypatch):
     assert not is_regular(restrict(pv, (0,))).prehomogeneous
 
 
+def test_a_seed_whose_first_eight_draws_miss_the_open_orbit():
+    # At seed 9,002,031 the first eight draws on B6[1,2,3,4,5] all have
+    # orbit rank 6; the tenth reaches the open orbit.
+    rep = is_regular(build_parabolic_pv(parse_diagram("B6[1,2,3,4,5]")), 9_002_031)
+    assert rep.orbit_rank == 7 and rep.regular
+    assert rep.n_fundamental_invariants == 5
+    assert rep.generic_point == (-4, -9, 2, 7, 3, -8, 1)
+
+
 def test_is_reductive_on_spans():
     pv = build_parabolic_pv(parse_diagram("A3[2]"))
     # The whole algebra is reductive; the empty subalgebra trivially so.
