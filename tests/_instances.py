@@ -1,4 +1,4 @@
-"""The dense form of a PVInstance, for the digests frozen in tests/data.
+"""The types and the dense instance form behind the digests frozen in tests/data.
 
 An instance stores each operator as its nonzero entries ``(row, col,
 value)``, by rows.  The frozen digests were taken over dense operators, so
@@ -8,6 +8,15 @@ dense form.
 from __future__ import annotations
 
 import dataclasses
+
+# Every multi-circle diagram of the tier-1 sweep (A1-7, B2-7, C3-7, D4-7,
+# E6) and of the second catalog (rank 8 of A-D, E7, E8, F4, G2), plus the
+# few-circle rank 10-14 and E8 diagrams of the benchmark's large workload.
+FROZEN_ENUMERATED = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+                     + [("C", n) for n in range(3, 9)] + [("D", n) for n in range(4, 9)]
+                     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+FROZEN_LARGE = ("A12[1,12]", "A12[3,10]", "B10[1,10]", "C12[3,10]", "D12[2,11,12]",
+                "D10[2,4,6,8]", "A14[2,13]", "E8[1,3,5,7]", "E8[1,2]")
 
 
 def dense_operator(pv, entries) -> tuple[tuple, ...]:

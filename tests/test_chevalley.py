@@ -1,16 +1,68 @@
 """Chevalley bases: brackets, Jacobi identity, Killing form."""
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from pvlab._rand import Stream
 from pvlab.chevalley import chevalley_basis
+from pvlab.diagram import parse_diagram
 from pvlab.rootsys import SimpleType
+
+from _instances import FROZEN_ENUMERATED, FROZEN_LARGE
 
 SMALL_TYPES = [SimpleType("A", 1), SimpleType("A", 2), SimpleType("A", 3),
                SimpleType("A", 4), SimpleType("B", 2), SimpleType("B", 3),
                SimpleType("B", 4), SimpleType("C", 3), SimpleType("C", 4),
                SimpleType("D", 4), SimpleType("F", 4), SimpleType("G", 2)]
+
+
+# Every type whose instances tests/data/parabolic_instances.json freezes.
+FROZEN_TYPES = sorted({SimpleType(f, n) for f, n in FROZEN_ENUMERATED}
+                      | {parse_diagram(text).type for text in FROZEN_LARGE})
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_chevalley_bases_are_frozen():
+    # tests/data/chevalley_bases.json maps each type to the sha256 of the
+    # repr of its sorted structure constants, sorted coroots, K_h table and
+    # sorted root Killing values: no constant or sign may drift.
+    got = {}
+    for t in FROZEN_TYPES:
+        cb = chevalley_basis(t)
+        got[str(t)] = {"nconst": _digest(sorted(cb.nconst.items())),
+                       "coroot": _digest(sorted(cb._coroot.items())),
+                       "killing_h": _digest(cb._killing_h),
+                       "root_killing": _digest(sorted(cb.root_killing.items()))}
+    frozen = json.loads((Path(__file__).parent / "data" / "chevalley_bases.json").read_text())
+    assert got == frozen
+
+
+@pytest.mark.parametrize("t", FROZEN_TYPES, ids=str)
+def test_structure_constants_are_string_lengths(t):
+    # |N(a, b)| = p + 1, with p the largest k such that b - k a is a root,
+    # for exactly the ordered pairs whose sum is a root.
+    cb = chevalley_basis(t)
+    roots = cb.rs.roots
+    pairs = 0
+    for a in roots:
+        for b in roots:
+            s = tuple(x + y for x, y in zip(a, b))
+            if not cb.rs.is_root(s):
+                assert (a, b) not in cb.nconst
+                continue
+            p, cur = 0, tuple(y - x for x, y in zip(a, b))
+            while cb.rs.is_root(cur):
+                p, cur = p + 1, tuple(y - x for x, y in zip(a, cur))
+            assert abs(cb.nconst[(a, b)]) == p + 1, (a, b)
+            pairs += 1
+    assert pairs == len(cb.nconst)
 
 
 def _bracket_vec(cb, i, j, dim):

@@ -26,7 +26,7 @@ from pvlab.pvcore import (DegenerateInvariant, EmptySubset, IdentityViolation, I
                           isotropy_algebra, q_irreducible, restrict, verify_invariant)
 from pvlab.rootsys import SimpleType
 
-from _instances import dense_operator, dense_repr
+from _instances import FROZEN_ENUMERATED, FROZEN_LARGE, dense_operator, dense_repr
 
 
 def test_parabolic_instance_shapes():
@@ -38,16 +38,6 @@ def test_parabolic_instance_shapes():
     assert len(pv.characters) == 2  # one character per circled node
 
 
-# Every multi-circle diagram of the tier-1 sweep (A1-7, B2-7, C3-7, D4-7,
-# E6) and of the second catalog (rank 8 of A-D, E7, E8, F4, G2), plus the
-# few-circle rank 10-14 and E8 diagrams of the benchmark's large workload.
-_FROZEN_ENUMERATED = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
-                      + [("C", n) for n in range(3, 9)] + [("D", n) for n in range(4, 9)]
-                      + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
-_FROZEN_LARGE = ("A12[1,12]", "A12[3,10]", "B10[1,10]", "C12[3,10]", "D12[2,11,12]",
-                 "D10[2,4,6,8]", "A14[2,13]", "E8[1,3,5,7]", "E8[1,2]")
-
-
 def test_parabolic_instances_are_frozen():
     # tests/data/parabolic_instances.json maps each simple type to the
     # sha256 of repr(astuple(instance)) over its diagrams in enumeration
@@ -55,12 +45,12 @@ def test_parabolic_instances_are_frozen():
     # operators, generator order, form, characters and components must not
     # drift.
     diagrams: dict[str, set] = {}
-    for family, rank in _FROZEN_ENUMERATED:
+    for family, rank in FROZEN_ENUMERATED:
         t = SimpleType(family, rank)
         for size in range(2, rank + 1):
             for circled in itertools.combinations(range(1, rank + 1), size):
                 diagrams.setdefault(str(t), set()).add(WeightedDiagram(t, circled))
-    for text in _FROZEN_LARGE:
+    for text in FROZEN_LARGE:
         d = parse_diagram(text)
         diagrams.setdefault(str(d.type), set()).add(d)
     assert sum(map(len, diagrams.values())) == 927 + 1367 + 7
