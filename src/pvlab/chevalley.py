@@ -11,113 +11,116 @@ Signs are fixed by the standard extraspecial-pair scheme over the
 summing to each root gets a positive constant and every other constant
 follows from the Jacobi identity, so all brackets are integral and
 ``|N(a, b)| = p + 1`` with p the length of the descending root string.
+
+Each per-root quantity is computed once: a positive root's squared length,
+coroot and pairing row r(H_1) .. r(H_n), and a negative root's coroot and
+row are its positive's negated.  One pass over the ordered pairs of
+positive roots groups them by their sum; the extraspecial pairs, the
+Jacobi step and the constants N(a, -b) all read those groups.  Summed over
+the roots, r(H_i) r(H_j) is K(H_i, H_j), so K_h is twice the sum of the
+positive rows' outer products.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 
-from .rootsys import Root, RootSystem, SimpleType, build_root_system, pairing
-
-
-def _neg(r: Root) -> Root:
-    return tuple(-x for x in r)
+from .rootsys import Root, RootSystem, SimpleType, build_root_system
 
 
-def _sub(a: Root, b: Root) -> Root:
-    return tuple(x - y for x, y in zip(a, b))
+def _exact(num: int, den: int) -> int:
+    """num / den, which must be an integer."""
+    q, r = divmod(num, den)
+    assert r == 0, (num, den)
+    return q
 
 
-def _build_nconst(rs: RootSystem) -> dict[tuple[Root, Root], int]:
-    """Structure constants N(a, b) for every ordered root pair with a+b a root."""
+def _build_nconst(rs: RootSystem, n2: dict[Root, int]) -> dict[tuple[Root, Root], int]:
+    """Structure constants N(a, b) for every ordered root pair with a+b a root.
+
+    ``n2`` maps each positive root to its squared length.
+    """
     pos = rs.positive
-    posset = set(pos)
-    order = {r: i for i, r in enumerate(pos)}
-    n2 = rs.norm2
-    canonical = {r: r for r in rs.roots}  # keys share the root system's tuples
+    neg = dict(zip(pos, rs.roots[len(pos):]))  # keys share the root system's tuples
+    where = {r: k for k, r in enumerate(pos)}
+    # sums[k]: the pairs (a, b) of positive roots with a first and a + b = pos[k], by a
+    sums: list[list[tuple[Root, Root]]] = [[] for _ in pos]
+    for i, a in enumerate(pos):
+        for b in pos[i + 1:]:
+            k = where.get(tuple(map(add, a, b)))
+            if k is not None:
+                sums[k].append((a, b))
     N: dict[tuple[Root, Root], int] = {}
 
-    def down_len(alpha: Root, beta: Root) -> int:
-        p, cur = 0, _sub(beta, alpha)
-        while cur in posset or _neg(cur) in posset:
-            p, cur = p + 1, _sub(cur, alpha)
-        return p
-
     def put(a: Root, b: Root, v: int) -> None:
-        a, b = canonical[a], canonical[b]
         N[(a, b)] = v
         N[(b, a)] = -v
 
-    for sigma in pos:
-        pairs = [(alpha, _sub(sigma, alpha)) for alpha in pos
-                 if order[alpha] < order[sigma]
-                 and _sub(sigma, alpha) in posset
-                 and order[alpha] < order[_sub(sigma, alpha)]]
+    for sigma, pairs in zip(pos, sums):
         if not pairs:
             continue
-        pairs.sort(key=lambda ab: order[ab[0]])
         a1, b1 = pairs[0]
-        put(a1, b1, down_len(a1, b1) + 1)
-        denom = -Fraction(n2(b1), n2(sigma)) * N[(a1, b1)]  # bracket down by a1
+        p, cur = 0, tuple(map(sub, b1, a1))
+        while rs.is_root(cur):
+            p, cur = p + 1, tuple(map(sub, cur, a1))
+        put(a1, b1, p + 1)
+        # the Jacobi identity on (a1, alpha, beta), cleared of the length ratios
+        den = n2[b1] * N[(a1, b1)]
         for alpha, beta in pairs[1:]:
-            t1 = t2 = Fraction(0)
-            bm = _sub(beta, a1)
-            if bm in posset:
-                t1 = -Fraction(n2(bm), n2(beta)) * N[(a1, bm)] * N[(bm, alpha)]
-            am = _sub(alpha, a1)
-            if am in posset:
-                t2 = Fraction(n2(am), n2(alpha)) * N[(a1, am)] * N[(am, beta)]
-            val = -(t1 + t2) / denom
-            assert val.denominator == 1, (sigma, alpha, beta, val)
-            put(alpha, beta, int(val))
+            num = 0
+            bm = tuple(map(sub, beta, a1))
+            if bm in where:
+                num -= n2[bm] * n2[alpha] * N[(a1, bm)] * N[(bm, alpha)]
+            am = tuple(map(sub, alpha, a1))
+            if am in where:
+                num += n2[am] * n2[beta] * N[(a1, am)] * N[(am, beta)]
+            put(alpha, beta, _exact(num * n2[sigma], den * n2[alpha] * n2[beta]))
 
-    for (a, b), v in [((a, b), v) for (a, b), v in N.items() if order[a] < order[b]]:
-        put(_neg(a), _neg(b), -v)
-    for xi in pos:
-        for mu in pos:
-            if mu == xi:
-                continue
-            d = _sub(xi, mu)
-            if d in posset:
-                val = -Fraction(n2(d), n2(xi)) * N[(mu, d)]
-            elif _neg(d) in posset:
-                tau = _neg(d)
-                val = Fraction(n2(tau), n2(mu)) * N[(tau, xi)]
-            else:
-                continue
-            assert val.denominator == 1, (xi, mu, val)
-            put(xi, _neg(mu), int(val))
+    for sigma, pairs in zip(pos, sums):
+        for a, b in pairs:
+            put(neg[a], neg[b], -N[(a, b)])
+            # for sigma = x + y: N(sigma, -x) = N(x, -sigma) = -|y|^2 N(x, y) / |sigma|^2
+            for x, y in ((a, b), (b, a)):
+                v = _exact(-n2[y] * N[(x, y)], n2[sigma])
+                put(sigma, neg[x], v)
+                put(x, neg[sigma], v)
     return N
 
 
 class ChevalleyBasis:
     """Integer structure constants and Killing form of a simple Lie algebra.
 
+    Built once per type from per-root tables (see the module docstring):
+    ``nconst`` holds N(a, b), ``_coroot[g]`` the coroot [e_g, e_-g] over
+    H_1 .. H_n, ``_pairings[k]`` the row roots[k](H_1) .. roots[k](H_n) that
+    ``bracket`` reads, and ``_killing_h`` the Killing form on H_1 .. H_n.
     ``root_killing[g]`` is K(e_g, e_-g), computed once per root; the Killing
     form pairs each e_g with e_-g only.
     """
 
     def __init__(self, t: SimpleType) -> None:
         self.type = t
-        self.rs = build_root_system(t)
+        self.rs = rs = build_root_system(t)
         self.rank = t.rank
-        self.dim = t.rank + len(self.rs.roots)
-        self.nconst = _build_nconst(self.rs)
-        self._coroot: dict[Root, tuple[int, ...]] = {}
-        for g in self.rs.roots:
-            c = [Fraction(2 * m * self.rs.lengths[i], self.rs.norm2(g)) for i, m in enumerate(g)]
-            assert all(x.denominator == 1 for x in c), (g, c)
-            self._coroot[g] = tuple(int(x) for x in c)
-        self._killing_h = [[sum(pairing(self.rs, g, i + 1) * pairing(self.rs, g, j + 1)
-                                for g in self.rs.roots)
-                            for j in range(self.rank)] for i in range(self.rank)]
+        self.dim = t.rank + len(rs.roots)
+        pos = rs.positive
+        n2 = {g: rs.norm2(g) for g in pos}
+        cols = list(zip(*rs.cartan))
+        rows = [tuple(sum(map(mul, g, col)) for col in cols) for g in pos]
+        self._pairings = rows + [tuple(-x for x in row) for row in rows]
+        self.nconst = _build_nconst(rs, n2)
+        up = [tuple(_exact(2 * m * d, n2[g]) for m, d in zip(g, rs.lengths)) for g in pos]
+        self._coroot: dict[Root, tuple[int, ...]] = dict(
+            zip(rs.roots, up + [tuple(-c for c in h) for h in up]))
+        by_node = list(zip(*rows))
+        self._killing_h = [[2 * sum(map(mul, a, b)) for b in by_node] for a in by_node]
         # h = [e_g, e_-g] and g(h) = 2, so K(h, h) = K(e_g, [e_-g, h]) = 2 K(e_g, e_-g);
         # the coroot of -g is -h, so g and -g share the value.
         self.root_killing: dict[Root, int] = {}
-        for g in self.rs.positive:
-            c = [(a, ca) for a, ca in enumerate(self._coroot[g]) if ca]
+        for g, h, minus in zip(pos, up, rs.roots[len(pos):]):
+            c = [(a, ca) for a, ca in enumerate(h) if ca]
             kg = sum(ca * cb * self._killing_h[a][b] for a, ca in c for b, cb in c) // 2
-            self.root_killing[g] = self.root_killing[_neg(g)] = kg
+            self.root_killing[g] = self.root_killing[minus] = kg
 
     # -- basis bookkeeping -------------------------------------------------
     def e_index(self, root: Root) -> int:
@@ -131,12 +134,10 @@ class ChevalleyBasis:
         if i < n and j < n:
             return []
         if i < n:
-            root = self.rs.roots[j - n]
-            c = pairing(self.rs, root, i + 1)
+            c = self._pairings[j - n][i]
             return [(j, c)] if c else []
         if j < n:
-            root = self.rs.roots[i - n]
-            c = pairing(self.rs, root, j + 1)
+            c = self._pairings[i - n][j]
             return [(i, -c)] if c else []
         g, d = self.rs.roots[i - n], self.rs.roots[j - n]
         s = tuple(x + y for x, y in zip(g, d))
@@ -145,14 +146,6 @@ class ChevalleyBasis:
         if self.rs.is_root(s):
             return [(n + self.rs.index(s), self.nconst[(g, d)])]
         return []
-
-    def ad_matrix(self, i: int) -> list[list[int]]:
-        """Matrix of ad(b_i): column j holds the coefficients of [b_i, b_j]."""
-        m = [[0] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for k, c in self.bracket(i, j):
-                m[k][j] = c
-        return m
 
     # -- Killing form --------------------------------------------------------
     def killing(self, i: int, j: int) -> int:

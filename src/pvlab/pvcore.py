@@ -82,6 +82,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
@@ -333,8 +334,16 @@ def is_reductive(pv: PVInstance, subalgebra: Sequence[Sequence]) -> ReductivityC
     return ReductivityCert(d != 0, d)
 
 
+@lru_cache(maxsize=256)
+def _characters_rank(characters: tuple[tuple, ...]) -> int:
+    """Rank of an instance's characters, once per distinct tuple: every
+    restriction carries its parent's characters, and parabolic instances
+    with the same circled nodes and dim_g have the same ones."""
+    return rank([list(row) for row in characters])
+
+
 def _invariant_count(pv: PVInstance, subalgebra: Sequence[Sequence]) -> int:
-    total = rank([list(row) for row in pv.characters])
+    total = _characters_rank(pv.characters)
     if not subalgebra or not pv.characters:
         return total
     supports = [[(b, v) for b, v in enumerate(row) if v] for row in pv.characters]
