@@ -6,22 +6,27 @@ det, kernel, inverse and solve: each row is scaled to integers once by
 :func:`_integer_row`, then fraction-free elimination (Bareiss 1968)
 divides exactly by the previous pivot, so entries stay integer minors of
 the input and no rational is formed until a caller asks for one.  Forward
-mode clears below the pivots (rank, determinant); Gauss-Jordan mode clears
-above them too (kernel, inverse), leaving a common pivot value ``d`` such
-that the reduced row echelon form is ``m / d``.  Solve applies the inverse.
+elimination clears below the pivots, touching each row below a pivot only
+from the pivot column on (rank, determinant).  Gauss-Jordan mode (kernel,
+inverse) then substitutes back, from the last pivot row up, leaving a
+common pivot value ``d`` such that the reduced row echelon form is
+``m / d``: each reduced row times d is an integer vector, so every
+division in the substitution is exact.  Solve applies the inverse.
 
 Row scaling is lazy.  Textbook Bareiss multiplies every row whose entry in
 the pivot column is zero by ``p / d`` at every step; on the sparse
 isotropy kernels and Gram matrices of this package that is most rows.
 Here such a row is left as it is, with the pivot value at which it was
-last brought current, and scaled once, when it is next combined, chosen
-as pivot or (Gauss-Jordan mode) returned.  The result is the same matrix.
+last brought current, and scaled once, when it is next combined or chosen
+as pivot.  The result is the same matrix.
 
 A mod-p elimination is provided as a fast certificate: it reduces the rows
 scaled to integers by :func:`_integer_row` mod the Mersenne prime P61.
 Scaling a row by a nonzero integer keeps its rank over Q, and the rank mod
 p never exceeds the rank over Z, so reaching the maximal possible rank mod
-p proves it exactly.
+p proves it exactly.  An exact elimination certifies the same thing with
+no mod-p pass: its last pivot d is a minor of the rank's size, so when
+d mod P61 is nonzero the rank mod p is the exact rank (:func:`_kernel`).
 """
 from __future__ import annotations
 
@@ -81,24 +86,37 @@ def _echelon(rows: Mat, jordan: bool) -> tuple[list, list[int], int, int, int]:
     columns, the last pivot value, the sign of the row swaps and the
     product of the integer factors the rows were scaled by.  Every pivot
     row ``r`` of ``m`` starts with zeros up to column ``pivots[r]``; rows
-    past ``len(pivots)`` are zero.  With ``jordan`` every pivot equals ``d``
-    and the pivot columns are zero elsewhere, so the reduced row echelon
-    form is ``m / d``.  Without it only rows below a pivot are cleared, and
-    for a square matrix of full rank ``sign * d / scale`` is the
-    determinant.
+    past ``len(pivots)`` are zero.  ``d`` is, up to sign, the minor of the
+    scaled rows on the pivot rows and columns.  With ``jordan`` every pivot
+    equals ``d`` and the pivot columns are zero elsewhere, so the reduced
+    row echelon form is ``m / d``.  Without it only rows below a pivot are
+    cleared, and for a square matrix of full rank ``sign * d / scale`` is
+    the determinant.
 
-    ``at[r]`` is the pivot value at which row r was last brought current:
-    its current value is ``m[r] * d / at[r]``, an integer.  A row with a
-    zero in the pivot column is not touched.  A row with entry f there
-    becomes ``(p * m[r] - f * prow) // at[r]``, the Bareiss step with the
-    pending factor ``d / at[r]`` cancelled, and is current at the new pivot
-    p.  The pivot row is brought current before it is used, and in
-    Gauss-Jordan mode every row is brought current at the end.
+    Forward elimination: ``at[r]`` is the pivot value at which row r was
+    last brought current: its current value is ``m[r] * d / at[r]``, an
+    integer.  A row with a zero in the pivot column is not touched.  A row
+    below the pivot with entry f there becomes ``(p * m[r] - f * prow) //
+    at[r]``, the Bareiss step with the pending factor ``d / at[r]``
+    cancelled, and is current at the new pivot p.  Only its tail from the
+    pivot column on is computed, in place: to the left it is already zero.
+    The pivot row is brought current before it is used, and is then final:
+    row k, U_k, is current at its own pivot p_k.
+
+    Gauss-Jordan mode then substitutes back, last pivot row first:
+
+        R_k = (d U_k - sum_{j > k} U_k[c_j] R_j) / p_k,
+
+    with c_j the pivot columns.  U_k / p_k minus those multiples of the
+    reduced rows R_j / d is the reduced row k, so R_k = d rref_k; it is an
+    integer vector (Cramer's rule on the pivot minor d), so the division
+    is exact, and the reduced form is unique, so ``m``, ``pivots`` and
+    ``d`` are those of a full Gauss-Jordan pass.
     """
     m, scale = [], 1
     for row in rows:
         ints, mult = _integer_row(row)
-        m.append(ints)
+        m.append(list(ints))  # a copy: the tails are updated in place
         scale *= mult
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -114,25 +132,36 @@ def _echelon(rows: Mat, jordan: bool) -> tuple[list, list[int], int, int, int]:
             m[k], m[piv] = m[piv], m[k]
             at[k], at[piv] = at[piv], at[k]
             sign = -sign
-        if at[k] != d:
-            m[k] = [a * d // at[k] for a in m[k]]
         prow = m[k]
+        if at[k] != d:
+            a = at[k]
+            prow[col:] = [v * d // a for v in prow[col:]]
         p = prow[col]
         at[k] = p
-        for r in range(0 if jordan else k + 1, nrows):
-            if r == k:
-                continue
+        tail = prow[col:]
+        for r in range(k + 1, nrows):
             mr = m[r]
             f = mr[col]
             if f:
-                m[r] = [(p * a - f * b) // at[r] for a, b in zip(mr, prow)]
+                a = at[r]
+                mr[col:] = [(p * u - f * v) // a for u, v in zip(mr[col:], tail)]
                 at[r] = p
         pivots.append(col)
         d = p
         if k + 1 == nrows:
             break
     if jordan:
-        m = [row if a == d else [v * d // a for v in row] for row, a in zip(m, at)]
+        for k in range(len(pivots) - 2, -1, -1):
+            c, u = pivots[k], m[k]
+            acc = [d * v for v in u[c:]]
+            for j in range(k + 1, len(pivots)):
+                cj = pivots[j]
+                f = u[cj]
+                if f:
+                    off = cj - c
+                    acc[off:] = [a - f * b for a, b in zip(acc[off:], m[j][cj:])]
+            pk = at[k]
+            u[c:] = [a // pk for a in acc]
     return m, pivots, d, sign, scale
 
 
@@ -161,6 +190,14 @@ def kernel_basis(rows: Mat) -> list[list[int]]:
     With the reduced row echelon form ``m / d``, the vector of free column f
     is ``d e_f - sum_r m[r][f] e_{pivot r}``, made primitive.
     """
+    return _kernel(rows)[0]
+
+
+def _kernel(rows: Mat) -> tuple[list[list[int]], int, int]:
+    """:func:`kernel_basis` of ``rows`` with the rank and the last pivot d
+    of the same elimination.  d is, up to sign, a rank x rank minor of the
+    rows scaled to integers by :func:`_integer_row`, so d mod P61 != 0
+    certifies that :func:`modp_rank` reaches the exact rank."""
     ncols = len(rows[0]) if rows else 0
     m, pivots, d, _, _ = _echelon(rows, True)
     pivot_set = set(pivots)
@@ -173,7 +210,7 @@ def kernel_basis(rows: Mat) -> list[list[int]]:
         for r, c in enumerate(pivots):
             x[c] = -m[r][f]
         basis.append(clear_denominators(x))
-    return basis
+    return basis, len(pivots), d
 
 
 def det(rows: Mat) -> Fraction:

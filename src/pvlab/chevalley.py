@@ -92,8 +92,9 @@ class ChevalleyBasis:
 
     Built once per type from per-root tables (see the module docstring):
     ``nconst`` holds N(a, b), ``_coroot[g]`` the coroot [e_g, e_-g] over
-    H_1 .. H_n, ``_pairings[k]`` the row roots[k](H_1) .. roots[k](H_n) that
-    ``bracket`` reads, and ``_killing_h`` the Killing form on H_1 .. H_n.
+    H_1 .. H_n, ``pairings[k]`` the row roots[k](H_1) .. roots[k](H_n),
+    ``_position[g]`` the basis index of e_g, and ``_killing_h`` the Killing
+    form on H_1 .. H_n.
     ``root_killing[g]`` is K(e_g, e_-g), computed once per root; the Killing
     form pairs each e_g with e_-g only.
     """
@@ -107,7 +108,8 @@ class ChevalleyBasis:
         n2 = {g: rs.norm2(g) for g in pos}
         cols = list(zip(*rs.cartan))
         rows = [tuple(sum(map(mul, g, col)) for col in cols) for g in pos]
-        self._pairings = rows + [tuple(-x for x in row) for row in rows]
+        self.pairings = rows + [tuple(-x for x in row) for row in rows]
+        self._position = {g: self.rank + k for k, g in enumerate(rs.roots)}
         self.nconst = _build_nconst(rs, n2)
         up = [tuple(_exact(2 * m * d, n2[g]) for m, d in zip(g, rs.lengths)) for g in pos]
         self._coroot: dict[Root, tuple[int, ...]] = dict(
@@ -125,7 +127,7 @@ class ChevalleyBasis:
     # -- basis bookkeeping -------------------------------------------------
     def e_index(self, root: Root) -> int:
         """Basis index of the root vector of ``root``."""
-        return self.rank + self.rs.index(root)
+        return self._position[root]
 
     # -- brackets ----------------------------------------------------------
     def bracket(self, i: int, j: int) -> list[tuple[int, int]]:
@@ -134,18 +136,17 @@ class ChevalleyBasis:
         if i < n and j < n:
             return []
         if i < n:
-            c = self._pairings[j - n][i]
+            c = self.pairings[j - n][i]
             return [(j, c)] if c else []
         if j < n:
-            c = self._pairings[i - n][j]
+            c = self.pairings[i - n][j]
             return [(i, -c)] if c else []
         g, d = self.rs.roots[i - n], self.rs.roots[j - n]
         s = tuple(x + y for x, y in zip(g, d))
         if not any(s):
             return [(k, c) for k, c in enumerate(self._coroot[g]) if c]
-        if self.rs.is_root(s):
-            return [(n + self.rs.index(s), self.nconst[(g, d)])]
-        return []
+        k = self._position.get(s)
+        return [] if k is None else [(k, self.nconst[(g, d)])]
 
     # -- Killing form --------------------------------------------------------
     def killing(self, i: int, j: int) -> int:

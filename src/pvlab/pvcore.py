@@ -62,20 +62,31 @@ from the dim V x dim V matrix M instead of the k x k Gram matrix:
    theorem on complementary minors, for Y = B F B^t, whose leading k x k
    block is S F S^t, and Y^-1 = B^-t F^-1 B^-1, then gives
    det(S F S^t) = det F * det(A F^-1 A^t) * det(S_free)^2 / det(A_P)^2.
-3. :func:`~pvlab._linalg.kernel_basis` gives the vector of free column f
-   as a multiple of d e_f - sum_r m[r][f] e_{p_r}, with pivots p_r < f.  So
-   S_free is diagonal, and c_f, its entry at f, is the vector's last
-   nonzero coordinate.
+3. The kernel's elimination (:func:`~pvlab._linalg._kernel`) gives the
+   vector of free column f as a multiple of d e_f - sum_r m[r][f] e_{p_r},
+   with pivots p_r < f.  So S_free is diagonal, and c_f, its entry at f,
+   is the vector's last nonzero coordinate.  A has integer entries and rank
+   dim V, so every row is a pivot row and the last pivot d is +-det(A_P).
+4. det F needs no dim g_0 x dim g_0 determinant: F is K_h on the Cartan
+   plus the block [[0, k], [k, 0]] on each pair (e_g, e_-g) of level-0 root
+   vectors, with k = K(e_g, e_-g), so det F = det K_h * prod_g (-k^2) over
+   the positive level-0 roots g (:func:`_form_determinant`).
 
 Here M is nonsingular exactly when the Gram matrix is, and the choice
 depends only on the dimensions, so each report computes the smaller of the
-two complementary minors.  Restrictions, subalgebra instances and the
-matrix models have no diagram and keep the Gram determinant.
+two complementary minors, and the one exact elimination of A_x gives both
+the isotropy basis and det(A_P).  Restrictions, subalgebra instances and
+the matrix models have no diagram and keep the Gram determinant.
 
 All verdicts use exact rational arithmetic.  A large-prime modular rank is
 used as a fast certificate during candidate selection and for M; it can
-only under-report.  Every reported rank comes from an exact kernel, and a
-piece verdict from full rank mod p or, failing that, an exact determinant.
+only under-report.  A full report needs no modular rank when its first
+candidate is certified by the exact elimination itself: rank
+min(dim V, dim g_0) with a last pivot d, a maximal minor up to sign, that
+is nonzero mod P61 proves the modular rank full, so the search would stop
+at that same candidate.  Every reported rank comes from an exact kernel,
+and a piece verdict from full rank mod p or, failing that, an exact
+determinant.
 """
 from __future__ import annotations
 
@@ -84,11 +95,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import mul, sub
+from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import grading
-from ._linalg import det, kernel_basis, modp_rank, rank
+from ._linalg import P61, _kernel, det, kernel_basis, modp_rank, rank
 from ._rand import Stream
 from .chevalley import ChevalleyBasis, chevalley_basis
 from .diagram import WeightedDiagram, render_compact, subdiagram
@@ -213,10 +224,8 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
     if not level1:
         raise EmptyLevelOne(render_compact(d))
     entries: list[list] = [[] for _ in range(n + len(level0))]
-    columns = list(zip(*rs.cartan))
     for k, r in enumerate(level1):
-        for i, column in enumerate(columns):
-            v = sum(map(mul, r, column))  # the pairing r(H_i)
+        for i, v in enumerate(alg.pairings[rs.index(r)]):  # the pairings r(H_i)
             if v:
                 entries[i].append((k, k, v))
     position = {g: p for p, g in enumerate(level0)}
@@ -280,16 +289,21 @@ def _action_columns(pv: PVInstance, x: Sequence) -> list[list]:
     return rows
 
 
+def _candidates(pv: PVInstance, seed: int):
+    """The :data:`CANDIDATES` seeded draws of generic-point candidates."""
+    stream = Stream(seed, context="generic:" + pv.name)
+    for _ in range(CANDIDATES):
+        yield stream.vector(pv.dim_v)
+
+
 def _generic_draw(pv: PVInstance, seed: int) -> tuple[list, list[list], int]:
     """The seeded generic-point draw: x, its action matrix A_x and the
-    mod-p rank of A_x.  x is the first of :data:`CANDIDATES` draws of the
-    instance's stream whose rank reaches min(dim_v, dim_g), or else the
-    first draw of the highest rank."""
-    stream = Stream(seed, context="generic:" + pv.name)
+    mod-p rank of A_x.  x is the first of the :func:`_candidates` whose
+    rank reaches min(dim_v, dim_g), or else the first draw of the highest
+    rank."""
     cap = min(pv.dim_v, pv.dim_g)
     best_x, best_cols, best_r = None, None, -1
-    for _ in range(CANDIDATES):
-        x = stream.vector(pv.dim_v)
+    for x in _candidates(pv, seed):
         cols = _action_columns(pv, x)
         r = modp_rank(cols)
         if r > best_r:
@@ -355,23 +369,31 @@ def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
     """Full verdict at a seeded generic point, everything exact.
 
     This is the one path from an instance and a seed to a point and its
-    isotropy: x and A_x come from :func:`_generic_draw`, the isotropy basis
-    and the orbit rank from the exact kernel of A_x, and the form
-    determinant from that basis.  An instance with a ``diagram`` is
-    prehomogeneous (Vinberg), so there an orbit rank below dim_v raises
-    :class:`NonGenericPoint` instead of becoming a verdict.  There, when the
-    isotropy is larger than dim_v, the form determinant comes from det M at
-    the same point (:func:`_ad_square_determinant`); otherwise it is the
-    Gram determinant (:func:`is_reductive`)."""
-    x, a, _ = _generic_draw(pv, seed)
-    iso = kernel_basis(a)
-    orbit_rank = pv.dim_g - len(iso)
+    isotropy: x is the point of :func:`_generic_draw`, the isotropy basis
+    and the orbit rank come from the exact kernel of A_x, and the form
+    determinant from that basis.  The first candidate is certified by its
+    own kernel, with no mod-p search: when the elimination of A_x reaches
+    rank min(dim_v, dim_g) with a last pivot d that is nonzero mod P61, d is
+    a maximal minor of A_x (up to sign and row scaling), so the mod-p rank
+    of A_x is full and :func:`_generic_draw` would return this same draw.
+    Otherwise :func:`_generic_draw` searches.  An instance with a
+    ``diagram`` is prehomogeneous (Vinberg), so there an orbit rank below
+    dim_v raises :class:`NonGenericPoint` instead of becoming a verdict.
+    There, when the isotropy is larger than dim_v, the form determinant
+    comes from det M at the same point (:func:`_ad_square_determinant`);
+    otherwise it is the Gram determinant (:func:`is_reductive`)."""
+    x = next(_candidates(pv, seed))
+    a = _action_columns(pv, x)
+    iso, orbit_rank, d = _kernel(a)
+    if orbit_rank < min(pv.dim_v, pv.dim_g) or d % P61 == 0:
+        x, a, _ = _generic_draw(pv, seed)
+        iso, orbit_rank, d = _kernel(a)
     preh = orbit_rank == pv.dim_v
     if pv.diagram is not None and not preh:
         raise NonGenericPoint(f"{pv.name}: orbit rank {orbit_rank} below {pv.dim_v} "
                               f"at {CANDIDATES} draws")
     if pv.diagram is not None and len(iso) > pv.dim_v:
-        determinant = _ad_square_determinant(pv, x, a, iso)
+        determinant = _ad_square_determinant(pv, x, a, iso, d)
     else:
         determinant = is_reductive(pv, iso).determinant
     return RegularityReport(
@@ -484,29 +506,39 @@ def _ad_square(pv: PVInstance, alg: ChevalleyBasis, roots: Sequence, x: Sequence
 
 
 def _ad_square_determinant(pv: PVInstance, x: Sequence, a: Matrix,
-                           iso: Sequence[Sequence]) -> Fraction:
+                           iso: Sequence[Sequence], d: int) -> Fraction:
     """det(S F S^t), the form on the isotropy basis ``iso`` = S of a
     parabolic instance at x, from det M (see the module docstring):
 
         det F * det M * prod_f c_f^2 / (prod_r kappa_r * det(A_P)^2)
 
-    ``a`` is A_x and ``iso`` its :func:`~pvlab._linalg.kernel_basis`.  The
-    vector of free column f is d e_f - sum m[r][f] e_{p_r} with p_r < f,
-    made primitive, so f is its last nonzero coordinate and c_f the entry
-    there; A_P is A_x on the other columns, the pivots.
+    ``a`` is A_x, and ``iso`` and ``d`` are its kernel basis and last pivot
+    from :func:`~pvlab._linalg._kernel`.  The vector of free column f is
+    d e_f - sum m[r][f] e_{p_r} with p_r < f, made primitive, so f is its
+    last nonzero coordinate and c_f the entry there.  A_x is an integer
+    matrix of rank dim_v, so every row is a pivot row and
+    det(A_P) = +-d; det F is :func:`_form_determinant`.
     """
-    d = pv.diagram
-    alg = chevalley_basis(d.type)
-    roots = [r for c in grading.components(d) for r in c.roots]
-    free, scale = set(), 1
-    for s in iso:
-        f = max(b for b, v in enumerate(s) if v)
-        free.add(f)
-        scale *= s[f]
-    a_p = [[row[b] for b in range(pv.dim_g) if b not in free] for row in a]
+    alg = chevalley_basis(pv.diagram.type)
+    roots = [r for c in grading.components(pv.diagram) for r in c.roots]
+    scale = prod(next(v for v in reversed(s) if v) for s in iso)
     kappa = prod(alg.root_killing[r] for r in roots)
-    return (det(pv.form) * det(_ad_square(pv, alg, roots, x, a)) * scale ** 2
-            / (kappa * det(a_p) ** 2))
+    return (_form_determinant(pv, alg) * det(_ad_square(pv, alg, roots, x, a)) * scale ** 2
+            / (kappa * d ** 2))
+
+
+def _form_determinant(pv: PVInstance, alg: ChevalleyBasis) -> Fraction:
+    """det F for a parabolic instance of the algebra ``alg``, in closed form.
+
+    F is the Killing form K_h on the Cartan, plus the block [[0, k], [k, 0]]
+    on (e_g, e_-g), with k = K(e_g, e_-g), for each positive level-0 root
+    g.  A simultaneous permutation of rows and columns, which keeps the
+    determinant, makes F block diagonal, so det F = det K_h * prod_g (-k^2).
+    """
+    n = alg.rank
+    circled = [a - 1 for a in pv.diagram.circled]
+    level0 = (g for g in alg.rs.positive if not any(g[a] for a in circled))
+    return det([row[:n] for row in pv.form[:n]]) * prod(-alg.root_killing[g] ** 2 for g in level0)
 
 
 def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence]) -> PVInstance:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pvlab
 from pvlab import pvcore
+from pvlab._linalg import _kernel
 from pvlab._rand import Stream
 from pvlab.chevalley import chevalley_basis
 from pvlab.classify import classify, enumerate_reports
@@ -202,18 +203,13 @@ def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):
     # are computed at is_regular's own point on every sweep diagram and
     # every `large` diagram, at seeds 0 and 1, whichever the rule picks: they
     # must equal each other and the report, sign included.
-    draw, gram = pvcore._generic_draw, pvcore.is_reductive
-    drawn, gram_calls = [], []
-
-    def recording_draw(pv, seed):
-        drawn.append(draw(pv, seed))
-        return drawn[-1]
+    gram = pvcore.is_reductive
+    gram_calls = []
 
     def recording_gram(pv, iso):
         gram_calls.append(pv.name)
         return gram(pv, iso)
 
-    monkeypatch.setattr(pvcore, "_generic_draw", recording_draw)
     monkeypatch.setattr(pvcore, "is_reductive", recording_gram)
     sweep = [WeightedDiagram(t, circled) for t in SWEEP_TYPES for size in range(2, t.rank + 1)
              for circled in itertools.combinations(range(1, t.rank + 1), size)]
@@ -225,12 +221,13 @@ def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):
             picked[label] = []
             for d in diagrams:
                 pv = build_parabolic_pv(d)
-                drawn.clear()
                 gram_calls.clear()
                 report = is_regular(pv, seed)
-                [(x, a, _)] = drawn
-                iso = report.isotropy_basis
-                from_m = pvcore._ad_square_determinant(pv, x, a, iso)
+                x = report.generic_point
+                a = pvcore._action_columns(pv, x)
+                iso, _, last_pivot = _kernel(a)
+                assert iso == [list(s) for s in report.isotropy_basis]
+                from_m = pvcore._ad_square_determinant(pv, x, a, iso, last_pivot)
                 assert from_m == gram(pv, iso).determinant == report.form_determinant, (d, seed)
                 assert report.reductive == (from_m != 0)
                 if not gram_calls:

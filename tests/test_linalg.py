@@ -1,6 +1,7 @@
 """Exact linear algebra: ranks, kernels, determinants, solving."""
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvlab._linalg import (_echelon, clear_denominators, det, identity, inverse, kernel_basis,
-                           matmul, matvec, modp_rank, rank, solve, transpose)
+from pvlab._linalg import (P61, _echelon, _kernel, clear_denominators, det, identity, inverse,
+                           kernel_basis, matmul, matvec, modp_rank, rank, solve, transpose)
 
 small_entries = st.integers(min_value=-9, max_value=9)
 fraction_entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -65,6 +66,27 @@ def test_echelon_matches_sympy_on_sparse_input(m):
         _, got_pivots, d, sign, scale = _echelon(m, False)
         full = len(got_pivots) == len(m)
         assert (Fraction(sign * d, scale) if full else 0) == expected.det()
+
+
+@given(st.one_of(sparse_matrix(), low_rank_matrix()), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_echelon_leaves_its_input_unchanged(m, jordan):
+    # The tails of the rows are updated in place, on copies of the input.
+    before = copy.deepcopy(m)
+    _echelon(m, jordan)
+    assert m == before
+
+
+@given(st.one_of(sparse_matrix(), small_matrix(7), low_rank_matrix()))
+@settings(max_examples=60, deadline=None)
+def test_kernel_certificate_is_the_exact_rank_and_a_pivot_minor(m):
+    # _kernel returns kernel_basis with the rank and the last pivot d, which
+    # is a nonzero minor of that size, so mod P61 it certifies modp_rank.
+    basis, r, d = _kernel(m)
+    assert basis == kernel_basis(m)
+    assert r == rank(m) and d != 0
+    if d % P61:
+        assert modp_rank(m) == r
 
 
 @given(small_matrix())

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from pvlab import grading, pvcore
 from pvlab.classify import classify
-from pvlab._linalg import matvec
+from pvlab._linalg import det, matvec
+from pvlab.chevalley import chevalley_basis
 from pvlab._rand import Stream
 from pvlab.diagram import WeightedDiagram, parse_diagram
 from pvlab.models import build_model, diag_chain, dual_pair, matrix_pair, sym_vector, verify_model
@@ -227,6 +228,52 @@ def test_a_seed_whose_first_eight_draws_miss_the_open_orbit():
     assert rep.orbit_rank == 7 and rep.regular
     assert rep.n_fundamental_invariants == 5
     assert rep.generic_point == (-4, -9, 2, 7, 3, -8, 1)
+
+
+# The 927 multi-circle diagrams of the tier-1 sweep.
+SWEEP = [WeightedDiagram(SimpleType(f, n), circled)
+         for f, ranks in (("A", range(1, 8)), ("B", range(2, 8)), ("C", range(3, 8)),
+                          ("D", range(4, 8)), ("E", (6,)))
+         for n in ranks for size in range(2, n + 1)
+         for circled in itertools.combinations(range(1, n + 1), size)]
+
+
+def test_certified_first_draw_is_the_searched_draw():
+    # is_regular accepts its first candidate on the kernel's own certificate
+    # (full exact rank, last pivot nonzero mod P61), with no mod-p search:
+    # the point must be the one the search would have returned.
+    assert len(SWEEP) == 927
+    for d in SWEEP + [parse_diagram(text) for text in FROZEN_LARGE]:
+        pv = build_parabolic_pv(d)
+        for seed in (0, 1):
+            assert is_regular(pv, seed).generic_point == tuple(pvcore._generic_draw(pv, seed)[0]), d
+
+
+@pytest.mark.parametrize("text", ["A3[1,3]", "E6[1,2]", "D7[2,6,7]"])
+def test_uncertified_first_draw_falls_back_to_the_search(monkeypatch, text):
+    # A zero first draw has rank 0, so is_regular falls back to the mod-p
+    # search, whose own first draw is the stream's first real vector.
+    pv = build_parabolic_pv(parse_diagram(text))
+    expected = is_regular(pv, 0)
+    vector, calls = Stream.vector, []
+
+    def zero_first(self, length):
+        calls.append(length)
+        return [0] * length if len(calls) == 1 else vector(self, length)
+
+    monkeypatch.setattr(Stream, "vector", zero_first)
+    report = is_regular(pv, 0)
+    assert len(calls) >= 2
+    assert report.generic_point == tuple(pvcore._generic_draw(pv, 0)[0])
+    assert report == expected
+
+
+def test_closed_form_form_determinant_over_the_sweep():
+    # det F = det K_h * prod over positive level-0 roots g of -K(e_g, e_-g)^2.
+    for d in SWEEP:
+        pv = build_parabolic_pv(d)
+        alg = chevalley_basis(d.type)
+        assert pvcore._form_determinant(pv, alg) == det(pv.form), d
 
 
 def test_is_reductive_on_spans():
