@@ -16,12 +16,11 @@ from .classify import (ClassificationReport, FamilyMatch, MismatchError, classif
                        enumerate_reports, family_match)
 from .diagram import (DiagramError, ParseError, WeightedDiagram, parse_diagram,
                       render_ascii, render_compact, subdiagram)
-from .grading import Component, Grading, components, compute_grading, level_roots, rules_R
+from .grading import Component, Grading, components, compute_grading
 from .models import MODELS, ModelSpec, build_model, pfaffian, verify_model
 from .pvcore import (GroupCheck, Invariant, PVError, PVInstance, RegularityReport,
-                     SubsetLattice, build_parabolic_pv, completely_q_reducible,
-                     decompose_filtration, is_reductive, is_regular, isotropy_algebra,
-                     q_irreducible, restrict, verify_invariant)
+                     SubsetLattice, build_parabolic_pv, decompose_filtration, is_reductive,
+                     is_regular, q_irreducible, restrict, verify_invariant)
 from .rootsys import RootSystem, SimpleType, build_root_system, cartan_matrix
 
 __version__ = "0.1.0"
@@ -32,10 +31,10 @@ __all__ = [
     "ChevalleyBasis", "chevalley_basis",
     "WeightedDiagram", "DiagramError", "ParseError", "parse_diagram",
     "render_ascii", "render_compact", "subdiagram",
-    "Grading", "Component", "compute_grading", "components", "level_roots", "rules_R",
-    "PVInstance", "PVError", "build_parabolic_pv", "isotropy_algebra",
+    "Grading", "Component", "compute_grading", "components",
+    "PVInstance", "PVError", "build_parabolic_pv",
     "is_reductive", "is_regular", "restrict",
-    "SubsetLattice", "q_irreducible", "completely_q_reducible", "decompose_filtration",
+    "SubsetLattice", "q_irreducible", "decompose_filtration",
     "Invariant", "GroupCheck", "RegularityReport", "verify_invariant",
     "ModelSpec", "MODELS", "build_model", "verify_model", "pfaffian",
     "FamilyMatch", "ClassificationReport", "MismatchError", "family_match", "classify",

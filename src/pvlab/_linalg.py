@@ -251,6 +251,3 @@ def matmul(a: Mat, b: Mat) -> Mat:
 def transpose(m: Mat) -> Mat:
     return [list(row) for row in zip(*m)]
 
-
-def identity(n: int) -> Mat:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

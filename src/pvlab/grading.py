@@ -17,17 +17,11 @@ from .diagram import WeightedDiagram
 from .rootsys import Root, build_root_system
 
 
-class NotAdjacent(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Grading:
     """Level decomposition of the ambient algebra under a weighted diagram."""
 
-    diagram: WeightedDiagram
     h_theta: tuple[Fraction, ...]
-    degrees: dict[Root, int]
     dim_by_level: dict[int, int]
 
 
@@ -61,11 +55,11 @@ def compute_grading(d: WeightedDiagram) -> Grading:
     n = d.type.rank
     targets = [2 if i in d.circled else 0 for i in range(1, n + 1)]
     h = solve(rs.cartan, targets)
-    degrees = {r: degree(d, r) for r in rs.roots}
     dims: dict[int, int] = {0: n}
-    for lvl in degrees.values():
+    for r in rs.roots:
+        lvl = degree(d, r)
         dims[lvl] = dims.get(lvl, 0) + 1
-    return Grading(d, tuple(h), degrees, dict(sorted(dims.items())))
+    return Grading(tuple(h), dict(sorted(dims.items())))
 
 
 @lru_cache(maxsize=256)
@@ -91,28 +85,3 @@ def components(d: WeightedDiagram) -> tuple[Component, ...]:
         hw = {b: rs.cartan[a - 1][b - 1] for b in j}
         out.append(Component(a, tuple(roots), len(roots), j, hw))
     return tuple(out)
-
-
-def rules_R(d: WeightedDiagram, alpha: int, beta: int) -> int:
-    """Shortcut for the Cartan integer of a circled node against a theta neighbor.
-
-    Returns -1 when the circled root is not longer than its neighbor, else
-    minus the bond multiplicity; always equal to ``pairing(alpha, beta)``.
-    """
-    rs = build_root_system(d.type)
-    if alpha not in d.circled or beta in d.circled or not rs.adjacent(alpha, beta):
-        raise NotAdjacent(f"need a circled node and an adjacent theta node, got ({alpha}, {beta})")
-    la, lb = rs.lengths[alpha - 1], rs.lengths[beta - 1]
-    if la <= lb:
-        return -1
-    return -(la // lb)
-
-
-def level_roots(d: WeightedDiagram, level: int) -> list[Root]:
-    """All roots at a given level, in root-system order."""
-    rs = build_root_system(d.type)
-    return [r for r in rs.roots if degree(d, r) == level]
-
-
-def simple_root(rank: int, i: int) -> Root:
-    return tuple(1 if j == i - 1 else 0 for j in range(rank))

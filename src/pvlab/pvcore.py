@@ -99,7 +99,7 @@ from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import grading
-from ._linalg import P61, _kernel, det, kernel_basis, modp_rank, rank
+from ._linalg import P61, _kernel, det, modp_rank, rank
 from ._rand import Stream
 from .chevalley import ChevalleyBasis, chevalley_basis
 from .diagram import WeightedDiagram, render_compact, subdiagram
@@ -311,11 +311,6 @@ def _generic_draw(pv: PVInstance, seed: int) -> tuple[list, list[list], int]:
         if best_r == cap:
             break
     return best_x, best_cols, best_r
-
-
-def isotropy_algebra(pv: PVInstance, x: Sequence) -> list[list[int]]:
-    """Exact kernel basis of a -> (sum a_i op_i) x, in algebra coordinates."""
-    return kernel_basis(_action_columns(pv, x))
 
 
 def _gram(form: Matrix, vectors: Sequence[Sequence]) -> list[list]:
@@ -667,11 +662,6 @@ class SubsetLattice:
 def q_irreducible(pv: PVInstance, seed: int = 0) -> QIrreducibilityReport:
     """:meth:`SubsetLattice.q_irreducibility` of a fresh lattice."""
     return SubsetLattice(pv, seed).q_irreducibility()
-
-
-def completely_q_reducible(pv: PVInstance, seed: int = 0) -> bool:
-    lattice = SubsetLattice(pv, seed)
-    return lattice.completely_q_reducible(lattice.full)
 
 
 @dataclass(frozen=True)

@@ -195,12 +195,6 @@ def build_root_system(t: SimpleType) -> RootSystem:
     return RootSystem(t)
 
 
-def pairing(rs: RootSystem, root: Root, node: int) -> int:
-    """Cartan integer root(H_{alpha_node}) for a 1-based node index."""
-    j = node - 1
-    return sum(m * rs.cartan[i][j] for i, m in enumerate(root) if m)
-
-
 class DiagramPiece(NamedTuple):
     """A connected induced sub-diagram, relabelled to a standard standalone type.
 

@@ -4,10 +4,16 @@ An instance stores each operator as its nonzero entries ``(row, col,
 value)``, by rows.  The frozen digests were taken over dense operators, so
 :func:`dense_repr` rebuilds them.  The tests are the only readers of the
 dense form.
+
+It also holds the small helpers that several test modules share: an
+identity matrix, a simple root, the Cartan integer of two adjacent nodes
+read from their lengths, and the exact isotropy basis at a point.
 """
 from __future__ import annotations
 
 import dataclasses
+
+from pvlab import _linalg, pvcore
 
 # Every multi-circle diagram of the tier-1 sweep (A1-7, B2-7, C3-7, D4-7,
 # E6) and of the second catalog (rank 8 of A-D, E7, E8, F4, G2), plus the
@@ -43,3 +49,24 @@ def dense_repr(pv) -> str:
             v = dataclasses.astuple(v)
         fields.append(v)
     return repr(tuple(fields))
+
+
+def identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def simple_root(rank: int, i: int) -> tuple[int, ...]:
+    """The simple root alpha_i (1-based) in the simple-root basis."""
+    return tuple(int(j == i) for j in range(1, rank + 1))
+
+
+def length_rule(rs, alpha: int, beta: int) -> int:
+    """alpha(H_beta) for adjacent nodes, from the relative lengths alone:
+    -1 when alpha is not longer than beta, else minus the bond multiplicity."""
+    la, lb = rs.lengths[alpha - 1], rs.lengths[beta - 1]
+    return -1 if la <= lb else -(la // lb)
+
+
+def isotropy_algebra(pv, x) -> list[list[int]]:
+    """Exact kernel basis of a -> (sum a_i op_i) x, in algebra coordinates."""
+    return _linalg.kernel_basis(pvcore._action_columns(pv, x))

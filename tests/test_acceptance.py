@@ -23,16 +23,16 @@ from pvlab.chevalley import chevalley_basis
 from pvlab.classify import classify, enumerate_reports
 from pvlab.cli import main
 from pvlab.diagram import WeightedDiagram, parse_diagram, render_compact, subdiagram
-from pvlab.grading import components, compute_grading, rules_R, simple_root
+from pvlab.grading import components, compute_grading
 from pvlab.models import (MODELS, build_model, descending_chains, diag_chain,
                           dual_pair, matrix_pair, skew_pair, sym_vector, vector_skew,
                           verify_model)
 from pvlab.pvcore import (Invariant, SubsetLattice, build_parabolic_pv,
                           decompose_filtration, hessian_product_identity_check,
-                          is_regular, isotropy_algebra, q_irreducible, restrict)
-from pvlab.rootsys import SimpleType, build_root_system, induced_piece, pairing
+                          is_regular, q_irreducible, restrict)
+from pvlab.rootsys import SimpleType, build_root_system, induced_piece
 
-from _instances import dense_operator
+from _instances import dense_operator, identity, isotropy_algebra, length_rule, simple_root
 
 DATA = Path(__file__).parent / "data"
 
@@ -359,8 +359,7 @@ def test_worked_example_certificates():
 
     for n in (2, 3, 4):
         spec = sym_vector(n)
-        x = spec.pack({"S": [[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                       "v": [[1]] + [[0]] * (n - 1)})
+        x = spec.pack({"S": identity(n), "v": [[1]] + [[0]] * (n - 1)})
         assert len(isotropy_algebra(spec.instance, x)) == (n - 1) * (n - 2) // 2
 
     rep = is_regular(vector_skew(5).instance)
@@ -485,7 +484,8 @@ def test_structural_property_suite(capsys):
                 g = compute_grading(WeightedDiagram(t, subset))
                 assert sum(g.dim_by_level.values()) == expected
 
-    # The adjacency shortcut equals the Cartan pairing, every type, rank <= 9.
+    # The length rule equals the Chevalley basis's pairing alpha_a(H_b) on
+    # every adjacent pair, every type, rank <= 9.
     rule_types = ([SimpleType("A", n) for n in range(1, 10)]
                   + [SimpleType("B", n) for n in range(2, 10)]
                   + [SimpleType("C", n) for n in range(3, 10)]
@@ -494,10 +494,11 @@ def test_structural_property_suite(capsys):
                      SimpleType("F", 4), SimpleType("G", 2)])
     for t in rule_types:
         rs = build_root_system(t)
+        pairings = chevalley_basis(t).pairings
         for a in range(1, t.rank + 1):
-            d = WeightedDiagram(t, (a,))
+            row = pairings[rs.index(simple_root(t.rank, a))]
             for b in rs.neighbors(a):
-                assert rules_R(d, a, b) == pairing(rs, simple_root(t.rank, a), b)
+                assert length_rule(rs, a, b) == row[b - 1]
 
     # The three restriction pictures match their golden files byte for byte.
     for gamma, golden in (("2", "subdiagram_d9_gamma_2.txt"),
@@ -535,22 +536,30 @@ def _q_partitions(lattice: SubsetLattice, subset: tuple[int, ...]) -> list[tuple
     return out
 
 
-def test_structural_theorems_over_the_sweep():
-    # The abstract's two structural claims on every sweep diagram at seed 0.
-    # (b) A regular PV is a sum of Q-irreducible ones in the filtered sense:
-    # decompose_filtration completes on every regular diagram, ending in a
-    # reductive isotropy.  (a) The Q-isotypic components of a completely
-    # Q-reducible PV are intrinsic.  In parabolic type no two components are
-    # isomorphic, because each circled node has its own central character
-    # (grading by that node alone puts its component at level 1 and the
-    # others at level 0).  So every isotypic component is a single
-    # component, and (a) says the partition of the components into
-    # Q-irreducible blocks is unique.
+def _structural_theorems(types) -> tuple[int, Counter, int]:
+    """Check the abstract's two structural claims on every multi-circle
+    diagram of ``types`` at seed 0, and count what was checked.
+
+    (b) A regular PV is a sum of Q-irreducible ones in the filtered sense:
+    decompose_filtration completes on every regular diagram, ending in a
+    reductive isotropy.  (a) The Q-isotypic components of a completely
+    Q-reducible PV are intrinsic.  In parabolic type no two components are
+    isomorphic, because each circled node has its own central character
+    (grading by that node alone puts its component at level 1 and the
+    others at level 0).  So every isotypic component is a single
+    component, and (a) says the partition of the components into
+    Q-irreducible blocks is unique.
+
+    Returns the number of diagrams, the filtration stage counts of the
+    regular ones, and the number of completely Q-reducible ones.
+    """
+    diagrams = 0
     stages = Counter()
     reducible = 0
-    for t in SWEEP_TYPES:
+    for t in types:
         for size in range(2, t.rank + 1):
             for circled in itertools.combinations(range(1, t.rank + 1), size):
+                diagrams += 1
                 pv = build_parabolic_pv(WeightedDiagram(t, circled))
                 lattice = SubsetLattice(pv)
                 partitions = _q_partitions(lattice, lattice.full)
@@ -565,8 +574,17 @@ def test_structural_theorems_over_the_sweep():
                     assert len(partitions) == 1, (pv.name, partitions)
                     assert len(rep.stages) == 1, pv.name
                     reducible += 1
-    assert stages == {1: 226, 2: 99, 3: 4}
-    assert reducible == 226
+    return diagrams, stages, reducible
+
+
+def test_structural_theorems_over_the_sweep():
+    assert _structural_theorems(SWEEP_TYPES) == (927, {1: 226, 2: 99, 3: 4}, 226)
+
+
+def test_structural_theorems_over_the_second_catalog():
+    # The same claims on rank 8 of A-D, E7, E8, F4 and G2, where the E7 and
+    # E8 rows of the family table live.
+    assert _structural_theorems(SECOND_CATALOG_TYPES) == (1367, {1: 228, 2: 150, 3: 11}, 228)
 
 
 def test_out_of_scope_claims_are_not_asserted():
@@ -605,3 +623,17 @@ def test_public_names_resolve_and_every_import_is_used():
                 imported |= {a.asname or a.name for a in node.names}
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= read | set(exported), (name, sorted(imported - read - set(exported)))
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py wraps each (module, fn) in TARGETS by
+    # getattr(pvlab.<module>, fn), with no default: a traced name that is
+    # removed from the package breaks every --trace 1 run.
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    targets = next(ast.literal_eval(node.value) for node in ast.parse(path.read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    assert targets
+    missing = [(m, fn) for m, fn in targets
+               if not hasattr(importlib.import_module("pvlab." + m), fn)]
+    assert not missing, missing

@@ -1,4 +1,4 @@
-"""Gradings: H_theta, level dimensions, level-1 components, and rules."""
+"""Gradings: H_theta, level dimensions, level-1 components, and the length rule."""
 from __future__ import annotations
 
 import itertools
@@ -7,9 +7,10 @@ import pytest
 
 from pvlab.chevalley import chevalley_basis
 from pvlab.diagram import WeightedDiagram, parse_diagram
-from pvlab.grading import (NotAdjacent, components, compute_grading, degree, level_roots,
-                           rules_R, simple_root)
+from pvlab.grading import components, compute_grading, degree
 from pvlab.rootsys import SimpleType, build_root_system
+
+from _instances import length_rule, simple_root
 
 # Level dimension profiles frozen from an independent root-enumeration pass.
 LEVELS = {
@@ -67,11 +68,16 @@ def test_levels_symmetric_and_sum_to_dim():
                     assert g.dim_by_level[-level] == d
 
 
+def _level_roots(d: WeightedDiagram, level: int) -> list:
+    """All roots at a given level, in root-system order."""
+    return [r for r in build_root_system(d.type).roots if degree(d, r) == level]
+
+
 def test_level_roots_match_grading():
     d = parse_diagram("E6[1,2]")
     g = compute_grading(d)
     for level in (1, 2, 3):
-        assert len(level_roots(d, level)) == g.dim_by_level[level]
+        assert len(_level_roots(d, level)) == g.dim_by_level[level]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +104,7 @@ def test_components_partition_level_one():
         comps = components(d)
         assert [c.alpha for c in comps] == list(d.circled)
         all_roots = [r for c in comps for r in c.roots]
-        assert sorted(all_roots) == sorted(level_roots(d, 1))
+        assert sorted(all_roots) == sorted(_level_roots(d, 1))
         for c in comps:
             assert c.dim == len(c.roots)
 
@@ -122,7 +128,7 @@ def test_a_type_block_dimension_formula():
 
 
 # ---------------------------------------------------------------------------
-# rules
+# the Cartan integer of a circled node against a theta neighbor, by lengths
 
 
 @pytest.mark.parametrize("text,alpha,beta,value", [
@@ -134,25 +140,18 @@ def test_a_type_block_dimension_formula():
     ("G2[2]", 2, 1, -1),
 ])
 def test_rules_fixtures(text, alpha, beta, value):
-    d = parse_diagram(text)
-    assert rules_R(d, alpha, beta) == value
-
-
-def test_rules_rejects_non_adjacent():
-    with pytest.raises(NotAdjacent):
-        rules_R(parse_diagram("A4[1]"), 1, 3)
+    rs = build_root_system(parse_diagram(text).type)
+    assert length_rule(rs, alpha, beta) == value == rs.cartan[alpha - 1][beta - 1]
 
 
 def test_rules_equal_cartan_integers_small():
     for t in (SimpleType("B", 4), SimpleType("C", 4), SimpleType("G", 2)):
+        # Every adjacent pair (a, b) is a circled node and a theta neighbor
+        # in some diagram, e.g. the one that circles a alone.
         rs = build_root_system(t)
-        for size in range(1, t.rank + 1):
-            for circled in itertools.combinations(range(1, t.rank + 1), size):
-                d = WeightedDiagram(t, circled)
-                for a in circled:
-                    for b in rs.neighbors(a):
-                        if b not in circled:
-                            assert rules_R(d, a, b) == rs.cartan[a - 1][b - 1]
+        for a in range(1, t.rank + 1):
+            for b in rs.neighbors(a):
+                assert length_rule(rs, a, b) == rs.cartan[a - 1][b - 1]
 
 
 def test_grading_dim_matches_chevalley():

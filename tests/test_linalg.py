@@ -9,8 +9,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvlab._linalg import (P61, _echelon, _kernel, clear_denominators, det, identity, inverse,
-                           kernel_basis, matmul, matvec, modp_rank, rank, solve, transpose)
+from pvlab._linalg import (P61, _echelon, _kernel, clear_denominators, det, inverse, kernel_basis,
+                           matmul, matvec, modp_rank, rank, solve, transpose)
+
+from _instances import identity
 
 small_entries = st.integers(min_value=-9, max_value=9)
 fraction_entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)

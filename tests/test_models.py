@@ -10,17 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvlab._linalg import det, identity, matmul
+from pvlab._linalg import det, matmul
 from pvlab._rand import Stream
 from pvlab.diagram import parse_diagram
 from pvlab.models import (MODELS, ModelSpec, NotSkew, OddSize, _layout, _spec, _unpack,
                           build_model, descending_chains, diag_chain, dual_pair,
                           generic_det, matrix_pair, pfaffian, skew_pair, sym_vector,
                           vector_skew, verify_model)
-from pvlab.pvcore import (Invariant, build_parabolic_pv, is_regular, isotropy_algebra,
-                          q_irreducible)
+from pvlab.pvcore import Invariant, build_parabolic_pv, is_regular, q_irreducible
 
-from _instances import dense_repr
+from _instances import dense_repr, identity, isotropy_algebra
 
 J2 = [[0, 1], [-1, 0]]
 DATA = Path(__file__).parent / "data"

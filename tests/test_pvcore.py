@@ -22,12 +22,13 @@ from pvlab.diagram import WeightedDiagram, parse_diagram
 from pvlab.models import build_model, diag_chain, dual_pair, matrix_pair, sym_vector, verify_model
 from pvlab.pvcore import (DegenerateInvariant, EmptySubset, IdentityViolation, Invariant,
                           NonGenericPoint, NotRegular, NotRelativeInvariant, SubsetLattice,
-                          build_parabolic_pv, completely_q_reducible, decompose_filtration,
+                          build_parabolic_pv, decompose_filtration,
                           hessian_product_identity_check, is_reductive, is_regular,
-                          isotropy_algebra, q_irreducible, restrict, verify_invariant)
+                          q_irreducible, restrict, verify_invariant)
 from pvlab.rootsys import SimpleType
 
-from _instances import FROZEN_ENUMERATED, FROZEN_LARGE, dense_operator, dense_repr
+from _instances import (FROZEN_ENUMERATED, FROZEN_LARGE, dense_operator, dense_repr,
+                        isotropy_algebra)
 
 
 def test_parabolic_instance_shapes():
@@ -192,8 +193,9 @@ def test_q_irreducibility_verdicts():
     rep = q_irreducible(build_parabolic_pv(parse_diagram("F4[1,2]")))
     assert not rep.q_irreducible
     assert rep.witness is not None
-    assert completely_q_reducible(build_parabolic_pv(parse_diagram("F4[1,2]")))
-    assert not completely_q_reducible(build_parabolic_pv(parse_diagram("D9[2,3,5,8]")))
+    for text, reducible in (("F4[1,2]", True), ("D9[2,3,5,8]", False)):
+        lattice = SubsetLattice(build_parabolic_pv(parse_diagram(text)))
+        assert lattice.completely_q_reducible(lattice.full) == reducible
 
 
 def test_one_irreducible_implies_q_irreducible():

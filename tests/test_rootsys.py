@@ -7,8 +7,9 @@ import itertools
 import pytest
 import sympy.liealgebras.cartan_matrix as sym_cm
 
+from pvlab.chevalley import chevalley_basis
 from pvlab.rootsys import (InadmissibleType, SimpleType, build_root_system, cartan_matrix,
-                           check_admissible, induced_piece, pairing, split_pieces)
+                           check_admissible, induced_piece, split_pieces)
 
 # Total root counts |Sigma| for every supported (family, rank), frozen from an
 # independent chain-closure enumeration.
@@ -84,11 +85,11 @@ def test_norms_by_family():
 def test_pairing_is_cartan_integer():
     t = SimpleType("F", 4)
     rs = build_root_system(t)
+    pairings = chevalley_basis(t).pairings
     cm = cartan_matrix(t)
     for i in range(1, 5):
         alpha = tuple(1 if j == i else 0 for j in range(1, 5))
-        for j in range(1, 5):
-            assert pairing(rs, alpha, j) == cm[i - 1][j - 1]
+        assert list(pairings[rs.index(alpha)]) == cm[i - 1]
 
 
 def test_adjacency_d9():
