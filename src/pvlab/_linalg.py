@@ -26,7 +26,8 @@ Scaling a row by a nonzero integer keeps its rank over Q, and the rank mod
 p never exceeds the rank over Z, so reaching the maximal possible rank mod
 p proves it exactly.  An exact elimination certifies the same thing with
 no mod-p pass: its last pivot d is a minor of the rank's size, so when
-d mod P61 is nonzero the rank mod p is the exact rank (:func:`_kernel`).
+d mod P61 is nonzero the rank mod p is the exact rank
+(:func:`kernel_basis` returns d).
 """
 from __future__ import annotations
 
@@ -183,21 +184,17 @@ def clear_denominators(vec: Vec) -> list[int]:
     return [v // g for v in out] if g else list(out)
 
 
-def kernel_basis(rows: Mat) -> list[list[int]]:
-    """Basis of the right kernel {x : A x = 0}, as primitive integer vectors.
+def kernel_basis(rows: Mat) -> tuple[list[list[int]], int, int]:
+    """Basis of the right kernel {x : A x = 0}, as primitive integer vectors,
+    with the rank and the last pivot d of the same elimination.
 
     Deterministic: one basis vector per free column, ordered by free column.
     With the reduced row echelon form ``m / d``, the vector of free column f
-    is ``d e_f - sum_r m[r][f] e_{pivot r}``, made primitive.
+    is ``d e_f - sum_r m[r][f] e_{pivot r}``, made primitive.  d is, up to
+    sign, a rank x rank minor of the rows scaled to integers by
+    :func:`_integer_row`, so d mod P61 != 0 certifies that
+    :func:`modp_rank` reaches the exact rank.
     """
-    return _kernel(rows)[0]
-
-
-def _kernel(rows: Mat) -> tuple[list[list[int]], int, int]:
-    """:func:`kernel_basis` of ``rows`` with the rank and the last pivot d
-    of the same elimination.  d is, up to sign, a rank x rank minor of the
-    rows scaled to integers by :func:`_integer_row`, so d mod P61 != 0
-    certifies that :func:`modp_rank` reaches the exact rank."""
     ncols = len(rows[0]) if rows else 0
     m, pivots, d, _, _ = _echelon(rows, True)
     pivot_set = set(pivots)

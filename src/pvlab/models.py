@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from ._linalg import inverse, matmul, transpose
 from ._rand import Stream
-from .pvcore import (GroupCheck, Invariant, PVError, PVInstance, SubsetLattice, make_instance,
+from .pvcore import (GroupCheck, Invariant, PVError, PVInstance, make_instance, q_irreducible,
                      verify_invariant)
 
 __all__ = [
@@ -603,15 +603,14 @@ class ModelCheckLine:
 
 
 def verify_model(spec: ModelSpec, seed: int = 0) -> tuple[bool, list[ModelCheckLine]]:
-    """Recompute a model's certificates and compare against its expected values."""
+    """Recompute a model's certificates and compare against its expected values.
+
+    ``q_irreducible`` is read from :func:`~pvlab.pvcore.q_irreducible` at
+    ``seed``, every other expected key from that report's regularity."""
     lines: list[ModelCheckLine] = []
-    lattice = SubsetLattice(spec.instance, seed)
-    report = lattice.regular(lattice.full)
+    q = q_irreducible(spec.instance, seed)
     for key, want in spec.expected.items():
-        if key == "q_irreducible":
-            got = lattice.q_irreducibility().q_irreducible
-        else:
-            got = getattr(report, key)
+        got = getattr(q if key == "q_irreducible" else q.regularity, key)
         lines.append(ModelCheckLine(key, got == want, f"expected {want}, got {got}"))
     for mi in spec.invariants:
         label = f"invariant {mi.invariant.name}"

@@ -62,11 +62,12 @@ from the dim V x dim V matrix M instead of the k x k Gram matrix:
    theorem on complementary minors, for Y = B F B^t, whose leading k x k
    block is S F S^t, and Y^-1 = B^-t F^-1 B^-1, then gives
    det(S F S^t) = det F * det(A F^-1 A^t) * det(S_free)^2 / det(A_P)^2.
-3. The kernel's elimination (:func:`~pvlab._linalg._kernel`) gives the
-   vector of free column f as a multiple of d e_f - sum_r m[r][f] e_{p_r},
-   with pivots p_r < f.  So S_free is diagonal, and c_f, its entry at f,
-   is the vector's last nonzero coordinate.  A has integer entries and rank
-   dim V, so every row is a pivot row and the last pivot d is +-det(A_P).
+3. The kernel's elimination (:func:`~pvlab._linalg.kernel_basis`) gives
+   the vector of free column f as a multiple of
+   d e_f - sum_r m[r][f] e_{p_r}, with pivots p_r < f.  So S_free is
+   diagonal, and c_f, its entry at f, is the vector's last nonzero
+   coordinate.  A has integer entries and rank dim V, so every row is a
+   pivot row and the last pivot d is +-det(A_P).
 4. det F needs no dim g_0 x dim g_0 determinant: F is K_h on the Cartan
    plus the block [[0, k], [k, 0]] on each pair (e_g, e_-g) of level-0 root
    vectors, with k = K(e_g, e_-g), so det F = det K_h * prod_g (-k^2) over
@@ -99,7 +100,7 @@ from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import grading
-from ._linalg import P61, _kernel, det, modp_rank, rank
+from ._linalg import P61, det, kernel_basis, modp_rank, rank
 from ._rand import Stream
 from .chevalley import ChevalleyBasis, chevalley_basis
 from .diagram import WeightedDiagram, render_compact, subdiagram
@@ -108,10 +109,6 @@ Matrix = Sequence[Sequence]
 
 
 class PVError(Exception):
-    pass
-
-
-class EmptyLevelOne(PVError):
     pass
 
 
@@ -221,8 +218,6 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
     level0 = [r for r in rs.roots if not any(map(r.__getitem__, circled_axes))]
     components = grading.components(d)
     level1 = [r for c in components for r in c.roots]
-    if not level1:
-        raise EmptyLevelOne(render_compact(d))
     entries: list[list] = [[] for _ in range(n + len(level0))]
     for k, r in enumerate(level1):
         for i, v in enumerate(alg.pairings[rs.index(r)]):  # the pairings r(H_i)
@@ -379,10 +374,10 @@ def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
     otherwise it is the Gram determinant (:func:`is_reductive`)."""
     x = next(_candidates(pv, seed))
     a = _action_columns(pv, x)
-    iso, orbit_rank, d = _kernel(a)
+    iso, orbit_rank, d = kernel_basis(a)
     if orbit_rank < min(pv.dim_v, pv.dim_g) or d % P61 == 0:
         x, a, _ = _generic_draw(pv, seed)
-        iso, orbit_rank, d = _kernel(a)
+        iso, orbit_rank, d = kernel_basis(a)
     preh = orbit_rank == pv.dim_v
     if pv.diagram is not None and not preh:
         raise NonGenericPoint(f"{pv.name}: orbit rank {orbit_rank} below {pv.dim_v} "
@@ -508,8 +503,8 @@ def _ad_square_determinant(pv: PVInstance, x: Sequence, a: Matrix,
         det F * det M * prod_f c_f^2 / (prod_r kappa_r * det(A_P)^2)
 
     ``a`` is A_x, and ``iso`` and ``d`` are its kernel basis and last pivot
-    from :func:`~pvlab._linalg._kernel`.  The vector of free column f is
-    d e_f - sum m[r][f] e_{p_r} with p_r < f, made primitive, so f is its
+    from :func:`~pvlab._linalg.kernel_basis`.  The vector of free column f
+    is d e_f - sum m[r][f] e_{p_r} with p_r < f, made primitive, so f is its
     last nonzero coordinate and c_f the entry there.  A_x is an integer
     matrix of rank dim_v, so every row is a pivot row and
     det(A_P) = +-d; det F is :func:`_form_determinant`.

@@ -61,9 +61,7 @@ def _bond_list(t: SimpleType) -> list[tuple[int, int, int, int]]:
         return [chain(a, b) for a, b in zip(spine, spine[1:])] + [chain(2, 4)]
     if fam == "F":
         return [chain(1, 2), (2, 3, -2, -1), chain(3, 4)]
-    if fam == "G":  # alpha_1 long (see module docstring)
-        return [(1, 2, -3, -1)]
-    raise InadmissibleType(f"unknown family {fam!r}")
+    return [(1, 2, -3, -1)]  # G2, alpha_1 long (see module docstring)
 
 
 def cartan_matrix(t: SimpleType) -> list[list[int]]:
@@ -209,7 +207,8 @@ class DiagramPiece(NamedTuple):
 
 def split_pieces(rs: RootSystem, nodes) -> list[DiagramPiece]:
     """Partition ``nodes`` into Dynkin-graph components, in order of their
-    least node, each relabelled to its standalone type."""
+    least node, each relabelled to its standalone type by
+    :func:`_induced_piece`; a connected set gives one piece."""
     nodes = set(nodes)
     seen: set[int] = set()
     out: list[DiagramPiece] = []
@@ -229,29 +228,26 @@ def split_pieces(rs: RootSystem, nodes) -> list[DiagramPiece]:
     return out
 
 
-def induced_piece(rs: RootSystem, nodes) -> DiagramPiece:
-    """Classify a connected induced sub-diagram and relabel it.
+@lru_cache(maxsize=None)
+def _induced_piece(rs: RootSystem, nodes: tuple[int, ...]) -> DiagramPiece:
+    """Classify the connected induced sub-diagram on the sorted ``nodes``
+    and relabel it.
 
-    ``nodes`` may be any iterable of nodes.  The piece is named by matching
-    Cartan matrices: its nodes are read in a few candidate orders, and the
-    piece takes the first family in ``_RANK_RANGE`` order, with the first
-    order, for which :func:`cartan_matrix` equals the piece's Cartan matrix
-    read in that order.  A path is read from its least end and then
-    backwards.  A branched piece is read once as D: its longest arm from
-    the far end inward (ties to the least far node), the branch node, then
-    the two other tips by index.  It is read once as E, with the arms sorted
-    by length and then far node: the middle arm's far node, the short arm,
+    The piece is named by matching Cartan matrices: its nodes are read in
+    a few candidate orders, and the piece takes the first family in
+    ``_RANK_RANGE`` order, with the first order, for which
+    :func:`cartan_matrix` equals the piece's Cartan matrix read in that
+    order.  A path is read from its least end and then backwards.  A
+    branched piece is read once as D: its longest arm from the far end
+    inward (ties to the least far node), the branch node, then the two
+    other tips by index.  It is read once as E, with the arms sorted by
+    length and then far node: the middle arm's far node, the short arm,
     the middle arm's near node, the branch node, then the long arm outward.
     So B keeps its short root last, C its long root last, G2 and F4 their
     long roots first, and D4 takes its least tip as node 1.  Results are
-    cached per root system and sorted node tuple, so callers share one
-    piece and must not mutate its ``relabel``.
+    cached per root system and node tuple, so callers share one piece and
+    must not mutate its ``relabel``.
     """
-    return _induced_piece(rs, tuple(sorted(set(nodes))))
-
-
-@lru_cache(maxsize=None)
-def _induced_piece(rs: RootSystem, nodes: tuple[int, ...]) -> DiagramPiece:
     C = rs.cartan
     adj = {a: [b for b in nodes if b != a and C[a - 1][b - 1] != 0] for a in nodes}
 

@@ -69,4 +69,4 @@ def length_rule(rs, alpha: int, beta: int) -> int:
 
 def isotropy_algebra(pv, x) -> list[list[int]]:
     """Exact kernel basis of a -> (sum a_i op_i) x, in algebra coordinates."""
-    return _linalg.kernel_basis(pvcore._action_columns(pv, x))
+    return _linalg.kernel_basis(pvcore._action_columns(pv, x))[0]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pvlab
 from pvlab import pvcore
-from pvlab._linalg import _kernel
+from pvlab._linalg import kernel_basis
 from pvlab._rand import Stream
 from pvlab.chevalley import chevalley_basis
 from pvlab.classify import classify, enumerate_reports
@@ -30,7 +30,7 @@ from pvlab.models import (MODELS, build_model, descending_chains, diag_chain,
 from pvlab.pvcore import (Invariant, SubsetLattice, build_parabolic_pv,
                           decompose_filtration, hessian_product_identity_check,
                           is_regular, q_irreducible, restrict)
-from pvlab.rootsys import SimpleType, build_root_system, induced_piece
+from pvlab.rootsys import SimpleType, build_root_system, split_pieces
 
 from _instances import dense_operator, identity, isotropy_algebra, length_rule, simple_root
 
@@ -225,7 +225,7 @@ def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):
                 report = is_regular(pv, seed)
                 x = report.generic_point
                 a = pvcore._action_columns(pv, x)
-                iso, _, last_pivot = _kernel(a)
+                iso, _, last_pivot = kernel_basis(a)
                 assert iso == [list(s) for s in report.isotropy_basis]
                 from_m = pvcore._ad_square_determinant(pv, x, a, iso, last_pivot)
                 assert from_m == gram(pv, iso).determinant == report.form_determinant, (d, seed)
@@ -303,7 +303,7 @@ def test_subdiagram_pieces_match_the_closure_split(monkeypatch):
                                     group.add(i)
                                     todo.extend(joined[i] & left)
                             left -= group
-                            p = induced_piece(rs, set().union(*(closures[i] for i in group)))
+                            [p] = split_pieces(rs, set().union(*(closures[i] for i in group)))
                             marks = tuple(sorted(p.relabel[d.circled[i]] for i in group))
                             want.append((p.nodes, WeightedDiagram(p.type, marks)))
                         want.sort(key=lambda piece: piece[0])
@@ -625,15 +625,45 @@ def test_public_names_resolve_and_every_import_is_used():
         assert imported <= read | set(exported), (name, sorted(imported - read - set(exported)))
 
 
-def test_benchmark_tracer_targets_resolve():
-    # perfbench/tracing.py wraps each (module, fn) in TARGETS by
-    # getattr(pvlab.<module>, fn), with no default: a traced name that is
-    # removed from the package breaks every --trace 1 run.
+def _tracer_targets() -> tuple[tuple[str, str], ...]:
+    """The (module, fn) pairs that perfbench/tracing.py wraps."""
     path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
     targets = next(ast.literal_eval(node.value) for node in ast.parse(path.read_text()).body
                    if isinstance(node, ast.Assign)
                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
     assert targets
-    missing = [(m, fn) for m, fn in targets
+    return targets
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py wraps each (module, fn) in TARGETS by
+    # getattr(pvlab.<module>, fn), with no default: a traced name that is
+    # removed from the package breaks every --trace 1 run.
+    missing = [(m, fn) for m, fn in _tracer_targets()
                if not hasattr(importlib.import_module("pvlab." + m), fn)]
     assert not missing, missing
+
+
+def test_benchmark_tracer_targets_have_callers():
+    # A traced name that the package never calls reads 0 calls on every
+    # workload.  A call counts when it is on the bare name or on
+    # <module>.<name>, outside the function's own definition; a method of
+    # the same name (self.q_irreducible) is another function.
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(pvlab.__file__).parent.glob("*.py")}
+
+    def called(module: str, fn: str) -> bool:
+        for stem, tree in trees.items():
+            for top in tree.body:
+                if stem == module and isinstance(top, ast.FunctionDef) and top.name == fn:
+                    continue
+                for node in ast.walk(top):
+                    f = node.func if isinstance(node, ast.Call) else None
+                    if (isinstance(f, ast.Name) and f.id == fn
+                            or isinstance(f, ast.Attribute) and f.attr == fn
+                            and isinstance(f.value, ast.Name) and f.value.id == module):
+                        return True
+        return False
+
+    uncalled = [(m, fn) for m, fn in _tracer_targets() if not called(m, fn)]
+    assert not uncalled, uncalled

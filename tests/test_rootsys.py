@@ -9,7 +9,7 @@ import sympy.liealgebras.cartan_matrix as sym_cm
 
 from pvlab.chevalley import chevalley_basis
 from pvlab.rootsys import (InadmissibleType, SimpleType, build_root_system, cartan_matrix,
-                           check_admissible, induced_piece, split_pieces)
+                           check_admissible, split_pieces)
 
 # Total root counts |Sigma| for every supported (family, rank), frozen from an
 # independent chain-closure enumeration.
@@ -115,14 +115,9 @@ def test_split_pieces_and_induced():
     piece = pieces[0]
     assert piece.nodes == (4, 5, 6, 7, 8, 9)
     assert piece.type == SimpleType("D", 6)
-    same = induced_piece(rs, (4, 5, 6, 7, 8, 9))
-    assert same.type == piece.type and same.nodes == piece.nodes
-
-
-def test_induced_piece_takes_any_node_iterable():
     # Pieces are cached by sorted node tuple; a set of nodes finds the same one.
-    rs = build_root_system(SimpleType("D", 9))
-    assert induced_piece(rs, {9, 8, 7, 6, 5, 4}) == induced_piece(rs, (4, 5, 6, 7, 8, 9))
+    [same] = split_pieces(rs, {9, 8, 7, 6, 5, 4})
+    assert same is piece
 
 
 def test_neighbors_match_adjacency():
@@ -152,15 +147,9 @@ def _connected_pieces():
         rs = build_root_system(t)
         for k in range(1, t.rank + 1):
             for nodes in itertools.combinations(range(1, t.rank + 1), k):
-                seen, todo = {nodes[0]}, [nodes[0]]
-                while todo:
-                    a = todo.pop()
-                    for b in nodes:
-                        if b not in seen and rs.adjacent(a, b):
-                            seen.add(b)
-                            todo.append(b)
-                if len(seen) == k:
-                    yield rs, induced_piece(rs, nodes)
+                pieces = split_pieces(rs, nodes)
+                if len(pieces) == 1:
+                    yield rs, pieces[0]
 
 
 def test_every_piece_relabel_is_frozen():
