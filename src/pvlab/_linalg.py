@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 P61 = (1 << 61) - 1  # Mersenne prime
 
@@ -237,12 +238,12 @@ def solve(a: Mat, b: Vec) -> list[Fraction]:
 
 
 def matvec(m: Mat, v: Vec) -> list:
-    return [sum(a * b for a, b in zip(row, v)) for row in m]
+    return [sum(map(mul, row, v)) for row in m]
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def transpose(m: Mat) -> Mat:

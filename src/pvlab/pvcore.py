@@ -96,7 +96,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import sub
+from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import grading
@@ -802,20 +802,38 @@ def _unit(n: int, *axes: int) -> list[int]:
     return [int(a in axes) for a in range(n)]
 
 
-def _gradient(f: Invariant, x: Sequence, fx, w1: Sequence) -> list:
-    """scale times the gradient of f at x."""
-    return [_directional_derivative(f, x, fx, _unit(len(x), i), w1) for i in range(len(x))]
+def _axis_derivatives(f: Invariant, x: Sequence, fx, w1: Sequence,
+                      w2: Sequence) -> tuple[list, list]:
+    """scale times the gradient of f at x, and scale**2 times the diagonal
+    of its Hessian, given fx = f(x).
+
+    Both are :func:`_directional_derivative` along each unit vector e_i, so
+    they read the same values f(x + j e_i), j = 1..degree: each is
+    evaluated once.
+    """
+    grad, diag = [], []
+    for i, xi in enumerate(x):
+        g, d = w1[0] * fx, w2[0] * fx
+        for j in range(1, len(w1)):
+            y = list(x)
+            y[i] = xi + j
+            v = f.evaluate(y)
+            g += w1[j] * v
+            d += w2[j] * v
+        grad.append(g)
+        diag.append(d)
+    return grad, diag
 
 
-def _hessian(f: Invariant, x: Sequence, fx, w2: Sequence) -> list[list]:
-    """2 * scale**2 times the Hessian of f at x, by polarization.
+def _hessian(f: Invariant, x: Sequence, fx, w2: Sequence, diag: Sequence) -> list[list]:
+    """2 * scale**2 times the Hessian of f at x, by polarization, given the
+    diagonal from :func:`_axis_derivatives`.
 
     With D(u) the second derivative along u, D(e_i + e_l) - D(e_i) - D(e_l)
     is twice the (i, l) entry, so the diagonal is doubled to match and no
     entry is ever divided.
     """
     n = len(x)
-    diag = [_directional_derivative(f, x, fx, _unit(n, i), w2) for i in range(n)]
     h = [[0] * n for _ in range(n)]
     for i in range(n):
         h[i][i] = 2 * diag[i]
@@ -845,6 +863,16 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     Proportionality is tested by cross-multiplying, and (b) and (c) use
     2 * scale**2 times H and f*H - grad*grad^t, which have the same
     determinant sign and rank.
+
+    f must be a polynomial of degree <= ``f.degree``, which the integer
+    derivative weights need anyway.  Then the weighted line derivative
+    sum_j w1[j] f(x + j u) is exactly scale times grad f(x) . u, which is
+    linear in u.  So (a) takes the scaled gradient once per sample point,
+    from f(x + j e_i) (:func:`_axis_derivatives`), and reads the
+    derivative along each M x as its dot product with M x: dim_v * degree
+    evaluations per point, not dim_g * degree.  The same evaluations give
+    the Hessian diagonal, and at the Hessian point (b) and (c) reuse both,
+    so only the off-diagonal entries are evaluated there.
     """
     stream = Stream(seed, context=f"invariant:{pv.name}:{f.name}")
     xs = [stream.vector(pv.dim_v) for _ in range(INVARIANT_POINTS)]
@@ -854,11 +882,12 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     if base is None:
         raise DegenerateInvariant(f"{f.name} vanishes at all {INVARIANT_POINTS} sample points")
     w1, w2, scale = _derivative_weights(f.degree)
+    axes = [_axis_derivatives(f, x, v, w1, w2) for x, v in zip(xs, vals)]  # (grad, diag) at x
     constants = []
     for mi in range(pv.dim_g):
         g0 = v0 = None
-        for x, v, image in zip(xs, vals, images):
-            g = _directional_derivative(f, x, v, image[mi], w1)
+        for (grad, _), v, image in zip(axes, vals, images):
+            g = sum(map(mul, grad, image[mi]))
             if v == 0:
                 ok = g == 0  # f = 0 forces the derivative to 0
             elif v0 is None:
@@ -878,10 +907,10 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
             if vals[i] == 0:
                 continue
             tried += 1
-            h = _hessian(f, xs[i], vals[i], w2)
+            grad, diag = axes[i]
+            h = _hessian(f, xs[i], vals[i], w2, diag)
             if det(h) != 0:
                 hessian_nonzero = True
-                grad = _gradient(f, xs[i], vals[i], w1)
                 dlog = [[vals[i] * h[a][b] - 2 * grad[a] * grad[b] for b in range(pv.dim_v)]
                         for a in range(pv.dim_v)]
                 dlog_rank = rank(dlog)
@@ -947,8 +976,8 @@ def hessian_product_identity_check(f: Invariant, dim: int, seed: int = 0) -> Hes
         fx = f.evaluate(x)
         if fx == 0:
             continue
-        h = _hessian(f, x, fx, w2)
-        grad = _gradient(f, x, fx, w1)
+        grad, diag = _axis_derivatives(f, x, fx, w1, w2)
+        h = _hessian(f, x, fx, w2, diag)
         lhs = fx ** dim * det(h)
         rhs = (1 - f.degree) * det([[fx * h[a][b] - 2 * grad[a] * grad[b] for b in range(dim)]
                                     for a in range(dim)])

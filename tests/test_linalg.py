@@ -243,6 +243,36 @@ def test_matrix_helpers():
     assert transpose(a) == [[1, 3], [2, 4]]
 
 
+@st.composite
+def matrix_product_case(draw):
+    """A (rows x inner) and B (inner x cols), and v of size inner, all with
+    int, Fraction or mixed entries."""
+    entries = draw(st.sampled_from(
+        [small_entries, fraction_entries, st.one_of(small_entries, fraction_entries)]))
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def mat(r, c):
+        return st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
+
+    return (draw(mat(rows, inner)), draw(mat(inner, cols)),
+            draw(st.lists(entries, min_size=inner, max_size=inner)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_product_case())
+def test_matmul_and_matvec_are_the_textbook_sums(case):
+    a, b, v = case
+    inner = range(len(v))
+    want = [[sum(a[i][k] * b[k][j] for k in inner) for j in range(len(b[0]))]
+            for i in range(len(a))]
+    got = matmul(a, b)
+    assert got == want
+    assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+    want_v = [sum(a[i][k] * v[k] for k in inner) for i in range(len(a))]
+    assert matvec(a, v) == want_v
+    assert list(map(type, matvec(a, v))) == list(map(type, want_v))
+
+
 def test_det_multiplicative():
     a = [[1, 2], [3, 4]]
     b = [[0, 1], [1, 1]]

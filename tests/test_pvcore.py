@@ -384,11 +384,77 @@ def test_verify_invariant_accepts_pairing():
     assert rep.group_elements_checked == 3
 
 
-def test_verify_invariant_rejects_non_invariant():
-    spec = dual_pair(2)
-    fake = Invariant("coordinate", 1, lambda x: x[0])
-    with pytest.raises(NotRelativeInvariant):
-        verify_invariant(spec.instance, fake, expect_nondegenerate=False)
+@pytest.mark.parametrize("gate,fake", [
+    ("dual-pair:n=2", lambda f: Invariant("coordinate", 1, lambda x: x[0])),
+    ("matrix-pair:p=2,q=3,r=2",
+     lambda f: Invariant("det(YX) x9", 5, lambda x: f.evaluate(x) * x[9])),
+    ("vector-skew:n=5", lambda f: Invariant("Pf x4", 4, lambda x: f.evaluate(x) * x[4])),
+], ids=["coordinate", "det-times-coordinate", "pfaffian-times-coordinate"])
+def test_non_invariant_direction_is_the_first_failing_operator(gate, fake):
+    # check (a) reads each operator's derivative off one gradient per point;
+    # the operator it names must be the first whose line derivative along
+    # M_i x, taken point by point, is not proportional to f.
+    spec = build_model(gate)
+    pv = spec.instance
+    assert pv.dim_g > pv.dim_v
+    f = fake(spec.invariants[0].invariant)
+    stream = Stream(0, context=f"invariant:{pv.name}:{f.name}")
+    xs = [stream.vector(pv.dim_v) for _ in range(pvcore.INVARIANT_POINTS)]
+    vals = [f.evaluate(x) for x in xs]
+    images = [list(zip(*pvcore._action_columns(pv, x))) for x in xs]
+    w1, _, _ = pvcore._derivative_weights(f.degree)
+
+    def proportional(mi):
+        pairs = [(pvcore._directional_derivative(f, x, v, image[mi], w1), v)
+                 for x, v, image in zip(xs, vals, images)]
+        g0, v0 = next((g, v) for g, v in pairs if v)
+        return all(g * v0 == g0 * v for g, v in pairs)
+
+    want = next(mi for mi in range(pv.dim_g) if not proportional(mi))
+    with pytest.raises(NotRelativeInvariant) as err:
+        verify_invariant(pv, f, expect_nondegenerate=False)
+    assert err.value.direction == want
+
+
+# Calls of each gate's evaluator in verify_invariant at seed 0 (the gates of
+# tests/test_acceptance.py).
+INVARIANT_EVALUATIONS = {
+    "matrix-pair:p=2,q=3,r=2": 1247,
+    "skew-pair:p=4,r=5": 6233,
+    "skew-pair:p=2,r=5": 1223,
+    "vector-skew:n=5": 1238,
+    "dual-pair:n=2": 195,
+    "dual-pair:n=3": 293,
+    "descending-chains:n=1": 103,
+    "descending-chains:n=2": 1326,
+}
+
+
+def test_invariant_verification_evaluation_counts():
+    # One scaled gradient per sample point, from f(x + j e_i) for
+    # j = 1..degree, serves check (a); at the Hessian point it and the
+    # Hessian diagonal from the same values serve (b) and (c).  So each
+    # invariant costs 20 (1 + dim_v degree) evaluations for the values and
+    # (a), degree per off-diagonal Hessian entry at each Hessian point tried
+    # (one at seed 0, on the invariants that must be nondegenerate) and 3
+    # per group check.
+    for gate, want in INVARIANT_EVALUATIONS.items():
+        spec = build_model(gate)
+        n = spec.instance.dim_v
+        calls = []
+        formula = 0
+        for mi in spec.invariants:
+            f = mi.invariant
+            counted = Invariant(f.name, f.degree,
+                                lambda x, ev=f.evaluate: calls.append(1) or ev(x))
+            verify_invariant(spec.instance, counted, seed=0,
+                             expect_nondegenerate=mi.nondegenerate,
+                             group_checks=mi.group_checks)
+            formula += (pvcore.INVARIANT_POINTS * (1 + n * f.degree)
+                        + mi.nondegenerate * f.degree * n * (n - 1) // 2
+                        + 3 * len(mi.group_checks))
+        assert (len(calls), formula) == (want, want), gate
+    assert sum(INVARIANT_EVALUATIONS.values()) == 11858
 
 
 def test_verify_invariant_flags_degenerate_hessian():
@@ -441,10 +507,11 @@ def test_hessian_and_gradient_match_sympy(model, point):
     hess = sympy.hessian(expr, syms).subs(at)
     want = [[2 * scale ** 2 * int(hess[i, j]) for j in range(len(syms))]
             for i in range(len(syms))]
-    assert pvcore._hessian(f, point, fx, w2) == want
+    grad, diag = pvcore._axis_derivatives(f, point, fx, w1, w2)
+    assert diag == [scale ** 2 * int(hess[i, i]) for i in range(len(syms))]
+    assert pvcore._hessian(f, point, fx, w2, diag) == want
     assert any(any(row) for row in want)
-    assert pvcore._gradient(f, point, fx, w1) == [scale * int(sympy.diff(expr, s).subs(at))
-                                              for s in syms]
+    assert grad == [scale * int(sympy.diff(expr, s).subs(at)) for s in syms]
 
 
 def test_rational_coefficient_invariant_is_certified_exactly():
