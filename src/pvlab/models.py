@@ -15,11 +15,21 @@ action are written once per role, not once per model.  The instance form is
 the direct sum of the factors' defining trace forms (a faithful module of
 the product algebra), so reductivity of isotropy subalgebras is again
 nondegeneracy of a restriction.
+
+The evaluators run thousands of times per certificate, so each does only
+its arithmetic.  A block's coordinates are laid out once; a mat block's
+rows are slices of the packed point, and sym and skew blocks are
+scattered along those coordinates.  Determinants and Pfaffians expand by
+cofactors and by the first row over a tuple of remaining indices on the
+one input matrix, copying no minor.  Pf(X^t Y X) forms only the upper
+triangle of X^t Y X, which is all the Pfaffian expansion reads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from ._linalg import inverse, matmul, transpose
@@ -44,24 +54,37 @@ class OddSize(ValueError):
 
 
 def generic_det(m: Sequence[Sequence]):
-    """Division-free determinant (cofactor expansion; fine at desk sizes)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
+    """Division-free determinant (cofactor expansion; fine at desk sizes).
+
+    The expansion runs down the rows of ``m`` itself: each minor is named
+    by the tuple of its remaining columns, so no submatrix is copied, and a
+    zero entry's minor is never expanded.
+    """
+    return _cofactors(m, tuple(range(len(m))))
+
+
+def _cofactors(m: Sequence[Sequence], cols: tuple[int, ...]):
+    """The minor of m on its last len(cols) rows and the columns cols,
+    expanded along its first row."""
+    if len(cols) <= 1:
+        return m[-1][cols[0]] if cols else 1
+    row = m[len(m) - len(cols)]
     total = 0
-    for j in range(n):
-        v = m[0][j]
-        if v == 0:
-            continue
-        sub = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * v * generic_det(sub)
+    for k, j in enumerate(cols):
+        v = row[j]
+        if v:
+            minor = v * _cofactors(m, cols[:k] + cols[k + 1:])
+            total = total - minor if k & 1 else total + minor
     return total
 
 
 def pfaffian(z: Sequence[Sequence]):
     """Pfaffian by first-row expansion; Pf([[0,1],[-1,0]]) = 1.
+
+    The expansion recurses over the tuple of remaining indices on ``z``
+    itself, with no submatrix copies.  ``z`` is checked to be skew of even
+    size first; the expansion then reads only its entries above the
+    diagonal.
 
     Examples
     ========
@@ -77,21 +100,24 @@ def pfaffian(z: Sequence[Sequence]):
         for j in range(i):
             if z[i][j] != -z[j][i]:
                 raise NotSkew(f"entries ({i},{j}) and ({j},{i}) are not opposite")
-    return _pf([list(row) for row in z])
+    return _pf(z, tuple(range(n)))
 
 
-def _pf(z: list[list]):
-    n = len(z)
-    if n == 0:
+def _pf(z: Sequence[Sequence], rest: tuple[int, ...]):
+    """Pf of z on the ascending indices rest (of even length), expanded
+    along the first; only entries above the diagonal are read."""
+    if len(rest) == 2:
+        return z[rest[0]][rest[1]] or 0  # a zero entry's term is skipped, leaving int 0
+    if not rest:
         return 1
+    i, tail = rest[0], rest[1:]
+    row = z[i]
     total = 0
-    for j in range(1, n):
-        v = z[0][j]
-        if v == 0:
-            continue
-        keep = [k for k in range(1, n) if k != j]
-        sub = [[z[a][b] for b in keep] for a in keep]
-        total += (-1) ** (j - 1) * v * _pf(sub)
+    for k, j in enumerate(tail):
+        v = row[j]
+        if v:
+            term = v * _pf(z, tail[:k] + tail[k + 1:])
+            total = total - term if k & 1 else total + term
     return total
 
 
@@ -107,17 +133,34 @@ class _Block:
     cols: int
     offset: int
 
-    @property
-    def coords(self) -> list[tuple[int, int]]:
+    @cached_property
+    def coords(self) -> tuple[tuple[int, int], ...]:
+        """The (row, col) of each packed coordinate, in packing order."""
         if self.kind == "mat":
-            return [(i, j) for i in range(self.rows) for j in range(self.cols)]
-        if self.kind == "sym":
-            return [(i, j) for i in range(self.rows) for j in range(i, self.rows)]
-        return [(i, j) for i in range(self.rows) for j in range(i + 1, self.rows)]
+            return tuple((i, j) for i in range(self.rows) for j in range(self.cols))
+        start = 0 if self.kind == "sym" else 1
+        return tuple((i, j) for i in range(self.rows) for j in range(i + start, self.rows))
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.coords)
+
+    def matrix(self, x: Sequence) -> list:
+        """The block's matrix at the packed point x.  A mat block's rows are
+        slices of x; a sym or skew block is scattered along coords."""
+        o = self.offset
+        if self.kind == "mat":
+            c = self.cols
+            return [x[k:k + c] for k in range(o, o + self.size, c)]
+        m = [[0] * self.cols for _ in range(self.rows)]
+        if self.kind == "sym":
+            for v, (i, j) in zip(x[o:o + self.size], self.coords):
+                m[i][j] = m[j][i] = v
+        else:
+            for v, (i, j) in zip(x[o:o + self.size], self.coords):
+                m[i][j] = v
+                m[j][i] = -v
+        return m
 
 
 def _layout(specs: list[tuple[str, str, int, int]]) -> list[_Block]:
@@ -129,19 +172,8 @@ def _layout(specs: list[tuple[str, str, int, int]]) -> list[_Block]:
     return blocks
 
 
-def _unpack(blocks: list[_Block], x: Sequence) -> dict[str, list[list]]:
-    out = {}
-    for b in blocks:
-        m = [[0] * b.cols for _ in range(b.rows)]
-        for k, (i, j) in enumerate(b.coords):
-            v = x[b.offset + k]
-            m[i][j] = v
-            if b.kind == "sym" and i != j:
-                m[j][i] = v
-            elif b.kind == "skew":
-                m[j][i] = -v
-        out[b.name] = m
-    return out
+def _unpack(blocks: list[_Block], x: Sequence) -> dict[str, list]:
+    return {b.name: b.matrix(x) for b in blocks}
 
 
 def _pack(blocks: list[_Block], pt: dict[str, list[list]]) -> list:
@@ -496,9 +528,19 @@ def skew_pair(p: int, r: int) -> ModelSpec:
     factors = [("g1", "gl", p, {"X": "right"}),
                ("g2", "gl", r, {"X": "dual", "Y": "cong"})]
 
+    xb, yb = blocks
+
     def pf_xyx(x):
-        pt = _unpack(blocks, x)
-        return pfaffian(matmul(matmul(transpose(pt["X"]), pt["Y"]), pt["X"]))
+        # Only the upper triangle of X^t Y X, which is all _pf reads: entry
+        # (a, b) is column a of X dotted with Y times column b.
+        cols = [x[xb.offset + a:xb.offset + xb.size:p] for a in range(p)]
+        y = yb.matrix(x)
+        z = [[0] * p for _ in range(p)]
+        for b in range(1, p):
+            yx = [sum(map(mul, row, cols[b])) for row in y]
+            for a in range(b):
+                z[a][b] = sum(map(mul, cols[a], yx))
+        return _pf(z, tuple(range(p)))
 
     invariants = []
     if p % 2 == 0:
@@ -561,12 +603,16 @@ def vector_skew(n: int) -> ModelSpec:
     factors = [("g", "gl", n, {"X": "left", "Y": "cong"}),
                ("a", "scalar", 1, {"X": 1})]
 
+    xb, yb = blocks
+
     def bordered(x):
-        pt = _unpack(blocks, x)
-        xv, y = pt["X"], pt["Y"]
-        z = [[y[i][j] for j in range(n)] + [xv[i][0]] for i in range(n)]
-        z.append([-xv[j][0] for j in range(n)] + [0])
-        return pfaffian(z)
+        # skew of even size by construction, so _pf needs no checks
+        xv = x[xb.offset:xb.offset + n]
+        z = yb.matrix(x)
+        for row, v in zip(z, xv):
+            row.append(v)
+        z.append([-v for v in xv] + [0])
+        return _pf(z, tuple(range(n + 1)))
 
     return _spec(f"vector-skew(n={n})", {"n": n}, blocks, factors,
                  [(Invariant("borderedPf", (n + 1) // 2, bordered), "factors",
@@ -588,7 +634,7 @@ def det_augmented(n: int) -> ModelSpec:
 
     def det_xy(x):
         pt = _unpack(blocks, x)
-        return generic_det([pt["X"][i] + [pt["Y"][i][0]] for i in range(n)])
+        return generic_det([[*pt["X"][i], pt["Y"][i][0]] for i in range(n)])
 
     return _spec(f"det-augmented(n={n})", {"n": n}, blocks, factors,
                  [(Invariant("det[X|Y]", n, det_xy), "factors", {"g": 1, "h": -1}, True)],

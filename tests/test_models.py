@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvlab._linalg import det, matmul
+from pvlab._linalg import det, matmul, transpose
 from pvlab._rand import Stream
 from pvlab.diagram import parse_diagram
 from pvlab.models import (MODELS, ModelSpec, NotSkew, OddSize, _layout, _spec, _unpack,
@@ -51,22 +51,45 @@ def test_pfaffian_rejects_bad_input():
         pfaffian([[0, 2], [3, 0]])
 
 
+# entries that are zero about half the time: the expansions skip a zero
+# entry's minor, so zeros must be exercised
+SPARSE = st.one_of(st.just(0), st.integers(min_value=-6, max_value=6))
+
+
 @st.composite
 def skew_matrices(draw):
-    n = draw(st.sampled_from([2, 4, 6]))
-    vals = st.integers(min_value=-6, max_value=6)
+    n = draw(st.sampled_from([0, 2, 4, 6, 8]))
+    zero_first_row = draw(st.booleans())
     z = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            z[i][j] = draw(vals)
+            z[i][j] = 0 if zero_first_row and i == 0 else draw(SPARSE)
             z[j][i] = -z[i][j]
     return z
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(skew_matrices())
 def test_pfaffian_squares_to_determinant(z):
     assert pfaffian(z) ** 2 == det(z)
+    if z and not any(z[0]):
+        assert pfaffian(z) == 0
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    entries = draw(st.sampled_from([
+        SPARSE,
+        st.one_of(st.just(Fraction(0)), st.fractions(min_value=-6, max_value=6,
+                                                     max_denominator=5))]))
+    return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices())
+def test_generic_det_is_the_determinant(m):
+    assert generic_det(m) == det(m)
 
 
 def test_pfaffian_congruence_covariance():
@@ -80,6 +103,95 @@ def test_pfaffian_congruence_covariance():
         gzgt = [[sum(g[i][k] * z[k][l] * g[j][l] for k in range(4) for l in range(4))
                  for j in range(4)] for i in range(4)]
         assert pfaffian(gzgt) == d * pfaffian(z)
+
+
+# ---------------------------------------------------------------------------
+# the evaluators against the textbook formulas
+
+
+def _det_by_minors(m):
+    """Cofactor expansion that copies each minor."""
+    if len(m) <= 1:
+        return m[0][0] if m else 1
+    return sum((-1) ** j * v * _det_by_minors([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, v in enumerate(m[0]) if v)
+
+
+def _pf_by_minors(z):
+    """First-row Pfaffian expansion that copies each minor."""
+    if not z:
+        return 1
+    n = len(z)
+    total = 0
+    for j in range(1, n):
+        if z[0][j]:
+            keep = [k for k in range(1, n) if k != j]
+            total += (-1) ** (j - 1) * z[0][j] * _pf_by_minors([[z[a][b] for b in keep]
+                                                                 for a in keep])
+    return total
+
+
+def _textbook(spec: ModelSpec, name: str):
+    """The closed form of one invariant, from the unpacked blocks, matmul and
+    transpose, with determinants and Pfaffians by copied minors."""
+    kind = spec.name.partition("(")[0]
+    p = spec.params
+
+    def ev(x):
+        pt = _unpack(list(spec.blocks), x)
+        if kind == "dual-pair":
+            return sum(v[0] * w[0] for v, w in zip(pt["v"], pt["w"]))
+        if kind == "sym-vector":
+            return _det_by_minors(pt["S"])
+        if kind in ("matrix-pair", "diag-chain"):
+            return _det_by_minors(matmul(pt["Y"], pt["X"]))
+        if kind == "skew-pair":
+            return _pf_by_minors(matmul(matmul(transpose(pt["X"]), pt["Y"]), pt["X"]))
+        if kind == "vector-skew":
+            n = p["n"]
+            z = [pt["Y"][i] + [pt["X"][i][0]] for i in range(n)]
+            return _pf_by_minors(z + [[-pt["X"][j][0] for j in range(n)] + [0]])
+        if kind == "det-augmented":
+            return _det_by_minors([pt["X"][i] + [pt["Y"][i][0]] for i in range(p["n"])])
+        assert kind == "descending-chains"
+        n, k = p["n"], int(name[2:-1])  # P[k]
+        prod = pt[f"V[{n}]"]
+        for m in range(n - 1, k - 1, -1):
+            prod = matmul(prod, pt[f"V[{m}]"])
+        return _det_by_minors(matmul(transpose(prod), prod))
+    return ev
+
+
+EVALUATED = (
+    # the eight invariant gates of test_acceptance.py
+    "matrix-pair:p=2,q=3,r=2", "skew-pair:p=4,r=5", "skew-pair:p=2,r=5", "vector-skew:n=5",
+    "dual-pair:n=2", "dual-pair:n=3", "descending-chains:n=1", "descending-chains:n=2",
+    # the other evaluators: sym, square-augmented, torus and three-factor chains
+    "sym-vector:n=3", "det-augmented:n=4", "diag-chain:p=2,q=3", "descending-chains:n=3",
+)
+
+
+@pytest.mark.parametrize("spec_string", EVALUATED)
+def test_evaluators_match_the_textbook_formulas(spec_string):
+    # Integer points as verify_invariant draws them, sparse ones, and the
+    # Fraction points a group check feeds.  Value and type must both agree.
+    spec = build_model(spec_string)
+    dim = spec.instance.dim_v
+    stream = Stream(0, f"evaluators:{spec_string}")
+    points = [stream.vector(dim) for _ in range(12)]
+    points += [[stream.randint(-2, 2) * stream.randint(0, 1) for _ in range(dim)]
+               for _ in range(6)]
+    points += [[Fraction(stream.randint(-9, 9), stream.nonzero(1, 4)) for _ in range(dim)]
+               for _ in range(12)]
+    assert spec.invariants
+    for mi in spec.invariants:
+        inv = mi.invariant
+        want = _textbook(spec, inv.name)
+        for x in points:
+            got, ref = inv.evaluate(x), want(x)
+            assert (got, type(got)) == (ref, type(ref)), (inv.name, x)
+            assert inv.evaluate(tuple(x)) == got, (inv.name, x)
+        assert any(inv.evaluate(x) for x in points), inv.name
 
 
 # ---------------------------------------------------------------------------
