@@ -12,10 +12,11 @@ summing to each root gets a positive constant and every other constant
 follows from the Jacobi identity, so all brackets are integral and
 ``|N(a, b)| = p + 1`` with p the length of the descending root string.
 
-Each per-root quantity is computed once: a positive root's squared length,
-coroot and pairing row r(H_1) .. r(H_n), and a negative root's coroot and
-row are its positive's negated.  One pass over the ordered pairs of
-positive roots groups them by their sum; the extraspecial pairs, the
+Each per-root quantity is computed once: a positive root's pairing row
+r(H_1) .. r(H_n), its squared length sum_i d_i r_i r(H_i) from that row
+(d_i the simple roots' relative lengths) and its coroot, and a negative
+root's coroot and row are its positive's negated.  One pass over the
+ordered pairs of positive roots groups them by their sum; the
 Jacobi step and the constants N(a, -b) all read those groups.  Summed over
 the roots, r(H_i) r(H_j) is K(H_i, H_j), so K_h is twice the sum of the
 positive rows' outer products.
@@ -105,9 +106,10 @@ class ChevalleyBasis:
         self.rank = t.rank
         self.dim = t.rank + len(rs.roots)
         pos = rs.positive
-        n2 = {g: rs.norm2(g) for g in pos}
         cols = list(zip(*rs.cartan))
         rows = [tuple(sum(map(mul, g, col)) for col in cols) for g in pos]
+        # |g|^2 = sum_i d_i g_i g(H_i), shortest simple root 2
+        n2 = {g: sum(map(mul, map(mul, rs.lengths, g), row)) for g, row in zip(pos, rows)}
         self.pairings = rows + [tuple(-x for x in row) for row in rows]
         self._position = {g: self.rank + k for k, g in enumerate(rs.roots)}
         self.nconst = _build_nconst(rs, n2)

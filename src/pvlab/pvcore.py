@@ -96,7 +96,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import mul, sub
+from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import grading
@@ -787,42 +787,37 @@ def _derivative_weights(degree: int) -> tuple[list[int], list[int], int]:
     return w1, w2, scale
 
 
-def _directional_derivative(f: Invariant, x: Sequence, fx, u: Sequence, w: Sequence) -> object:
-    """sum_j w[j] f(x + j u), given fx = f(x): with the weights of
-    :func:`_derivative_weights`, scale (resp. scale**2) times the first
-    (second) derivative of f along u."""
-    acc = w[0] * fx
-    for j in range(1, len(w)):
-        if w[j]:
-            acc += w[j] * f.evaluate([xc + j * uc for xc, uc in zip(x, u)])
-    return acc
+def _line_sums(f: Invariant, x: Sequence, fx, moves: Sequence[Sequence[int]],
+               weights: Sequence[Sequence]) -> list[list]:
+    """For each move and each weight row w, sum_j w[j] f(x + j u), given
+    fx = f(x), where u is the indicator vector of the move's axes.
 
-
-def _unit(n: int, *axes: int) -> list[int]:
-    return [int(a in axes) for a in range(n)]
+    With the weights of :func:`_derivative_weights` these are scale (resp.
+    scale**2) times the first (second) derivatives of f along u.  Each
+    point x + j u is evaluated once, on a fresh list, and a node j whose
+    weights are all zero is not evaluated.
+    """
+    nodes = [j for j in range(1, len(weights[0])) if any(w[j] for w in weights)]
+    out = []
+    for axes in moves:
+        sums = [w[0] * fx for w in weights]
+        for j in nodes:
+            y = list(x)
+            for a in axes:
+                y[a] += j
+            v = f.evaluate(y)
+            sums = [acc + w[j] * v for acc, w in zip(sums, weights)]
+        out.append(sums)
+    return out
 
 
 def _axis_derivatives(f: Invariant, x: Sequence, fx, w1: Sequence,
                       w2: Sequence) -> tuple[list, list]:
     """scale times the gradient of f at x, and scale**2 times the diagonal
-    of its Hessian, given fx = f(x).
-
-    Both are :func:`_directional_derivative` along each unit vector e_i, so
-    they read the same values f(x + j e_i), j = 1..degree: each is
-    evaluated once.
-    """
-    grad, diag = [], []
-    for i, xi in enumerate(x):
-        g, d = w1[0] * fx, w2[0] * fx
-        for j in range(1, len(w1)):
-            y = list(x)
-            y[i] = xi + j
-            v = f.evaluate(y)
-            g += w1[j] * v
-            d += w2[j] * v
-        grad.append(g)
-        diag.append(d)
-    return grad, diag
+    of its Hessian, given fx = f(x): both are line sums along each unit
+    vector e_i, read from the same values f(x + j e_i)."""
+    sums = _line_sums(f, x, fx, [(i,) for i in range(len(x))], (w1, w2))
+    return [g for g, _ in sums], [d for _, d in sums]
 
 
 def _hessian(f: Invariant, x: Sequence, fx, w2: Sequence, diag: Sequence) -> list[list]:
@@ -834,13 +829,17 @@ def _hessian(f: Invariant, x: Sequence, fx, w2: Sequence, diag: Sequence) -> lis
     entry is ever divided.
     """
     n = len(x)
-    h = [[0] * n for _ in range(n)]
-    for i in range(n):
-        h[i][i] = 2 * diag[i]
-        for l in range(i + 1, n):
-            h[i][l] = h[l][i] = (_directional_derivative(f, x, fx, _unit(n, i, l), w2)
-                                 - diag[i] - diag[l])
+    pairs = [(i, l) for i in range(n) for l in range(i + 1, n)]
+    h = [[2 * d if i == l else 0 for l in range(n)] for i, d in enumerate(diag)]
+    for (i, l), (s,) in zip(pairs, _line_sums(f, x, fx, pairs, (w2,))):
+        h[i][l] = h[l][i] = s - diag[i] - diag[l]
     return h
+
+
+def _dlog(fx, h: Matrix, grad: Sequence) -> list[list]:
+    """f*h - 2 g g^t: with h = 2 * scale**2 * H and g = scale * grad, this is
+    2 * scale**2 * (f*H - grad*grad^t), the graded-logarithm differential."""
+    return [[fx * hab - 2 * ga * gb for hab, gb in zip(row, grad)] for row, ga in zip(h, grad)]
 
 
 INVARIANT_POINTS = 20
@@ -869,25 +868,25 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     sum_j w1[j] f(x + j u) is exactly scale times grad f(x) . u, which is
     linear in u.  So (a) takes the scaled gradient once per sample point,
     from f(x + j e_i) (:func:`_axis_derivatives`), and reads the
-    derivative along each M x as its dot product with M x: dim_v * degree
-    evaluations per point, not dim_g * degree.  The same evaluations give
-    the Hessian diagonal, and at the Hessian point (b) and (c) reuse both,
-    so only the off-diagonal entries are evaluated there.
+    derivative along each M x as grad . (M x), the sum of grad[a] * c * x[b]
+    over the operator's entries (a, b, c), with no image M x formed:
+    dim_v * degree evaluations per point, not dim_g * degree.  The same
+    values give the Hessian diagonal, and at the Hessian point (b) and (c)
+    reuse both, so only the off-diagonal entries are evaluated there.
     """
     stream = Stream(seed, context=f"invariant:{pv.name}:{f.name}")
     xs = [stream.vector(pv.dim_v) for _ in range(INVARIANT_POINTS)]
     vals = [f.evaluate(x) for x in xs]
-    images = [list(zip(*_action_columns(pv, x))) for x in xs]  # images[k][i] = (op_i) x_k
     base = next((i for i, v in enumerate(vals) if v != 0), None)
     if base is None:
         raise DegenerateInvariant(f"{f.name} vanishes at all {INVARIANT_POINTS} sample points")
     w1, w2, scale = _derivative_weights(f.degree)
     axes = [_axis_derivatives(f, x, v, w1, w2) for x, v in zip(xs, vals)]  # (grad, diag) at x
     constants = []
-    for mi in range(pv.dim_g):
+    for mi, entries in enumerate(pv.operators):
         g0 = v0 = None
-        for (grad, _), v, image in zip(axes, vals, images):
-            g = sum(map(mul, grad, image[mi]))
+        for (grad, _), v, x in zip(axes, vals, xs):
+            g = sum(grad[a] * c * x[b] for a, b, c in entries)  # grad . (M x)
             if v == 0:
                 ok = g == 0  # f = 0 forces the derivative to 0
             elif v0 is None:
@@ -911,9 +910,7 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
             h = _hessian(f, xs[i], vals[i], w2, diag)
             if det(h) != 0:
                 hessian_nonzero = True
-                dlog = [[vals[i] * h[a][b] - 2 * grad[a] * grad[b] for b in range(pv.dim_v)]
-                        for a in range(pv.dim_v)]
-                dlog_rank = rank(dlog)
+                dlog_rank = rank(_dlog(vals[i], h, grad))
                 break
             if tried >= 5:
                 break
@@ -979,8 +976,7 @@ def hessian_product_identity_check(f: Invariant, dim: int, seed: int = 0) -> Hes
         grad, diag = _axis_derivatives(f, x, fx, w1, w2)
         h = _hessian(f, x, fx, w2, diag)
         lhs = fx ** dim * det(h)
-        rhs = (1 - f.degree) * det([[fx * h[a][b] - 2 * grad[a] * grad[b] for b in range(dim)]
-                                    for a in range(dim)])
+        rhs = (1 - f.degree) * det(_dlog(fx, h, grad))
         if lhs != rhs:
             raise IdentityViolation(f"{f.name} at {x}: {lhs} != {rhs}")
         done += 1

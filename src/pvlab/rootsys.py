@@ -10,6 +10,7 @@ G2 takes alpha_1 long so that the triple bond points from node 1 to node 2.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 Root = tuple[int, ...]
@@ -119,10 +120,7 @@ class RootSystem:
         self.positive = _positive_roots(self.cartan)
         self.roots = self.positive + [tuple(-v for v in r) for r in self.positive]
         self._index = {r: i for i, r in enumerate(self.roots)}
-        # symmetrized Gram matrix (twice the inner product, in d-units)
         n = self.rank
-        self._gram = [[self.lengths[j] * self.cartan[i][j] if i != j else 2 * self.lengths[i]
-                       for j in range(n)] for i in range(n)]
         self._neighbors = {i: tuple(j for j in range(1, n + 1) if self.adjacent(i, j))
                            for i in range(1, n + 1)}
 
@@ -131,12 +129,6 @@ class RootSystem:
 
     def index(self, root: Root) -> int:
         return self._index[root]
-
-    def norm2(self, root: Root) -> int:
-        """Squared length of a root (relative scale; shortest simple root = 2)."""
-        g = self._gram
-        n = self.rank
-        return sum(root[i] * root[j] * g[i][j] for i in range(n) for j in range(n) if root[i] and root[j])
 
     def adjacent(self, i: int, j: int) -> bool:
         """Dynkin-graph adjacency of simple roots i, j (1-based)."""
@@ -148,33 +140,22 @@ class RootSystem:
 
 
 def _positive_roots(cartan: list[list[int]]) -> list[Root]:
-    """Positive roots by chain closure, level by level over the height."""
+    """Positive roots as the closure of the simple roots under the simple
+    reflections that raise the height, sorted by (height, coordinates).
+
+    s_i r = r - r(H_i) alpha_i raises the height exactly when r(H_i) < 0.
+    A positive root r that is not simple has some i with r(H_i) > 0, and
+    s_i r is then a positive root of smaller height (Humphreys, Lemma
+    10.2B) from which s_i raises back to r; so by induction on the height
+    every positive root is reached, and reflections reach only roots.
+    """
     n = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots = set(simple)
-    frontier = list(simple)
+    cols = list(zip(*cartan))  # r(H_i) = sum_j r_j cartan[j][i]
+    roots = frontier = {tuple(int(j == i) for j in range(n)) for i in range(n)}
     while frontier:
-        grown: list[Root] = []
-        for g in frontier:
-            for i in range(n):
-                pairing = sum(g[j] * cartan[j][i] for j in range(n) if g[j])
-                down = 0
-                cur = list(g)
-                while True:
-                    cur[i] -= 1
-                    t = tuple(cur)
-                    if all(v == 0 for v in cur) or t not in roots:
-                        break
-                    down += 1
-                up = down - pairing  # chain closure: the string is unbroken
-                if up > 0:
-                    t = list(g)
-                    t[i] += 1
-                    t = tuple(t)
-                    if t not in roots:
-                        roots.add(t)
-                        grown.append(t)
-        frontier = grown
+        frontier = {r[:i] + (r[i] - p,) + r[i + 1:] for r in frontier
+                    for i, col in enumerate(cols) if (p := sum(map(mul, r, col))) < 0} - roots
+        roots = roots | frontier
     return sorted(roots, key=lambda r: (sum(r), r))
 
 
@@ -244,7 +225,9 @@ def _induced_piece(rs: RootSystem, nodes: tuple[int, ...]) -> DiagramPiece:
     length and then far node: the middle arm's far node, the short arm,
     the middle arm's near node, the branch node, then the long arm outward.
     So B keeps its short root last, C its long root last, G2 and F4 their
-    long roots first, and D4 takes its least tip as node 1.  Results are
+    long roots first, and D4 takes its least tip as node 1.  Every
+    connected sub-diagram of a simple type matches some family; a piece
+    that matched none would raise StopIteration.  Results are
     cached per root system and node tuple, so callers share one piece and
     must not mutate its ``relabel``.
     """
@@ -271,11 +254,7 @@ def _induced_piece(rs: RootSystem, nodes: tuple[int, ...]) -> DiagramPiece:
         orders = [path, path[::-1]]
     blocks = [[[C[a - 1][b - 1] for b in order] for a in order] for order in orders]
     k = len(nodes)
-    for family, (lo, hi) in _RANK_RANGE.items():
-        if lo <= k <= hi:
-            t = SimpleType(family, k)
-            standard = cartan_matrix(t)
-            for order, block in zip(orders, blocks):
-                if block == standard:
-                    return DiagramPiece(nodes, t, {a: i + 1 for i, a in enumerate(order)})
-    raise ValueError(f"unrecognized piece {nodes}")  # pragma: no cover - not in a simple ambient
+    types = [SimpleType(fam, k) for fam, (lo, hi) in _RANK_RANGE.items() if lo <= k <= hi]
+    t, order = next((t, order) for t in types for order, block in zip(orders, blocks)
+                    if block == cartan_matrix(t))
+    return DiagramPiece(nodes, t, {a: i + 1 for i, a in enumerate(order)})

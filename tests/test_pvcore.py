@@ -404,9 +404,12 @@ def test_non_invariant_direction_is_the_first_failing_operator(gate, fake):
     images = [list(zip(*pvcore._action_columns(pv, x))) for x in xs]
     w1, _, _ = pvcore._derivative_weights(f.degree)
 
+    def line_derivative(x, v, u):  # scale times the derivative of f along u
+        return w1[0] * v + sum(w * f.evaluate([a + j * b for a, b in zip(x, u)])
+                               for j, w in enumerate(w1) if j)
+
     def proportional(mi):
-        pairs = [(pvcore._directional_derivative(f, x, v, image[mi], w1), v)
-                 for x, v, image in zip(xs, vals, images)]
+        pairs = [(line_derivative(x, v, image[mi]), v) for x, v, image in zip(xs, vals, images)]
         g0, v0 = next((g, v) for g, v in pairs if v)
         return all(g * v0 == g0 * v for g, v in pairs)
 
@@ -455,6 +458,21 @@ def test_invariant_verification_evaluation_counts():
                         + 3 * len(mi.group_checks))
         assert (len(calls), formula) == (want, want), gate
     assert sum(INVARIANT_EVALUATIONS.values()) == 11858
+
+
+def test_hessian_of_a_linear_form_makes_no_evaluation():
+    # At degree 1 every second-derivative weight is zero, so the polarized
+    # Hessian is the zero matrix and no point is evaluated.
+    calls = []
+    f = Invariant("x0 + 2 x2", 1, lambda x: calls.append(1) or x[0] + 2 * x[2])
+    w1, w2, _ = pvcore._derivative_weights(1)
+    assert not any(w2)
+    x = [3, -1, 4, 1]
+    fx = f.evaluate(x)
+    grad, diag = pvcore._axis_derivatives(f, x, fx, w1, w2)
+    assert (grad, diag, len(calls)) == ([1, 0, 2, 0], [0, 0, 0, 0], 5)
+    assert pvcore._hessian(f, x, fx, w2, diag) == [[0] * 4 for _ in range(4)]
+    assert len(calls) == 5
 
 
 def test_verify_invariant_flags_degenerate_hessian():

@@ -8,8 +8,8 @@ import pytest
 import sympy.liealgebras.cartan_matrix as sym_cm
 
 from pvlab.chevalley import chevalley_basis
-from pvlab.rootsys import (InadmissibleType, SimpleType, build_root_system, cartan_matrix,
-                           check_admissible, split_pieces)
+from pvlab.rootsys import (_RANK_RANGE, InadmissibleType, SimpleType, build_root_system,
+                           cartan_matrix, check_admissible, split_pieces)
 
 # Total root counts |Sigma| for every supported (family, rank), frozen from an
 # independent chain-closure enumeration.
@@ -72,14 +72,49 @@ def test_root_closure_b3():
 
 
 def test_norms_by_family():
-    rs = build_root_system(SimpleType("B", 3))
-    # alpha_3 is the short root in B_n.
-    assert rs.norm2((0, 0, 1)) < rs.norm2((1, 0, 0))
-    rs = build_root_system(SimpleType("C", 3))
-    # alpha_3 is the long root in C_n.
-    assert rs.norm2((0, 0, 1)) > rs.norm2((1, 0, 0))
-    rs = build_root_system(SimpleType("G", 2))
-    assert rs.norm2((1, 0)) > rs.norm2((0, 1))
+    # alpha_3 is the short root in B_n and the long root in C_n; G2 takes
+    # alpha_1 long.
+    assert build_root_system(SimpleType("B", 3)).lengths == [2, 2, 1]
+    assert build_root_system(SimpleType("C", 3)).lengths == [1, 1, 2]
+    assert build_root_system(SimpleType("G", 2)).lengths == [3, 1]
+
+
+# Positive-root counts in closed form.
+POSITIVE_COUNTS = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
+                   "C": lambda n: n * n, "D": lambda n: n * (n - 1),
+                   "E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6}
+
+
+def _string_length(rs, r, i, sign):
+    """How many steps r + sign k alpha_i, k = 1, 2, ..., stay roots."""
+    k = 0
+    while rs.is_root(tuple(c + sign * (k + 1) * (j == i) for j, c in enumerate(r))):
+        k += 1
+    return k
+
+
+def test_positive_roots_through_rank_24():
+    # Every admissible A-D type up to rank 24 and the exceptional types:
+    # the count in closed form, the (height, coordinates) order, and, up to
+    # rank 12, p - q = r(H_i) for every positive root r != alpha_i, with p
+    # and q the lengths of its alpha_i-string below and above r.
+    types = [SimpleType(f, n) for f in "ABCD" for n in range(_RANK_RANGE[f][0], 25)]
+    types += [SimpleType("E", 6), SimpleType("E", 7), SimpleType("E", 8),
+              SimpleType("F", 4), SimpleType("G", 2)]
+    for t in types:
+        rs = build_root_system(t)
+        count = POSITIVE_COUNTS.get(str(t)) or POSITIVE_COUNTS[t.family](t.rank)
+        assert len(rs.positive) == count, t
+        assert rs.positive == sorted(rs.positive, key=lambda r: (sum(r), r)), t
+        if t.rank > 12:
+            continue
+        for r in rs.positive:
+            for i, col in enumerate(zip(*rs.cartan)):
+                if sum(r) == r[i] == 1:
+                    continue  # r = alpha_i
+                pairing = sum(a * c for a, c in zip(r, col))
+                p, q = _string_length(rs, r, i, -1), _string_length(rs, r, i, 1)
+                assert p - q == pairing, (t, r, i)
 
 
 def test_pairing_is_cartan_integer():
