@@ -40,9 +40,15 @@ h ∩ [x, V^*] = {[x, y] : [[x, y], x] = 0}, isomorphic to the kernel of
 y -> [[x, y], x] from V^* to V.  In coordinates that map is M = A_x B_x:
 A_x is the action matrix at x and column r of B_x is [x, e_-r] in the
 operator basis, so h is reductive, and the sum regular, exactly when the
-dim V x dim V matrix M is invertible.  This is the linear-algebra form of
-the classical fact that a parabolic PV is regular when a generic x lies in
-an sl2-triple (y, H_0, x) with y at level -1.
+dim V x dim V matrix M is invertible.  When V is all of level 1 and M is
+invertible, y = 2 M^-1 x is the one y at level -1 with [[x, y], x] = 2x,
+and with H = [x, y], (y, H, x) is an sl2-triple: ad x is nilpotent and H
+lies in [x, g], so Morozov's lemma gives a triple (y', H, x), and the
+level -1 part of y' is such a y.  With H_0 the grading element scaled to act by 2 on level 1,
+[H - H_0, x] = 0 and H - H_0 lies in g_0, so the neutral element H lies
+in H_0 + h.  It need not be H_0 itself: it is not on E6[1,2], C6[2,5]
+and D6[2,5,6].  For these triples on regular graded Lie algebras see
+Muller, Rubenthaler and Schiffmann, Math. Ann. 274 (1986).
 
 A full report prints the determinant of the form on its isotropy basis S,
 det(S F S^t), with F the form on g_0.  For an instance with a diagram whose
@@ -96,7 +102,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import sub
+from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import grading
@@ -137,10 +143,6 @@ class NotRelativeInvariant(PVError):
 
 
 class DegenerateInvariant(PVError):
-    pass
-
-
-class IdentityViolation(PVError):
     pass
 
 
@@ -722,9 +724,11 @@ class Invariant:
     """A polynomial on the module, given as a black-box exact evaluator.
 
     ``evaluate`` gets a list of ``int`` coordinates at the sample points of
-    :func:`verify_invariant` and :func:`hessian_product_identity_check`, and
-    of ``Fraction`` coordinates at the points moved by a group check.  It
-    must use exact arithmetic (``/`` on two ints makes a float).
+    :func:`verify_invariant`, and of ``Fraction`` coordinates at the points
+    moved by a group check.  It must use exact arithmetic (``/`` on two ints
+    makes a float).  The polynomial has degree at most ``degree``, and
+    exactly ``degree`` in every term when :func:`verify_invariant` expects
+    it to be nondegenerate.
     """
 
     name: str
@@ -836,12 +840,6 @@ def _hessian(f: Invariant, x: Sequence, fx, w2: Sequence, diag: Sequence) -> lis
     return h
 
 
-def _dlog(fx, h: Matrix, grad: Sequence) -> list[list]:
-    """f*h - 2 g g^t: with h = 2 * scale**2 * H and g = scale * grad, this is
-    2 * scale**2 * (f*H - grad*grad^t), the graded-logarithm differential."""
-    return [[fx * hab - 2 * ga * gb for hab, gb in zip(row, grad)] for row, ga in zip(h, grad)]
-
-
 INVARIANT_POINTS = 20
 
 
@@ -852,25 +850,35 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
 
     Checks, in order: (a) for every operator M the derivative of f along Mx
     is a fixed multiple of f across all sample points; (b) if nondegeneracy
-    is expected, the Hessian determinant is nonzero at some sample; (c) the
-    graded-logarithm differential f*H - grad*grad^t has full rank there;
-    (d) any supplied group samplers satisfy f(g x) = multiplier * f(x).
+    is expected, the Hessian determinant is nonzero at some sample; (c)
+    Euler's identities grad . x = d f and H x = (d - 1) grad hold there,
+    d = ``f.degree``; (d) any supplied group samplers satisfy
+    f(g x) = multiplier * f(x).
 
     Everything is exact.  Sample points are integer vectors and derivatives
     carry the integer scaling of :func:`_derivative_weights`, so with an
     integer evaluator no rational is formed until the reported constants.
     Proportionality is tested by cross-multiplying, and (b) and (c) use
-    2 * scale**2 times H and f*H - grad*grad^t, which have the same
-    determinant sign and rank.
+    g = scale * grad and h = 2 * scale**2 * H, for which (c) reads
+    g . x = scale d f and h x = 2 scale (d - 1) g.
+
+    (c) certifies that the graded-logarithm differential f*H - grad*grad^t
+    has full rank dim_v, which the report gives as ``dlog_rank``.  With
+    f(x) != 0 and det H != 0, the identities rule out d = 1 (H x = 0 would
+    force x = 0, and then grad . x = 0 != f), so H^-1 grad = x / (d - 1),
+    and the matrix determinant lemma gives
+    f^dim_v det H = (1 - d) det(f*H - grad*grad^t), which is nonzero.
 
     f must be a polynomial of degree <= ``f.degree``, which the integer
-    derivative weights need anyway.  Then the weighted line derivative
-    sum_j w1[j] f(x + j u) is exactly scale times grad f(x) . u, which is
-    linear in u.  So (a) takes the scaled gradient once per sample point,
-    from f(x + j e_i) (:func:`_axis_derivatives`), and reads the
-    derivative along each M x as grad . (M x), the sum of grad[a] * c * x[b]
-    over the operator's entries (a, b, c), with no image M x formed:
-    dim_v * degree evaluations per point, not dim_g * degree.  The same
+    derivative weights need anyway, and homogeneous of degree ``f.degree``
+    when nondegeneracy is expected, or (c) fails.  Then the weighted line
+    derivative sum_j w1[j] f(x + j u) is exactly scale times
+    grad f(x) . u, which is linear in u.  So (a) takes the scaled gradient
+    once per sample point, from f(x + j e_i) (:func:`_axis_derivatives`),
+    and reads the derivative along each M x as grad . (M x), the sum of
+    grad[a] * c * x[b] over the operator's entries (a, b, c), with no
+    image M x formed: dim_v * degree evaluations per point, not
+    dim_g * degree.  The same
     values give the Hessian diagonal, and at the Hessian point (b) and (c)
     reuse both, so only the off-diagonal entries are evaluated there.
     """
@@ -910,14 +918,18 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
             h = _hessian(f, xs[i], vals[i], w2, diag)
             if det(h) != 0:
                 hessian_nonzero = True
-                dlog_rank = rank(_dlog(vals[i], h, grad))
                 break
             if tried >= 5:
                 break
         if not hessian_nonzero:
             raise DegenerateInvariant(f"{f.name}: Hessian determinant zero at {tried} samples")
-        if dlog_rank != pv.dim_v:
-            raise DegenerateInvariant(f"{f.name}: graded-log rank {dlog_rank} < {pv.dim_v}")
+        x, d = xs[i], f.degree
+        if sum(map(mul, grad, x)) != scale * d * vals[i]:
+            raise DegenerateInvariant(f"{f.name}: Euler's identity grad . x = d f fails, d = {d}")
+        if any(sum(map(mul, row, x)) != 2 * scale * (d - 1) * g for row, g in zip(h, grad)):
+            raise DegenerateInvariant(
+                f"{f.name}: Euler's identity H x = (d - 1) grad fails, d = {d}")
+        dlog_rank = pv.dim_v
     checked = 0
     for gc in group_checks:
         gstream = Stream(seed, context=f"group:{pv.name}:{f.name}:{gc.name}")
@@ -937,47 +949,3 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
         dlog_rank=dlog_rank,
         group_elements_checked=checked,
     )
-
-
-@dataclass(frozen=True)
-class HessianIdentityReport:
-    name: str
-    degree: int
-    dim: int
-    points_checked: int
-
-
-HESSIAN_POINTS = 5
-
-
-def hessian_product_identity_check(f: Invariant, dim: int, seed: int = 0) -> HessianIdentityReport:
-    """Exact check of  f^dim * det(Hessian f) = (1 - deg f) * det(f*H - grad*grad^t).
-
-    Both sides are polynomials; they are compared at ``HESSIAN_POINTS``
-    seeded integer sample points, resampling any point where f vanishes.  The check uses
-    h = 2 * scale**2 * H and g = scale * grad from the integer derivative
-    weights, so f*h - 2*g*g^t is 2 * scale**2 * (f*H - grad*grad^t) and both
-    sides carry the same factor (2 * scale**2)**dim.  Nothing is divided:
-    with an integer evaluator both sides are integer-valued.
-    """
-    stream = Stream(seed, context=f"hessid:{f.name}")
-    w1, w2, _ = _derivative_weights(f.degree)
-    done = 0
-    attempts = 0
-    while done < HESSIAN_POINTS:
-        attempts += 1
-        if attempts > 50 * HESSIAN_POINTS:
-            raise DegenerateInvariant(
-                f"{f.name}: could not find {HESSIAN_POINTS} nonvanishing points")
-        x = stream.vector(dim)
-        fx = f.evaluate(x)
-        if fx == 0:
-            continue
-        grad, diag = _axis_derivatives(f, x, fx, w1, w2)
-        h = _hessian(f, x, fx, w2, diag)
-        lhs = fx ** dim * det(h)
-        rhs = (1 - f.degree) * det(_dlog(fx, h, grad))
-        if lhs != rhs:
-            raise IdentityViolation(f"{f.name} at {x}: {lhs} != {rhs}")
-        done += 1
-    return HessianIdentityReport(f.name, f.degree, dim, done)

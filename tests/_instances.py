@@ -7,13 +7,17 @@ dense form.
 
 It also holds the small helpers that several test modules share: an
 identity matrix, a simple root, the Cartan integer of two adjacent nodes
-read from their lengths, and the exact isotropy basis at a point.
+read from their lengths, the exact isotropy basis at a point, and the
+Hessian product identity, a rank reference for the graded-logarithm
+differential that ``pvcore.verify_invariant`` certifies by Euler's
+identities.
 """
 from __future__ import annotations
 
 import dataclasses
 
 from pvlab import _linalg, pvcore
+from pvlab._rand import Stream
 
 # Every multi-circle diagram of the tier-1 sweep (A1-7, B2-7, C3-7, D4-7,
 # E6) and of the second catalog (rank 8 of A-D, E7, E8, F4, G2), plus the
@@ -70,3 +74,58 @@ def length_rule(rs, alpha: int, beta: int) -> int:
 def isotropy_algebra(pv, x) -> list[list[int]]:
     """Exact kernel basis of a -> (sum a_i op_i) x, in algebra coordinates."""
     return _linalg.kernel_basis(pvcore._action_columns(pv, x))[0]
+
+
+class IdentityViolation(Exception):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class HessianIdentityReport:
+    name: str
+    degree: int
+    dim: int
+    points_checked: int
+
+
+HESSIAN_POINTS = 5
+
+
+def _dlog(fx, h, grad) -> list[list]:
+    """f*h - 2 g g^t: with h = 2 * scale**2 * H and g = scale * grad, this is
+    2 * scale**2 * (f*H - grad*grad^t), the graded-logarithm differential."""
+    return [[fx * hab - 2 * ga * gb for hab, gb in zip(row, grad)] for row, ga in zip(h, grad)]
+
+
+def hessian_product_identity_check(f, dim: int, seed: int = 0) -> HessianIdentityReport:
+    """Exact check of  f^dim * det(Hessian f) = (1 - deg f) * det(f*H - grad*grad^t).
+
+    Both sides are polynomials; they are compared at ``HESSIAN_POINTS``
+    seeded integer sample points, resampling any point where f vanishes.
+    The check uses h = 2 * scale**2 * H and g = scale * grad from the
+    integer derivative weights, so f*h - 2*g*g^t is
+    2 * scale**2 * (f*H - grad*grad^t) and both sides carry the same factor
+    (2 * scale**2)**dim.  Nothing is divided: with an integer evaluator both
+    sides are integer-valued.
+    """
+    stream = Stream(seed, context=f"hessid:{f.name}")
+    w1, w2, _ = pvcore._derivative_weights(f.degree)
+    done = 0
+    attempts = 0
+    while done < HESSIAN_POINTS:
+        attempts += 1
+        if attempts > 50 * HESSIAN_POINTS:
+            raise pvcore.DegenerateInvariant(
+                f"{f.name}: could not find {HESSIAN_POINTS} nonvanishing points")
+        x = stream.vector(dim)
+        fx = f.evaluate(x)
+        if fx == 0:
+            continue
+        grad, diag = pvcore._axis_derivatives(f, x, fx, w1, w2)
+        h = pvcore._hessian(f, x, fx, w2, diag)
+        lhs = fx ** dim * _linalg.det(h)
+        rhs = (1 - f.degree) * _linalg.det(_dlog(fx, h, grad))
+        if lhs != rhs:
+            raise IdentityViolation(f"{f.name} at {x}: {lhs} != {rhs}")
+        done += 1
+    return HessianIdentityReport(f.name, f.degree, dim, done)

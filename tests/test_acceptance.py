@@ -28,11 +28,11 @@ from pvlab.models import (MODELS, build_model, descending_chains, diag_chain,
                           dual_pair, matrix_pair, skew_pair, sym_vector, vector_skew,
                           verify_model)
 from pvlab.pvcore import (Invariant, SubsetLattice, build_parabolic_pv,
-                          decompose_filtration, hessian_product_identity_check,
-                          is_regular, q_irreducible, restrict)
+                          decompose_filtration, is_regular, q_irreducible, restrict)
 from pvlab.rootsys import SimpleType, build_root_system, split_pieces
 
-from _instances import dense_operator, identity, isotropy_algebra, length_rule, simple_root
+from _instances import (dense_operator, hessian_product_identity_check, identity,
+                        isotropy_algebra, length_rule, simple_root)
 
 DATA = Path(__file__).parent / "data"
 
@@ -422,15 +422,21 @@ def test_closed_form_invariants_certify_exactly():
 
 
 def test_hessian_product_identity():
+    # f^n det H = (1 - d) det(f H - grad grad^t) at five points, on every
+    # invariant a gate certifies nondegenerate and on two squares: with
+    # det H != 0 it gives the full graded-logarithm rank that
+    # verify_invariant reads off Euler's identities, by determinants alone.
+    cases = [(mi.invariant, spec.instance.dim_v)
+             for spec in map(build_model, INVARIANT_GATES)
+             for mi in spec.invariants if mi.nondegenerate]
     pairing_q = dual_pair(2).invariants[0].invariant
-    squared = Invariant("Q^2", 4, lambda x: pairing_q.evaluate(x) ** 2)
-    rep = hessian_product_identity_check(squared, dual_pair(2).instance.dim_v)
-    assert rep.points_checked >= 5 and (rep.degree, rep.dim) == (4, 4)
-
     det_yx = matrix_pair(1, 2, 1).invariants[0].invariant
-    squared = Invariant("det(YX)^2", 4, lambda x: det_yx.evaluate(x) ** 2)
-    rep = hessian_product_identity_check(squared, matrix_pair(1, 2, 1).instance.dim_v)
-    assert rep.points_checked >= 5 and (rep.degree, rep.dim) == (4, 4)
+    cases += [(Invariant("Q^2", 4, lambda x: pairing_q.evaluate(x) ** 2), 4),
+              (Invariant("det(YX)^2", 4, lambda x: det_yx.evaluate(x) ** 2), 4)]
+    reports = [hessian_product_identity_check(f, dim) for f, dim in cases]
+    assert [(r.name, r.degree, r.dim, r.points_checked) for r in reports] == [
+        ("det(YX)", 4, 12, 5), ("Pf(XtYX)", 6, 30, 5), ("borderedPf", 3, 15, 5),
+        ("Q", 2, 4, 5), ("Q", 2, 6, 5), ("Q^2", 4, 4, 5), ("det(YX)^2", 4, 4, 5)]
 
 
 def _jacobi_holds(cb, i, j, k, dim):

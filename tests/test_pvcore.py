@@ -1,9 +1,11 @@
 """The exact oracle: generic points, isotropy, regularity, invariant counts."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -20,15 +22,14 @@ from pvlab.chevalley import chevalley_basis
 from pvlab._rand import Stream
 from pvlab.diagram import WeightedDiagram, parse_diagram
 from pvlab.models import build_model, diag_chain, dual_pair, matrix_pair, sym_vector, verify_model
-from pvlab.pvcore import (DegenerateInvariant, EmptySubset, IdentityViolation, Invariant,
-                          NonGenericPoint, NotRegular, NotRelativeInvariant, SubsetLattice,
-                          build_parabolic_pv, decompose_filtration,
-                          hessian_product_identity_check, is_reductive, is_regular,
-                          q_irreducible, restrict, verify_invariant)
+from pvlab.pvcore import (DegenerateInvariant, EmptySubset, Invariant, NonGenericPoint,
+                          NotRegular, NotRelativeInvariant, SubsetLattice,
+                          build_parabolic_pv, decompose_filtration, is_reductive,
+                          is_regular, q_irreducible, restrict, verify_invariant)
 from pvlab.rootsys import SimpleType
 
-from _instances import (FROZEN_ENUMERATED, FROZEN_LARGE, dense_operator, dense_repr,
-                        isotropy_algebra)
+from _instances import (FROZEN_ENUMERATED, FROZEN_LARGE, IdentityViolation, dense_operator,
+                        dense_repr, hessian_product_identity_check, isotropy_algebra)
 
 
 def test_parabolic_instance_shapes():
@@ -476,20 +477,34 @@ def test_hessian_of_a_linear_form_makes_no_evaluation():
 
 
 def test_verify_invariant_flags_degenerate_hessian():
-    spec = diag_chain(1, 3)
-    entry = spec.invariants[0].invariant
-    with pytest.raises(DegenerateInvariant):
-        verify_invariant(spec.instance, entry, expect_nondegenerate=True)
-    # Without the nondegeneracy demand the same invariant certifies fine.
-    rep = verify_invariant(spec.instance, entry, expect_nondegenerate=False)
-    assert rep.hessian_nonzero is None
+    # A zero Hessian determinant, and the two Euler identities that certify
+    # the graded-logarithm rank at the Hessian point.  Q labelled degree 3
+    # has a nonzero Hessian and full graded-log rank 4, but is not
+    # homogeneous of degree 3.  Q + (x0 - p0)^2, with p the first sample
+    # point, has Q's value and gradient at p but not its Hessian; with no
+    # operators, check (a) passes it.
+    chain, pair = diag_chain(1, 3), dual_pair(2)
+    q = pair.invariants[0].invariant
+    bare = dataclasses.replace(pair.instance, operators=())
+    p0 = Stream(0, context=f"invariant:{bare.name}:bent Q").vector(bare.dim_v)[0]
+    bent = Invariant("bent Q", 2, lambda x: q.evaluate(x) + (x[0] - p0) ** 2)
+    cases = [(chain.instance, chain.invariants[0].invariant, "Hessian determinant zero"),
+             (pair.instance, Invariant("mislabelled", 3, q.evaluate),
+              "Euler's identity grad . x = d f fails, d = 3"),
+             (bare, bent, "Euler's identity H x = (d - 1) grad fails, d = 2")]
+    for pv, f, message in cases:
+        with pytest.raises(DegenerateInvariant, match=re.escape(message)):
+            verify_invariant(pv, f, expect_nondegenerate=True)
+        # Without the nondegeneracy demand the same invariant certifies fine.
+        rep = verify_invariant(pv, f, expect_nondegenerate=False)
+        assert rep.hessian_nonzero is None
 
 
 def test_hessian_identity_violation_on_wrong_degree():
     spec = dual_pair(2)
     q = spec.invariants[0].invariant
     lying = Invariant("mislabelled", 3, q.evaluate)
-    with pytest.raises((IdentityViolation, DegenerateInvariant)):
+    with pytest.raises(IdentityViolation):
         hessian_product_identity_check(lying, spec.instance.dim_v)
 
 
