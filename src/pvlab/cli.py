@@ -26,15 +26,17 @@ from .classify import MODES, FamilyMatch, MismatchError, classify, enumerate_rep
 from .diagram import (DiagramError, WeightedDiagram, parse_diagram, render_ascii,
                       render_compact, subdiagram)
 from .grading import components, compute_grading
-from .rootsys import InadmissibleType, SimpleType
+from .rootsys import _RANK_RANGE, InadmissibleType, SimpleType
 
 SCHEMA_VERSION = "1"
 GRAMMAR = "diagram ::= FAMILY RANK '[' node (',' node)* ']'    e.g. A3[1,3], D9[2,3,5,8]"
 _EXIT_OK, _EXIT_USAGE, _EXIT_MISMATCH, _EXIT_MODEL, _EXIT_NON_GENERIC = 0, 1, 2, 3, 4
 _EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports a process killed by SIGPIPE
 
-_CLASSICAL_MIN = {"A": 1, "B": 2, "C": 3, "D": 4}
-_FIXED_TYPES = {"E6": ("E", 6), "E7": ("E", 7), "E8": ("E", 8), "F4": ("F", 4), "G2": ("G", 2)}
+# A classical family expands to its ranks up to --max-rank; an exceptional type is one token.
+_CLASSICAL_MIN = {fam: lo for fam, (lo, _) in _RANK_RANGE.items() if fam in "ABCD"}
+_FIXED_TYPES = {f"{fam}{n}": SimpleType(fam, n) for fam, (lo, hi) in _RANK_RANGE.items()
+                if fam not in _CLASSICAL_MIN for n in range(lo, hi + 1)}
 
 
 class UsageError(Exception):
@@ -247,10 +249,10 @@ def _expand_types(tokens: list[str], max_rank: int) -> list[SimpleType]:
                 raise UsageError(f"--max-rank {max_rank} below the smallest {tok} rank {lo}")
             out += [SimpleType(tok, n) for n in range(lo, max_rank + 1)]
         elif tok in _FIXED_TYPES:
-            out.append(SimpleType(*_FIXED_TYPES[tok]))
+            out.append(_FIXED_TYPES[tok])
         else:
-            raise UsageError(f"unknown type token {tok!r} "
-                             f"(expected A, B, C, D, E6, E7, E8, F4 or G2)")
+            *rest, last = [*_CLASSICAL_MIN, *_FIXED_TYPES]
+            raise UsageError(f"unknown type token {tok!r} (expected {', '.join(rest)} or {last})")
     return out
 
 

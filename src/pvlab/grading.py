@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from ._linalg import solve
 from .diagram import WeightedDiagram
@@ -62,15 +61,13 @@ def compute_grading(d: WeightedDiagram) -> Grading:
     return Grading(tuple(h), dict(sorted(dims.items())))
 
 
-@lru_cache(maxsize=256)
 def components(d: WeightedDiagram) -> tuple[Component, ...]:
     """The irreducible pieces of level 1, one per circled node, ascending.
 
     One pass over the positive roots: a root of level 1 has coefficient 1
     at exactly one circled node, and joins that node's piece.  Each piece
-    keeps the positive roots' order.  The split is cached per diagram, so
-    the instance builder and :func:`pvlab.pvcore.ad_square_regular` share
-    one.
+    keeps the positive roots' order.  :func:`pvlab.pvcore.build_parabolic_pv`
+    keeps the split as its instance's ``roots``.
     """
     rs = build_root_system(d.type)
     axes = [a - 1 for a in d.circled]

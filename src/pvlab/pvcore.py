@@ -100,7 +100,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm, prod
 from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
@@ -110,6 +109,7 @@ from ._linalg import P61, det, kernel_basis, modp_rank, rank
 from ._rand import Stream
 from .chevalley import ChevalleyBasis, chevalley_basis
 from .diagram import WeightedDiagram, render_compact, subdiagram
+from .rootsys import Root
 
 Matrix = Sequence[Sequence]
 
@@ -161,6 +161,9 @@ class PVInstance:
     ``diagram`` is the weighted diagram of a :func:`build_parabolic_pv`
     instance, whose component i sits at circled node ``diagram.circled[i]``;
     restrictions, subalgebra instances and the matrix models have none.
+    ``roots`` holds the level-1 root at each coordinate, for a parabolic
+    instance and the instances made from it; the matrix models have none.
+    The ``characters`` are linearly independent.
 
     Each of ``operators`` is a dim_v x dim_v matrix given by its nonzero
     entries ``(row, col, value)``, ordered by row and then column; no
@@ -176,6 +179,7 @@ class PVInstance:
     components: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     diagram: WeightedDiagram | None = None
+    roots: tuple[Root, ...] | None = None
 
     @property
     def dim_g(self) -> int:
@@ -183,7 +187,7 @@ class PVInstance:
 
 
 def make_instance(name, operators, dim_v, form, characters, components, labels,
-                  diagram: WeightedDiagram | None = None) -> PVInstance:
+                  diagram: WeightedDiagram | None = None, roots=None) -> PVInstance:
     return PVInstance(
         name=name,
         operators=tuple(map(tuple, operators)),
@@ -193,6 +197,7 @@ def make_instance(name, operators, dim_v, form, characters, components, labels,
         components=tuple(tuple(c) for c in components),
         labels=tuple(labels),
         diagram=diagram,
+        roots=roots,
     )
 
 
@@ -205,8 +210,8 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
     subalgebra).
 
     The level-1 basis is that of :func:`pvlab.grading.components`, one
-    component after another, and only the nonzero entries are written, row
-    by row, into the operators.
+    component after another, kept as the instance's ``roots``, and only the
+    nonzero entries are written, row by row, into the operators.
     H_i acts on the level-1 root vector e_r by the pairing r(H_i).
     The root vector e_g of a level-0 root g sends e_r to N(g, r) e_s for
     each pair of level-1 roots (r, s) with s - r = g; such a pair lies in
@@ -246,7 +251,7 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
             form[n + p][n + q] = form[n + q][n + p] = alg.root_killing[g]
     characters = [[1 if j == a - 1 else 0 for j in range(dim_g)] for a in d.circled]
     return make_instance(render_compact(d), entries, len(level1), form, characters,
-                         ranges, [f"V[{c.alpha}]" for c in components], d)
+                         ranges, [f"V[{c.alpha}]" for c in components], d, tuple(level1))
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +345,8 @@ def is_reductive(pv: PVInstance, subalgebra: Sequence[Sequence]) -> ReductivityC
     return ReductivityCert(d != 0, d)
 
 
-@lru_cache(maxsize=256)
-def _characters_rank(characters: tuple[tuple, ...]) -> int:
-    """Rank of an instance's characters, once per distinct tuple: every
-    restriction carries its parent's characters, and parabolic instances
-    with the same circled nodes and dim_g have the same ones."""
-    return rank([list(row) for row in characters])
-
-
 def _invariant_count(pv: PVInstance, subalgebra: Sequence[Sequence]) -> int:
-    total = _characters_rank(pv.characters)
+    total = len(pv.characters)
     if not subalgebra or not pv.characters:
         return total
     supports = [[(b, v) for b, v in enumerate(row) if v] for row in pv.characters]
@@ -436,7 +433,9 @@ def restrict(pv: PVInstance, indices) -> PVInstance:
         offset += size
     labels = [pv.labels[i] for i in idxs]
     name = pv.name + "/" + "+".join(labels)
-    return make_instance(name, operators, len(coords), pv.form, pv.characters, components, labels)
+    roots = None if pv.roots is None else tuple(pv.roots[c] for c in coords)
+    return make_instance(name, operators, len(coords), pv.form, pv.characters, components,
+                         labels, roots=roots)
 
 
 def ad_square_regular(pv: PVInstance, subset: tuple[int, ...], seed: int = 0) -> bool:
@@ -454,27 +453,24 @@ def ad_square_regular(pv: PVInstance, subset: tuple[int, ...], seed: int = 0) ->
     instance is prehomogeneous (Vinberg), so a run of draws that never
     reaches dim_v raises :class:`NonGenericPoint`.
     """
-    d = pv.diagram
     sub = restrict(pv, subset)
-    roots = [r for i in sorted(set(subset)) for r in grading.components(d)[i].roots]
     x, a, r = _generic_draw(sub, seed)
     if r < sub.dim_v:
         raise NonGenericPoint(f"{sub.name}: orbit rank below {sub.dim_v} at {CANDIDATES} draws")
-    mt = _ad_square(sub, chevalley_basis(d.type), roots, x, a)
+    mt = _ad_square(sub, chevalley_basis(pv.diagram.type), x, a)
     return modp_rank(mt) == sub.dim_v or det(mt) != 0
 
 
-def _ad_square(pv: PVInstance, alg: ChevalleyBasis, roots: Sequence, x: Sequence,
-               a: Matrix) -> list[list]:
+def _ad_square(pv: PVInstance, alg: ChevalleyBasis, x: Sequence, a: Matrix) -> list[list]:
     """M transposed, for M = A_x B_x at x with action matrix ``a`` = A_x.
 
     ``pv`` is a parabolic instance of the algebra ``alg``, or a restriction
-    of one, acting on the span of the level-1 ``roots``, in its coordinate
-    order.  Column r of B_x is [x, e_-r] = sum_s x_s [e_s, e_-r] in the
-    operator basis, so row r of the result is A_x [x, e_-r], one column of
-    A_x per bracket.
+    of one, acting on the span of the level-1 roots ``pv.roots``, in its
+    coordinate order.  Column r of B_x is [x, e_-r] = sum_s x_s [e_s, e_-r]
+    in the operator basis, so row r of the result is A_x [x, e_-r], one
+    column of A_x per bracket.
     """
-    n = alg.rank
+    n, roots = alg.rank, pv.roots
     up = [alg.e_index(r) for r in roots]
     down = [alg.e_index(tuple(-v for v in r)) for r in roots]
     # lowering[r] lists [e_s, e_-r] as (s, operator, coefficient): the coroot
@@ -512,10 +508,9 @@ def _ad_square_determinant(pv: PVInstance, x: Sequence, a: Matrix,
     det(A_P) = +-d; det F is :func:`_form_determinant`.
     """
     alg = chevalley_basis(pv.diagram.type)
-    roots = [r for c in grading.components(pv.diagram) for r in c.roots]
     scale = prod(next(v for v in reversed(s) if v) for s in iso)
-    kappa = prod(alg.root_killing[r] for r in roots)
-    return (_form_determinant(pv, alg) * det(_ad_square(pv, alg, roots, x, a)) * scale ** 2
+    kappa = prod(alg.root_killing[r] for r in pv.roots)
+    return (_form_determinant(pv, alg) * det(_ad_square(pv, alg, x, a)) * scale ** 2
             / (kappa * d ** 2))
 
 
@@ -535,7 +530,10 @@ def _form_determinant(pv: PVInstance, alg: ChevalleyBasis) -> Fraction:
 
 def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence]) -> PVInstance:
     """The same module under the subalgebra spanned by the given vectors;
-    an operator entry whose terms cancel is dropped."""
+    an operator entry whose terms cancel is dropped.
+
+    Its characters are the first restricted characters that are independent
+    of the ones before them, a basis of the restricted characters."""
     operators = []
     for s in vectors:
         sums: dict[tuple[int, int], object] = {}
@@ -545,10 +543,13 @@ def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence]) -> PVInstan
                     sums[a, c] = sums.get((a, c), 0) + sb * v
         operators.append(sorted((a, c, v) for (a, c), v in sums.items() if v))
     form = _gram(pv.form, vectors)
-    characters = [[sum(row[b] * s[b] for b in range(pv.dim_g)) for s in vectors]
-                  for row in pv.characters]
+    characters = []
+    for row in pv.characters:
+        restricted = [sum(row[b] * s[b] for b in range(pv.dim_g)) for s in vectors]
+        if rank(characters + [restricted]) > len(characters):
+            characters.append(restricted)
     return make_instance(pv.name + ".isotropy", operators, pv.dim_v,
-                         form, characters, pv.components, pv.labels)
+                         form, characters, pv.components, pv.labels, roots=pv.roots)
 
 
 @dataclass(frozen=True)
@@ -754,7 +755,6 @@ class InvariantReport:
     constants: tuple
     points_checked: int
     hessian_nonzero: bool | None
-    dlog_rank: int | None
     group_elements_checked: int
 
 
@@ -862,11 +862,11 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     g = scale * grad and h = 2 * scale**2 * H, for which (c) reads
     g . x = scale d f and h x = 2 scale (d - 1) g.
 
-    (c) certifies that the graded-logarithm differential f*H - grad*grad^t
-    has full rank dim_v, which the report gives as ``dlog_rank``.  With
-    f(x) != 0 and det H != 0, the identities rule out d = 1 (H x = 0 would
-    force x = 0, and then grad . x = 0 != f), so H^-1 grad = x / (d - 1),
-    and the matrix determinant lemma gives
+    A report with ``hessian_nonzero`` True also certifies, by (c), that
+    the graded-logarithm differential f*H - grad*grad^t has full rank
+    dim_v.  With f(x) != 0 and det H != 0, the identities rule out d = 1
+    (H x = 0 would force x = 0, and then grad . x = 0 != f), so
+    H^-1 grad = x / (d - 1), and the matrix determinant lemma gives
     f^dim_v det H = (1 - d) det(f*H - grad*grad^t), which is nonzero.
 
     f must be a polynomial of degree <= ``f.degree``, which the integer
@@ -907,7 +907,6 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
                     direction=mi)
         constants.append(Fraction(g0, scale * v0))
     hessian_nonzero = None
-    dlog_rank = None
     if expect_nondegenerate:
         tried = 0
         for i in range(base, len(xs)):
@@ -929,7 +928,6 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
         if any(sum(map(mul, row, x)) != 2 * scale * (d - 1) * g for row, g in zip(h, grad)):
             raise DegenerateInvariant(
                 f"{f.name}: Euler's identity H x = (d - 1) grad fails, d = {d}")
-        dlog_rank = pv.dim_v
     checked = 0
     for gc in group_checks:
         gstream = Stream(seed, context=f"group:{pv.name}:{f.name}:{gc.name}")
@@ -946,6 +944,5 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
         constants=tuple(constants),
         points_checked=len(xs),
         hessian_nonzero=hessian_nonzero,
-        dlog_rank=dlog_rank,
         group_elements_checked=checked,
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pvlab
 from pvlab import pvcore
-from pvlab._linalg import kernel_basis
+from pvlab._linalg import kernel_basis, solve, transpose
 from pvlab._rand import Stream
 from pvlab.chevalley import chevalley_basis
 from pvlab.classify import classify, enumerate_reports
@@ -159,9 +159,9 @@ def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
         queried.append(subset)
         return original(lattice, subset)
 
-    def recording_ad_square(pv, alg, roots, x, a):
+    def recording_ad_square(pv, alg, x, a):
         points.append(tuple(x))
-        return ad_square(pv, alg, roots, x, a)
+        return ad_square(pv, alg, x, a)
 
     def verdict_and_point(pv, subset):
         points.clear()
@@ -194,6 +194,41 @@ def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
                     sums += 1
                     regular_sums += direct
     assert (fulls, sums, regular_sums) == (927, 6128, 2052)
+
+
+def test_regular_reports_carry_an_sl2_triple():
+    # With M = A_x B_x invertible on all of level 1, y = 2 M^-1 x at level
+    # -1 and H = [x, y] form an sl2-triple (see the pvcore docstring).  Both
+    # relations are checked exactly with the Chevalley brackets:
+    # [[x, y], x] = 2x, which M encodes, and [H, y] = -2y, which reads the
+    # brackets of g_0 with level -1 that M never uses.
+    def bracket(alg, u, v):
+        out = {}
+        for i, ui in u.items():
+            for j, vj in v.items():
+                for k, c in alg.bracket(i, j):
+                    out[k] = out.get(k, 0) + c * ui * vj
+        return {k: c for k, c in out.items() if c}
+
+    regular = 0
+    for t in SWEEP_TYPES:
+        alg = chevalley_basis(t)
+        for size in range(2, t.rank + 1):
+            for circled in itertools.combinations(range(1, t.rank + 1), size):
+                pv = build_parabolic_pv(WeightedDiagram(t, circled))
+                report = is_regular(pv)
+                if not report.regular:
+                    continue
+                regular += 1
+                x = report.generic_point
+                mt = pvcore._ad_square(pv, alg, x, pvcore._action_columns(pv, x))
+                y = solve(transpose(mt), [2 * v for v in x])
+                xe = {alg.e_index(r): v for r, v in zip(pv.roots, x) if v}
+                ye = {alg.e_index(tuple(-c for c in r)): v for r, v in zip(pv.roots, y) if v}
+                h = bracket(alg, xe, ye)
+                assert bracket(alg, h, xe) == {k: 2 * v for k, v in xe.items()}, pv.name
+                assert bracket(alg, h, ye) == {k: -2 * v for k, v in ye.items()}, pv.name
+    assert regular == 329
 
 
 def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):

@@ -300,14 +300,30 @@ def test_non_decimal_digit_is_a_parse_error(capsys, text, message):
     ["verify-model", "dual-pair:n=2,n=3"],
     ["decompose", "A3[1]"],
     ["enumerate", "--types", "Z"],
+    ["enumerate", "--types", "D", "--max-rank", "3"],
+    ["enumerate", "--types", "E7,F4,G2,E9"],
     [],
 ], ids=["unknown-parameter", "repeated-parameter", "not-regular", "unknown-type",
-        "no-subcommand"])
+        "below-smallest-rank", "unknown-after-exceptional", "no-subcommand"])
 def test_usage_error_without_a_diagram_prints_no_grammar(capsys, argv):
     # The grammar describes diagrams; only a diagram or type error gets it.
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_type_tokens_come_from_the_rank_table(capsys):
+    # A classical family expands to its ranks from the smallest one, an
+    # exceptional type is one token, and both usage messages are fixed.
+    SimpleType = cli_module.SimpleType
+    assert cli_module._expand_types(["D", "E7", "F4", "G2"], 5) == [
+        SimpleType("D", 4), SimpleType("D", 5), SimpleType("E", 7), SimpleType("F", 4),
+        SimpleType("G", 2)]
+    _, _, err = run(capsys, "enumerate", "--types", "D", "--max-rank", "3")
+    assert err == "usage error: --max-rank 3 below the smallest D rank 4\n"
+    _, _, err = run(capsys, "enumerate", "--types", "E7,F4,G2,E9")
+    assert err == ("usage error: unknown type token 'E9' "
+                   "(expected A, B, C, D, E6, E7, E8, F4 or G2)\n")
 
 
 def test_semantic_diagram_error(capsys):

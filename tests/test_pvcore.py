@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from pvlab import grading, pvcore
 from pvlab.classify import classify
-from pvlab._linalg import det, matvec
+from pvlab._linalg import det, matvec, rank
 from pvlab.chevalley import chevalley_basis
 from pvlab._rand import Stream
 from pvlab.diagram import WeightedDiagram, parse_diagram
-from pvlab.models import build_model, diag_chain, dual_pair, matrix_pair, sym_vector, verify_model
+from pvlab.models import (MODELS, build_model, diag_chain, dual_pair, matrix_pair, sym_vector,
+                          verify_model)
 from pvlab.pvcore import (DegenerateInvariant, EmptySubset, Invariant, NonGenericPoint,
                           NotRegular, NotRelativeInvariant, SubsetLattice,
                           build_parabolic_pv, decompose_filtration, is_reductive,
@@ -279,6 +280,63 @@ def test_closed_form_form_determinant_over_the_sweep():
         assert pvcore._form_determinant(pv, alg) == det(pv.form), d
 
 
+# One small instance of each of the eight models.
+SMALL_MODELS = ("dual-pair:n=2", "sym-vector:n=3", "descending-chains:n=3",
+                "matrix-pair:p=2,q=3,r=2", "skew-pair:p=2,r=5", "diag-chain:p=2,q=3",
+                "vector-skew:n=5", "det-augmented:n=3")
+
+
+def test_characters_are_independent(monkeypatch):
+    # _invariant_count reads the number of characters as their rank.  The
+    # parabolic instances have unit rows, the models indicator rows on
+    # disjoint generators, and a restriction its parent's rows.  The stage-2
+    # instances of these filtrations restrict dependent rows (2 of rank 1,
+    # or 3 of rank 2) and keep a basis of them.
+    made = []
+    subalgebra = pvcore.subalgebra_instance
+
+    def recording(pv, vectors):
+        made.append(subalgebra(pv, vectors))
+        return made[-1]
+
+    monkeypatch.setattr(pvcore, "subalgebra_instance", recording)
+    instances = [build_parabolic_pv(d) for d in SWEEP]
+    assert set(MODELS) == {s.partition(":")[0] for s in SMALL_MODELS}
+    for s in SMALL_MODELS:
+        pv = build_model(s).instance
+        instances += [restrict(pv, subset) for k in range(1, len(pv.components) + 1)
+                      for subset in itertools.combinations(range(len(pv.components)), k)]
+    for pv in [build_model(s).instance for s in
+               ("sym-vector:n=3", "descending-chains:n=2", "descending-chains:n=3")] + [
+               build_parabolic_pv(parse_diagram("C3[1,3]"))]:
+        decompose_filtration(pv)
+    assert [(pv.name, len(pv.characters)) for pv in made] == [
+        ("sym-vector(n=3).isotropy", 1), ("descending-chains(n=2).isotropy", 1),
+        ("descending-chains(n=3).isotropy", 2),
+        ("descending-chains(n=3).isotropy/V[2]+V[1].isotropy", 1), ("C3[1,3].isotropy", 1)]
+    for pv in instances + made:
+        assert rank([list(row) for row in pv.characters]) == len(pv.characters), pv.name
+
+
+def test_roots_follow_the_level_one_split():
+    # A parabolic instance keeps the level-1 root of each coordinate, in
+    # the order of grading.components; a restriction keeps the roots of
+    # its coordinates and a subalgebra instance all of them.
+    for d in SWEEP:
+        pv = build_parabolic_pv(d)
+        split = [c.roots for c in grading.components(d)]
+        assert pv.roots == tuple(r for roots in split for r in roots), d
+        if d.type.rank <= 5:
+            for k in range(1, len(split)):
+                for subset in itertools.combinations(range(len(split)), k):
+                    want = tuple(r for i in subset for r in split[i])
+                    assert restrict(pv, subset).roots == want, (d, subset)
+    pv = build_parabolic_pv(parse_diagram("A3[1,3]"))
+    iso = is_regular(pv).isotropy_basis
+    assert pvcore.subalgebra_instance(pv, iso).roots == pv.roots
+    assert build_model("dual-pair:n=2").instance.roots is None
+
+
 def test_is_reductive_on_spans():
     pv = build_parabolic_pv(parse_diagram("A3[2]"))
     # The whole algebra is reductive; the empty subalgebra trivially so.
@@ -333,19 +391,25 @@ def test_shared_piece_verdict_is_computed_once(monkeypatch):
 
 
 def test_level_one_is_split_once_per_diagram(monkeypatch):
-    # The builder and ad_square_regular read one cached level-1 split.  An
+    # The builder splits level 1 and keeps the split as the instance's
+    # roots; ad_square_regular and the det M determinant read those.  An
     # empty piece-verdict table makes ad_square_regular run whatever tests
     # ran before this one.
     diagrams = [WeightedDiagram(SimpleType(family, 5), circled)
                 for family in "AD" for size in (2, 3, 4)
                 for circled in itertools.combinations(range(1, 6), size)]
+    calls = []
+    split = grading.components
+
+    def counting(d):
+        calls.append(d)
+        return split(d)
+
     monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
-    grading.components.cache_clear()
+    monkeypatch.setattr(grading, "components", counting)
     for d in diagrams:
         classify(d, "both", 0)
-    info = grading.components.cache_info()
-    assert info.misses == len(diagrams) == 50
-    assert info.hits >= len(diagrams)
+    assert calls == diagrams and len(diagrams) == 50
 
 
 def test_is_regular_sum_checks_its_subset():
@@ -381,7 +445,6 @@ def test_verify_invariant_accepts_pairing():
     rep = verify_invariant(spec.instance, mi.invariant, group_checks=mi.group_checks)
     assert rep.points_checked == 20
     assert rep.hessian_nonzero
-    assert rep.dlog_rank == spec.instance.dim_v
     assert rep.group_elements_checked == 3
 
 
@@ -556,7 +619,7 @@ def test_rational_coefficient_invariant_is_certified_exactly():
     rep = verify_invariant(spec.instance, third, group_checks=mi.group_checks)
     base = verify_invariant(spec.instance, mi.invariant)
     assert rep.constants == base.constants
-    assert rep.hessian_nonzero and rep.dlog_rank == spec.instance.dim_v
+    assert rep.hessian_nonzero
     assert rep.group_elements_checked == 3
     ident = hessian_product_identity_check(third, spec.instance.dim_v)
     assert ident.points_checked == 5
@@ -579,7 +642,6 @@ def test_gate_invariant_reports_are_frozen():
                          "constants": [str(c) for c in rep.constants],
                          "points_checked": rep.points_checked,
                          "hessian_nonzero": rep.hessian_nonzero,
-                         "dlog_rank": rep.dlog_rank,
                          "group_elements_checked": rep.group_elements_checked})
     assert len(rows) == 9
     assert rows == frozen
