@@ -7,18 +7,28 @@ The scans cover rank 9 of A-D with any number of circles, the two-circle
 diagrams of the ranks where the A, B, C and D1 rows grow new members, and
 the three-circle diagrams of D10 and D11, where the D3 row sits.
 
+The sl2-triple of every regular report of the second catalog (rank 8 of
+A-D, E7, E8, F4, G2) is checked here too, with the helper the tier-1 check
+on the sweep uses.
+
 Run from the repository root with ``PYTHONPATH=src python -m pytest -q scans``.
 This directory lies outside the tier-1 ``testpaths``.
 """
 from __future__ import annotations
 
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
 from pvlab.classify import classify
 from pvlab.diagram import WeightedDiagram, render_compact
+from pvlab.pvcore import build_parabolic_pv, is_regular
 from pvlab.rootsys import SimpleType
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "tests"))
+from _instances import SECOND_CATALOG_TYPES, sl2_triple_neutral  # noqa: E402
 
 # (type, circle count or None for every count >= 2) -> frozen hits.
 SCANS = {
@@ -54,3 +64,18 @@ def test_scan_hits_are_frozen(name, size):
             if rep.verdicts.q_irreducible:
                 hits.append(render_compact(rep.diagram))
     assert hits == SCANS[name, size]
+
+
+def test_second_catalog_regular_reports_carry_an_sl2_triple():
+    # y = 2 M^-1 x and H = [x, y] satisfy [[x, y], x] = 2x and [H, y] = -2y
+    # exactly on every regular report of the second catalog at seed 0.
+    regular = 0
+    for t in SECOND_CATALOG_TYPES:
+        for size in range(2, t.rank + 1):
+            for circled in itertools.combinations(range(1, t.rank + 1), size):
+                pv = build_parabolic_pv(WeightedDiagram(t, circled))
+                report = is_regular(pv)
+                if report.regular:
+                    sl2_triple_neutral(pv, report.generic_point)
+                    regular += 1
+    assert regular == 389

@@ -242,7 +242,9 @@ def _cmd_classify(args: argparse.Namespace) -> Document:
 
 def _expand_types(tokens: list[str], max_rank: int) -> list[SimpleType]:
     out: list[SimpleType] = []
-    for tok in tokens:
+    for k, tok in enumerate(tokens):
+        if tok in tokens[:k]:
+            raise UsageError(f"type token {tok!r} given twice")
         if tok in _CLASSICAL_MIN:
             lo = _CLASSICAL_MIN[tok]
             if max_rank < lo:

@@ -24,7 +24,9 @@ the same image, because every piece's Cartan matrix is nondegenerate), the
 generic isotropy is reductive exactly when it is reductive modulo the
 reductive kernel of the action, and a product PV is regular exactly when
 each factor is.  The lattice therefore decides such sums from one
-process-wide table of piece verdicts.
+process-wide table of piece verdicts.  A piece is itself a diagram, so a
+full report of that diagram fills the same entry; whichever comes first
+stands, since the two verdicts are equal.
 
 Each piece verdict is decided by (ad x)^2 on level -1
 (:func:`ad_square_regular`), with no isotropy kernel and no Gram matrix.
@@ -560,6 +562,8 @@ class QIrreducibilityReport:
 
 
 # Regularity verdict of each subdiagram piece, keyed by (compact form, seed).
+# Piece verdicts and the full reports of parabolic instances both fill it,
+# and neither overwrites an entry, since both are exact.
 _PIECE_VERDICTS: dict[tuple[str, int], bool] = {}
 
 
@@ -579,7 +583,9 @@ class SubsetLattice:
     is never printed, so it comes from :func:`ad_square_regular`: one
     dim_v x dim_v matrix M = A_x B_x at the point :func:`is_regular` would
     take, with no isotropy kernel and no Gram determinant.  Full reports,
-    which print their form determinant, still come from :func:`is_regular`.
+    which print their form determinant, still come from :func:`is_regular`,
+    and a parabolic instance's full report also fills its diagram's entry
+    in the table, so a later diagram with this one as a piece reads it.
 
     >>> from pvlab.diagram import parse_diagram
     >>> lattice = SubsetLattice(build_parabolic_pv(parse_diagram("A3[1,3]")))
@@ -599,7 +605,11 @@ class SubsetLattice:
     def regular(self, subset: tuple[int, ...]) -> RegularityReport:
         """The exact report of the restriction to ``subset``."""
         if subset not in self._regular:
-            self._regular[subset] = is_regular(restrict(self.pv, subset), self.seed)
+            report = is_regular(restrict(self.pv, subset), self.seed)
+            if subset == self.full and self.pv.diagram is not None:
+                _PIECE_VERDICTS.setdefault((render_compact(self.pv.diagram), self.seed),
+                                           report.regular)
+            self._regular[subset] = report
         return self._regular[subset]
 
     def is_regular_sum(self, subset: tuple[int, ...]) -> bool:

@@ -18,6 +18,8 @@ import dataclasses
 
 from pvlab import _linalg, pvcore
 from pvlab._rand import Stream
+from pvlab.chevalley import chevalley_basis
+from pvlab.rootsys import SimpleType
 
 # Every multi-circle diagram of the tier-1 sweep (A1-7, B2-7, C3-7, D4-7,
 # E6) and of the second catalog (rank 8 of A-D, E7, E8, F4, G2), plus the
@@ -25,6 +27,11 @@ from pvlab._rand import Stream
 FROZEN_ENUMERATED = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
                      + [("C", n) for n in range(3, 9)] + [("D", n) for n in range(4, 9)]
                      + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+# The second catalog: rank 8 and the exceptional types, where the E7 and E8
+# rows make their only claims.
+SECOND_CATALOG_TYPES = [SimpleType("A", 8), SimpleType("B", 8), SimpleType("C", 8),
+                        SimpleType("D", 8), SimpleType("E", 7), SimpleType("E", 8),
+                        SimpleType("F", 4), SimpleType("G", 2)]
 FROZEN_LARGE = ("A12[1,12]", "A12[3,10]", "B10[1,10]", "C12[3,10]", "D12[2,11,12]",
                 "D10[2,4,6,8]", "A14[2,13]", "E8[1,3,5,7]", "E8[1,2]")
 
@@ -77,6 +84,37 @@ def length_rule(rs, alpha: int, beta: int) -> int:
 def isotropy_algebra(pv, x) -> list[list[int]]:
     """Exact kernel basis of a -> (sum a_i op_i) x, in algebra coordinates."""
     return _linalg.kernel_basis(pvcore._action_columns(pv, x))[0]
+
+
+def lie_bracket(alg, u: dict, v: dict) -> dict:
+    """[u, v] for elements given as {Chevalley basis index: coefficient}."""
+    out: dict = {}
+    for i, ui in u.items():
+        for j, vj in v.items():
+            for k, c in alg.bracket(i, j):
+                out[k] = out.get(k, 0) + c * ui * vj
+    return {k: c for k, c in out.items() if c}
+
+
+def sl2_triple_neutral(pv, x) -> bool:
+    """Check the sl2-triple of a regular parabolic report exactly, and say
+    whether its neutral element is the grading element H_0.
+
+    With M = A_x B_x invertible on all of level 1, y = 2 M^-1 x at level -1
+    and H = [x, y] must satisfy [[x, y], x] = 2x, which M encodes, and
+    [H, y] = -2y, which reads the brackets of g_0 with level -1 that M never
+    uses (see the pvcore docstring).  g_0 acts faithfully on level 1, so
+    H = H_0 exactly when [H, e_r] = 2 e_r for every level-1 root r."""
+    alg = chevalley_basis(pv.diagram.type)
+    mt = pvcore._ad_square(pv, alg, x, pvcore._action_columns(pv, x))
+    y = _linalg.solve(_linalg.transpose(mt), [2 * v for v in x])
+    xe = {alg.e_index(r): v for r, v in zip(pv.roots, x) if v}
+    ye = {alg.e_index(tuple(-c for c in r)): v for r, v in zip(pv.roots, y) if v}
+    h = lie_bracket(alg, xe, ye)
+    assert lie_bracket(alg, h, xe) == {k: 2 * v for k, v in xe.items()}, pv.name
+    assert lie_bracket(alg, h, ye) == {k: -2 * v for k, v in ye.items()}, pv.name
+    return all(lie_bracket(alg, h, {alg.e_index(r): 1}) == {alg.e_index(r): 2}
+               for r in pv.roots)
 
 
 class IdentityViolation(Exception):

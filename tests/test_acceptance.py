@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pvlab
 from pvlab import pvcore
-from pvlab._linalg import kernel_basis, solve, transpose
+from pvlab._linalg import kernel_basis
 from pvlab._rand import Stream
 from pvlab.chevalley import chevalley_basis
 from pvlab.classify import classify, enumerate_reports
@@ -31,8 +31,8 @@ from pvlab.pvcore import (Invariant, SubsetLattice, build_parabolic_pv,
                           decompose_filtration, is_regular, q_irreducible, restrict)
 from pvlab.rootsys import SimpleType, build_root_system, split_pieces
 
-from _instances import (dense_operator, hessian_product_identity_check, identity,
-                        isotropy_algebra, length_rule, simple_root)
+from _instances import (SECOND_CATALOG_TYPES, dense_operator, hessian_product_identity_check,
+                        identity, isotropy_algebra, length_rule, simple_root, sl2_triple_neutral)
 
 DATA = Path(__file__).parent / "data"
 
@@ -69,11 +69,8 @@ def test_family_catalog_reproduction():
     assert time.monotonic() - start < 600
 
 
-# The second catalog: rank 8 and the exceptional types, where the E7 and E8
-# rows make their only claims, frozen from a seed-0 pass in mode "both".
-SECOND_CATALOG_TYPES = [SimpleType("A", 8), SimpleType("B", 8), SimpleType("C", 8),
-                        SimpleType("D", 8), SimpleType("E", 7), SimpleType("E", 8),
-                        SimpleType("F", 4), SimpleType("G", 2)]
+# The hits of the second catalog (SECOND_CATALOG_TYPES), frozen from a
+# seed-0 pass in mode "both".
 SECOND_CATALOG = frozenset({"A8[1,8]", "A8[2,7]", "B8[1,8]", "B8[3,7]", "C8[2,7]",
                             "D8[2,7,8]", "E7[2,5]", "E8[1,2]"})
 
@@ -144,6 +141,29 @@ def test_piece_verdicts_match_direct_restriction():
     assert checked == 11698
 
 
+def test_full_reports_equal_the_piece_verdicts_before_them(monkeypatch):
+    # Full reports and piece verdicts share one table, keyed by the compact
+    # form and the seed, and each writer leaves an entry standing.  Run in
+    # descending order (E6, D7 ... A1, most circles first), the sweep meets
+    # most multi-circle diagrams as pieces before their own full reports,
+    # and each full report must equal the piece verdict already there.
+    sweep = [WeightedDiagram(t, circled) for t in SWEEP_TYPES for size in range(2, t.rank + 1)
+             for circled in itertools.combinations(range(1, t.rank + 1), size)]
+    for seed in (0, 1):
+        table: dict = {}
+        monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", table)
+        met = 0
+        for d in reversed(sweep):
+            key = (render_compact(d), seed)
+            before = table.get(key)
+            regular = classify(d, "both", seed).verdicts.regular
+            if before is not None:
+                assert regular == before, key
+                met += 1
+            assert table[key] == regular, key
+        assert met == 242, seed
+
+
 def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
     # ad_square_regular decides regularity from M = A_x B_x, with no
     # isotropy kernel and no Gram matrix.  On every sweep diagram at seed 0
@@ -197,38 +217,41 @@ def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
 
 
 def test_regular_reports_carry_an_sl2_triple():
-    # With M = A_x B_x invertible on all of level 1, y = 2 M^-1 x at level
-    # -1 and H = [x, y] form an sl2-triple (see the pvcore docstring).  Both
-    # relations are checked exactly with the Chevalley brackets:
-    # [[x, y], x] = 2x, which M encodes, and [H, y] = -2y, which reads the
-    # brackets of g_0 with level -1 that M never uses.
-    def bracket(alg, u, v):
-        out = {}
-        for i, ui in u.items():
-            for j, vj in v.items():
-                for k, c in alg.bracket(i, j):
-                    out[k] = out.get(k, 0) + c * ui * vj
-        return {k: c for k, c in out.items() if c}
-
+    # With M = A_x B_x invertible on all of level 1, y = 2 M^-1 x and
+    # H = [x, y] form an sl2-triple, checked exactly with the Chevalley
+    # brackets (see the pvcore docstring).  The second catalog's 389 regular
+    # reports are checked in scans/.
     regular = 0
     for t in SWEEP_TYPES:
-        alg = chevalley_basis(t)
         for size in range(2, t.rank + 1):
             for circled in itertools.combinations(range(1, t.rank + 1), size):
                 pv = build_parabolic_pv(WeightedDiagram(t, circled))
                 report = is_regular(pv)
-                if not report.regular:
-                    continue
-                regular += 1
-                x = report.generic_point
-                mt = pvcore._ad_square(pv, alg, x, pvcore._action_columns(pv, x))
-                y = solve(transpose(mt), [2 * v for v in x])
-                xe = {alg.e_index(r): v for r, v in zip(pv.roots, x) if v}
-                ye = {alg.e_index(tuple(-c for c in r)): v for r, v in zip(pv.roots, y) if v}
-                h = bracket(alg, xe, ye)
-                assert bracket(alg, h, xe) == {k: 2 * v for k, v in xe.items()}, pv.name
-                assert bracket(alg, h, ye) == {k: -2 * v for k, v in ye.items()}, pv.name
+                if report.regular:
+                    sl2_triple_neutral(pv, report.generic_point)
+                    regular += 1
     assert regular == 329
+
+
+# The Q-irreducible hits of both catalogs whose sl2-triple (y, H, x) has the
+# grading element H_0 as its neutral element H: the A row and no other.  On
+# the open orbit H moves with x by the level-0 group, which fixes H_0, so
+# whether H = H_0 does not depend on the generic point; seeds 0 and 1 must
+# agree.
+NEUTRAL_IS_GRADING = frozenset({"A3[1,3]", "A4[1,4]", "A5[1,5]", "A6[1,6]", "A6[2,5]",
+                                "A7[1,7]", "A7[2,6]", "A8[1,8]", "A8[2,7]"})
+
+
+def test_neutral_element_of_each_hit_is_frozen():
+    for seed in (0, 1):
+        grading = set()
+        for text in sorted(CATALOG | SECOND_CATALOG):
+            pv = build_parabolic_pv(parse_diagram(text))
+            report = is_regular(pv, seed)
+            assert report.regular, text
+            if sl2_triple_neutral(pv, report.generic_point):
+                grading.add(text)
+        assert grading == NEUTRAL_IS_GRADING, seed
 
 
 def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):

@@ -302,9 +302,10 @@ def test_non_decimal_digit_is_a_parse_error(capsys, text, message):
     ["enumerate", "--types", "Z"],
     ["enumerate", "--types", "D", "--max-rank", "3"],
     ["enumerate", "--types", "E7,F4,G2,E9"],
+    ["enumerate", "--types", "A,A", "--max-rank", "3"],
     [],
 ], ids=["unknown-parameter", "repeated-parameter", "not-regular", "unknown-type",
-        "below-smallest-rank", "unknown-after-exceptional", "no-subcommand"])
+        "below-smallest-rank", "unknown-after-exceptional", "repeated-type", "no-subcommand"])
 def test_usage_error_without_a_diagram_prints_no_grammar(capsys, argv):
     # The grammar describes diagrams; only a diagram or type error gets it.
     code, out, err = run(capsys, *argv)
@@ -324,6 +325,10 @@ def test_type_tokens_come_from_the_rank_table(capsys):
     _, _, err = run(capsys, "enumerate", "--types", "E7,F4,G2,E9")
     assert err == ("usage error: unknown type token 'E9' "
                    "(expected A, B, C, D, E6, E7, E8, F4 or G2)\n")
+    # A repeated token would classify every diagram of its types twice.
+    for types in ("A,A", "E6,E6", "B, C,B"):
+        _, _, err = run(capsys, "enumerate", "--types", types, "--max-rank", "3")
+        assert err == f"usage error: type token {types.split(',')[0].strip()!r} given twice\n"
 
 
 def test_semantic_diagram_error(capsys):

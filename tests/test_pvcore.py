@@ -371,7 +371,10 @@ def test_each_regularity_verdict_is_computed_once(monkeypatch):
 def test_shared_piece_verdict_is_computed_once(monkeypatch):
     # A3[1,3] and A4[1,3] restricted to V[1] both have the one piece A2[1].
     # Piece verdicts come from ad_square_regular, so its calls are counted,
-    # each named by the restriction it decides.
+    # each named by the restriction it decides.  A full report fills its
+    # diagram's entry too: from a cold table A5[1,3,5] decides V[1], V[3]
+    # and V[1]+V[3], but after A4[1,3] is classified only V[3], since V[1]
+    # is the piece A2[1] and V[1]+V[3] the piece A4[1,3].
     names = []
     original = pvcore.ad_square_regular
 
@@ -388,6 +391,16 @@ def test_shared_piece_verdict_is_computed_once(monkeypatch):
     second = SubsetLattice(build_parabolic_pv(parse_diagram("A4[1,3]")))
     assert second.regular_proper_subset(second.full) == (1,)  # the piece A3[2]
     assert names == ["A4[1,3]/V[3]"]
+    monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
+    names.clear()
+    classify(parse_diagram("A5[1,3,5]"), "both", 0)
+    assert names == ["A5[1,3,5]/V[1]", "A5[1,3,5]/V[3]", "A5[1,3,5]/V[1]+V[3]"]
+    monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
+    classify(parse_diagram("A4[1,3]"), "both", 0)
+    assert pvcore._PIECE_VERDICTS[("A4[1,3]", 0)] is False
+    names.clear()
+    classify(parse_diagram("A5[1,3,5]"), "both", 0)
+    assert names == ["A5[1,3,5]/V[3]"]
 
 
 def test_level_one_is_split_once_per_diagram(monkeypatch):
