@@ -92,10 +92,10 @@ class ChevalleyBasis:
     """Integer structure constants and Killing form of a simple Lie algebra.
 
     Built once per type from per-root tables (see the module docstring):
-    ``nconst`` holds N(a, b), ``_coroot[g]`` the coroot [e_g, e_-g] over
+    ``nconst`` holds N(a, b), ``coroot[g]`` the coroot [e_g, e_-g] over
     H_1 .. H_n, ``pairings[k]`` the row roots[k](H_1) .. roots[k](H_n),
-    ``_position[g]`` the basis index of e_g, and ``_killing_h`` the Killing
-    form on H_1 .. H_n.
+    ``_position[g]`` the basis index of e_g, and ``killing_h`` the Killing
+    form on H_1 .. H_n, as a list of rows.
     ``root_killing[g]`` is K(e_g, e_-g), computed once per root; the Killing
     form pairs each e_g with e_-g only.
     """
@@ -114,16 +114,16 @@ class ChevalleyBasis:
         self._position = {g: self.rank + k for k, g in enumerate(rs.roots)}
         self.nconst = _build_nconst(rs, n2)
         up = [tuple(_exact(2 * m * d, n2[g]) for m, d in zip(g, rs.lengths)) for g in pos]
-        self._coroot: dict[Root, tuple[int, ...]] = dict(
+        self.coroot: dict[Root, tuple[int, ...]] = dict(
             zip(rs.roots, up + [tuple(-c for c in h) for h in up]))
         by_node = list(zip(*rows))
-        self._killing_h = [[2 * sum(map(mul, a, b)) for b in by_node] for a in by_node]
+        self.killing_h = [[2 * sum(map(mul, a, b)) for b in by_node] for a in by_node]
         # h = [e_g, e_-g] and g(h) = 2, so K(h, h) = K(e_g, [e_-g, h]) = 2 K(e_g, e_-g);
         # the coroot of -g is -h, so g and -g share the value.
         self.root_killing: dict[Root, int] = {}
         for g, h, minus in zip(pos, up, rs.roots[len(pos):]):
             c = [(a, ca) for a, ca in enumerate(h) if ca]
-            kg = sum(ca * cb * self._killing_h[a][b] for a, ca in c for b, cb in c) // 2
+            kg = sum(ca * cb * self.killing_h[a][b] for a, ca in c for b, cb in c) // 2
             self.root_killing[g] = self.root_killing[minus] = kg
 
     # -- basis bookkeeping -------------------------------------------------
@@ -146,7 +146,7 @@ class ChevalleyBasis:
         g, d = self.rs.roots[i - n], self.rs.roots[j - n]
         s = tuple(x + y for x, y in zip(g, d))
         if not any(s):
-            return [(k, c) for k, c in enumerate(self._coroot[g]) if c]
+            return [(k, c) for k, c in enumerate(self.coroot[g]) if c]
         k = self._position.get(s)
         return [] if k is None else [(k, self.nconst[(g, d)])]
 
@@ -154,7 +154,7 @@ class ChevalleyBasis:
     def killing(self, i: int, j: int) -> int:
         n = self.rank
         if i < n and j < n:
-            return self._killing_h[i][j]
+            return self.killing_h[i][j]
         if i < n or j < n:
             return 0
         g, d = self.rs.roots[i - n], self.rs.roots[j - n]

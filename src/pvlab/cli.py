@@ -283,8 +283,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> Document:
             "family": _family_payload(r.family),
         } for r in reports],
     }
+    processed = f"processed {len(reports)} diagram{'' if len(reports) == 1 else 's'}"
     text = [f"enumerate {', '.join(str(t) for t in types)}  mode={args.mode}  seed={args.seed}",
-            f"  processed {len(reports)} diagrams"]
+            f"  {processed}"]
     rows = []
     for r in hits:
         fam = _family_payload(r.family)
@@ -292,7 +293,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> Document:
         text.append(f"  Q-irreducible: {render_compact(r.diagram)}  [{label}]")
         rows.append((fam["family"] if fam else "-",
                      tuple(fam["params"]) if fam else "-", render_compact(r.diagram)))
-    summary = f"processed {len(reports)} diagrams, {len(hits)} Q-irreducible"
+    summary = f"{processed}, {len(hits)} Q-irreducible"
     md = [f"# enumerate {', '.join(tokens)} (max rank {args.max_rank})", "",
           summary, ""]
     md += _md_table(rows, ("family", "params", "diagram"))
@@ -353,8 +354,8 @@ def _cmd_decompose(args: argparse.Namespace) -> Document:
                     f"{s['isotropy_dim']}, reductive={s['reductive']}")
     text.append(f"  final isotropy dim {rep.final_isotropy_dim}, "
                 f"reductive={rep.final_reductive}")
-    summary = (f"{pv.name}: {len(stages)} stages, final isotropy dim "
-               f"{rep.final_isotropy_dim} ({'reductive' if rep.final_reductive else 'NOT reductive'})")
+    summary = (f"{pv.name}: {len(stages)} stage{'' if len(stages) == 1 else 's'}, final isotropy "
+               f"dim {rep.final_isotropy_dim} ({'reductive' if rep.final_reductive else 'NOT reductive'})")
     md = [f"# decompose {pv.name}", ""]
     md += _md_table([( '+'.join(s["labels"]), s["dim"], s["isotropy_dim"], s["reductive"])
                      for s in stages], ("stage", "dim", "isotropy dim", "reductive"))

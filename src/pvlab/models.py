@@ -184,15 +184,21 @@ def _pack(blocks: list[_Block], pt: dict[str, list[list]]) -> list:
     return x
 
 
-def _operator(blocks: list[_Block], act: Callable[[dict], dict]) -> list[tuple]:
-    """The nonzero entries ``(row, col, value)`` of ``act`` on packed coordinates, by rows."""
-    dim = sum(b.size for b in blocks)
+def _operator(blocks: list[_Block], moves: dict, a: list[list]) -> list[tuple]:
+    """The nonzero entries ``(row, col, value)`` of the generator a on packed
+    coordinates, by rows.  A role maps a block to itself, so each unit matrix
+    of a block in ``moves`` is moved by :func:`_lie_move` and read back along
+    the block's coords."""
     entries = []
-    for k in range(dim):
-        e = [0] * dim
-        e[k] = 1
-        entries.extend((r, k, v) for r, v in enumerate(_pack(blocks, act(_unpack(blocks, e))))
-                       if v)
+    for b in (b for b in blocks if b.name in moves):
+        for k, (i, j) in enumerate(b.coords):
+            unit = [[0] * b.cols for _ in range(b.rows)]
+            unit[i][j] = 1
+            if b.kind != "mat":
+                unit[j][i] = -1 if b.kind == "skew" else 1
+            y = _lie_move(moves[b.name], a, unit)
+            entries += [(b.offset + r, b.offset + k, y[p][q])
+                        for r, (p, q) in enumerate(b.coords) if y[p][q]]
     return sorted(entries)
 
 
@@ -332,14 +338,10 @@ def _instance(name: str, blocks: list[_Block], factors: list[tuple]) -> PVInstan
     gens = [(f, a, char) for f, (key, kind, size, _) in enumerate(factors)
             for a, char in _lie_basis(key, kind, size)]
 
-    def act_of(moves, a):
-        return lambda pt: {b.name: _lie_move(moves[b.name], a, pt[b.name]) if b.name in moves
-                           else [[0] * b.cols for _ in range(b.rows)] for b in blocks}
-
     def trace(a, c):  # tr(ac); the generators are sparse
         return sum(v * c[j][i] for i, row in enumerate(a) for j, v in enumerate(row) if v)
 
-    operators = [_operator(blocks, act_of(factors[f][3], a)) for f, a, _ in gens]
+    operators = [_operator(blocks, factors[f][3], a) for f, a, _ in gens]
     form = [[trace(a, c) if f == h else 0 for h, c, _ in gens] for f, a, _ in gens]
     names = list(dict.fromkeys(char for _, _, char in gens if char))
     characters = [[int(char == name) for _, _, char in gens] for name in names]

@@ -14,8 +14,8 @@ A parabolic instance (:func:`build_parabolic_pv`) is written from the
 root data alone, with no bracket or form evaluated that is known to be
 zero: the Cartan acts on level 1 by the diagonal pairings, a level-0 root
 vector e_g moves e_r to N(g, r) e_s for each pair of level-1 roots with
-s - r = g, and the Killing form has the Cartan block plus one entry
-K(e_g, e_-g) per level-0 root g.
+s - r = g, and the Killing form has the Cartan block K_h plus one entry
+K(e_g, e_-g) per level-0 root g, each read from the Chevalley basis by root.
 
 A proper component sum of a parabolic instance is regular exactly when
 every piece of its :func:`~pvlab.diagram.subdiagram` is: the Levi's image
@@ -24,9 +24,9 @@ the same image, because every piece's Cartan matrix is nondegenerate), the
 generic isotropy is reductive exactly when it is reductive modulo the
 reductive kernel of the action, and a product PV is regular exactly when
 each factor is.  The lattice therefore decides such sums from one
-process-wide table of piece verdicts.  A piece is itself a diagram, so a
-full report of that diagram fills the same entry; whichever comes first
-stands, since the two verdicts are equal.
+process-wide table of piece verdicts, keyed by the piece's weighted diagram
+alone, since the verdict is exact and so the same at every seed.  A full
+report of a piece's diagram fills the same entry; whichever comes first stands.
 
 Each piece verdict is decided by (ad x)^2 on level -1
 (:func:`ad_square_regular`), with no isotropy kernel and no Gram matrix.
@@ -243,10 +243,8 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
         ranges.append(range(offset, offset + c.dim))
         offset += c.dim
     dim_g = n + len(level0)
-    form = [[0] * dim_g for _ in range(dim_g)]
-    for i in range(n):
-        for j in range(n):
-            form[i][j] = alg.killing(i, j)
+    form = ([row + [0] * len(level0) for row in alg.killing_h]
+            + [[0] * dim_g for _ in level0])
     for p, g in enumerate(level0):
         q = position[tuple(-x for x in g)]
         if p < q:
@@ -470,19 +468,18 @@ def _ad_square(pv: PVInstance, alg: ChevalleyBasis, x: Sequence, a: Matrix) -> l
     of one, acting on the span of the level-1 roots ``pv.roots``, in its
     coordinate order.  Column r of B_x is [x, e_-r] = sum_s x_s [e_s, e_-r]
     in the operator basis, so row r of the result is A_x [x, e_-r], one
-    column of A_x per bracket.
+    column of A_x per bracket, each read by root.
     """
     n, roots = alg.rank, pv.roots
-    up = [alg.e_index(r) for r in roots]
-    down = [alg.e_index(tuple(-v for v in r)) for r in roots]
+    down = [tuple(-v for v in r) for r in roots]
     # lowering[r] lists [e_s, e_-r] as (s, operator, coefficient): the coroot
-    # of r for s = r, and for s - r = g a multiple of e_g.  The root operator
-    # of g moves e_r to e_s, so those pairs are its nonzero entries (s, r).
-    lowering = [[(r, k, c) for k, c in alg.bracket(up[r], down[r])] for r in range(len(roots))]
+    # of r for s = r, and N(s, -r) e_g for s - r = g.  The root operator of g
+    # moves e_r to e_s, so those pairs are its nonzero entries (s, r).
+    lowering = [[(r, k, c) for k, c in enumerate(alg.coroot[root]) if c]
+                for r, root in enumerate(roots)]
     for j, entries in enumerate(pv.operators[n:], n):
         for s, r, _ in entries:
-            [(_, c)] = alg.bracket(up[s], down[r])
-            lowering[r].append((s, j, c))
+            lowering[r].append((s, j, alg.nconst[(roots[s], down[r])]))
     columns = list(zip(*a))
     mt = []
     for brackets in lowering:
@@ -524,10 +521,9 @@ def _form_determinant(pv: PVInstance, alg: ChevalleyBasis) -> Fraction:
     g.  A simultaneous permutation of rows and columns, which keeps the
     determinant, makes F block diagonal, so det F = det K_h * prod_g (-k^2).
     """
-    n = alg.rank
     circled = [a - 1 for a in pv.diagram.circled]
     level0 = (g for g in alg.rs.positive if not any(g[a] for a in circled))
-    return det([row[:n] for row in pv.form[:n]]) * prod(-alg.root_killing[g] ** 2 for g in level0)
+    return det(alg.killing_h) * prod(-alg.root_killing[g] ** 2 for g in level0)
 
 
 def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence]) -> PVInstance:
@@ -561,10 +557,10 @@ class QIrreducibilityReport:
     regularity: RegularityReport
 
 
-# Regularity verdict of each subdiagram piece, keyed by (compact form, seed).
-# Piece verdicts and the full reports of parabolic instances both fill it,
-# and neither overwrites an entry, since both are exact.
-_PIECE_VERDICTS: dict[tuple[str, int], bool] = {}
+# Regularity verdict of each subdiagram piece, keyed by the diagram, at every
+# seed.  Piece verdicts and the full reports of parabolic instances both fill
+# it, and neither overwrites an entry, since both are exact.
+_PIECE_VERDICTS: dict[WeightedDiagram, bool] = {}
 
 
 class SubsetLattice:
@@ -577,10 +573,11 @@ class SubsetLattice:
     that answer is the conjunction of the verdicts of the subset's
     :func:`~pvlab.diagram.subdiagram` pieces, because the restriction is
     the product of the pieces' PVs up to a reductive kernel (see the module
-    docstring).  Each piece verdict is computed once per process and seed,
-    on the restriction of the instance at hand to that piece's components,
-    so diagrams that share a piece share its verdict.  It is a yes/no that
-    is never printed, so it comes from :func:`ad_square_regular`: one
+    docstring).  Each piece verdict is computed once per process, keyed by
+    the piece's weighted diagram, on the restriction of the instance at
+    hand to that piece's components, at the lattice's seed.  It is exact,
+    so diagrams that share a piece share it at every seed.  It is a yes/no
+    that is never printed, so it comes from :func:`ad_square_regular`: one
     dim_v x dim_v matrix M = A_x B_x at the point :func:`is_regular` would
     take, with no isotropy kernel and no Gram determinant.  Full reports,
     which print their form determinant, still come from :func:`is_regular`,
@@ -607,8 +604,7 @@ class SubsetLattice:
         if subset not in self._regular:
             report = is_regular(restrict(self.pv, subset), self.seed)
             if subset == self.full and self.pv.diagram is not None:
-                _PIECE_VERDICTS.setdefault((render_compact(self.pv.diagram), self.seed),
-                                           report.regular)
+                _PIECE_VERDICTS.setdefault(self.pv.diagram, report.regular)
             self._regular[subset] = report
         return self._regular[subset]
 
@@ -627,11 +623,10 @@ class SubsetLattice:
         return self._verdict[subset]
 
     def _piece_verdict(self, nodes: tuple[int, ...], piece: WeightedDiagram) -> bool:
-        key = (render_compact(piece), self.seed)
-        if key not in _PIECE_VERDICTS:
+        if piece not in _PIECE_VERDICTS:
             own = tuple(i for i, a in enumerate(self.pv.diagram.circled) if a in nodes)
-            _PIECE_VERDICTS[key] = ad_square_regular(self.pv, own, self.seed)
-        return _PIECE_VERDICTS[key]
+            _PIECE_VERDICTS[piece] = ad_square_regular(self.pv, own, self.seed)
+        return _PIECE_VERDICTS[piece]
 
     def regular_proper_subset(self, subset: tuple[int, ...]) -> tuple[int, ...] | None:
         """First (by size, then lexicographic) proper nonempty regular subset."""

@@ -13,6 +13,7 @@ import itertools
 import json
 import time
 from collections import Counter
+from operator import mul
 from pathlib import Path
 
 import pvlab
@@ -31,8 +32,9 @@ from pvlab.pvcore import (Invariant, SubsetLattice, build_parabolic_pv,
                           decompose_filtration, is_regular, q_irreducible, restrict)
 from pvlab.rootsys import SimpleType, build_root_system, split_pieces
 
-from _instances import (SECOND_CATALOG_TYPES, dense_operator, hessian_product_identity_check,
-                        identity, isotropy_algebra, length_rule, simple_root, sl2_triple_neutral)
+from _instances import (FROZEN_LARGE, SECOND_CATALOG_TYPES, dense_operator,
+                        hessian_product_identity_check, identity, isotropy_algebra, length_rule,
+                        lie_bracket, simple_root, sl2_triple_neutral)
 
 DATA = Path(__file__).parent / "data"
 
@@ -142,8 +144,8 @@ def test_piece_verdicts_match_direct_restriction():
 
 
 def test_full_reports_equal_the_piece_verdicts_before_them(monkeypatch):
-    # Full reports and piece verdicts share one table, keyed by the compact
-    # form and the seed, and each writer leaves an entry standing.  Run in
+    # Full reports and piece verdicts share one table, keyed by the diagram
+    # alone, and each writer leaves an entry standing.  Run in
     # descending order (E6, D7 ... A1, most circles first), the sweep meets
     # most multi-circle diagrams as pieces before their own full reports,
     # and each full report must equal the piece verdict already there.
@@ -154,13 +156,12 @@ def test_full_reports_equal_the_piece_verdicts_before_them(monkeypatch):
         monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", table)
         met = 0
         for d in reversed(sweep):
-            key = (render_compact(d), seed)
-            before = table.get(key)
+            before = table.get(d)
             regular = classify(d, "both", seed).verdicts.regular
             if before is not None:
-                assert regular == before, key
+                assert regular == before, d
                 met += 1
-            assert table[key] == regular, key
+            assert table[d] == regular, d
         assert met == 242, seed
 
 
@@ -214,6 +215,62 @@ def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
                     sums += 1
                     regular_sums += direct
     assert (fulls, sums, regular_sums) == (927, 6128, 2052)
+
+
+def _ad_square_by_index(pv, d, x, a):
+    """M transposed as the basis indices give it: row r is A_x [x, e_-r],
+    with [x, e_-r] expanded by ChevalleyBasis.bracket over e_index and each
+    basis index sent to its operator (the Cartan, then the level-0 root
+    vectors of the diagram d in root order)."""
+    alg = chevalley_basis(d.type)
+    n = alg.rank
+    level0 = [g for g in alg.rs.roots if not any(g[c - 1] for c in d.circled)]
+    operator = {**{i: i for i in range(n)},
+                **{alg.e_index(g): n + p for p, g in enumerate(level0)}}
+    xs = {alg.e_index(s): v for s, v in zip(pv.roots, x) if v}
+    mt = []
+    for r in pv.roots:
+        y = [0] * pv.dim_g
+        for k, c in lie_bracket(alg, xs, {alg.e_index(tuple(-v for v in r)): 1}).items():
+            y[operator[k]] += c
+        mt.append([sum(map(mul, row, y)) for row in a])
+    return mt
+
+
+def test_ad_square_reads_the_brackets_the_basis_indices_give(monkeypatch):
+    # _ad_square reads each bracket by root (the coroot and N(s, -r)); the
+    # reference expands the same brackets through e_index and bracket.  They
+    # must agree row for row at the first candidate of every sweep diagram
+    # and of the nine large ones, and on every restriction ad_square_regular
+    # decides in a seed-0 sweep pass from an empty piece-verdict table, where
+    # the full reports that take their form determinant from det M join in.
+    diagrams = [WeightedDiagram(t, circled) for t in SWEEP_TYPES for size in range(2, t.rank + 1)
+                for circled in itertools.combinations(range(1, t.rank + 1), size)]
+    for d in diagrams + [parse_diagram(s) for s in FROZEN_LARGE]:
+        pv = build_parabolic_pv(d)
+        x = next(pvcore._candidates(pv, 0))
+        a = pvcore._action_columns(pv, x)
+        want = _ad_square_by_index(pv, d, x, a)
+        assert pvcore._ad_square(pv, chevalley_basis(d.type), x, a) == want, d
+    decided, built = [], []
+    decide, ad_square = pvcore.ad_square_regular, pvcore._ad_square
+
+    def checking(pv, subset, seed=0):
+        decided.append(pv.diagram)
+        return decide(pv, subset, seed)
+
+    def compared(pv, alg, x, a):  # a full report's det M passes its own diagram
+        mt = ad_square(pv, alg, x, a)
+        assert mt == _ad_square_by_index(pv, pv.diagram or decided[-1], x, a), pv.name
+        built.append(pv.diagram is None)
+        return mt
+
+    monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
+    monkeypatch.setattr(pvcore, "ad_square_regular", checking)
+    monkeypatch.setattr(pvcore, "_ad_square", compared)
+    for d in diagrams:
+        classify(d, "both", 0)
+    assert (len(decided), built.count(True), built.count(False)) == (67, 67, 158)
 
 
 def test_regular_reports_carry_an_sl2_triple():
@@ -325,7 +382,7 @@ def test_subdiagram_pieces_match_the_closure_split(monkeypatch):
     # closures are joined when they share a node or hold adjacent circled
     # nodes, and each piece is the induced piece of one joined union, circled
     # at its relabelled gamma nodes.  Each piece must also key the
-    # piece-verdict table by its compact form.  The table here answers every
+    # piece-verdict table by its weighted diagram.  The table here answers every
     # lookup with "regular", so no verdict is computed and every piece of
     # every sum is looked up.
     looked_up = []
@@ -369,7 +426,7 @@ def test_subdiagram_pieces_match_the_closure_split(monkeypatch):
                         assert list(pieces) == want, (render_compact(d), subset)
                         looked_up.clear()
                         assert lattice.is_regular_sum(subset)
-                        assert looked_up == [(render_compact(p), 3) for _, p in want]
+                        assert looked_up == [p for _, p in want]
                         checked += 1
     assert checked == 11698 + 32234
 

@@ -37,8 +37,8 @@ def test_chevalley_bases_are_frozen():
     for t in FROZEN_TYPES:
         cb = chevalley_basis(t)
         got[str(t)] = {"nconst": _digest(sorted(cb.nconst.items())),
-                       "coroot": _digest(sorted(cb._coroot.items())),
-                       "killing_h": _digest(cb._killing_h),
+                       "coroot": _digest(sorted(cb.coroot.items())),
+                       "killing_h": _digest(cb.killing_h),
                        "root_killing": _digest(sorted(cb.root_killing.items()))}
     frozen = json.loads((Path(__file__).parent / "data" / "chevalley_bases.json").read_text())
     assert got == frozen

@@ -140,6 +140,37 @@ def test_decompose_diagram(capsys):
     assert "stage 1" in out and "final isotropy dim" in out
 
 
+@pytest.mark.parametrize("target, summary", [
+    ("B3[1,2]", "B3[1,2]: 1 stage, final isotropy dim 1 (reductive)"),
+    ("dual-pair:n=2", "dual-pair(n=2): 1 stage, final isotropy dim 1 (reductive)"),
+    ("matrix-pair:p=1,q=2,r=1",
+     "matrix-pair(p=1,q=2,r=1): 1 stage, final isotropy dim 2 (reductive)"),
+    ("sym-vector:n=3", "sym-vector(n=3): 2 stages, final isotropy dim 1 (reductive)"),
+])
+def test_decompose_summary_counts_stages(capsys, target, summary):
+    code, out, _ = run(capsys, "decompose", target, "--quiet")
+    assert code == 0
+    assert out == summary + "\n"
+
+
+def test_enumerate_summary_counts_one_diagram(capsys):
+    # A1 has no multi-circle diagram and A2 one: "1 diagram" in every
+    # rendering but --json, whose count is a number.
+    code, out, _ = run(capsys, "enumerate", "--types", "A", "--max-rank", "2")
+    assert code == 0
+    assert out.splitlines()[1] == "  processed 1 diagram"
+    code, out, _ = run(capsys, "enumerate", "--types", "A", "--max-rank", "2", "--markdown")
+    assert code == 0
+    assert out.splitlines()[2] == "processed 1 diagram, 0 Q-irreducible"
+    code, out, _ = run(capsys, "enumerate", "--types", "A", "--max-rank", "2", "--quiet")
+    assert code == 0
+    assert out == "processed 1 diagram, 0 Q-irreducible\n"
+    code, doc, _ = run_json(capsys, "enumerate", "--types", "A", "--max-rank", "2")
+    assert doc["results"]["processed"] == 1
+    code, out, _ = run(capsys, "enumerate", "--types", "A", "--max-rank", "3", "--quiet")
+    assert out == "processed 5 diagrams, 1 Q-irreducible\n"
+
+
 # ---------------------------------------------------------------------------
 # output modes
 

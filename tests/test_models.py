@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvlab import models
 from pvlab._linalg import det, matmul, transpose
 from pvlab._rand import Stream
 from pvlab.diagram import parse_diagram
-from pvlab.models import (MODELS, ModelSpec, NotSkew, OddSize, _layout, _spec, _unpack,
-                          build_model, descending_chains, diag_chain, dual_pair,
-                          generic_det, matrix_pair, pfaffian, skew_pair, sym_vector,
+from pvlab.models import (MODELS, ModelSpec, NotSkew, OddSize, _layout, _lie_basis, _lie_move,
+                          _pack, _spec, _unpack, build_model, descending_chains, diag_chain,
+                          dual_pair, generic_det, matrix_pair, pfaffian, skew_pair, sym_vector,
                           vector_skew, verify_model)
 from pvlab.pvcore import Invariant, build_parabolic_pv, is_regular, q_irreducible
 
@@ -287,6 +288,64 @@ def test_model_instances_are_frozen():
     for s in frozen:
         form = build_model(s).instance.form
         assert form == tuple(zip(*form)), f"asymmetric form on {s}"
+
+
+# Every role (left, dual, right, cong, the scalar exponents 1 and -1) and
+# every block kind (mat, sym, skew), over all eight models.
+OPERATOR_CASES = [
+    "dual-pair:n=2", "dual-pair:n=3", "sym-vector:n=2", "sym-vector:n=3",
+    "descending-chains:n=1", "descending-chains:n=2", "descending-chains:n=3",
+    "matrix-pair:p=1,q=2,r=1", "matrix-pair:p=2,q=3,r=2", "matrix-pair:p=1,q=3,r=2",
+    "skew-pair:p=1,r=3", "skew-pair:p=2,r=5", "skew-pair:p=4,r=5",
+    "diag-chain:p=1,q=2", "diag-chain:p=2,q=3", "vector-skew:n=3", "vector-skew:n=5",
+    "det-augmented:n=2", "det-augmented:n=3",
+]
+
+
+def _with_factor_table(spec_string, monkeypatch):
+    """The model with the blocks and factor table its instance was built from."""
+    tables = {}
+    instance = models._instance
+
+    def recording(name, blocks, factors):
+        tables[name] = blocks, factors
+        return instance(name, blocks, factors)
+
+    monkeypatch.setattr(models, "_instance", recording)
+    spec = build_model(spec_string)
+    return (spec, *tables[spec.name])
+
+
+def test_operator_cases_cover_every_role_and_block_kind(monkeypatch):
+    roles, kinds = set(), set()
+    for s in OPERATOR_CASES:
+        _, blocks, factors = _with_factor_table(s, monkeypatch)
+        roles.update(role for *_, moves in factors for role in moves.values())
+        kinds.update(b.kind for b in blocks)
+    assert {build_model(s).name.partition("(")[0] for s in OPERATOR_CASES} == set(MODELS)
+    assert roles == {"left", "dual", "right", "cong", 1, -1}
+    assert kinds == {"mat", "sym", "skew"}
+
+
+@pytest.mark.parametrize("spec_string", OPERATOR_CASES)
+def test_operators_match_the_action_on_every_unit_vector(spec_string, monkeypatch):
+    # The instance builds each operator block by block, from the unit
+    # matrices of the blocks its generator moves.  The reference applies the
+    # generator's Lie action to every packed unit vector of the whole point,
+    # with a zero block wherever the generator does not act.
+    spec, blocks, factors = _with_factor_table(spec_string, monkeypatch)
+    dim = spec.instance.dim_v
+    gens = [(moves, a) for key, kind, size, moves in factors
+            for a, _ in _lie_basis(key, kind, size)]
+    assert len(gens) == spec.instance.dim_g
+    for (moves, a), op in zip(gens, spec.instance.operators):
+        want = []
+        for k in range(dim):
+            pt = _unpack(blocks, [int(i == k) for i in range(dim)])
+            moved = {b.name: _lie_move(moves[b.name], a, pt[b.name]) if b.name in moves
+                     else [[0] * b.cols for _ in range(b.rows)] for b in blocks}
+            want += [(r, k, v) for r, v in enumerate(_pack(blocks, moved)) if v]
+        assert op == tuple(sorted(want))
 
 
 def test_verify_model_reports_every_expected_key():

@@ -397,10 +397,31 @@ def test_shared_piece_verdict_is_computed_once(monkeypatch):
     assert names == ["A5[1,3,5]/V[1]", "A5[1,3,5]/V[3]", "A5[1,3,5]/V[1]+V[3]"]
     monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
     classify(parse_diagram("A4[1,3]"), "both", 0)
-    assert pvcore._PIECE_VERDICTS[("A4[1,3]", 0)] is False
+    assert pvcore._PIECE_VERDICTS[parse_diagram("A4[1,3]")] is False
     names.clear()
     classify(parse_diagram("A5[1,3,5]"), "both", 0)
     assert names == ["A5[1,3,5]/V[3]"]
+
+
+def test_piece_verdicts_are_shared_across_seeds(monkeypatch):
+    # The table is keyed by the diagram alone: a verdict is exact, so one
+    # decided at seed 0 answers at seed 1.  After A4[1,3] at seed 0, A5[1,3,5]
+    # at seed 1 decides only V[3]; V[1] is the piece A2[1] and V[1]+V[3] the
+    # piece A4[1,3], both already in the table.
+    names = []
+    original = pvcore.ad_square_regular
+
+    def counting(pv, subset, seed=0):
+        names.append(restrict(pv, subset).name)
+        return original(pv, subset, seed)
+
+    monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
+    monkeypatch.setattr(pvcore, "ad_square_regular", counting)
+    classify(parse_diagram("A4[1,3]"), "both", 0)
+    names.clear()
+    classify(parse_diagram("A5[1,3,5]"), "both", 1)
+    assert names == ["A5[1,3,5]/V[3]"]
+    assert all(type(key) is WeightedDiagram for key in pvcore._PIECE_VERDICTS)
 
 
 def test_level_one_is_split_once_per_diagram(monkeypatch):
