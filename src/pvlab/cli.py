@@ -23,8 +23,8 @@ from typing import Any
 
 from . import models, pvcore
 from .classify import MODES, FamilyMatch, MismatchError, classify, enumerate_reports
-from .diagram import (DiagramError, WeightedDiagram, parse_diagram, render_ascii,
-                      render_compact, subdiagram)
+from .diagram import (DiagramError, EmptyCircledSet, NotCircled, WeightedDiagram,
+                      parse_diagram, render_ascii, render_compact, subdiagram)
 from .grading import components, compute_grading
 from .rootsys import _RANK_RANGE, InadmissibleType, SimpleType
 
@@ -163,7 +163,10 @@ def _cmd_subdiagram(args: argparse.Namespace) -> Document:
         gamma = tuple(int(tok) for tok in args.gamma.split(","))
     except ValueError:
         raise UsageError(f"--gamma wants comma-separated integers, got {args.gamma!r}") from None
-    s = subdiagram(d, gamma)
+    try:
+        s = subdiagram(d, gamma)
+    except (NotCircled, EmptyCircledSet) as e:  # the diagram parsed; --gamma is at fault
+        raise UsageError(str(e)) from None
     pieces = [{"nodes": list(nodes), "diagram": render_compact(piece),
                "ascii": render_ascii(piece)}
               for nodes, piece in s.pieces]

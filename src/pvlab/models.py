@@ -342,9 +342,10 @@ def _instance(name: str, blocks: list[_Block], factors: list[tuple]) -> PVInstan
         return sum(v * c[j][i] for i, row in enumerate(a) for j, v in enumerate(row) if v)
 
     operators = [_operator(blocks, factors[f][3], a) for f, a, _ in gens]
-    form = [[trace(a, c) if f == h else 0 for h, c, _ in gens] for f, a, _ in gens]
+    form = [[(j, t) for j, (h, c, _) in enumerate(gens) if h == f and (t := trace(a, c))]
+            for f, a, _ in gens]
     names = list(dict.fromkeys(char for _, _, char in gens if char))
-    characters = [[int(char == name) for _, _, char in gens] for name in names]
+    characters = [[(j, 1) for j, g in enumerate(gens) if g[2] == name] for name in names]
     components = [tuple(range(b.offset, b.offset + b.size)) for b in blocks]
     return make_instance(name, operators, sum(b.size for b in blocks), form, characters,
                          components, [b.name for b in blocks])

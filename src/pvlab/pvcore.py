@@ -156,6 +156,11 @@ def _freeze(m: Matrix) -> tuple[tuple, ...]:
     return tuple(tuple(row) for row in m)
 
 
+def _rows(m: Matrix) -> list[list[tuple[int, object]]]:
+    """Each row of a dense matrix as its nonzero ``(column, value)`` pairs."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in m]
+
+
 @dataclass(frozen=True)
 class PVInstance:
     """A linear Lie algebra action with component/form/character bookkeeping.
@@ -165,19 +170,20 @@ class PVInstance:
     restrictions, subalgebra instances and the matrix models have none.
     ``roots`` holds the level-1 root at each coordinate, for a parabolic
     instance and the instances made from it; the matrix models have none.
-    The ``characters`` are linearly independent.
 
     Each of ``operators`` is a dim_v x dim_v matrix given by its nonzero
-    entries ``(row, col, value)``, ordered by row and then column; no
-    operator is stored densely.  A parabolic root operator has at most one
-    entry per column, and a Cartan operator is diagonal.
+    entries ``(row, col, value)``, ordered by row and then column, and each
+    row of the symmetric dim_g x dim_g ``form`` and each of the linearly
+    independent ``characters`` by its nonzero ``(column, value)`` pairs, by
+    column; nothing is stored densely.  A parabolic root operator has at
+    most one entry per column, and a Cartan operator is diagonal.
     """
 
     name: str
     operators: tuple[tuple[tuple[int, int, object], ...], ...]
     dim_v: int
-    form: tuple[tuple, ...]
-    characters: tuple[tuple, ...]
+    form: tuple[tuple[tuple[int, object], ...], ...]
+    characters: tuple[tuple[tuple[int, object], ...], ...]
     components: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     diagram: WeightedDiagram | None = None
@@ -206,9 +212,10 @@ def make_instance(name, operators, dim_v, form, characters, components, labels,
 def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
     """The level-0 subalgebra of a weighted diagram acting on level 1.
 
-    Operator basis: the full Cartan followed by the level-0 root vectors.
-    Form: the ambient Killing form restricted to that basis.  Characters:
-    one per circled node (the Cartan coefficients that survive the derived
+    Operator basis: the full Cartan followed by the level-0 root vectors in
+    the order of ``rs.roots``: positive, then negative in the same order.  Form:
+    the ambient Killing form restricted to that basis.  Characters: one per
+    circled node (the Cartan coefficients that survive the derived
     subalgebra).
 
     The level-1 basis is that of :func:`pvlab.grading.components`, one
@@ -218,7 +225,7 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
     The root vector e_g of a level-0 root g sends e_r to N(g, r) e_s for
     each pair of level-1 roots (r, s) with s - r = g; such a pair lies in
     one component.  The Killing form pairs the Cartan with itself and each
-    e_g with e_-g only.
+    e_g with e_-g only, so each level-0 row of the form is one pair.
     """
     alg = chevalley_basis(d.type)
     rs = alg.rs
@@ -242,14 +249,10 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
                     entries[n + p].append((l, k, alg.nconst[(level0[p], r)]))
         ranges.append(range(offset, offset + c.dim))
         offset += c.dim
-    dim_g = n + len(level0)
-    form = ([row + [0] * len(level0) for row in alg.killing_h]
-            + [[0] * dim_g for _ in level0])
-    for p, g in enumerate(level0):
-        q = position[tuple(-x for x in g)]
-        if p < q:
-            form[n + p][n + q] = form[n + q][n + p] = alg.root_killing[g]
-    characters = [[1 if j == a - 1 else 0 for j in range(dim_g)] for a in d.circled]
+    half = len(level0) // 2  # e_g and e_-g lie half the level-0 list apart
+    form = _rows(alg.killing_h) + [[(n + (p + half) % len(level0), alg.root_killing[g])]
+                                   for p, g in enumerate(level0)]
+    characters = [[(a - 1, 1)] for a in d.circled]
     return make_instance(render_compact(d), entries, len(level1), form, characters,
                          ranges, [f"V[{c.alpha}]" for c in components], d, tuple(level1))
 
@@ -316,13 +319,12 @@ def _generic_draw(pv: PVInstance, seed: int) -> tuple[list, list[list], int]:
 
 
 def _gram(form: Matrix, vectors: Sequence[Sequence]) -> list[list]:
-    """The form on the span of the vectors: S F S^t for the rows S of ``vectors``.
+    """The instance form F, stored by rows of pairs, on the rows S of ``vectors``: S F S^t.
 
     Every instance form is symmetric, so S F S^t is: the entries on and
     above the diagonal are computed and mirrored below it.
     """
-    sparse_form = [[(b, fb) for b, fb in enumerate(row) if fb] for row in form]
-    images = [[sum(fb * s[b] for b, fb in row) for row in sparse_form] for s in vectors]
+    images = [[sum(fb * s[b] for b, fb in row) for row in form] for s in vectors]
     supports = [[(a, ta) for a, ta in enumerate(t) if ta] for t in vectors]
     n = len(vectors)
     gram = [[0] * n for _ in range(n)]
@@ -349,8 +351,7 @@ def _invariant_count(pv: PVInstance, subalgebra: Sequence[Sequence]) -> int:
     total = len(pv.characters)
     if not subalgebra or not pv.characters:
         return total
-    supports = [[(b, v) for b, v in enumerate(row) if v] for row in pv.characters]
-    image = [[sum(v * s[b] for b, v in support) for s in subalgebra] for support in supports]
+    image = [[sum(v * s[b] for b, v in row) for s in subalgebra] for row in pv.characters]
     return total - rank(image)
 
 
@@ -418,13 +419,14 @@ def restrict(pv: PVInstance, indices) -> PVInstance:
     """Same algebra acting on the sum of the selected components.
 
     The operators are the parent's entries whose row and column both lie in
-    the sum, renumbered."""
+    the sum, renumbered; every instance's components are ascending ranges of
+    coordinates, so the renumbering is increasing and keeps their order."""
     idxs = _component_subset(pv, indices)
     if idxs == tuple(range(len(pv.components))):
         return pv
     coords = [c for i in idxs for c in pv.components[i]]
     new = {c: k for k, c in enumerate(coords)}
-    operators = [sorted((new[a], new[b], v) for a, b, v in op if a in new and b in new)
+    operators = [[(new[a], new[b], v) for a, b, v in op if a in new and b in new]
                  for op in pv.operators]
     components, offset = [], 0
     for i in idxs:
@@ -520,10 +522,11 @@ def _form_determinant(pv: PVInstance, alg: ChevalleyBasis) -> Fraction:
     on (e_g, e_-g), with k = K(e_g, e_-g), for each positive level-0 root
     g.  A simultaneous permutation of rows and columns, which keeps the
     determinant, makes F block diagonal, so det F = det K_h * prod_g (-k^2).
+    :func:`build_parabolic_pv` lists the negative level-0 roots after the
+    positive ones, so the first half of the level-0 rows of F hold the k.
     """
-    circled = [a - 1 for a in pv.diagram.circled]
-    level0 = (g for g in alg.rs.positive if not any(g[a] for a in circled))
-    return det(alg.killing_h) * prod(-alg.root_killing[g] ** 2 for g in level0)
+    positive = pv.form[alg.rank:(alg.rank + pv.dim_g) // 2]
+    return det(alg.killing_h) * prod(-k ** 2 for ((_, k),) in positive)
 
 
 def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence]) -> PVInstance:
@@ -540,14 +543,14 @@ def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence]) -> PVInstan
                 for a, c, v in pv.operators[b]:
                     sums[a, c] = sums.get((a, c), 0) + sb * v
         operators.append(sorted((a, c, v) for (a, c), v in sums.items() if v))
-    form = _gram(pv.form, vectors)
     characters = []
     for row in pv.characters:
-        restricted = [sum(row[b] * s[b] for b in range(pv.dim_g)) for s in vectors]
+        restricted = [sum(v * s[b] for b, v in row) for s in vectors]
         if rank(characters + [restricted]) > len(characters):
             characters.append(restricted)
     return make_instance(pv.name + ".isotropy", operators, pv.dim_v,
-                         form, characters, pv.components, pv.labels, roots=pv.roots)
+                         _rows(_gram(pv.form, vectors)), _rows(characters),
+                         pv.components, pv.labels, roots=pv.roots)
 
 
 @dataclass(frozen=True)
@@ -855,17 +858,20 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
 
     Checks, in order: (a) for every operator M the derivative of f along Mx
     is a fixed multiple of f across all sample points; (b) if nondegeneracy
-    is expected, the Hessian determinant is nonzero at some sample; (c)
-    Euler's identities grad . x = d f and H x = (d - 1) grad hold there,
-    d = ``f.degree``; (d) any supplied group samplers satisfy
-    f(g x) = multiplier * f(x).
+    is expected, the Hessian determinant is nonzero at one of the first five
+    samples where f does not vanish; (c) Euler's identities grad . x = d f
+    and H x = (d - 1) grad hold there, d = ``f.degree``; (d) three elements
+    g of each supplied group sampler satisfy f(g x) = multiplier * f(x).
 
     Everything is exact.  Sample points are integer vectors and derivatives
     carry the integer scaling of :func:`_derivative_weights`, so with an
     integer evaluator no rational is formed until the reported constants.
-    Proportionality is tested by cross-multiplying, and (b) and (c) use
-    g = scale * grad and h = 2 * scale**2 * H, for which (c) reads
-    g . x = scale d f and h x = 2 scale (d - 1) g.
+    Every check reads the reference sample x_b, the first with f(x_b) != 0.
+    (a) takes D_i = grad . (M x_i) at every sample x_i and tests
+    D_i f(x_b) = D_b f(x_i), which at a zero of f asks D_i = 0; the constant
+    is D_b / (scale f(x_b)).  (b) and (c) use g = scale * grad and
+    h = 2 * scale**2 * H, for which (c) reads g . x = scale d f and
+    h x = 2 scale (d - 1) g; (d) moves x_b.
 
     A report with ``hessian_nonzero`` True also certifies, by (c), that
     the graded-logarithm differential f*H - grad*grad^t has full rank
@@ -883,71 +889,50 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     and reads the derivative along each M x as grad . (M x), the sum of
     grad[a] * c * x[b] over the operator's entries (a, b, c), with no
     image M x formed: dim_v * degree evaluations per point, not
-    dim_g * degree.  The same
-    values give the Hessian diagonal, and at the Hessian point (b) and (c)
-    reuse both, so only the off-diagonal entries are evaluated there.
+    dim_g * degree.  The same values give the Hessian diagonal, and at the
+    Hessian point (b) and (c) reuse both, so only the off-diagonal entries
+    are evaluated there.
     """
     stream = Stream(seed, context=f"invariant:{pv.name}:{f.name}")
     xs = [stream.vector(pv.dim_v) for _ in range(INVARIANT_POINTS)]
     vals = [f.evaluate(x) for x in xs]
-    base = next((i for i, v in enumerate(vals) if v != 0), None)
-    if base is None:
+    nonvanishing = [i for i, v in enumerate(vals) if v != 0]
+    if not nonvanishing:
         raise DegenerateInvariant(f"{f.name} vanishes at all {INVARIANT_POINTS} sample points")
+    base = nonvanishing[0]
     w1, w2, scale = _derivative_weights(f.degree)
     axes = [_axis_derivatives(f, x, v, w1, w2) for x, v in zip(xs, vals)]  # (grad, diag) at x
     constants = []
     for mi, entries in enumerate(pv.operators):
-        g0 = v0 = None
-        for (grad, _), v, x in zip(axes, vals, xs):
-            g = sum(grad[a] * c * x[b] for a, b, c in entries)  # grad . (M x)
-            if v == 0:
-                ok = g == 0  # f = 0 forces the derivative to 0
-            elif v0 is None:
-                g0, v0, ok = g, v, True
-            else:
-                ok = g * v0 == g0 * v
-            if not ok:
-                raise NotRelativeInvariant(
-                    f"{f.name}: derivative along operator {mi} is not proportional to f",
-                    direction=mi)
-        constants.append(Fraction(g0, scale * v0))
-    hessian_nonzero = None
+        gs = [sum(grad[a] * c * x[b] for a, b, c in entries)  # grad . (M x)
+              for (grad, _), x in zip(axes, xs)]
+        if any(g * vals[base] != gs[base] * v for g, v in zip(gs, vals)):
+            raise NotRelativeInvariant(
+                f"{f.name}: derivative along operator {mi} is not proportional to f",
+                direction=mi)
+        constants.append(Fraction(gs[base], scale * vals[base]))
     if expect_nondegenerate:
-        tried = 0
-        for i in range(base, len(xs)):
-            if vals[i] == 0:
-                continue
-            tried += 1
+        for i in nonvanishing[:5]:
             grad, diag = axes[i]
             h = _hessian(f, xs[i], vals[i], w2, diag)
             if det(h) != 0:
-                hessian_nonzero = True
                 break
-            if tried >= 5:
-                break
-        if not hessian_nonzero:
-            raise DegenerateInvariant(f"{f.name}: Hessian determinant zero at {tried} samples")
+        else:
+            raise DegenerateInvariant(
+                f"{f.name}: Hessian determinant zero at {len(nonvanishing[:5])} samples")
         x, d = xs[i], f.degree
         if sum(map(mul, grad, x)) != scale * d * vals[i]:
             raise DegenerateInvariant(f"{f.name}: Euler's identity grad . x = d f fails, d = {d}")
         if any(sum(map(mul, row, x)) != 2 * scale * (d - 1) * g for row, g in zip(h, grad)):
             raise DegenerateInvariant(
                 f"{f.name}: Euler's identity H x = (d - 1) grad fails, d = {d}")
-    checked = 0
     for gc in group_checks:
         gstream = Stream(seed, context=f"group:{pv.name}:{f.name}:{gc.name}")
         for _ in range(3):
             g, multiplier = gc.sample(gstream)
-            x = xs[base]
-            gx = g(x)
-            if f.evaluate(gx) != multiplier * vals[base]:
+            if f.evaluate(g(xs[base])) != multiplier * vals[base]:
                 raise NotRelativeInvariant(
                     f"{f.name}: group element from {gc.name} violates the character law")
-            checked += 1
-    return InvariantReport(
-        name=f.name,
-        constants=tuple(constants),
-        points_checked=len(xs),
-        hessian_nonzero=hessian_nonzero,
-        group_elements_checked=checked,
-    )
+    return InvariantReport(name=f.name, constants=tuple(constants), points_checked=len(xs),
+                           hessian_nonzero=True if expect_nondegenerate else None,
+                           group_elements_checked=3 * len(group_checks))

@@ -1,9 +1,10 @@
 """The types and the dense instance form behind the digests frozen in tests/data.
 
 An instance stores each operator as its nonzero entries ``(row, col,
-value)``, by rows.  The frozen digests were taken over dense operators, so
-:func:`dense_repr` rebuilds them.  The tests are the only readers of the
-dense form.
+value)``, by rows, and each row of its form and each character as its
+nonzero ``(column, value)`` pairs.  The frozen digests were taken over
+dense operators, forms and characters, so :func:`dense_repr` rebuilds them.
+The tests are the only readers of the dense matrices.
 
 It also holds the small helpers that several test modules share: an
 identity matrix, a simple root, the Cartan integer of two adjacent nodes
@@ -47,8 +48,21 @@ def dense_operator(pv, entries) -> tuple[tuple, ...]:
     return tuple(map(tuple, m))
 
 
+def dense_rows(pv, rows) -> tuple[tuple, ...]:
+    """The dense rows of width dim_g behind rows of ``(column, value)``
+    pairs.  The pairs must be exactly each row's nonzeros, by column."""
+    dense = [[0] * pv.dim_g for _ in rows]
+    for out, row in zip(dense, rows):
+        for j, v in row:
+            out[j] = v
+        scan = tuple((j, v) for j, v in enumerate(out) if v)
+        assert tuple(row) == scan, f"{pv.name}: a row's pairs are not its nonzeros by column"
+    return tuple(map(tuple, dense))
+
+
 def dense_repr(pv) -> str:
-    """``repr(astuple(pv))`` with every operator dense and no ``roots``,
+    """``repr(astuple(pv))`` with every operator, the form and the
+    characters dense and no ``roots``,
     without astuple's deep copy of every entry: the diagram is the one
     field that is a dataclass.  The diagram determines the roots, which
     ``test_roots_follow_the_level_one_split`` checks."""
@@ -59,6 +73,8 @@ def dense_repr(pv) -> str:
         v = getattr(pv, f.name)
         if f.name == "operators":
             v = tuple(dense_operator(pv, op) for op in v)
+        elif f.name in ("form", "characters"):
+            v = dense_rows(pv, v)
         elif dataclasses.is_dataclass(v):
             v = dataclasses.astuple(v)
         fields.append(v)

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from pvlab.cli import main
-from pvlab.models import MODELS, dual_pair
+from pvlab.models import MODELS, build_model, dual_pair, verify_model
+from pvlab.pvcore import Invariant
 
 classify_module = importlib.import_module("pvlab.classify")
 cli_module = importlib.import_module("pvlab.cli")
@@ -334,9 +335,12 @@ def test_non_decimal_digit_is_a_parse_error(capsys, text, message):
     ["enumerate", "--types", "D", "--max-rank", "3"],
     ["enumerate", "--types", "E7,F4,G2,E9"],
     ["enumerate", "--types", "A,A", "--max-rank", "3"],
+    ["subdiagram", "D9[2,3,5,8]", "--gamma", "4"],
+    ["subdiagram", "D9[2,3,5,8]", "--gamma", "0"],
     [],
 ], ids=["unknown-parameter", "repeated-parameter", "not-regular", "unknown-type",
-        "below-smallest-rank", "unknown-after-exceptional", "repeated-type", "no-subcommand"])
+        "below-smallest-rank", "unknown-after-exceptional", "repeated-type", "gamma-not-circled",
+        "gamma-node-zero", "no-subcommand"])
 def test_usage_error_without_a_diagram_prints_no_grammar(capsys, argv):
     # The grammar describes diagrams; only a diagram or type error gets it.
     code, out, err = run(capsys, *argv)
@@ -443,3 +447,21 @@ def test_failed_model_check_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-model", "dual-pair:n=2", "--quiet")
     assert code == 3
     assert "FAIL" in out
+
+
+def test_broken_invariant_fails_its_check_line(capsys, monkeypatch):
+    # Q x0 is not relatively invariant, so verify_invariant raises and
+    # verify_model turns the error into a failing line, not a traceback.
+    def broken(n: int):
+        spec = dual_pair(n)
+        mi = spec.invariants[0]
+        f = Invariant("Q x0", 3, lambda x, q=mi.invariant.evaluate: q(x) * x[0])
+        return dataclasses.replace(spec, invariants=(dataclasses.replace(mi, invariant=f),))
+
+    monkeypatch.setitem(MODELS, "dual-pair", (broken, ("n",)))
+    ok, lines = verify_model(build_model("dual-pair:n=2"))
+    failing = [line for line in lines if not line.passed]
+    assert not ok and [line.name for line in failing] == ["invariant Q x0"]
+    assert "is not proportional to f" in failing[0].detail
+    code, out, err = run(capsys, "verify-model", "dual-pair:n=2", "--quiet")
+    assert (code, out, err) == (3, "dual-pair(n=2): FAIL (4/5 checks)\n", "")

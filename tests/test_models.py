@@ -20,7 +20,7 @@ from pvlab.models import (MODELS, ModelSpec, NotSkew, OddSize, _layout, _lie_bas
                           vector_skew, verify_model)
 from pvlab.pvcore import Invariant, build_parabolic_pv, is_regular, q_irreducible
 
-from _instances import dense_repr, identity, isotropy_algebra
+from _instances import dense_repr, dense_rows, identity, isotropy_algebra
 
 J2 = [[0, 1], [-1, 0]]
 DATA = Path(__file__).parent / "data"
@@ -286,7 +286,8 @@ def test_model_instances_are_frozen():
     assert got == frozen
     # pvcore._gram computes S F S^t on and above the diagonal only.
     for s in frozen:
-        form = build_model(s).instance.form
+        pv = build_model(s).instance
+        form = dense_rows(pv, pv.form)
         assert form == tuple(zip(*form)), f"asymmetric form on {s}"
 
 

@@ -23,14 +23,15 @@ from pvlab._rand import Stream
 from pvlab.diagram import WeightedDiagram, parse_diagram
 from pvlab.models import (MODELS, build_model, diag_chain, dual_pair, matrix_pair, sym_vector,
                           verify_model)
-from pvlab.pvcore import (DegenerateInvariant, EmptySubset, Invariant, NonGenericPoint,
-                          NotRegular, NotRelativeInvariant, SubsetLattice,
+from pvlab.pvcore import (DegenerateInvariant, EmptySubset, GroupCheck, Invariant,
+                          NonGenericPoint, NotRegular, NotRelativeInvariant, SubsetLattice,
                           build_parabolic_pv, decompose_filtration, is_reductive,
                           is_regular, q_irreducible, restrict, verify_invariant)
 from pvlab.rootsys import SimpleType
 
 from _instances import (FROZEN_ENUMERATED, FROZEN_LARGE, IdentityViolation, dense_operator,
-                        dense_repr, hessian_product_identity_check, isotropy_algebra)
+                        dense_repr, dense_rows, hessian_product_identity_check,
+                        isotropy_algebra)
 
 
 def test_parabolic_instance_shapes():
@@ -64,7 +65,8 @@ def test_parabolic_instances_are_frozen():
         for d in sorted(ds, key=lambda d: (len(d.circled), d.circled)):
             pv = build_parabolic_pv(d)
             # pvcore._gram computes S F S^t on and above the diagonal only.
-            assert pv.form == tuple(zip(*pv.form)), f"asymmetric form on {d}"
+            form = dense_rows(pv, pv.form)
+            assert form == tuple(zip(*form)), f"asymmetric form on {d}"
             digest.update(dense_repr(pv).encode())
         got[t] = digest.hexdigest()
     frozen = json.loads((Path(__file__).parent / "data" / "parabolic_instances.json").read_text())
@@ -277,7 +279,7 @@ def test_closed_form_form_determinant_over_the_sweep():
     for d in SWEEP:
         pv = build_parabolic_pv(d)
         alg = chevalley_basis(d.type)
-        assert pvcore._form_determinant(pv, alg) == det(pv.form), d
+        assert pvcore._form_determinant(pv, alg) == det(dense_rows(pv, pv.form)), d
 
 
 # One small instance of each of the eight models.
@@ -315,7 +317,7 @@ def test_characters_are_independent(monkeypatch):
         ("descending-chains(n=3).isotropy", 2),
         ("descending-chains(n=3).isotropy/V[2]+V[1].isotropy", 1), ("C3[1,3].isotropy", 1)]
     for pv in instances + made:
-        assert rank([list(row) for row in pv.characters]) == len(pv.characters), pv.name
+        assert rank(dense_rows(pv, pv.characters)) == len(pv.characters), pv.name
 
 
 def test_roots_follow_the_level_one_split():
@@ -515,6 +517,73 @@ def test_non_invariant_direction_is_the_first_failing_operator(gate, fake):
     with pytest.raises(NotRelativeInvariant) as err:
         verify_invariant(pv, f, expect_nondegenerate=False)
     assert err.value.direction == want
+
+
+def test_a_zero_first_sample_leaves_the_report(monkeypatch):
+    # Every check reads the reference sample, the first where f does not
+    # vanish.  With the first sample moved to the zero vector, where Q
+    # vanishes, the reference is the next sample and the report is unchanged.
+    spec = dual_pair(2)
+    mi = spec.invariants[0]
+    want = verify_invariant(spec.instance, mi.invariant, group_checks=mi.group_checks)
+    vector, drawn = Stream.vector, []
+
+    def zero_first(self, length):
+        drawn.append(vector(self, length))
+        return [0] * length if len(drawn) == 1 else drawn[-1]
+
+    monkeypatch.setattr(Stream, "vector", zero_first)
+    got = verify_invariant(spec.instance, mi.invariant, group_checks=mi.group_checks)
+    assert mi.invariant.evaluate(drawn[0]) != 0
+    assert got == want
+
+
+def test_a_violation_only_where_f_vanishes_is_found(monkeypatch):
+    # f = x0 x1 on dual-pair(n=2), with x0 = 0 at every sample after the
+    # first: f vanishes everywhere but at the reference, so no ratio of
+    # nonzero values can differ, and only a nonzero derivative at a zero of
+    # f shows that f is not relatively invariant.  There grad f = x1 e_0,
+    # so the derivative along M x is x1 (M x)_0.
+    pv = dual_pair(2).instance
+    f = Invariant("x0 x1", 2, lambda x: x[0] * x[1])
+    vector, drawn = Stream.vector, []
+
+    def zero_x0_after_first(self, length):
+        drawn.append(vector(self, length))
+        if len(drawn) > 1:
+            drawn[-1][0] = 0
+        return drawn[-1]
+
+    monkeypatch.setattr(Stream, "vector", zero_x0_after_first)
+    with pytest.raises(NotRelativeInvariant) as err:
+        verify_invariant(pv, f, expect_nondegenerate=False)
+    reference, *zeros = drawn
+    assert f.evaluate(reference) != 0 and len(zeros) == pvcore.INVARIANT_POINTS - 1
+    want = next(mi for mi in range(pv.dim_g)
+                if any(x[1] * pvcore._action_columns(pv, x)[0][mi] for x in zeros))
+    assert err.value.direction == want
+
+
+def test_group_check_with_a_wrong_multiplier_is_named():
+    # Check (d): elements whose predicted multiplier is doubled break the
+    # character law, and the error names their sampler.
+    mi = dual_pair(2).invariants[0]
+    gc = mi.group_checks[0]
+
+    def doubled(stream):
+        g, multiplier = gc.sample(stream)
+        return g, 2 * multiplier
+
+    with pytest.raises(NotRelativeInvariant,
+                       match=re.escape(f"group element from {gc.name} violates")):
+        verify_invariant(dual_pair(2).instance, mi.invariant,
+                         group_checks=(GroupCheck(gc.name, doubled),))
+
+
+def test_an_invariant_vanishing_at_every_sample_is_degenerate():
+    zero = Invariant("zero", 2, lambda x: 0)
+    with pytest.raises(DegenerateInvariant, match="zero vanishes at all 20 sample points"):
+        verify_invariant(dual_pair(2).instance, zero, expect_nondegenerate=False)
 
 
 # Calls of each gate's evaluator in verify_invariant at seed 0 (the gates of
