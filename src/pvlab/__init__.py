@@ -18,9 +18,9 @@ from .diagram import (DiagramError, ParseError, WeightedDiagram, parse_diagram,
                       render_ascii, render_compact, subdiagram)
 from .grading import Component, Grading, components, compute_grading
 from .models import MODELS, ModelSpec, build_model, pfaffian, verify_model
-from .pvcore import (GroupCheck, Invariant, PVError, PVInstance, RegularityReport,
-                     SubsetLattice, build_parabolic_pv, decompose_filtration, is_reductive,
-                     is_regular, q_irreducible, restrict, verify_invariant)
+from .pvcore import (Invariant, PVError, PVInstance, RegularityReport, SubsetLattice,
+                     build_parabolic_pv, decompose_filtration, is_reductive, is_regular,
+                     q_irreducible, restrict, verify_invariant)
 from .rootsys import RootSystem, SimpleType, build_root_system, cartan_matrix
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "PVInstance", "PVError", "build_parabolic_pv",
     "is_reductive", "is_regular", "restrict",
     "SubsetLattice", "q_irreducible", "decompose_filtration",
-    "Invariant", "GroupCheck", "RegularityReport", "verify_invariant",
+    "Invariant", "RegularityReport", "verify_invariant",
     "ModelSpec", "MODELS", "build_model", "verify_model", "pfaffian",
     "FamilyMatch", "ClassificationReport", "MismatchError", "family_match", "classify",
     "enumerate_reports",

@@ -23,8 +23,8 @@ class Stream:
     """Deterministic 64-bit stream seeded by an integer and a context label.
 
     Distinct context labels give independent substreams of the same seed, so
-    unrelated draws (candidate points, sample points, group parameters) do
-    not interfere with each other's reproducibility.
+    unrelated draws (candidate points, invariant sample points) do not
+    interfere with each other's reproducibility.
     """
 
     def __init__(self, seed: int, context: str = "") -> None:
@@ -48,14 +48,5 @@ class Stream:
             if v < limit:
                 return lo + v % span
 
-    def nonzero(self, lo: int, hi: int) -> int:
-        while True:
-            v = self.randint(lo, hi)
-            if v != 0:
-                return v
-
     def vector(self, length: int) -> list[int]:
         return [self.randint(-VECTOR_BOUND, VECTOR_BOUND) for _ in range(length)]
-
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]

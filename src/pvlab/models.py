@@ -3,15 +3,15 @@
 Each builder returns a :class:`ModelSpec`: a :class:`~pvlab.pvcore.PVInstance`
 whose operators realize the stated Lie algebra action on packed block
 coordinates, the model's closed-form invariants (determinants, Pfaffians,
-bordered Pfaffians) as exact evaluators, samplers of honest group elements
-with their predicted multipliers, and the certificate values the model is
-expected to reproduce.
+bordered Pfaffians) as exact evaluators with their declared weights, and
+the certificate values the model is expected to reproduce.
 
 A builder states its group once, as a factor table: each factor (gl, sl,
 so, a scalar or a diagonal torus) with the blocks it moves and the role by
-which it moves each.  One reader turns the table into the instance and one
-sampler turns it into group elements, so the Lie action and the group
-action are written once per role, not once per model.  The instance form is
+which it moves each.  One reader turns the table into the instance, so the
+Lie action is written once per role, not once per model.  Every factor is
+connected, so an invariant's character is fixed by its differential, which
+is read off the same table.  The instance form is
 the direct sum of the factors' defining trace forms (a faithful module of
 the product algebra), so reductivity of isotropy subalgebras is again
 nondegeneracy of a restriction.
@@ -28,13 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
-from ._linalg import inverse, matmul, transpose
-from ._rand import Stream
-from .pvcore import (GroupCheck, Invariant, PVError, PVInstance, make_instance, q_irreducible,
+from ._linalg import matmul, transpose
+from .pvcore import (Invariant, PVError, PVInstance, make_instance, q_irreducible,
                      verify_invariant)
 
 __all__ = [
@@ -203,47 +201,6 @@ def _operator(blocks: list[_Block], moves: dict, a: list[list]) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# group elements for the samplers
-
-
-def _sample_unit_triangular(stream: Stream, n: int, lower: bool) -> list[list]:
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if (i > j) if lower else (i < j):
-                m[i][j] = stream.randint(-2, 2)
-    return m
-
-
-def _sample_gl(stream: Stream, n: int) -> tuple[list[list], int]:
-    """Invertible integer matrix as L*U, with its exact determinant."""
-    low = _sample_unit_triangular(stream, n, lower=True)
-    up = _sample_unit_triangular(stream, n, lower=False)
-    d = 1
-    for i in range(n):
-        up[i][i] = stream.choice([1, 2, -1, -2])
-        d *= up[i][i]
-    return matmul(low, up), d
-
-
-def _sample_sl(stream: Stream, n: int) -> list[list]:
-    return matmul(_sample_unit_triangular(stream, n, lower=True),
-                  _sample_unit_triangular(stream, n, lower=False))
-
-
-def _sample_so(stream: Stream, n: int) -> list[list[Fraction]]:
-    """Cayley transform of a skew integer matrix: exactly orthogonal."""
-    s = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            s[i][j] = stream.randint(-2, 2)
-            s[j][i] = -s[i][j]
-    a = [[int(i == j) - s[i][j] for j in range(n)] for i in range(n)]
-    b = [[int(i == j) + s[i][j] for j in range(n)] for i in range(n)]
-    return matmul(a, inverse(b))
-
-
-# ---------------------------------------------------------------------------
 # factor tables
 #
 # A model states its group once, as a table of factors
@@ -258,12 +215,14 @@ def _sample_so(stream: Stream, n: int) -> list[list[Fraction]]:
 #   cong     S -> g S g^t     a S + S a^t
 #   e (int)  X -> t^e X       e X        (scalar factors only)
 #
-# The instance is read from the Lie meanings and the group samplers from
-# the group meanings, so the group checks test the operators role by role.
-# The characters are one per gl or scalar factor (named by its key) and
-# one per torus entry (key1, key2, ...); an invariant declares its weight
-# as {character: exponent}, and a group element multiplies it by the
-# product of (det g, or the scalar or torus entry) ** exponent.
+# The group column is what each role means; the instance is read from the
+# Lie column.  The characters are one per gl or scalar factor (named by its
+# key) and one per torus entry (key1, key2, ...); an invariant declares its
+# weight as {character: exponent}, so that a group element multiplies it by
+# the product of (det g, or the scalar or torus entry) ** exponent.  Every
+# factor is connected, so the weight is checked by its differential: the
+# exponent on each generator that carries a character (a diagonal unit of
+# gl, a torus entry, a scalar), and 0 on every other generator.
 
 
 def _lie_basis(key: str, kind: str, size: int) -> list[tuple[list[list], str | None]]:
@@ -299,42 +258,11 @@ def _lie_move(role, a: list[list], x: list[list]) -> list[list]:
     return [[role * v for v in row] for row in x]  # a scalar's generator is 1
 
 
-def _group_move(role, g) -> Callable[[list[list]], list[list]]:
-    """The group meaning of a role: the element g acting on a block."""
-    if role == "left":
-        return lambda x: matmul(g, x)
-    if role == "dual":
-        gti = transpose(inverse(g))
-        return lambda x: matmul(gti, x)
-    if role == "right":
-        gi = inverse(g)
-        return lambda x: matmul(x, gi)
-    if role == "cong":
-        gt = transpose(g)
-        return lambda x: matmul(matmul(g, x), gt)
-    t = g ** role
-    return lambda x: [[t * v for v in row] for row in x]
-
-
-def _draw(stream: Stream, key: str, kind: str, size: int) -> tuple[object, dict]:
-    """A group element of one factor, with its character values."""
-    if kind == "gl":
-        g, d = _sample_gl(stream, size)
-        return g, {key: d}
-    if kind == "sl":
-        return _sample_sl(stream, size), {}
-    if kind == "so":
-        return _sample_so(stream, size), {}
-    t = [Fraction(stream.nonzero(-4, 4)) for _ in range(size)]
-    if kind == "torus":
-        return ([[t[i] if i == j else 0 for j in range(size)] for i in range(size)],
-                {f"{key}{i + 1}": t[i] for i in range(size)})
-    return t[0], {key: t[0]}
-
-
-def _instance(name: str, blocks: list[_Block], factors: list[tuple]) -> PVInstance:
+def _instance(name: str, blocks: list[_Block],
+              factors: list[tuple]) -> tuple[PVInstance, list[str | None]]:
     """Operators in table order, the direct sum of the factors' defining
-    trace forms, the characters, and one component per block."""
+    trace forms, the characters, and one component per block; with each
+    generator's character label (None for a generator that carries none)."""
     gens = [(f, a, char) for f, (key, kind, size, _) in enumerate(factors)
             for a, char in _lie_basis(key, kind, size)]
 
@@ -347,34 +275,9 @@ def _instance(name: str, blocks: list[_Block], factors: list[tuple]) -> PVInstan
     names = list(dict.fromkeys(char for _, _, char in gens if char))
     characters = [[(j, 1) for j, g in enumerate(gens) if g[2] == name] for name in names]
     components = [tuple(range(b.offset, b.offset + b.size)) for b in blocks]
-    return make_instance(name, operators, sum(b.size for b in blocks), form, characters,
-                         components, [b.name for b in blocks])
-
-
-def _sampler(blocks: list[_Block], factors: list[tuple], weight: dict) -> Callable:
-    """Draws one element per factor, in table order; returns its action on
-    packed coordinates and the weight's predicted multiplier."""
-    def sample(stream: Stream):
-        values, moves = {}, {b.name: [] for b in blocks}
-        for key, kind, size, roles in factors:
-            g, vals = _draw(stream, key, kind, size)
-            values.update(vals)
-            for name, role in roles.items():
-                moves[name].append(_group_move(role, g))
-
-        def act(pt):
-            out = {}
-            for name, x in pt.items():
-                for move in moves[name]:
-                    x = move(x)
-                out[name] = x
-            return out
-
-        multiplier = Fraction(1)
-        for char, e in weight.items():
-            multiplier *= Fraction(values[char]) ** e
-        return (lambda x: _pack(blocks, act(_unpack(blocks, x)))), multiplier
-    return sample
+    return (make_instance(name, operators, sum(b.size for b in blocks), form, characters,
+                          components, [b.name for b in blocks]),
+            [char for _, _, char in gens])
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +287,8 @@ def _sampler(blocks: list[_Block], factors: list[tuple], weight: dict) -> Callab
 @dataclass(frozen=True)
 class ModelInvariant:
     invariant: Invariant
-    group_checks: tuple[GroupCheck, ...]
+    weight: dict
+    differential: tuple[int, ...]  # the weight's exponent on each generator
     nondegenerate: bool
 
 
@@ -405,14 +309,19 @@ class ModelSpec:
 def _spec(name: str, params: dict, blocks: list[_Block], factors: list[tuple],
           invariants, expected: dict) -> ModelSpec:
     """A model from its factor table.  Each invariant is given as
-    (Invariant, group-check name, weight, expect_nondegenerate)."""
+    (Invariant, weight, expect_nondegenerate); a weight may name only the
+    table's characters."""
+    instance, labels = _instance(name, blocks, factors)
+    unknown = {char for _, weight, _ in invariants for char in weight} - set(labels)
+    if unknown:
+        raise ValueError(f"{name}: no character named {sorted(unknown)}")
     return ModelSpec(
         name=name,
         params=params,
-        instance=_instance(name, blocks, factors),
+        instance=instance,
         invariants=tuple(
-            ModelInvariant(inv, (GroupCheck(check, _sampler(blocks, factors, weight)),), nondeg)
-            for inv, check, weight, nondeg in invariants),
+            ModelInvariant(inv, weight, tuple(weight.get(char, 0) for char in labels), nondeg)
+            for inv, weight, nondeg in invariants),
         expected=expected,
         blocks=tuple(blocks),
     )
@@ -436,7 +345,7 @@ def dual_pair(n: int) -> ModelSpec:
         return sum(pt["v"][i][0] * pt["w"][i][0] for i in range(n))
 
     return _spec(f"dual-pair(n={n})", {"n": n}, blocks, factors,
-                 [(Invariant("Q", 2, q_eval), "factors", {"x": 1, "y": -1}, True)],
+                 [(Invariant("Q", 2, q_eval), {"x": 1, "y": -1}, True)],
                  {"regular": True, "isotropy_dim": (n - 1) ** 2,
                   "n_fundamental_invariants": 1, "q_irreducible": True})
 
@@ -457,7 +366,7 @@ def sym_vector(n: int) -> ModelSpec:
         return generic_det(_unpack(blocks, x)["S"])
 
     return _spec(f"sym-vector(n={n})", {"n": n}, blocks, factors,
-                 [(Invariant("det(S)", n, det_s), "factors", {"g": 2}, False)],
+                 [(Invariant("det(S)", n, det_s), {"g": 2}, False)],
                  {"regular": True, "isotropy_dim": (n - 1) * (n - 2) // 2,
                   "n_fundamental_invariants": 2})
 
@@ -488,8 +397,8 @@ def descending_chains(n: int) -> ModelSpec:
         return ev
 
     return _spec(f"descending-chains(n={n})", {"n": n}, blocks, factors,
-                 [(Invariant(f"P[{k}]", 2 * k * (n - k + 1), p_eval(k)), f"factors-P{k}",
-                   {f"g{k}": -2}, False) for k in range(1, n + 1)],
+                 [(Invariant(f"P[{k}]", 2 * k * (n - k + 1), p_eval(k)), {f"g{k}": -2}, False)
+                  for k in range(1, n + 1)],
                  {"regular": True, "isotropy_dim": 0, "n_fundamental_invariants": n})
 
 
@@ -511,8 +420,7 @@ def matrix_pair(p: int, q: int, r: int) -> ModelSpec:
 
     invariants = []
     if p == r:
-        invariants.append((Invariant("det(YX)", 2 * p, det_yx), "factors",
-                           {"g1": -1, "g3": 1}, True))
+        invariants.append((Invariant("det(YX)", 2 * p, det_yx), {"g1": -1, "g3": 1}, True))
     return _spec(f"matrix-pair(p={p},q={q},r={r})", {"p": p, "q": q, "r": r}, blocks,
                  factors, invariants,
                  {"regular": p == r,
@@ -547,8 +455,7 @@ def skew_pair(p: int, r: int) -> ModelSpec:
 
     invariants = []
     if p % 2 == 0:
-        invariants.append((Invariant("Pf(XtYX)", 3 * p // 2, pf_xyx), "factors",
-                           {"g1": -1}, p == r - 1))
+        invariants.append((Invariant("Pf(XtYX)", 3 * p // 2, pf_xyx), {"g1": -1}, p == r - 1))
     return _spec(f"skew-pair(p={p},r={r})", {"p": p, "r": r}, blocks, factors, invariants,
                  {"regular": p == r - 1,
                   **({"n_fundamental_invariants": 1, "q_irreducible": True}
@@ -574,11 +481,11 @@ def diag_chain(p: int, q: int) -> ModelSpec:
 
     invariants = []
     if p == 2:
-        invariants.append((Invariant("det(YX)", 4, lambda x: generic_det(yx(x))), "factors",
+        invariants.append((Invariant("det(YX)", 4, lambda x: generic_det(yx(x))),
                            {"g1": -1, "d1": 1, "d2": 1}, True))
     elif p == 1:
         invariants += [(Invariant(f"(YX)[{i + 1}]", 2, lambda x, i=i: yx(x)[i][0]),
-                        f"factors-{i + 1}", {"g1": -1, f"d{i + 1}": 1}, False)
+                        {"g1": -1, f"d{i + 1}": 1}, False)
                        for i in range(2)]
     if p == 2:
         expected = {"regular": True, "n_fundamental_invariants": 1, "q_irreducible": True}
@@ -618,8 +525,7 @@ def vector_skew(n: int) -> ModelSpec:
         return _pf(z, tuple(range(n + 1)))
 
     return _spec(f"vector-skew(n={n})", {"n": n}, blocks, factors,
-                 [(Invariant("borderedPf", (n + 1) // 2, bordered), "factors",
-                   {"g": 1, "a": 1}, True)],
+                 [(Invariant("borderedPf", (n + 1) // 2, bordered), {"g": 1, "a": 1}, True)],
                  {"regular": True, "isotropy_dim": (n * n - n + 2) // 2,
                   "n_fundamental_invariants": 1, "q_irreducible": True})
 
@@ -640,7 +546,7 @@ def det_augmented(n: int) -> ModelSpec:
         return generic_det([[*pt["X"][i], pt["Y"][i][0]] for i in range(n)])
 
     return _spec(f"det-augmented(n={n})", {"n": n}, blocks, factors,
-                 [(Invariant("det[X|Y]", n, det_xy), "factors", {"g": 1, "h": -1}, True)],
+                 [(Invariant("det[X|Y]", n, det_xy), {"g": 1, "h": -1}, True)],
                  {"regular": True, "n_fundamental_invariants": 1, "q_irreducible": True})
 
 
@@ -655,23 +561,32 @@ def verify_model(spec: ModelSpec, seed: int = 0) -> tuple[bool, list[ModelCheckL
     """Recompute a model's certificates and compare against its expected values.
 
     ``q_irreducible`` is read from :func:`~pvlab.pvcore.q_irreducible` at
-    ``seed``, every other expected key from that report's regularity."""
+    ``seed``, every other expected key from that report's regularity.  An
+    invariant passes when :func:`~pvlab.pvcore.verify_invariant` certifies
+    it and its constants, the differential of its character, equal the
+    differential of its declared weight."""
     lines: list[ModelCheckLine] = []
     q = q_irreducible(spec.instance, seed)
     for key, want in spec.expected.items():
         got = getattr(q if key == "q_irreducible" else q.regularity, key)
         lines.append(ModelCheckLine(key, got == want, f"expected {want}, got {got}"))
     for mi in spec.invariants:
-        label = f"invariant {mi.invariant.name}"
+        f, label = mi.invariant, f"invariant {mi.invariant.name}"
         try:
-            rep = verify_invariant(spec.instance, mi.invariant, seed=seed,
-                                   expect_nondegenerate=mi.nondegenerate,
-                                   group_checks=mi.group_checks)
-            detail = (f"{rep.points_checked} points, "
-                      f"{rep.group_elements_checked} group elements")
-            lines.append(ModelCheckLine(label, True, detail))
+            rep = verify_invariant(spec.instance, f, seed=seed,
+                                   expect_nondegenerate=mi.nondegenerate)
         except PVError as exc:
             lines.append(ModelCheckLine(label, False, str(exc)))
+            continue
+        weight = " ".join(f"{char}^{e}" for char, e in mi.weight.items())
+        wrong = [i for i, (c, e) in enumerate(zip(rep.constants, mi.differential)) if c != e]
+        if wrong:
+            i = wrong[0]
+            detail = (f"{f.name}: the derivative along operator {i} is {rep.constants[i]} f, "
+                      f"but weight {weight} asks for {mi.differential[i]} f")
+        else:
+            detail = f"{rep.points_checked} points, weight {weight}"
+        lines.append(ModelCheckLine(label, not wrong, detail))
     return all(line.passed for line in lines), lines
 
 

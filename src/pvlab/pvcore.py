@@ -733,9 +733,8 @@ class Invariant:
     """A polynomial on the module, given as a black-box exact evaluator.
 
     ``evaluate`` gets a list of ``int`` coordinates at the sample points of
-    :func:`verify_invariant`, and of ``Fraction`` coordinates at the points
-    moved by a group check.  It must use exact arithmetic (``/`` on two ints
-    makes a float).  The polynomial has degree at most ``degree``, and
+    :func:`verify_invariant`.  It must use exact arithmetic (``/`` on two
+    ints makes a float).  The polynomial has degree at most ``degree``, and
     exactly ``degree`` in every term when :func:`verify_invariant` expects
     it to be nondegenerate.
     """
@@ -746,24 +745,11 @@ class Invariant:
 
 
 @dataclass(frozen=True)
-class GroupCheck:
-    """Sampler of group elements with their predicted multipliers.
-
-    ``sample`` draws an element g and returns the map x -> g x on packed
-    coordinates, with the multiplier that f(g x) / f(x) should equal.
-    """
-
-    name: str
-    sample: Callable[[Stream], tuple[Callable[[Sequence], list], Fraction]]
-
-
-@dataclass(frozen=True)
 class InvariantReport:
     name: str
     constants: tuple
     points_checked: int
     hessian_nonzero: bool | None
-    group_elements_checked: int
 
 
 def _derivative_weights(degree: int) -> tuple[list[int], list[int], int]:
@@ -852,16 +838,17 @@ INVARIANT_POINTS = 20
 
 
 def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
-                     expect_nondegenerate: bool = True,
-                     group_checks: Sequence[GroupCheck] = ()) -> InvariantReport:
+                     expect_nondegenerate: bool = True) -> InvariantReport:
     """Certify that f transforms by a character under the instance's algebra.
 
     Checks, in order: (a) for every operator M the derivative of f along Mx
     is a fixed multiple of f across all sample points; (b) if nondegeneracy
     is expected, the Hessian determinant is nonzero at one of the first five
     samples where f does not vanish; (c) Euler's identities grad . x = d f
-    and H x = (d - 1) grad hold there, d = ``f.degree``; (d) three elements
-    g of each supplied group sampler satisfy f(g x) = multiplier * f(x).
+    and H x = (d - 1) grad hold there, d = ``f.degree``.  The constants of
+    (a), one per operator, are the differential of f's character, which
+    :func:`pvlab.models.verify_model` compares with a model's declared
+    weight.
 
     Everything is exact.  Sample points are integer vectors and derivatives
     carry the integer scaling of :func:`_derivative_weights`, so with an
@@ -871,7 +858,7 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     D_i f(x_b) = D_b f(x_i), which at a zero of f asks D_i = 0; the constant
     is D_b / (scale f(x_b)).  (b) and (c) use g = scale * grad and
     h = 2 * scale**2 * H, for which (c) reads g . x = scale d f and
-    h x = 2 scale (d - 1) g; (d) moves x_b.
+    h x = 2 scale (d - 1) g.
 
     A report with ``hessian_nonzero`` True also certifies, by (c), that
     the graded-logarithm differential f*H - grad*grad^t has full rank
@@ -926,13 +913,5 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
         if any(sum(map(mul, row, x)) != 2 * scale * (d - 1) * g for row, g in zip(h, grad)):
             raise DegenerateInvariant(
                 f"{f.name}: Euler's identity H x = (d - 1) grad fails, d = {d}")
-    for gc in group_checks:
-        gstream = Stream(seed, context=f"group:{pv.name}:{f.name}:{gc.name}")
-        for _ in range(3):
-            g, multiplier = gc.sample(gstream)
-            if f.evaluate(g(xs[base])) != multiplier * vals[base]:
-                raise NotRelativeInvariant(
-                    f"{f.name}: group element from {gc.name} violates the character law")
     return InvariantReport(name=f.name, constants=tuple(constants), points_checked=len(xs),
-                           hessian_nonzero=True if expect_nondegenerate else None,
-                           group_elements_checked=3 * len(group_checks))
+                           hessian_nonzero=True if expect_nondegenerate else None)

@@ -152,6 +152,42 @@ def test_e6_rows_respect_the_mirror():
         assert (m1 is None) == (m2 is None), subset
 
 
+def _automorphisms(t: SimpleType) -> list[dict[int, int]]:
+    """The nontrivial diagram automorphisms of t, as maps of the nodes they move."""
+    n = t.rank
+    if t.family == "A":
+        return [{i: n + 1 - i for i in range(1, n + 1)}]
+    if t.family == "D" and n == 4:  # triality permutes the three outer nodes
+        return [dict(zip((1, 3, 4), p)) for p in itertools.permutations((1, 3, 4))][1:]
+    if t.family == "D":
+        return [{n - 1: n, n: n - 1}]
+    return [{1: 6, 6: 1, 3: 5, 5: 3}]  # E6
+
+
+def test_family_match_is_invariant_under_diagram_automorphisms():
+    # A diagram automorphism lifts to a graded automorphism of g, so a
+    # circled set and its image give isomorphic PVs and must hit the same
+    # row with the same blocks.  Every 2- and 3-circle diagram of A1-A30,
+    # D4-D30 (with triality) and E6 is matched against each of its images.
+    types = ([SimpleType("A", n) for n in range(1, 31)]
+             + [SimpleType("D", n) for n in range(4, 31)] + [SimpleType("E", 6)])
+    moved = 0
+    for t in types:
+        for sigma in _automorphisms(t):
+            for size in (2, 3):
+                for circled in itertools.combinations(range(1, t.rank + 1), size):
+                    image = tuple(sorted(sigma.get(a, a) for a in circled))
+                    if image == circled:
+                        continue
+                    moved += 1
+                    m1 = family_match(WeightedDiagram(t, circled))
+                    m2 = family_match(WeightedDiagram(t, image))
+                    assert (m1 is None) == (m2 is None), (str(t), circled, image)
+                    if m1 is not None:
+                        assert (m1.family, m1.params) == (m2.family, m2.params), (str(t), circled)
+    assert moved == 43806
+
+
 # ---------------------------------------------------------------------------
 # adjacent-circle splits
 

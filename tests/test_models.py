@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import re
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +18,9 @@ from pvlab._linalg import det, matmul, transpose
 from pvlab._rand import Stream
 from pvlab.diagram import parse_diagram
 from pvlab.models import (MODELS, ModelSpec, NotSkew, OddSize, _layout, _lie_basis, _lie_move,
-                          _pack, _spec, _unpack, build_model, descending_chains, diag_chain,
-                          dual_pair, generic_det, matrix_pair, pfaffian, skew_pair, sym_vector,
-                          vector_skew, verify_model)
+                          _operator, _pack, _spec, _unpack, build_model, descending_chains,
+                          diag_chain, dual_pair, generic_det, matrix_pair, pfaffian, skew_pair,
+                          sym_vector, vector_skew, verify_model)
 from pvlab.pvcore import Invariant, build_parabolic_pv, is_regular, q_irreducible
 
 from _instances import dense_repr, dense_rows, identity, isotropy_algebra
@@ -174,15 +177,16 @@ EVALUATED = (
 
 @pytest.mark.parametrize("spec_string", EVALUATED)
 def test_evaluators_match_the_textbook_formulas(spec_string):
-    # Integer points as verify_invariant draws them, sparse ones, and the
-    # Fraction points a group check feeds.  Value and type must both agree.
+    # Integer points as verify_invariant draws them, sparse ones, and
+    # Fraction points, at which an exact evaluator stays exact.  Value and
+    # type must both agree.
     spec = build_model(spec_string)
     dim = spec.instance.dim_v
     stream = Stream(0, f"evaluators:{spec_string}")
     points = [stream.vector(dim) for _ in range(12)]
     points += [[stream.randint(-2, 2) * stream.randint(0, 1) for _ in range(dim)]
                for _ in range(6)]
-    points += [[Fraction(stream.randint(-9, 9), stream.nonzero(1, 4)) for _ in range(dim)]
+    points += [[Fraction(stream.randint(-9, 9), stream.randint(1, 4)) for _ in range(dim)]
                for _ in range(12)]
     assert spec.invariants
     for mi in spec.invariants:
@@ -349,6 +353,41 @@ def test_operators_match_the_action_on_every_unit_vector(spec_string, monkeypatc
         assert op == tuple(sorted(want))
 
 
+def _bracket(p, q):
+    """The nonzero entries of PQ - QP, for operators given as entries."""
+    out = defaultdict(int)
+    for (first, second), sign in (((p, q), 1), ((q, p), -1)):
+        rows = defaultdict(list)
+        for k, c, w in second:
+            rows[k].append((c, w))
+        for r, k, v in first:
+            for c, w in rows[k]:
+                out[r, c] += sign * v * w
+    return tuple(sorted((r, c, v) for (r, c), v in out.items() if v))
+
+
+@pytest.mark.parametrize("spec_string", OPERATOR_CASES)
+def test_operators_form_a_lie_algebra_representation(spec_string, monkeypatch):
+    # The operators represent the product algebra: [M_a, M_b] = M_[a,b] for
+    # two generators of one factor, and generators of different factors
+    # commute.  A sign slip in a role's Lie meaning, such as a^t X for dual,
+    # keeps every operator's unit-vector action consistent with _lie_move but
+    # breaks the bracket.
+    spec, blocks, factors = _with_factor_table(spec_string, monkeypatch)
+    gens = [(f, moves, a) for f, (key, kind, size, moves) in enumerate(factors)
+            for a, _ in _lie_basis(key, kind, size)]
+    assert len(gens) == spec.instance.dim_g
+    for ((f, moves, a), p), ((h, _, b), q) in itertools.combinations(
+            zip(gens, spec.instance.operators), 2):
+        if f == h:
+            ab, ba = matmul(a, b), matmul(b, a)
+            want = tuple(_operator(blocks, moves, [[u - v for u, v in zip(r1, r2)]
+                                                   for r1, r2 in zip(ab, ba)]))
+        else:
+            want = ()
+        assert _bracket(p, q) == want, (a, b)
+
+
 def test_verify_model_reports_every_expected_key():
     spec = dual_pair(2)
     ok, lines = verify_model(spec)
@@ -356,6 +395,33 @@ def test_verify_model_reports_every_expected_key():
     names = {line.name for line in lines}
     assert set(spec.expected) <= names
     assert "invariant Q" in names
+
+
+@pytest.mark.parametrize("weight,detail", [
+    ({"x": 2, "y": -2}, "operator 0 is 1 f, but weight x^2 y^-2 asks for 2 f"),
+    ({"x": 1}, "operator 4 is -1 f, but weight x^1 asks for 0 f"),
+], ids=["doubled", "missing-y"])
+def test_a_wrong_declared_weight_is_named(weight, detail, monkeypatch):
+    # Q = v . w has weight x y^-1.  The generators run x's scalar (operator
+    # 0), sl_2 (1-3), y's scalar (4), so a doubled weight differs first on
+    # operator 0 and a weight without y only on operator 4.
+    spec, blocks, factors = _with_factor_table("dual-pair:n=2", monkeypatch)
+    q = spec.invariants[0].invariant
+    wrong = _spec(spec.name, spec.params, blocks, factors, [(q, weight, True)], spec.expected)
+    ok, lines = verify_model(wrong)
+    failing = [line for line in lines if not line.passed]
+    assert not ok and [line.name for line in failing] == ["invariant Q"]
+    assert failing[0].detail == f"Q: the derivative along {detail}"
+
+
+def test_a_weight_on_an_unknown_character_is_rejected(monkeypatch):
+    # The differential reads only the table's characters, so a weight that
+    # names another one would pass with that exponent ignored.
+    spec, blocks, factors = _with_factor_table("dual-pair:n=2", monkeypatch)
+    q = spec.invariants[0].invariant
+    with pytest.raises(ValueError, match=re.escape("dual-pair(n=2): no character named ['z']")):
+        _spec(spec.name, spec.params, blocks, factors, [(q, {"x": 1, "y": -1, "z": 1}, True)],
+              spec.expected)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +513,7 @@ def _gl_gl_so(m: int, k: int) -> ModelSpec:
         return generic_det(matmul(pt["X"], pt["Y"]))
 
     return _spec(f"gl-gl-so(m={m},k={k})", {"m": m, "k": k}, blocks, factors,
-                 [(Invariant("det(XY)", 2 * m, det_xy), "factors", {"g1": 1}, True)],
+                 [(Invariant("det(XY)", 2 * m, det_xy), {"g1": 1}, True)],
                  {"regular": True, "isotropy_dim": (k - m) ** 2 + m * (m - 1) // 2,
                   "n_fundamental_invariants": 1, "q_irreducible": True})
 

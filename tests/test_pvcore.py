@@ -23,10 +23,10 @@ from pvlab._rand import Stream
 from pvlab.diagram import WeightedDiagram, parse_diagram
 from pvlab.models import (MODELS, build_model, diag_chain, dual_pair, matrix_pair, sym_vector,
                           verify_model)
-from pvlab.pvcore import (DegenerateInvariant, EmptySubset, GroupCheck, Invariant,
-                          NonGenericPoint, NotRegular, NotRelativeInvariant, SubsetLattice,
-                          build_parabolic_pv, decompose_filtration, is_reductive,
-                          is_regular, q_irreducible, restrict, verify_invariant)
+from pvlab.pvcore import (DegenerateInvariant, EmptySubset, Invariant, NonGenericPoint,
+                          NotRegular, NotRelativeInvariant, SubsetLattice, build_parabolic_pv,
+                          decompose_filtration, is_reductive, is_regular, q_irreducible,
+                          restrict, verify_invariant)
 from pvlab.rootsys import SimpleType
 
 from _instances import (FROZEN_ENUMERATED, FROZEN_LARGE, IdentityViolation, dense_operator,
@@ -478,10 +478,9 @@ def test_filtration_single_stage():
 def test_verify_invariant_accepts_pairing():
     spec = dual_pair(2)
     mi = spec.invariants[0]
-    rep = verify_invariant(spec.instance, mi.invariant, group_checks=mi.group_checks)
+    rep = verify_invariant(spec.instance, mi.invariant)
     assert rep.points_checked == 20
     assert rep.hessian_nonzero
-    assert rep.group_elements_checked == 3
 
 
 @pytest.mark.parametrize("gate,fake", [
@@ -525,7 +524,7 @@ def test_a_zero_first_sample_leaves_the_report(monkeypatch):
     # vanishes, the reference is the next sample and the report is unchanged.
     spec = dual_pair(2)
     mi = spec.invariants[0]
-    want = verify_invariant(spec.instance, mi.invariant, group_checks=mi.group_checks)
+    want = verify_invariant(spec.instance, mi.invariant)
     vector, drawn = Stream.vector, []
 
     def zero_first(self, length):
@@ -533,7 +532,7 @@ def test_a_zero_first_sample_leaves_the_report(monkeypatch):
         return [0] * length if len(drawn) == 1 else drawn[-1]
 
     monkeypatch.setattr(Stream, "vector", zero_first)
-    got = verify_invariant(spec.instance, mi.invariant, group_checks=mi.group_checks)
+    got = verify_invariant(spec.instance, mi.invariant)
     assert mi.invariant.evaluate(drawn[0]) != 0
     assert got == want
 
@@ -564,22 +563,6 @@ def test_a_violation_only_where_f_vanishes_is_found(monkeypatch):
     assert err.value.direction == want
 
 
-def test_group_check_with_a_wrong_multiplier_is_named():
-    # Check (d): elements whose predicted multiplier is doubled break the
-    # character law, and the error names their sampler.
-    mi = dual_pair(2).invariants[0]
-    gc = mi.group_checks[0]
-
-    def doubled(stream):
-        g, multiplier = gc.sample(stream)
-        return g, 2 * multiplier
-
-    with pytest.raises(NotRelativeInvariant,
-                       match=re.escape(f"group element from {gc.name} violates")):
-        verify_invariant(dual_pair(2).instance, mi.invariant,
-                         group_checks=(GroupCheck(gc.name, doubled),))
-
-
 def test_an_invariant_vanishing_at_every_sample_is_degenerate():
     zero = Invariant("zero", 2, lambda x: 0)
     with pytest.raises(DegenerateInvariant, match="zero vanishes at all 20 sample points"):
@@ -589,14 +572,14 @@ def test_an_invariant_vanishing_at_every_sample_is_degenerate():
 # Calls of each gate's evaluator in verify_invariant at seed 0 (the gates of
 # tests/test_acceptance.py).
 INVARIANT_EVALUATIONS = {
-    "matrix-pair:p=2,q=3,r=2": 1247,
-    "skew-pair:p=4,r=5": 6233,
-    "skew-pair:p=2,r=5": 1223,
-    "vector-skew:n=5": 1238,
-    "dual-pair:n=2": 195,
-    "dual-pair:n=3": 293,
-    "descending-chains:n=1": 103,
-    "descending-chains:n=2": 1326,
+    "matrix-pair:p=2,q=3,r=2": 1244,
+    "skew-pair:p=4,r=5": 6230,
+    "skew-pair:p=2,r=5": 1220,
+    "vector-skew:n=5": 1235,
+    "dual-pair:n=2": 192,
+    "dual-pair:n=3": 290,
+    "descending-chains:n=1": 100,
+    "descending-chains:n=2": 1320,
 }
 
 
@@ -605,9 +588,8 @@ def test_invariant_verification_evaluation_counts():
     # j = 1..degree, serves check (a); at the Hessian point it and the
     # Hessian diagonal from the same values serve (b) and (c).  So each
     # invariant costs 20 (1 + dim_v degree) evaluations for the values and
-    # (a), degree per off-diagonal Hessian entry at each Hessian point tried
-    # (one at seed 0, on the invariants that must be nondegenerate) and 3
-    # per group check.
+    # (a), and degree per off-diagonal Hessian entry at each Hessian point
+    # tried (one at seed 0, on the invariants that must be nondegenerate).
     for gate, want in INVARIANT_EVALUATIONS.items():
         spec = build_model(gate)
         n = spec.instance.dim_v
@@ -618,13 +600,11 @@ def test_invariant_verification_evaluation_counts():
             counted = Invariant(f.name, f.degree,
                                 lambda x, ev=f.evaluate: calls.append(1) or ev(x))
             verify_invariant(spec.instance, counted, seed=0,
-                             expect_nondegenerate=mi.nondegenerate,
-                             group_checks=mi.group_checks)
+                             expect_nondegenerate=mi.nondegenerate)
             formula += (pvcore.INVARIANT_POINTS * (1 + n * f.degree)
-                        + mi.nondegenerate * f.degree * n * (n - 1) // 2
-                        + 3 * len(mi.group_checks))
+                        + mi.nondegenerate * f.degree * n * (n - 1) // 2)
         assert (len(calls), formula) == (want, want), gate
-    assert sum(INVARIANT_EVALUATIONS.values()) == 11858
+    assert sum(INVARIANT_EVALUATIONS.values()) == 11831
 
 
 def test_hessian_of_a_linear_form_makes_no_evaluation():
@@ -719,11 +699,10 @@ def test_rational_coefficient_invariant_is_certified_exactly():
     spec = dual_pair(3)
     mi = spec.invariants[0]
     third = Invariant("Q/3", 2, lambda x: Fraction(1, 3) * mi.invariant.evaluate(x))
-    rep = verify_invariant(spec.instance, third, group_checks=mi.group_checks)
+    rep = verify_invariant(spec.instance, third)
     base = verify_invariant(spec.instance, mi.invariant)
     assert rep.constants == base.constants
     assert rep.hessian_nonzero
-    assert rep.group_elements_checked == 3
     ident = hessian_product_identity_check(third, spec.instance.dim_v)
     assert ident.points_checked == 5
 
@@ -738,14 +717,12 @@ def test_gate_invariant_reports_are_frozen():
         spec = build_model(model)
         for mi in spec.invariants:
             rep = verify_invariant(spec.instance, mi.invariant, seed=0,
-                                   expect_nondegenerate=mi.nondegenerate,
-                                   group_checks=mi.group_checks)
+                                   expect_nondegenerate=mi.nondegenerate)
             assert all(type(c) is Fraction for c in rep.constants)
             rows.append({"model": model, "invariant": rep.name,
                          "constants": [str(c) for c in rep.constants],
                          "points_checked": rep.points_checked,
-                         "hessian_nonzero": rep.hessian_nonzero,
-                         "group_elements_checked": rep.group_elements_checked})
+                         "hessian_nonzero": rep.hessian_nonzero})
     assert len(rows) == 9
     assert rows == frozen
 
