@@ -29,10 +29,12 @@ alone, since the verdict is exact and so the same at every seed.  A full
 report of a piece's diagram fills the same entry; whichever comes first stands.
 
 Each piece verdict is decided by (ad x)^2 on level -1
-(:func:`ad_square_regular`), with no isotropy kernel and no Gram matrix.
-Let V be a component sum of level 1, V^* the span of the e_-r for the
-roots r of V, K the Killing form, and x in V with a -> [a, x] mapping g_0
-onto V; its kernel h is the isotropy.  For a in g_0 and y in V^*,
+(:func:`ad_square_regular`) at the projection onto the piece's components
+of the point the instance's full report certified, with no isotropy
+kernel, no Gram matrix and no search of its own.  Let V be a component sum
+of level 1, V^* the span of the e_-r for the roots r of V, K the Killing
+form, and x in V with a -> [a, x] mapping g_0 onto V; its kernel h is the
+isotropy.  For a in g_0 and y in V^*,
 K(a, [x, y]) = K([a, x], y), and K pairs V with V^* nondegenerately.  So
 [x, V^*] is orthogonal to h, y -> [x, y] is injective on V^* (a y with
 [x, y] = 0 is orthogonal to every [a, x], that is to all of V), and since K
@@ -440,26 +442,23 @@ def restrict(pv: PVInstance, indices) -> PVInstance:
                          labels, roots=roots)
 
 
-def ad_square_regular(pv: PVInstance, subset: tuple[int, ...], seed: int = 0) -> bool:
+def ad_square_regular(pv: PVInstance, subset: tuple[int, ...], x: Sequence) -> bool:
     """Whether the restriction of a parabolic instance to the component sum
     ``subset`` is regular, decided by (ad x)^2 on level -1 (see the module
-    docstring).
+    docstring), at the projection onto the sum of a point ``x`` of the
+    instance's open orbit.
 
-    x is the point :func:`is_regular` takes on the restriction, because
-    both take it from the one seeded draw, :func:`_generic_draw`: the first
-    draw whose action matrix A_x has mod-p rank dim_v, which certifies that
-    a -> a.x is onto.  Column r of B_x is [x, e_-r] = sum_s x_s [e_s, e_-r],
-    read from the Chevalley basis, and the sum is regular exactly when
-    M = A_x B_x is invertible: full rank mod p certifies it, and otherwise
-    the exact determinant decides.  Every component sum of a parabolic
-    instance is prehomogeneous (Vinberg), so a run of draws that never
-    reaches dim_v raises :class:`NonGenericPoint`.
+    Every operator preserves every component, so A_x of the sum at the
+    projection is the rows of the full A_x at the sum's coordinates.  The
+    full report proved that the full A_x has exact rank dim_v, so those rows
+    are independent: a -> a.x is onto the sum.  Column r of B_x is
+    [x, e_-r] = sum_s x_s [e_s, e_-r], read from the Chevalley basis, and the
+    sum is regular exactly when M = A_x B_x is invertible: full rank mod p
+    certifies it, and otherwise the exact determinant decides.
     """
     sub = restrict(pv, subset)
-    x, a, r = _generic_draw(sub, seed)
-    if r < sub.dim_v:
-        raise NonGenericPoint(f"{sub.name}: orbit rank below {sub.dim_v} at {CANDIDATES} draws")
-    mt = _ad_square(sub, chevalley_basis(pv.diagram.type), x, a)
+    x = [x[c] for i in subset for c in pv.components[i]]
+    mt = _ad_square(sub, chevalley_basis(pv.diagram.type), x, _action_columns(sub, x))
     return modp_rank(mt) == sub.dim_v or det(mt) != 0
 
 
@@ -578,11 +577,11 @@ class SubsetLattice:
     the product of the pieces' PVs up to a reductive kernel (see the module
     docstring).  Each piece verdict is computed once per process, keyed by
     the piece's weighted diagram, on the restriction of the instance at
-    hand to that piece's components, at the lattice's seed.  It is exact,
-    so diagrams that share a piece share it at every seed.  It is a yes/no
-    that is never printed, so it comes from :func:`ad_square_regular`: one
-    dim_v x dim_v matrix M = A_x B_x at the point :func:`is_regular` would
-    take, with no isotropy kernel and no Gram determinant.  Full reports,
+    hand to that piece's components.  It is exact, so diagrams that share a
+    piece share it at every seed.  It is a yes/no that is never printed, so
+    it comes from :func:`ad_square_regular`: one dim_v x dim_v matrix
+    M = A_x B_x at the projection of the full report's generic point, with
+    no isotropy kernel and no Gram determinant.  Full reports,
     which print their form determinant, still come from :func:`is_regular`,
     and a parabolic instance's full report also fills its diagram's entry
     in the table, so a later diagram with this one as a piece reads it.
@@ -628,7 +627,8 @@ class SubsetLattice:
     def _piece_verdict(self, nodes: tuple[int, ...], piece: WeightedDiagram) -> bool:
         if piece not in _PIECE_VERDICTS:
             own = tuple(i for i, a in enumerate(self.pv.diagram.circled) if a in nodes)
-            _PIECE_VERDICTS[piece] = ad_square_regular(self.pv, own, self.seed)
+            x = self.regular(self.full).generic_point
+            _PIECE_VERDICTS[piece] = ad_square_regular(self.pv, own, x)
         return _PIECE_VERDICTS[piece]
 
     def regular_proper_subset(self, subset: tuple[int, ...]) -> tuple[int, ...] | None:

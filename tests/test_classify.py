@@ -119,39 +119,6 @@ def test_family_match_requires_two_circles():
         _match("A3[1]")
 
 
-def test_a_row_is_reversal_invariant():
-    n = 5
-    for c1, c2 in itertools.combinations(range(1, n + 1), 2):
-        fwd = _match(f"A{n}[{c1},{c2}]")
-        rev = _match(f"A{n}[{n + 1 - c2},{n + 1 - c1}]")
-        assert (fwd is None) == (rev is None)
-        if fwd is not None:
-            assert fwd.params == rev.params
-
-
-def test_d_rows_are_tip_swap_invariant():
-    t = SimpleType("D", 5)
-    swap = {4: 5, 5: 4}
-    for size in (2, 3):
-        for subset in itertools.combinations(range(1, 6), size):
-            mirrored = tuple(sorted(swap.get(a, a) for a in subset))
-            m1 = family_match(WeightedDiagram(t, subset))
-            m2 = family_match(WeightedDiagram(t, mirrored))
-            assert (m1 is None) == (m2 is None), subset
-            if m1 is not None:
-                assert m1.params == m2.params
-
-
-def test_e6_rows_respect_the_mirror():
-    mirror = {1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4}
-    t = SimpleType("E", 6)
-    for subset in itertools.combinations(range(1, 7), 2):
-        mirrored = tuple(sorted(mirror[a] for a in subset))
-        m1 = family_match(WeightedDiagram(t, subset))
-        m2 = family_match(WeightedDiagram(t, mirrored))
-        assert (m1 is None) == (m2 is None), subset
-
-
 def _automorphisms(t: SimpleType) -> list[dict[int, int]]:
     """The nontrivial diagram automorphisms of t, as maps of the nodes they move."""
     n = t.rank

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from pvlab._rand import Stream
 from pvlab.cli import main
 from pvlab.models import MODELS, build_model, dual_pair, verify_model
 from pvlab.pvcore import Invariant
@@ -426,16 +427,24 @@ def test_python_dash_m_pvlab_runs_the_cli():
 
 
 def test_non_generic_point_exits_4_without_a_traceback(capsys, monkeypatch):
-    # A mod-p rank that under-reports leaves no certified generic point for
-    # the proper sums of A3[1,3], so their piece verdicts raise.
-    pvcore = importlib.import_module("pvlab.pvcore")
-    monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
-    monkeypatch.setattr(pvcore, "modp_rank", lambda rows: 0)
+    # Zero candidates never reach the full orbit rank of A3[1,3], so its
+    # full report finds no generic point.
+    monkeypatch.setattr(Stream, "vector", lambda self, length: [0] * length)
     code, out, err = run(capsys, "classify", "A3[1,3]")
     assert code == 4
     assert out == ""
-    assert err.startswith("error: no generic point found: A3[1,3]/V[1]")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == "error: no generic point found: A3[1,3]: orbit rank 0 below 4 at 32 draws\n"
+
+
+def test_piece_verdicts_need_no_mod_p_rank_of_an_action_matrix(capsys, monkeypatch):
+    # Piece verdicts project the full report's certified point, so a mod-p
+    # rank that under-reports leaves each one to the exact determinant of M
+    # and moves no verdict.
+    pvcore = importlib.import_module("pvlab.pvcore")
+    monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
+    monkeypatch.setattr(pvcore, "modp_rank", lambda rows: 0)
+    code, out, err = run(capsys, "classify", "A3[1,3]", "--quiet")
+    assert (code, out, err) == (0, "A3[1,3]: Q-irreducible (family A)\n", "")
 
 
 def test_failed_model_check_exit_code(capsys, monkeypatch):

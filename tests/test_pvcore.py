@@ -214,16 +214,12 @@ def test_one_irreducible_implies_q_irreducible():
 
 def test_short_orbit_of_a_parabolic_instance_raises(monkeypatch):
     # Every parabolic instance is prehomogeneous (Vinberg), so candidates
-    # that never reach the full orbit rank give no verdict, neither in a
-    # full report nor in a piece verdict (called directly: the lattice may
-    # answer from the process-wide piece table).  A restriction has no
-    # diagram and still reports "not prehomogeneous".
+    # that never reach the full orbit rank give no full report.  A
+    # restriction has no diagram and still reports "not prehomogeneous".
     monkeypatch.setattr(Stream, "vector", lambda self, length: [0] * length)
     pv = build_parabolic_pv(parse_diagram("A3[1,3]"))
     with pytest.raises(NonGenericPoint):
         is_regular(pv)
-    with pytest.raises(NonGenericPoint):
-        pvcore.ad_square_regular(pv, (0,))
     assert not is_regular(restrict(pv, (0,))).prehomogeneous
 
 
@@ -380,9 +376,9 @@ def test_shared_piece_verdict_is_computed_once(monkeypatch):
     names = []
     original = pvcore.ad_square_regular
 
-    def counting(pv, subset, seed=0):
+    def counting(pv, subset, x):
         names.append(restrict(pv, subset).name)
-        return original(pv, subset, seed)
+        return original(pv, subset, x)
 
     monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
     monkeypatch.setattr(pvcore, "ad_square_regular", counting)
@@ -413,9 +409,9 @@ def test_piece_verdicts_are_shared_across_seeds(monkeypatch):
     names = []
     original = pvcore.ad_square_regular
 
-    def counting(pv, subset, seed=0):
+    def counting(pv, subset, x):
         names.append(restrict(pv, subset).name)
-        return original(pv, subset, seed)
+        return original(pv, subset, x)
 
     monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
     monkeypatch.setattr(pvcore, "ad_square_regular", counting)
@@ -424,6 +420,25 @@ def test_piece_verdicts_are_shared_across_seeds(monkeypatch):
     classify(parse_diagram("A5[1,3,5]"), "both", 1)
     assert names == ["A5[1,3,5]/V[3]"]
     assert all(type(key) is WeightedDiagram for key in pvcore._PIECE_VERDICTS)
+
+
+def test_piece_verdicts_search_no_restriction(monkeypatch):
+    # A piece verdict projects its diagram's certified point, so a seed-0
+    # sweep pass from an empty piece-verdict table draws candidates only for
+    # full reports, never for a restriction (a name with a "/").
+    names = []
+    candidates = pvcore._candidates
+
+    def recording(pv, seed):
+        names.append(pv.name)
+        return candidates(pv, seed)
+
+    monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
+    monkeypatch.setattr(pvcore, "_candidates", recording)
+    for d in SWEEP:
+        classify(d, "both", 0)
+    assert len(names) == 985 and not [name for name in names if "/" in name]
+    assert len(pvcore._PIECE_VERDICTS) == 994
 
 
 def test_level_one_is_split_once_per_diagram(monkeypatch):
