@@ -29,17 +29,15 @@ alone, since the verdict is exact and so the same at every seed.  A full
 report of a piece's diagram fills the same entry; whichever comes first stands.
 
 Each piece verdict is decided by (ad x)^2 on level -1
-(:func:`ad_square_regular`) at the projection onto the piece's components
-of the point the instance's full report certified, with no isotropy
-kernel, no Gram matrix and no search of its own.  Let V be a component sum
-of level 1, V^* the span of the e_-r for the roots r of V, K the Killing
-form, and x in V with a -> [a, x] mapping g_0 onto V; its kernel h is the
-isotropy.  For a in g_0 and y in V^*,
-K(a, [x, y]) = K([a, x], y), and K pairs V with V^* nondegenerately.  So
-[x, V^*] is orthogonal to h, y -> [x, y] is injective on V^* (a y with
-[x, y] = 0 is orthogonal to every [a, x], that is to all of V), and since K
-is nondegenerate on g_0, [x, V^*] is the whole orthogonal of h: both have
-dimension dim g_0 - dim h = dim V.  The radical of K on h is therefore
+(:func:`ad_square_regular`), with no isotropy kernel, no Gram matrix and no
+search of its own.  Let V be a component sum of level 1, V^* the span of
+the e_-r for the roots r of V, K the Killing form, and x in V with
+a -> [a, x] mapping g_0 onto V; its kernel h is the isotropy.  For a in g_0
+and y in V^*, K(a, [x, y]) = K([a, x], y), and K pairs V with V^*
+nondegenerately.  So [x, V^*] is orthogonal to h, y -> [x, y] is injective
+on V^* (a y with [x, y] = 0 is orthogonal to every [a, x], that is to all
+of V), and since K is nondegenerate on g_0, [x, V^*] is the whole orthogonal
+of h: both have dimension dim g_0 - dim h = dim V.  The radical of K on h is therefore
 h ∩ [x, V^*] = {[x, y] : [[x, y], x] = 0}, isomorphic to the kernel of
 y -> [[x, y], x] from V^* to V.  In coordinates that map is M = A_x B_x:
 A_x is the action matrix at x and column r of B_x is [x, e_-r] in the
@@ -53,6 +51,16 @@ level -1 part of y' is such a y.  With H_0 the grading element scaled to act by 
 in H_0 + h.  It need not be H_0 itself: it is not on E6[1,2], C6[2,5]
 and D6[2,5,6].  For these triples on regular graded Lie algebras see
 Muller, Rubenthaler and Schiffmann, Math. Ann. 274 (1986).
+
+One M serves every component sum of a diagram: M of all of level 1 at the
+point x its full report certified.  Its principal submatrix at a sum's
+coordinates is the sum's own M at the projection x_S of x.  Every operator
+preserves every component, so the sum's A_x at x_S is the full A_x's rows
+at the sum's coordinates, independent because the full A_x has exact rank
+dim_v.  [e_s, e_-r] is zero unless s and r lie in one component, so for r
+in the sum [x, e_-r] = [x_S, e_-r]: the sum's B_x is the full B_x's columns
+at the sum's coordinates, and the product of these rows and columns is that
+principal submatrix.
 
 A full report prints the determinant of the form on its isotropy basis S,
 det(S F S^t), with F the form on g_0.  For an instance with a diagram whose
@@ -168,10 +176,9 @@ class PVInstance:
     """A linear Lie algebra action with component/form/character bookkeeping.
 
     ``diagram`` is the weighted diagram of a :func:`build_parabolic_pv`
-    instance, whose component i sits at circled node ``diagram.circled[i]``;
-    restrictions, subalgebra instances and the matrix models have none.
-    ``roots`` holds the level-1 root at each coordinate, for a parabolic
-    instance and the instances made from it; the matrix models have none.
+    instance, whose component i sits at circled node ``diagram.circled[i]``,
+    and ``roots`` the level-1 root at each of its coordinates; restrictions,
+    subalgebra instances and the matrix models have neither.
 
     Each of ``operators`` is a dim_v x dim_v matrix given by its nonzero
     entries ``(row, col, value)``, ordered by row and then column, and each
@@ -349,12 +356,16 @@ def is_reductive(pv: PVInstance, subalgebra: Sequence[Sequence]) -> ReductivityC
     return ReductivityCert(d != 0, d)
 
 
+def _restricted_characters(pv: PVInstance, vectors: Sequence[Sequence]) -> list[list]:
+    """Each character of the instance on each of the algebra vectors, one row per character."""
+    return [[sum(v * s[b] for b, v in row) for s in vectors] for row in pv.characters]
+
+
 def _invariant_count(pv: PVInstance, subalgebra: Sequence[Sequence]) -> int:
     total = len(pv.characters)
     if not subalgebra or not pv.characters:
         return total
-    image = [[sum(v * s[b] for b, v in row) for s in subalgebra] for row in pv.characters]
-    return total - rank(image)
+    return total - rank(_restricted_characters(pv, subalgebra))
 
 
 def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
@@ -437,39 +448,31 @@ def restrict(pv: PVInstance, indices) -> PVInstance:
         offset += size
     labels = [pv.labels[i] for i in idxs]
     name = pv.name + "/" + "+".join(labels)
-    roots = None if pv.roots is None else tuple(pv.roots[c] for c in coords)
-    return make_instance(name, operators, len(coords), pv.form, pv.characters, components,
-                         labels, roots=roots)
+    return make_instance(name, operators, len(coords), pv.form, pv.characters, components, labels)
 
 
-def ad_square_regular(pv: PVInstance, subset: tuple[int, ...], x: Sequence) -> bool:
-    """Whether the restriction of a parabolic instance to the component sum
-    ``subset`` is regular, decided by (ad x)^2 on level -1 (see the module
-    docstring), at the projection onto the sum of a point ``x`` of the
-    instance's open orbit.
-
-    Every operator preserves every component, so A_x of the sum at the
-    projection is the rows of the full A_x at the sum's coordinates.  The
-    full report proved that the full A_x has exact rank dim_v, so those rows
-    are independent: a -> a.x is onto the sum.  Column r of B_x is
-    [x, e_-r] = sum_s x_s [e_s, e_-r], read from the Chevalley basis, and the
-    sum is regular exactly when M = A_x B_x is invertible: full rank mod p
-    certifies it, and otherwise the exact determinant decides.
+def ad_square_regular(pv: PVInstance, subset: tuple[int, ...], mt: Matrix) -> bool:
+    """Whether the component sum ``subset`` of a parabolic instance is
+    regular, given ``mt``, M transposed for M = A_x B_x of the whole
+    instance at a point x of its open orbit.  The sum's own M at the
+    projection of x is M's principal submatrix at the sum's coordinates (see
+    the module docstring), and the sum is regular exactly when it is
+    invertible: full rank mod p certifies it, and otherwise the exact
+    determinant decides.
     """
-    sub = restrict(pv, subset)
-    x = [x[c] for i in subset for c in pv.components[i]]
-    mt = _ad_square(sub, chevalley_basis(pv.diagram.type), x, _action_columns(sub, x))
-    return modp_rank(mt) == sub.dim_v or det(mt) != 0
+    coords = [c for i in subset for c in pv.components[i]]
+    minor = [[mt[r][c] for c in coords] for r in coords]
+    return modp_rank(minor) == len(coords) or det(minor) != 0
 
 
 def _ad_square(pv: PVInstance, alg: ChevalleyBasis, x: Sequence, a: Matrix) -> list[list]:
     """M transposed, for M = A_x B_x at x with action matrix ``a`` = A_x.
 
-    ``pv`` is a parabolic instance of the algebra ``alg``, or a restriction
-    of one, acting on the span of the level-1 roots ``pv.roots``, in its
-    coordinate order.  Column r of B_x is [x, e_-r] = sum_s x_s [e_s, e_-r]
-    in the operator basis, so row r of the result is A_x [x, e_-r], one
-    column of A_x per bracket, each read by root.
+    ``pv`` is a parabolic instance of the algebra ``alg``, acting on the
+    span of the level-1 roots ``pv.roots``, in its coordinate order.  Column
+    r of B_x is [x, e_-r] = sum_s x_s [e_s, e_-r] in the operator basis, so
+    row r of the result is A_x [x, e_-r], one column of A_x per bracket,
+    each read by root.
     """
     n, roots = alg.rank, pv.roots
     down = [tuple(-v for v in r) for r in roots]
@@ -543,13 +546,12 @@ def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence]) -> PVInstan
                     sums[a, c] = sums.get((a, c), 0) + sb * v
         operators.append(sorted((a, c, v) for (a, c), v in sums.items() if v))
     characters = []
-    for row in pv.characters:
-        restricted = [sum(v * s[b] for b, v in row) for s in vectors]
+    for restricted in _restricted_characters(pv, vectors):
         if rank(characters + [restricted]) > len(characters):
             characters.append(restricted)
     return make_instance(pv.name + ".isotropy", operators, pv.dim_v,
                          _rows(_gram(pv.form, vectors)), _rows(characters),
-                         pv.components, pv.labels, roots=pv.roots)
+                         pv.components, pv.labels)
 
 
 @dataclass(frozen=True)
@@ -573,18 +575,11 @@ class SubsetLattice:
     restriction.  Every Q-verdict reads the yes/no answer of
     :meth:`is_regular_sum`.  For a proper subset of a parabolic instance
     that answer is the conjunction of the verdicts of the subset's
-    :func:`~pvlab.diagram.subdiagram` pieces, because the restriction is
-    the product of the pieces' PVs up to a reductive kernel (see the module
-    docstring).  Each piece verdict is computed once per process, keyed by
-    the piece's weighted diagram, on the restriction of the instance at
-    hand to that piece's components.  It is exact, so diagrams that share a
-    piece share it at every seed.  It is a yes/no that is never printed, so
-    it comes from :func:`ad_square_regular`: one dim_v x dim_v matrix
-    M = A_x B_x at the projection of the full report's generic point, with
-    no isotropy kernel and no Gram determinant.  Full reports,
-    which print their form determinant, still come from :func:`is_regular`,
-    and a parabolic instance's full report also fills its diagram's entry
-    in the table, so a later diagram with this one as a piece reads it.
+    :func:`~pvlab.diagram.subdiagram` pieces, read from the process-wide
+    table (see the module docstring).  A piece verdict missing from it is a
+    principal minor of M = A_x B_x at the full report's generic point
+    (:func:`ad_square_regular`): the lattice builds M on its first miss,
+    and no restricted instance, isotropy kernel or Gram determinant.
 
     >>> from pvlab.diagram import parse_diagram
     >>> lattice = SubsetLattice(build_parabolic_pv(parse_diagram("A3[1,3]")))
@@ -600,6 +595,7 @@ class SubsetLattice:
         self.full = tuple(range(len(pv.components)))
         self._regular: dict[tuple[int, ...], RegularityReport] = {}
         self._verdict: dict[tuple[int, ...], bool] = {}
+        self._mt: list[list] | None = None  # M transposed at the full report's point
 
     def regular(self, subset: tuple[int, ...]) -> RegularityReport:
         """The exact report of the restriction to ``subset``."""
@@ -627,8 +623,11 @@ class SubsetLattice:
     def _piece_verdict(self, nodes: tuple[int, ...], piece: WeightedDiagram) -> bool:
         if piece not in _PIECE_VERDICTS:
             own = tuple(i for i, a in enumerate(self.pv.diagram.circled) if a in nodes)
-            x = self.regular(self.full).generic_point
-            _PIECE_VERDICTS[piece] = ad_square_regular(self.pv, own, x)
+            if self._mt is None:
+                x = self.regular(self.full).generic_point
+                alg = chevalley_basis(self.pv.diagram.type)
+                self._mt = _ad_square(self.pv, alg, x, _action_columns(self.pv, x))
+            _PIECE_VERDICTS[piece] = ad_square_regular(self.pv, own, self._mt)
         return _PIECE_VERDICTS[piece]
 
     def regular_proper_subset(self, subset: tuple[int, ...]) -> tuple[int, ...] | None:

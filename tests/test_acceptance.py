@@ -8,6 +8,7 @@ behavior rather than internal agreement between modules.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import itertools
 import json
@@ -42,6 +43,13 @@ SWEEP_TYPES = ([SimpleType("A", n) for n in range(1, 8)]
                + [SimpleType("C", n) for n in range(3, 8)]
                + [SimpleType("D", n) for n in range(4, 8)]
                + [SimpleType("E", 6)])
+
+
+def _sweep() -> list[WeightedDiagram]:
+    """The 927 multi-circle diagrams of the sweep, type by type."""
+    return [WeightedDiagram(t, circled) for t in SWEEP_TYPES for size in range(2, t.rank + 1)
+            for circled in itertools.combinations(range(1, t.rank + 1), size)]
+
 
 # The complete catalog of multi-circle Q-irreducible diagrams in the sweep
 # range, frozen after three independent seeded oracle passes.
@@ -113,10 +121,15 @@ def test_d1_row_probes():
 
 
 def test_piece_verdicts_match_direct_restriction():
-    # The lattice decides a proper component sum from its subdiagram pieces;
-    # here every proper sum of every sweep diagram is decided both by direct
-    # restriction and by standalone instances of its pieces, and the two
-    # must agree, as must the lattice's own piece-read verdict.
+    # The lattice decides a proper component sum from its subdiagram pieces,
+    # each a principal minor of the one M = A_x B_x of its diagram at the
+    # full report's point (see the pvcore docstring).  On every sweep
+    # diagram at seed 0, M is built once: its principal minor on every
+    # coordinate, det M, must equal the full report.  Every proper sum is
+    # also decided by direct restriction, a product of parabolic PVs and so
+    # prehomogeneous by Vinberg's theorem.  That verdict must equal the
+    # standalone instances of the sum's pieces, the principal minor at the
+    # sum's coordinates, and the lattice's own piece-read verdict.
     standalone: dict[str, bool] = {}
 
     def piece_regular(piece: WeightedDiagram) -> bool:
@@ -125,21 +138,86 @@ def test_piece_verdicts_match_direct_restriction():
             standalone[key] = is_regular(build_parabolic_pv(piece)).regular
         return standalone[key]
 
+    fulls = sums = regular_sums = 0
+    for d in _sweep():
+        pv = build_parabolic_pv(d)
+        lattice = SubsetLattice(pv)
+        report = lattice.regular(lattice.full)
+        assert report.prehomogeneous, d
+        mt = _full_ad_square(pv, report.generic_point)
+        assert pvcore.ad_square_regular(pv, lattice.full, mt) == report.regular, d
+        fulls += 1
+        for k in range(1, len(lattice.full)):
+            for subset in itertools.combinations(lattice.full, k):
+                gamma = [d.circled[i] for i in subset]
+                report = lattice.regular(subset)
+                assert report.prehomogeneous, (d, gamma)
+                direct = report.regular
+                pieces = all(piece_regular(p) for _, p in subdiagram(d, gamma).pieces)
+                minor = pvcore.ad_square_regular(pv, subset, mt)
+                assert direct == pieces == minor == lattice.is_regular_sum(subset), (d, gamma)
+                sums += 1
+                regular_sums += direct
+    assert (fulls, sums, regular_sums) == (927, 11698, 5199)
+
+
+def _full_ad_square(pv, x):
+    """M transposed of a parabolic instance at x, as the lattice builds it."""
+    return pvcore._ad_square(pv, chevalley_basis(pv.diagram.type), x,
+                             pvcore._action_columns(pv, x))
+
+
+def _restricted_ad_square(pv, subset, x):
+    """M transposed of the restriction to ``subset`` at the projection of x,
+    from the restricted instance, with the roots of its coordinates put
+    back, its own action matrix and its own brackets."""
+    coords = [c for i in subset for c in pv.components[i]]
+    sub = dataclasses.replace(restrict(pv, subset), roots=tuple(pv.roots[c] for c in coords))
+    y = [x[c] for c in coords]
+    return pvcore._ad_square(sub, chevalley_basis(pv.diagram.type), y,
+                             pvcore._action_columns(sub, y))
+
+
+def test_principal_minor_is_the_restricted_m(monkeypatch):
+    # A piece verdict reads the principal submatrix of its diagram's M at the
+    # sum's coordinates, which is the sum's own M at the projected point (see
+    # the pvcore docstring).  Built the long way, from the restricted
+    # instance, it must be the same matrix on every proper sum of the sweep
+    # diagrams up to rank 5, and on every proper sum the lattice queries
+    # while classifying the nine large diagrams.
+    def minor(mt, pv, subset):
+        coords = [c for i in subset for c in pv.components[i]]
+        return [[mt[r][c] for c in coords] for r in coords]
+
     checked = 0
-    for t in SWEEP_TYPES:
-        for size in range(2, t.rank + 1):
-            for circled in itertools.combinations(range(1, t.rank + 1), size):
-                d = WeightedDiagram(t, circled)
-                lattice = SubsetLattice(build_parabolic_pv(d))
-                for k in range(1, size):
-                    for subset in itertools.combinations(lattice.full, k):
-                        gamma = [d.circled[i] for i in subset]
-                        direct = lattice.regular(subset).regular
-                        pieces = all(piece_regular(p) for _, p in subdiagram(d, gamma).pieces)
-                        assert direct == pieces, (render_compact(d), gamma)
-                        assert lattice.is_regular_sum(subset) == direct
-                        checked += 1
-    assert checked == 11698
+    for d in _sweep():
+        if d.type.rank <= 5:
+            pv = build_parabolic_pv(d)
+            x = is_regular(pv).generic_point
+            mt = _full_ad_square(pv, x)
+            for k in range(1, len(d.circled)):
+                for subset in itertools.combinations(range(len(d.circled)), k):
+                    assert minor(mt, pv, subset) == _restricted_ad_square(pv, subset, x), (d, subset)
+                    checked += 1
+    queried = []
+    original = SubsetLattice.is_regular_sum
+
+    def recording(lattice, subset):
+        queried.append((lattice, subset))
+        return original(lattice, subset)
+
+    monkeypatch.setattr(SubsetLattice, "is_regular_sum", recording)
+    large = 0
+    for text in FROZEN_LARGE:
+        queried.clear()
+        classify(parse_diagram(text), "both", 0)
+        [lattice] = {lattice for lattice, _ in queried}
+        pv, x = lattice.pv, lattice.regular(lattice.full).generic_point
+        mt = _full_ad_square(pv, x)
+        for subset in {subset for _, subset in queried} - {lattice.full}:
+            assert minor(mt, pv, subset) == _restricted_ad_square(pv, subset, x), (text, subset)
+            large += 1
+    assert (checked, large) == (960, 26)
 
 
 def test_full_reports_equal_the_piece_verdicts_before_them(monkeypatch):
@@ -148,8 +226,7 @@ def test_full_reports_equal_the_piece_verdicts_before_them(monkeypatch):
     # descending order (E6, D7 ... A1, most circles first), the sweep meets
     # most multi-circle diagrams as pieces before their own full reports,
     # and each full report must equal the piece verdict already there.
-    sweep = [WeightedDiagram(t, circled) for t in SWEEP_TYPES for size in range(2, t.rank + 1)
-             for circled in itertools.combinations(range(1, t.rank + 1), size)]
+    sweep = _sweep()
     for seed in (0, 1):
         table: dict = {}
         monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", table)
@@ -162,60 +239,6 @@ def test_full_reports_equal_the_piece_verdicts_before_them(monkeypatch):
                 met += 1
             assert table[d] == regular, d
         assert met == 242, seed
-
-
-def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
-    # ad_square_regular decides regularity from M = A_x B_x, with no
-    # isotropy kernel and no Gram matrix.  On every sweep diagram at seed 0
-    # it must agree with is_regular on the full instance and on the direct
-    # restriction to every proper sum the lattice queries while classifying.
-    # Each of those is a product of parabolic PVs, so by Vinberg's theorem
-    # it is prehomogeneous, and the report must say so.  M is built at the
-    # full report's point, projected onto the sum's coordinates.
-    queried, points = [], []
-    original, ad_square = SubsetLattice.is_regular_sum, pvcore._ad_square
-
-    def recording(lattice, subset):
-        queried.append(subset)
-        return original(lattice, subset)
-
-    def recording_ad_square(pv, alg, x, a):
-        points.append(tuple(x))
-        return ad_square(pv, alg, x, a)
-
-    def verdict_and_point(pv, subset, point):
-        points.clear()
-        verdict = pvcore.ad_square_regular(pv, subset, point)
-        [x] = points
-        return verdict, x
-
-    monkeypatch.setattr(SubsetLattice, "is_regular_sum", recording)
-    monkeypatch.setattr(pvcore, "_ad_square", recording_ad_square)
-    fulls = sums = regular_sums = 0
-    for t in SWEEP_TYPES:
-        for size in range(2, t.rank + 1):
-            for circled in itertools.combinations(range(1, t.rank + 1), size):
-                d = WeightedDiagram(t, circled)
-                lattice = SubsetLattice(build_parabolic_pv(d))
-                queried.clear()
-                lattice.q_irreducibility()
-                lattice.completely_q_reducible(lattice.full)
-                report = lattice.regular(lattice.full)
-                assert report.prehomogeneous, d
-                x = report.generic_point
-                verdict = verdict_and_point(lattice.pv, lattice.full, x)
-                assert verdict == (report.regular, x), d
-                fulls += 1
-                for subset in set(queried) - {lattice.full}:
-                    report = is_regular(restrict(lattice.pv, subset))
-                    assert report.prehomogeneous, (d, subset)
-                    direct = report.regular
-                    verdict = verdict_and_point(lattice.pv, subset, x)
-                    projection = tuple(x[c] for i in subset for c in lattice.pv.components[i])
-                    assert verdict == (direct, projection), (d, subset)
-                    sums += 1
-                    regular_sums += direct
-    assert (fulls, sums, regular_sums) == (927, 6128, 2052)
 
 
 def _ad_square_by_index(pv, d, x, a):
@@ -242,11 +265,11 @@ def test_ad_square_reads_the_brackets_the_basis_indices_give(monkeypatch):
     # _ad_square reads each bracket by root (the coroot and N(s, -r)); the
     # reference expands the same brackets through e_index and bracket.  They
     # must agree row for row at the first candidate of every sweep diagram
-    # and of the nine large ones, and on every restriction ad_square_regular
-    # decides in a seed-0 sweep pass from an empty piece-verdict table, where
-    # the full reports that take their form determinant from det M join in.
-    diagrams = [WeightedDiagram(t, circled) for t in SWEEP_TYPES for size in range(2, t.rank + 1)
-                for circled in itertools.combinations(range(1, t.rank + 1), size)]
+    # and of the nine large ones, and on every M built in a seed-0 sweep pass
+    # from an empty piece-verdict table: one per lattice with a piece-verdict
+    # miss, plus one per full report that takes its form determinant from
+    # det M, all on full instances.
+    diagrams = _sweep()
     for d in diagrams + [parse_diagram(s) for s in FROZEN_LARGE]:
         pv = build_parabolic_pv(d)
         x = next(pvcore._candidates(pv, 0))
@@ -256,14 +279,14 @@ def test_ad_square_reads_the_brackets_the_basis_indices_give(monkeypatch):
     decided, built = [], []
     decide, ad_square = pvcore.ad_square_regular, pvcore._ad_square
 
-    def checking(pv, subset, x):
+    def checking(pv, subset, mt):
         decided.append(pv.diagram)
-        return decide(pv, subset, x)
+        return decide(pv, subset, mt)
 
-    def compared(pv, alg, x, a):  # a full report's det M passes its own diagram
+    def compared(pv, alg, x, a):
         mt = ad_square(pv, alg, x, a)
-        assert mt == _ad_square_by_index(pv, pv.diagram or decided[-1], x, a), pv.name
-        built.append(pv.diagram is None)
+        assert mt == _ad_square_by_index(pv, pv.diagram, x, a), pv.name
+        built.append(pv.diagram)
         return mt
 
     monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
@@ -271,7 +294,7 @@ def test_ad_square_reads_the_brackets_the_basis_indices_give(monkeypatch):
     monkeypatch.setattr(pvcore, "_ad_square", compared)
     for d in diagrams:
         classify(d, "both", 0)
-    assert (len(decided), built.count(True), built.count(False)) == (67, 67, 158)
+    assert (len(decided), len(built)) == (67, 225) and None not in built
 
 
 def test_regular_reports_carry_an_sl2_triple():
@@ -327,8 +350,7 @@ def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):
         return gram(pv, iso)
 
     monkeypatch.setattr(pvcore, "is_reductive", recording_gram)
-    sweep = [WeightedDiagram(t, circled) for t in SWEEP_TYPES for size in range(2, t.rank + 1)
-             for circled in itertools.combinations(range(1, t.rank + 1), size)]
+    sweep = _sweep()
     large_json = json.loads((DATA / "large_classify_seed0.json").read_text())
     large = [parse_diagram(text) for text in large_json]
     for seed in (0, 1):

@@ -318,20 +318,11 @@ def test_characters_are_independent(monkeypatch):
 
 def test_roots_follow_the_level_one_split():
     # A parabolic instance keeps the level-1 root of each coordinate, in
-    # the order of grading.components; a restriction keeps the roots of
-    # its coordinates and a subalgebra instance all of them.
+    # the order of grading.components; the matrix models have none.
     for d in SWEEP:
         pv = build_parabolic_pv(d)
         split = [c.roots for c in grading.components(d)]
         assert pv.roots == tuple(r for roots in split for r in roots), d
-        if d.type.rank <= 5:
-            for k in range(1, len(split)):
-                for subset in itertools.combinations(range(len(split)), k):
-                    want = tuple(r for i in subset for r in split[i])
-                    assert restrict(pv, subset).roots == want, (d, subset)
-    pv = build_parabolic_pv(parse_diagram("A3[1,3]"))
-    iso = is_regular(pv).isotropy_basis
-    assert pvcore.subalgebra_instance(pv, iso).roots == pv.roots
     assert build_model("dual-pair:n=2").instance.roots is None
 
 
@@ -376,9 +367,9 @@ def test_shared_piece_verdict_is_computed_once(monkeypatch):
     names = []
     original = pvcore.ad_square_regular
 
-    def counting(pv, subset, x):
+    def counting(pv, subset, mt):
         names.append(restrict(pv, subset).name)
-        return original(pv, subset, x)
+        return original(pv, subset, mt)
 
     monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
     monkeypatch.setattr(pvcore, "ad_square_regular", counting)
@@ -409,9 +400,9 @@ def test_piece_verdicts_are_shared_across_seeds(monkeypatch):
     names = []
     original = pvcore.ad_square_regular
 
-    def counting(pv, subset, x):
+    def counting(pv, subset, mt):
         names.append(restrict(pv, subset).name)
-        return original(pv, subset, x)
+        return original(pv, subset, mt)
 
     monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
     monkeypatch.setattr(pvcore, "ad_square_regular", counting)
@@ -423,29 +414,37 @@ def test_piece_verdicts_are_shared_across_seeds(monkeypatch):
 
 
 def test_piece_verdicts_search_no_restriction(monkeypatch):
-    # A piece verdict projects its diagram's certified point, so a seed-0
-    # sweep pass from an empty piece-verdict table draws candidates only for
-    # full reports, never for a restriction (a name with a "/").
-    names = []
-    candidates = pvcore._candidates
+    # A piece verdict reads a principal minor of its diagram's M at the
+    # certified point, so a seed-0 sweep pass from an empty piece-verdict
+    # table draws candidates only for full reports, never for a restriction
+    # (a name with a "/"), and calls restrict once per diagram, on its full
+    # subset, for the full report: no restricted instance is built.
+    names, full = [], []
+    candidates, restriction = pvcore._candidates, pvcore.restrict
 
     def recording(pv, seed):
         names.append(pv.name)
         return candidates(pv, seed)
 
+    def recording_restrict(pv, indices):
+        full.append(sorted(set(indices)) == list(range(len(pv.components))))
+        return restriction(pv, indices)
+
     monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
     monkeypatch.setattr(pvcore, "_candidates", recording)
+    monkeypatch.setattr(pvcore, "restrict", recording_restrict)
     for d in SWEEP:
         classify(d, "both", 0)
     assert len(names) == 985 and not [name for name in names if "/" in name]
+    assert len(full) == 927 and all(full)
     assert len(pvcore._PIECE_VERDICTS) == 994
 
 
 def test_level_one_is_split_once_per_diagram(monkeypatch):
     # The builder splits level 1 and keeps the split as the instance's
-    # roots; ad_square_regular and the det M determinant read those.  An
-    # empty piece-verdict table makes ad_square_regular run whatever tests
-    # ran before this one.
+    # roots; M = A_x B_x reads those, for piece verdicts and for the det M
+    # determinant.  An empty piece-verdict table makes the piece verdicts
+    # run whatever tests ran before this one.
     diagrams = [WeightedDiagram(SimpleType(family, 5), circled)
                 for family in "AD" for size in (2, 3, 4)
                 for circled in itertools.combinations(range(1, 6), size)]
