@@ -161,6 +161,43 @@ def test_piece_verdicts_match_direct_restriction():
     assert (fulls, sums, regular_sums) == (927, 11698, 5199)
 
 
+def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
+    # ad_square_regular decides regularity from M = A_x B_x, with no
+    # isotropy kernel and no Gram matrix.  On every sweep diagram at seed 0
+    # it must agree with is_regular on the full instance and on the direct
+    # restriction to every proper sum the lattice queries while classifying.
+    # Each of those is a product of parabolic PVs, so by Vinberg's theorem
+    # it is prehomogeneous, and the report must say so.  M is built once per
+    # diagram, at the full report's point.
+    queried = []
+    original = SubsetLattice.is_regular_sum
+
+    def recording(lattice, subset):
+        queried.append(subset)
+        return original(lattice, subset)
+
+    monkeypatch.setattr(SubsetLattice, "is_regular_sum", recording)
+    fulls = sums = regular_sums = 0
+    for d in _sweep():
+        lattice = SubsetLattice(build_parabolic_pv(d))
+        queried.clear()
+        lattice.q_irreducibility()
+        lattice.completely_q_reducible(lattice.full)
+        report = lattice.regular(lattice.full)
+        assert report.prehomogeneous, d
+        mt = _full_ad_square(lattice.pv, report.generic_point)
+        assert pvcore.ad_square_regular(lattice.pv, lattice.full, mt) == report.regular, d
+        fulls += 1
+        for subset in set(queried) - {lattice.full}:
+            report = is_regular(restrict(lattice.pv, subset))
+            assert report.prehomogeneous, (d, subset)
+            direct = report.regular
+            assert pvcore.ad_square_regular(lattice.pv, subset, mt) == direct, (d, subset)
+            sums += 1
+            regular_sums += direct
+    assert (fulls, sums, regular_sums) == (927, 6128, 2052)
+
+
 def _full_ad_square(pv, x):
     """M transposed of a parabolic instance at x, as the lattice builds it."""
     return pvcore._ad_square(pv, chevalley_basis(pv.diagram.type), x,
