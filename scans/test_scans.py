@@ -8,7 +8,7 @@ diagrams of the ranks where the A, B, C and D1 rows grow new members, and
 the three-circle diagrams of D10 and D11, where the D3 row sits.
 
 The sl2-triple of every regular report of the second catalog (rank 8 of
-A-D, E7, E8, F4, G2) is checked here too, with the helper the tier-1 check
+A-D, E7, E8, F4, G2) is checked here too, with the helpers the tier-1 check
 on the sweep uses.
 
 Run from the repository root with ``PYTHONPATH=src python -m pytest -q scans``.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from pvlab.pvcore import build_parabolic_pv, is_regular
 from pvlab.rootsys import SimpleType
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "tests"))
-from _instances import SECOND_CATALOG_TYPES, sl2_triple_neutral  # noqa: E402
+from _instances import SECOND_CATALOG_TYPES, grading_pairing, sl2_triple_neutral  # noqa: E402
 
 # (type, circle count or None for every count >= 2) -> frozen hits.
 SCANS = {
@@ -68,14 +69,21 @@ def test_scan_hits_are_frozen(name, size):
 
 def test_second_catalog_regular_reports_carry_an_sl2_triple():
     # y = 2 M^-1 x and H = [x, y] satisfy [[x, y], x] = 2x and [H, y] = -2y
-    # exactly on every regular report of the second catalog at seed 0.
-    regular = 0
+    # exactly on every regular report of the second catalog at seed 0, and
+    # H = H_0 exactly when the grading element's Killing pairing vanishes on
+    # every isotropy vector.
+    regular, neutral = 0, 0
     for t in SECOND_CATALOG_TYPES:
         for size in range(2, t.rank + 1):
             for circled in itertools.combinations(range(1, t.rank + 1), size):
-                pv = build_parabolic_pv(WeightedDiagram(t, circled))
+                d = WeightedDiagram(t, circled)
+                pv = build_parabolic_pv(d)
                 report = is_regular(pv)
                 if report.regular:
-                    sl2_triple_neutral(pv, report.generic_point)
+                    w = grading_pairing(d)
+                    # w . a[:rank]: map stops at w's end, the Cartan coordinates
+                    pairs_to_zero = all(sum(map(mul, w, a)) == 0 for a in report.isotropy_basis)
+                    assert pairs_to_zero == sl2_triple_neutral(pv, report.generic_point), d
                     regular += 1
-    assert regular == 389
+                    neutral += pairs_to_zero
+    assert (regular, neutral) == (389, 138)

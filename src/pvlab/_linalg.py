@@ -24,10 +24,10 @@ A mod-p elimination is provided as a fast certificate: it reduces the rows
 scaled to integers by :func:`_integer_row` mod the Mersenne prime P61.
 Scaling a row by a nonzero integer keeps its rank over Q, and the rank mod
 p never exceeds the rank over Z, so reaching the maximal possible rank mod
-p proves it exactly.  An exact elimination certifies the same thing with
-no mod-p pass: its last pivot d is a minor of the rank's size, so when
-d mod P61 is nonzero the rank mod p is the exact rank
-(:func:`kernel_basis` returns d).
+p proves it exactly.  An exact elimination's last pivot d is a minor of the
+rank's size (:func:`kernel_basis` returns it); ``pvcore`` reads d as
+det(A_P) for a form determinant, never d mod P61, since each of its
+generic-point draws is certified by its exact rank.
 """
 from __future__ import annotations
 
@@ -193,8 +193,8 @@ def kernel_basis(rows: Mat) -> tuple[list[list[int]], int, int]:
     With the reduced row echelon form ``m / d``, the vector of free column f
     is ``d e_f - sum_r m[r][f] e_{pivot r}``, made primitive.  d is, up to
     sign, a rank x rank minor of the rows scaled to integers by
-    :func:`_integer_row`, so d mod P61 != 0 certifies that
-    :func:`modp_rank` reaches the exact rank.
+    :func:`_integer_row`; ``pvcore`` reads it as +-det(A_P) in a form
+    determinant, not mod P61.
     """
     ncols = len(rows[0]) if rows else 0
     m, pivots, d, _, _ = _echelon(rows, True)

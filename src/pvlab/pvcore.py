@@ -97,15 +97,12 @@ two complementary minors, and the one exact elimination of A_x gives both
 the isotropy basis and det(A_P).  Restrictions, subalgebra instances and
 the matrix models have no diagram and keep the Gram determinant.
 
-All verdicts use exact rational arithmetic.  A large-prime modular rank is
-used as a fast certificate during candidate selection and for M; it can
-only under-report.  A full report needs no modular rank when its first
-candidate is certified by the exact elimination itself: rank
-min(dim V, dim g_0) with a last pivot d, a maximal minor up to sign, that
-is nonzero mod P61 proves the modular rank full, so the search would stop
-at that same candidate.  Every reported rank comes from an exact kernel,
-and a piece verdict from full rank mod p or, failing that, an exact
-determinant.
+All verdicts use exact rational arithmetic.  A full report certifies its
+generic point by the exact elimination of A_x itself (:func:`is_regular`),
+so every reported rank comes from an exact kernel.  A large-prime modular
+rank serves only the principal minors of M: full rank mod p, which can only
+under-report, certifies a piece verdict, and failing that an exact
+determinant decides.
 """
 from __future__ import annotations
 
@@ -117,7 +114,7 @@ from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import grading
-from ._linalg import P61, det, kernel_basis, modp_rank, rank
+from ._linalg import det, kernel_basis, modp_rank, rank
 from ._rand import Stream
 from .chevalley import ChevalleyBasis, chevalley_basis
 from .diagram import WeightedDiagram, render_compact, subdiagram
@@ -288,9 +285,10 @@ class RegularityReport:
     form_determinant: Fraction
 
 
-# Draws before the search gives up.  The loop stops at the first draw of
-# full rank, so raising the count keeps every point found within fewer draws;
-# at 8, all draws of B6[1,2,3,4,5] at seed 9,002,031 missed the open orbit.
+# Draws before :func:`is_regular` gives up.  Each draw is certified by its own
+# exact elimination and the loop stops at the first of full rank, so raising
+# the count keeps every point found within fewer draws; at 8, all draws of
+# B6[1,2,3,4,5] at seed 9,002,031 missed the open orbit.
 CANDIDATES = 32
 
 
@@ -308,23 +306,6 @@ def _candidates(pv: PVInstance, seed: int):
     stream = Stream(seed, context="generic:" + pv.name)
     for _ in range(CANDIDATES):
         yield stream.vector(pv.dim_v)
-
-
-def _generic_draw(pv: PVInstance, seed: int) -> tuple[list, list[list], int]:
-    """The seeded generic-point draw: x, its action matrix A_x and the
-    mod-p rank of A_x.  x is the first of the :func:`_candidates` whose
-    rank reaches min(dim_v, dim_g), or else the first draw of the highest
-    rank."""
-    cap = min(pv.dim_v, pv.dim_g)
-    best_x, best_cols, best_r = None, None, -1
-    for x in _candidates(pv, seed):
-        cols = _action_columns(pv, x)
-        r = modp_rank(cols)
-        if r > best_r:
-            best_x, best_cols, best_r = x, cols, r
-        if best_r == cap:
-            break
-    return best_x, best_cols, best_r
 
 
 def _gram(form: Matrix, vectors: Sequence[Sequence]) -> list[list]:
@@ -372,25 +353,27 @@ def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
     """Full verdict at a seeded generic point, everything exact.
 
     This is the one path from an instance and a seed to a point and its
-    isotropy: x is the point of :func:`_generic_draw`, the isotropy basis
-    and the orbit rank come from the exact kernel of A_x, and the form
-    determinant from that basis.  The first candidate is certified by its
-    own kernel, with no mod-p search: when the elimination of A_x reaches
-    rank min(dim_v, dim_g) with a last pivot d that is nonzero mod P61, d is
-    a maximal minor of A_x (up to sign and row scaling), so the mod-p rank
-    of A_x is full and :func:`_generic_draw` would return this same draw.
-    Otherwise :func:`_generic_draw` searches.  An instance with a
-    ``diagram`` is prehomogeneous (Vinberg), so there an orbit rank below
-    dim_v raises :class:`NonGenericPoint` instead of becoming a verdict.
-    There, when the isotropy is larger than dim_v, the form determinant
-    comes from det M at the same point (:func:`_ad_square_determinant`);
-    otherwise it is the Gram determinant (:func:`is_reductive`)."""
-    x = next(_candidates(pv, seed))
-    a = _action_columns(pv, x)
-    iso, orbit_rank, d = kernel_basis(a)
-    if orbit_rank < min(pv.dim_v, pv.dim_g) or d % P61 == 0:
-        x, a, _ = _generic_draw(pv, seed)
+    isotropy.  Each of the :func:`_candidates` in turn gets its action
+    matrix A_x and the exact kernel of A_x, and x is the first draw whose
+    orbit rank reaches min(dim_v, dim_g), or else the first draw of the
+    highest rank.  The isotropy basis, the orbit rank and the form
+    determinant all come from that draw's one elimination, so a draw that
+    misses costs one exact elimination and no draw is eliminated twice.  An
+    instance with a ``diagram`` is prehomogeneous (Vinberg), so there an
+    orbit rank below dim_v raises :class:`NonGenericPoint` instead of
+    becoming a verdict.  There, when the isotropy is larger than dim_v, the
+    form determinant comes from det M at the same point
+    (:func:`_ad_square_determinant`); otherwise it is the Gram determinant
+    (:func:`is_reductive`)."""
+    best = None
+    for x in _candidates(pv, seed):
+        a = _action_columns(pv, x)
         iso, orbit_rank, d = kernel_basis(a)
+        if best is None or orbit_rank > best[3]:
+            best = x, a, iso, orbit_rank, d
+            if orbit_rank == min(pv.dim_v, pv.dim_g):
+                break
+    x, a, iso, orbit_rank, d = best
     preh = orbit_rank == pv.dim_v
     if pv.diagram is not None and not preh:
         raise NonGenericPoint(f"{pv.name}: orbit rank {orbit_rank} below {pv.dim_v} "

@@ -8,10 +8,12 @@ The tests are the only readers of the dense matrices.
 
 It also holds the small helpers that several test modules share: an
 identity matrix, a simple root, the Cartan integer of two adjacent nodes
-read from their lengths, the exact isotropy basis at a point, and the
-Hessian product identity, a rank reference for the graded-logarithm
-differential that ``pvcore.verify_invariant`` certifies by Euler's
-identities.
+read from their lengths, the exact isotropy basis at a point, a
+generic-point search by mod-p ranks alone (a reference for the point
+``pvcore.is_regular`` certifies), the Killing pairing with the grading
+element, and the Hessian product identity, a rank reference for the
+graded-logarithm differential that ``pvcore.verify_invariant`` certifies
+by Euler's identities.
 """
 from __future__ import annotations
 
@@ -100,6 +102,41 @@ def length_rule(rs, alpha: int, beta: int) -> int:
 def isotropy_algebra(pv, x) -> list[list[int]]:
     """Exact kernel basis of a -> (sum a_i op_i) x, in algebra coordinates."""
     return _linalg.kernel_basis(pvcore._action_columns(pv, x))[0]
+
+
+def searched_draw(pv, seed: int) -> tuple[int, ...]:
+    """The generic point found by mod-p ranks alone: the first of
+    ``pvcore._candidates`` whose action matrix reaches rank
+    min(dim_v, dim_g) mod P61, or else the first draw of the highest such
+    rank.  A reference for the point ``pvcore.is_regular`` certifies by
+    exact eliminations."""
+    cap = min(pv.dim_v, pv.dim_g)
+    best_x, best_r = None, -1
+    for x in pvcore._candidates(pv, seed):
+        r = _linalg.modp_rank(pvcore._action_columns(pv, x))
+        if r > best_r:
+            best_x, best_r = x, r
+        if best_r == cap:
+            break
+    return tuple(best_x)
+
+
+def grading_pairing(d) -> list[int]:
+    """w with w_i = sum over the positive roots g of level(g) g(H_i), level(g)
+    being g's coefficient sum at the circled nodes.
+
+    The Killing form K(H_0, a) of the grading element with a in g_0 is
+    2 sum_r level(r) r(a) over all roots r, which is 4 w . a[:rank]: it reads
+    only a's Cartan coordinates, the first ``rank`` of the operator basis of
+    ``pvcore.build_parabolic_pv``.  The neutral element H of a regular
+    report's sl2-triple lies in H_0 + h and in the K-orthogonal of the
+    isotropy h, on which K is nondegenerate (see the pvcore docstring), so
+    H = H_0 exactly when w . a[:rank] = 0 for every isotropy vector a."""
+    alg = chevalley_basis(d.type)
+    levels = [sum(g[a - 1] for a in d.circled) for g in alg.rs.positive]
+    # the positive roots' pairing rows come first, so zip stops after them
+    return [sum(level * row[i] for level, row in zip(levels, alg.pairings))
+            for i in range(alg.rank)]
 
 
 def lie_bracket(alg, u: dict, v: dict) -> dict:

@@ -32,7 +32,7 @@ from pvlab.pvcore import (Invariant, SubsetLattice, build_parabolic_pv,
                           decompose_filtration, is_regular, q_irreducible, restrict)
 from pvlab.rootsys import SimpleType, build_root_system, split_pieces
 
-from _instances import (FROZEN_LARGE, SECOND_CATALOG_TYPES, dense_operator,
+from _instances import (FROZEN_LARGE, SECOND_CATALOG_TYPES, dense_operator, grading_pairing,
                         hessian_product_identity_check, identity, isotropy_algebra, length_rule,
                         lie_bracket, simple_root, sl2_triple_neutral)
 
@@ -337,18 +337,25 @@ def test_ad_square_reads_the_brackets_the_basis_indices_give(monkeypatch):
 def test_regular_reports_carry_an_sl2_triple():
     # With M = A_x B_x invertible on all of level 1, y = 2 M^-1 x and
     # H = [x, y] form an sl2-triple, checked exactly with the Chevalley
-    # brackets (see the pvcore docstring).  The second catalog's 389 regular
-    # reports are checked in scans/.
-    regular = 0
+    # brackets (see the pvcore docstring).  Its neutral element H is the
+    # grading element H_0 exactly when the Killing pairing of H_0 with every
+    # isotropy vector vanishes, one dot product each (grading_pairing).  The
+    # second catalog's 389 regular reports are checked in scans/.
+    regular, neutral = 0, 0
     for t in SWEEP_TYPES:
         for size in range(2, t.rank + 1):
             for circled in itertools.combinations(range(1, t.rank + 1), size):
-                pv = build_parabolic_pv(WeightedDiagram(t, circled))
+                d = WeightedDiagram(t, circled)
+                pv = build_parabolic_pv(d)
                 report = is_regular(pv)
                 if report.regular:
-                    sl2_triple_neutral(pv, report.generic_point)
+                    w = grading_pairing(d)
+                    # w . a[:rank]: map stops at w's end, the Cartan coordinates
+                    pairs_to_zero = all(sum(map(mul, w, a)) == 0 for a in report.isotropy_basis)
+                    assert pairs_to_zero == sl2_triple_neutral(pv, report.generic_point), d
                     regular += 1
-    assert regular == 329
+                    neutral += pairs_to_zero
+    assert (regular, neutral) == (329, 161)
 
 
 # The Q-irreducible hits of both catalogs whose sl2-triple (y, H, x) has the

@@ -155,6 +155,33 @@ def test_family_match_is_invariant_under_diagram_automorphisms():
     assert moved == 43806
 
 
+def test_oracle_verdicts_are_invariant_under_diagram_automorphisms():
+    # The same lifted automorphism makes every exact verdict of a diagram
+    # and its image agree, and with them the isotropy dimension and whether
+    # a regular proper sum exists.  Each multi-circle diagram of A1-A8,
+    # D4-D8 (with triality) and E6 runs at seed 0 and each of its images at
+    # seed 1, so the two reports read different generic points.  Two
+    # trialities that give a D4 diagram the same image count once.
+    types = ([SimpleType("A", n) for n in range(1, 9)]
+             + [SimpleType("D", n) for n in range(4, 9)] + [SimpleType("E", 6)])
+    pairs = 0
+    for t in types:
+        for size in range(2, t.rank + 1):
+            for circled in itertools.combinations(range(1, t.rank + 1), size):
+                images = {tuple(sorted(sigma.get(a, a) for a in circled))
+                          for sigma in _automorphisms(t)} - {circled}
+                r1 = classify(WeightedDiagram(t, circled), "oracle", 0)
+                for image in sorted(images):
+                    pairs += 1
+                    r2 = classify(WeightedDiagram(t, image), "oracle", 1)
+                    assert r1.verdicts == r2.verdicts, (str(t), circled, image)
+                    w1, w2 = r1.witnesses, r2.witnesses
+                    assert w1.isotropy_dim == w2.isotropy_dim, (str(t), circled, image)
+                    assert (w1.regular_gamma is None) == (w2.regular_gamma is None), (
+                        str(t), circled, image)
+    assert pairs == 712
+
+
 # ---------------------------------------------------------------------------
 # adjacent-circle splits
 

@@ -31,7 +31,7 @@ from pvlab.rootsys import SimpleType
 
 from _instances import (FROZEN_ENUMERATED, FROZEN_LARGE, IdentityViolation, dense_operator,
                         dense_repr, dense_rows, hessian_product_identity_check,
-                        isotropy_algebra)
+                        isotropy_algebra, searched_draw)
 
 
 def test_parabolic_instance_shapes():
@@ -240,21 +240,20 @@ SWEEP = [WeightedDiagram(SimpleType(f, n), circled)
          for circled in itertools.combinations(range(1, n + 1), size)]
 
 
-def test_certified_first_draw_is_the_searched_draw():
-    # is_regular accepts its first candidate on the kernel's own certificate
-    # (full exact rank, last pivot nonzero mod P61), with no mod-p search:
-    # the point must be the one the search would have returned.
+def test_generic_point_is_the_searched_draw():
+    # is_regular certifies each draw by its own exact elimination; the point
+    # must be the one a search by mod-p ranks alone returns.
     assert len(SWEEP) == 927
     for d in SWEEP + [parse_diagram(text) for text in FROZEN_LARGE]:
         pv = build_parabolic_pv(d)
         for seed in (0, 1):
-            assert is_regular(pv, seed).generic_point == tuple(pvcore._generic_draw(pv, seed)[0]), d
+            assert is_regular(pv, seed).generic_point == searched_draw(pv, seed), d
 
 
 @pytest.mark.parametrize("text", ["A3[1,3]", "E6[1,2]", "D7[2,6,7]"])
 def test_uncertified_first_draw_falls_back_to_the_search(monkeypatch, text):
-    # A zero first draw has rank 0, so is_regular falls back to the mod-p
-    # search, whose own first draw is the stream's first real vector.
+    # A zero first draw has rank 0, so is_regular goes on to the next draw,
+    # the stream's first real vector, and gives the unpatched report.
     pv = build_parabolic_pv(parse_diagram(text))
     expected = is_regular(pv, 0)
     vector, calls = Stream.vector, []
@@ -266,8 +265,31 @@ def test_uncertified_first_draw_falls_back_to_the_search(monkeypatch, text):
     monkeypatch.setattr(Stream, "vector", zero_first)
     report = is_regular(pv, 0)
     assert len(calls) >= 2
-    assert report.generic_point == tuple(pvcore._generic_draw(pv, 0)[0])
     assert report == expected
+
+
+def test_a_short_orbit_exhausts_every_draw(monkeypatch):
+    # so(3) on C^3 has orbit rank 2 < dim_v = 3 at every point, so the loop
+    # runs through all CANDIDATES draws and keeps the first, with no patched
+    # stream.  Its isotropy at x is the rotations about x, an so(2), on which
+    # the trace form -2 tr is nondegenerate.
+    operators = [[(a, b, 1), (b, a, -1)] for a, b in ((0, 1), (0, 2), (1, 2))]  # E_ab - E_ba
+    pv = pvcore.make_instance("so3", operators, 3, [[(i, -2)] for i in range(3)], [],
+                              [(0, 1, 2)], ["C^3"])
+    drawn = []
+    candidates = pvcore._candidates
+
+    def recording(pv, seed):
+        for x in candidates(pv, seed):
+            drawn.append(x)
+            yield x
+
+    monkeypatch.setattr(pvcore, "_candidates", recording)
+    rep = is_regular(pv, 0)
+    assert (rep.prehomogeneous, rep.orbit_rank, rep.isotropy_dim, rep.reductive) == (
+        False, 2, 1, True)
+    assert rep.generic_point == (7, -7, 6) == tuple(drawn[0])
+    assert len(drawn) == pvcore.CANDIDATES == 32
 
 
 def test_closed_form_form_determinant_over_the_sweep():
@@ -416,9 +438,10 @@ def test_piece_verdicts_are_shared_across_seeds(monkeypatch):
 def test_piece_verdicts_search_no_restriction(monkeypatch):
     # A piece verdict reads a principal minor of its diagram's M at the
     # certified point, so a seed-0 sweep pass from an empty piece-verdict
-    # table draws candidates only for full reports, never for a restriction
-    # (a name with a "/"), and calls restrict once per diagram, on its full
-    # subset, for the full report: no restricted instance is built.
+    # table draws candidates only for full reports, one loop per report and
+    # never for a restriction (a name with a "/"), and calls restrict once
+    # per diagram, on its full subset, for the full report: no restricted
+    # instance is built.
     names, full = [], []
     candidates, restriction = pvcore._candidates, pvcore.restrict
 
@@ -435,7 +458,7 @@ def test_piece_verdicts_search_no_restriction(monkeypatch):
     monkeypatch.setattr(pvcore, "restrict", recording_restrict)
     for d in SWEEP:
         classify(d, "both", 0)
-    assert len(names) == 985 and not [name for name in names if "/" in name]
+    assert len(names) == 927 and not [name for name in names if "/" in name]
     assert len(full) == 927 and all(full)
     assert len(pvcore._PIECE_VERDICTS) == 994
 
