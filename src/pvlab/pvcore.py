@@ -63,9 +63,9 @@ at the sum's coordinates, and the product of these rows and columns is that
 principal submatrix.
 
 A full report prints the determinant of the form on its isotropy basis S,
-det(S F S^t), with F the form on g_0.  For an instance with a diagram whose
-isotropy dimension k is larger than dim V, :func:`is_regular` computes it
-from the dim V x dim V matrix M instead of the k x k Gram matrix:
+det(S F S^t), with F the form on g_0.  For an instance with a diagram,
+:func:`is_regular` can compute it from the dim V x dim V matrix M instead
+of the k x k Gram matrix, k the isotropy dimension:
 
     det(S F S^t) = det F * det M * prod_f c_f^2 / (prod_r kappa_r * det(A_P)^2).
 
@@ -91,11 +91,17 @@ from the dim V x dim V matrix M instead of the k x k Gram matrix:
    vectors, with k = K(e_g, e_-g), so det F = det K_h * prod_g (-k^2) over
    the positive level-0 roots g (:func:`_form_determinant`).
 
-Here M is nonsingular exactly when the Gram matrix is, and the choice
-depends only on the dimensions, so each report computes the smaller of the
-two complementary minors, and the one exact elimination of A_x gives both
-the isotropy basis and det(A_P).  Restrictions, subalgebra instances and
-the matrix models have no diagram and keep the Gram determinant.
+Here M is nonsingular exactly when the Gram matrix is, and both give the
+same value, so each report computes the cheaper of the two complementary
+minors, and the one exact elimination of A_x gives both the isotropy basis
+and det(A_P).  The cost rule reads three numbers that the elimination has
+already given: dim V, k and the bit length b of the last pivot d, with no
+scan of the kernel entries.  The entries of M are small, while a Gram
+entry sums products of two kernel entries of about b bits each, so det M
+is taken when 24 dim V^3 < k^3 (2b + 8), constants fitted on diagrams of
+rank 8 to 20.  The report then keeps M^T, and its diagram's piece verdicts
+read that same matrix.  Restrictions, subalgebra instances and the matrix
+models have no diagram and keep the Gram determinant.
 
 All verdicts use exact rational arithmetic.  A full report certifies its
 generic point by the exact elimination of A_x itself (:func:`is_regular`),
@@ -107,7 +113,7 @@ determinant decides.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul, sub
@@ -283,6 +289,9 @@ class RegularityReport:
     regular: bool
     n_fundamental_invariants: int
     form_determinant: Fraction
+    # M transposed at the generic point, when the form determinant came from
+    # det M: the lattice reads its piece verdicts from this same matrix.
+    ad_square: list[list] | None = field(default=None, repr=False, compare=False)
 
 
 # Draws before :func:`is_regular` gives up.  Each draw is certified by its own
@@ -361,10 +370,10 @@ def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
     misses costs one exact elimination and no draw is eliminated twice.  An
     instance with a ``diagram`` is prehomogeneous (Vinberg), so there an
     orbit rank below dim_v raises :class:`NonGenericPoint` instead of
-    becoming a verdict.  There, when the isotropy is larger than dim_v, the
-    form determinant comes from det M at the same point
-    (:func:`_ad_square_determinant`); otherwise it is the Gram determinant
-    (:func:`is_reductive`)."""
+    becoming a verdict.  There the form determinant comes from det M at the
+    same point (:func:`_ad_square_determinant`) whenever the cost rule of
+    the module docstring finds it cheaper, and the report keeps the M^T it
+    built; otherwise it is the Gram determinant (:func:`is_reductive`)."""
     best = None
     for x in _candidates(pv, seed):
         a = _action_columns(pv, x)
@@ -378,8 +387,11 @@ def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
     if pv.diagram is not None and not preh:
         raise NonGenericPoint(f"{pv.name}: orbit rank {orbit_rank} below {pv.dim_v} "
                               f"at {CANDIDATES} draws")
-    if pv.diagram is not None and len(iso) > pv.dim_v:
-        determinant = _ad_square_determinant(pv, x, a, iso, d)
+    mt = None
+    if pv.diagram is not None and 24 * pv.dim_v ** 3 < len(iso) ** 3 * (2 * d.bit_length() + 8):
+        alg = chevalley_basis(pv.diagram.type)
+        mt = _ad_square(pv, alg, x, a)
+        determinant = _ad_square_determinant(pv, alg, mt, iso, d)
     else:
         determinant = is_reductive(pv, iso).determinant
     return RegularityReport(
@@ -392,6 +404,7 @@ def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
         regular=preh and determinant != 0,
         n_fundamental_invariants=_invariant_count(pv, iso),
         form_determinant=determinant,
+        ad_square=mt,
     )
 
 
@@ -479,25 +492,25 @@ def _ad_square(pv: PVInstance, alg: ChevalleyBasis, x: Sequence, a: Matrix) -> l
     return mt
 
 
-def _ad_square_determinant(pv: PVInstance, x: Sequence, a: Matrix,
+def _ad_square_determinant(pv: PVInstance, alg: ChevalleyBasis, mt: Matrix,
                            iso: Sequence[Sequence], d: int) -> Fraction:
     """det(S F S^t), the form on the isotropy basis ``iso`` = S of a
     parabolic instance at x, from det M (see the module docstring):
 
         det F * det M * prod_f c_f^2 / (prod_r kappa_r * det(A_P)^2)
 
-    ``a`` is A_x, and ``iso`` and ``d`` are its kernel basis and last pivot
-    from :func:`~pvlab._linalg.kernel_basis`.  The vector of free column f
-    is d e_f - sum m[r][f] e_{p_r} with p_r < f, made primitive, so f is its
-    last nonzero coordinate and c_f the entry there.  A_x is an integer
+    ``pv`` is an instance of the algebra ``alg``, ``mt`` is M transposed at
+    x, as :func:`_ad_square` builds it, and ``iso`` and ``d`` are the kernel
+    basis and last pivot of A_x from :func:`~pvlab._linalg.kernel_basis`.
+    The vector of free column f is d e_f - sum m[r][f] e_{p_r} with
+    p_r < f, made primitive, so f is its last nonzero coordinate and c_f
+    the entry there.  A_x is an integer
     matrix of rank dim_v, so every row is a pivot row and
     det(A_P) = +-d; det F is :func:`_form_determinant`.
     """
-    alg = chevalley_basis(pv.diagram.type)
     scale = prod(next(v for v in reversed(s) if v) for s in iso)
     kappa = prod(alg.root_killing[r] for r in pv.roots)
-    return (_form_determinant(pv, alg) * det(_ad_square(pv, alg, x, a)) * scale ** 2
-            / (kappa * d ** 2))
+    return _form_determinant(pv, alg) * det(mt) * scale ** 2 / (kappa * d ** 2)
 
 
 def _form_determinant(pv: PVInstance, alg: ChevalleyBasis) -> Fraction:
@@ -561,8 +574,10 @@ class SubsetLattice:
     :func:`~pvlab.diagram.subdiagram` pieces, read from the process-wide
     table (see the module docstring).  A piece verdict missing from it is a
     principal minor of M = A_x B_x at the full report's generic point
-    (:func:`ad_square_regular`): the lattice builds M on its first miss,
-    and no restricted instance, isotropy kernel or Gram determinant.
+    (:func:`ad_square_regular`), with no restricted instance, isotropy
+    kernel or Gram determinant.  The lattice reads the M^T that the full
+    report kept for its form determinant, and builds M on its first miss
+    only when the report has none.
 
     >>> from pvlab.diagram import parse_diagram
     >>> lattice = SubsetLattice(build_parabolic_pv(parse_diagram("A3[1,3]")))
@@ -607,9 +622,12 @@ class SubsetLattice:
         if piece not in _PIECE_VERDICTS:
             own = tuple(i for i, a in enumerate(self.pv.diagram.circled) if a in nodes)
             if self._mt is None:
-                x = self.regular(self.full).generic_point
-                alg = chevalley_basis(self.pv.diagram.type)
-                self._mt = _ad_square(self.pv, alg, x, _action_columns(self.pv, x))
+                report = self.regular(self.full)
+                self._mt = report.ad_square
+                if self._mt is None:
+                    x = report.generic_point
+                    alg = chevalley_basis(self.pv.diagram.type)
+                    self._mt = _ad_square(self.pv, alg, x, _action_columns(self.pv, x))
             _PIECE_VERDICTS[piece] = ad_square_regular(self.pv, own, self._mt)
         return _PIECE_VERDICTS[piece]
 

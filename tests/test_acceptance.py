@@ -302,12 +302,15 @@ def test_ad_square_reads_the_brackets_the_basis_indices_give(monkeypatch):
     # _ad_square reads each bracket by root (the coroot and N(s, -r)); the
     # reference expands the same brackets through e_index and bracket.  They
     # must agree row for row at the first candidate of every sweep diagram
-    # and of the nine large ones, and on every M built in a seed-0 sweep pass
-    # from an empty piece-verdict table: one per lattice with a piece-verdict
-    # miss, plus one per full report that takes its form determinant from
-    # det M, all on full instances.
+    # and of the nine large ones, and on every M built in a seed-0 pass over
+    # the sweep, and then over the large diagrams, each from an empty
+    # piece-verdict table: one per full report that takes its form
+    # determinant from det M, plus one per lattice with a piece-verdict miss
+    # whose full report kept none, all on full instances.  No M is built
+    # twice for one instance at one point.
     diagrams = _sweep()
-    for d in diagrams + [parse_diagram(s) for s in FROZEN_LARGE]:
+    large = [parse_diagram(s) for s in FROZEN_LARGE]
+    for d in diagrams + large:
         pv = build_parabolic_pv(d)
         x = next(pvcore._candidates(pv, 0))
         a = pvcore._action_columns(pv, x)
@@ -323,15 +326,22 @@ def test_ad_square_reads_the_brackets_the_basis_indices_give(monkeypatch):
     def compared(pv, alg, x, a):
         mt = ad_square(pv, alg, x, a)
         assert mt == _ad_square_by_index(pv, pv.diagram, x, a), pv.name
-        built.append(pv.diagram)
+        built.append((pv.diagram, tuple(x)))
         return mt
 
-    monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
     monkeypatch.setattr(pvcore, "ad_square_regular", checking)
     monkeypatch.setattr(pvcore, "_ad_square", compared)
-    for d in diagrams:
-        classify(d, "both", 0)
-    assert (len(decided), len(built)) == (67, 225) and None not in built
+    counts = []
+    for batch in (diagrams, large):
+        monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
+        decided.clear()
+        built.clear()
+        for d in batch:
+            classify(d, "both", 0)
+        assert None not in {d for d, _ in built}
+        assert len(set(built)) == len(built)
+        counts.append((len(decided), len(built)))
+    assert counts == [(67, 297), (20, 8)]
 
 
 def test_regular_reports_carry_an_sl2_triple():
@@ -381,11 +391,13 @@ def test_neutral_element_of_each_hit_is_frozen():
 
 def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):
     # is_regular computes a parabolic report's form determinant from det M
-    # when the isotropy is larger than V (Jacobi's complementary minors; see
-    # the pvcore docstring), and from the Gram matrix otherwise.  Here both
-    # are computed at is_regular's own point on every sweep diagram and
-    # every `large` diagram, at seeds 0 and 1, whichever the rule picks: they
-    # must equal each other and the report, sign included.
+    # when its cost rule, 24 dim_v^3 < k^3 (2b + 8) with k the isotropy
+    # dimension and b the bit length of the last pivot, finds it cheaper
+    # (Jacobi's complementary minors; see the pvcore docstring), and from
+    # the Gram matrix otherwise.  Here both are computed at is_regular's own
+    # point on every sweep diagram and every `large` diagram, at seeds 0 and
+    # 1, whichever the rule picks: they must equal each other and the
+    # report, sign included.  A report keeps M^T exactly when it took det M.
     gram = pvcore.is_reductive
     gram_calls = []
 
@@ -397,6 +409,7 @@ def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):
     sweep = _sweep()
     large_json = json.loads((DATA / "large_classify_seed0.json").read_text())
     large = [parse_diagram(text) for text in large_json]
+    picks = {}
     for seed in (0, 1):
         picked = {}
         for label, diagrams in (("sweep", sweep), ("large", large)):
@@ -409,16 +422,19 @@ def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):
                 a = pvcore._action_columns(pv, x)
                 iso, _, last_pivot = kernel_basis(a)
                 assert iso == [list(s) for s in report.isotropy_basis]
-                from_m = pvcore._ad_square_determinant(pv, x, a, iso, last_pivot)
+                mt = _full_ad_square(pv, x)
+                alg = chevalley_basis(d.type)
+                from_m = pvcore._ad_square_determinant(pv, alg, mt, iso, last_pivot)
                 assert from_m == gram(pv, iso).determinant == report.form_determinant, (d, seed)
                 assert report.reductive == (from_m != 0)
-                if not gram_calls:
-                    assert report.isotropy_dim > pv.dim_v
+                rule = 24 * pv.dim_v ** 3 < len(iso) ** 3 * (2 * last_pivot.bit_length() + 8)
+                assert (not gram_calls) == rule == (report.ad_square is not None), (d, seed)
+                if rule:
+                    assert report.ad_square == mt, (d, seed)
                     picked[label].append(pv.name)
-                else:
-                    assert report.isotropy_dim <= pv.dim_v
-        assert len(picked["sweep"]) == 158
-        assert picked["large"] == ["A12[1,12]", "B10[1,10]", "D12[2,11,12]", "A14[2,13]"]
+        picks[seed] = len(picked["sweep"]), picked["large"]
+    large_picks = ["A12[1,12]", "A12[3,10]", "B10[1,10]", "D12[2,11,12]", "A14[2,13]", "E8[1,2]"]
+    assert picks == {0: (259, large_picks), 1: (263, large_picks)}
 
 
 def test_restricted_operators_are_the_parent_submatrices():

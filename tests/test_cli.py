@@ -206,6 +206,19 @@ def test_large_classify_json_is_frozen(capsys, diagram):
     assert hashlib.sha256(out.encode()).hexdigest() == golden
 
 
+@pytest.mark.parametrize("diagram", sorted(json.loads(
+    (DATA / "rank16_20_classify_seed0.json").read_text())))
+def test_rank_16_and_20_classify_json_is_frozen(capsys, diagram):
+    # Two reports whose form determinant the cost rule takes from det M
+    # (dim_v 110 and 114, isotropy 60 and 94): the digests were taken when
+    # both came from the Gram determinant, so the printed value, 8,389
+    # digits on A20[5,16] and 0 on C16[1,7], must not move.
+    code, out, err = run(capsys, "classify", diagram, "--json", "--seed", "0")
+    assert code == 0 and err == ""
+    golden = json.loads((DATA / "rank16_20_classify_seed0.json").read_text())[diagram]
+    assert hashlib.sha256(out.encode()).hexdigest() == golden
+
+
 def test_classify_prints_every_digit_of_a_huge_determinant(capsys, monkeypatch):
     real = cli_module.classify
     big = 10 ** 4999 + 7  # 5000 digits, past the default int-to-str limit
