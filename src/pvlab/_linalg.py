@@ -220,16 +220,24 @@ def det(rows: Mat) -> Fraction:
     return Fraction(sign * d, scale) if len(pivots) == n else Fraction(0)
 
 
-def inverse(a: Mat) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix, from one Gauss-Jordan pass on
-    [a | I]: the reduced form is d * [I | a^-1], so the inverse is the
-    right half over d."""
+def scaled_inverse(a: Mat) -> tuple[list[list[int]], int, Fraction]:
+    """``(m, q, det a)`` with a^-1 = m / q in lowest terms, m an integer
+    matrix and q > 0, from one Gauss-Jordan pass on [a | I]: the reduced
+    form is d * [I | a^-1], and the forward pass gives det a as :func:`det`
+    does."""
     n = len(a)
-    m, pivots, d, _, _ = _echelon([list(row) + [int(r == k) for k in range(n)]
-                                   for r, row in enumerate(a)], True)
+    m, pivots, d, sign, scale = _echelon([list(row) + [int(r == k) for k in range(n)]
+                                          for r, row in enumerate(a)], True)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[Fraction(v, d) for v in row[n:]] for row in m]
+    g = gcd(d, *(v for row in m for v in row[n:])) * (1 if d > 0 else -1)
+    return [[v // g for v in row[n:]] for row in m], d // g, Fraction(sign * d, scale)
+
+
+def inverse(a: Mat) -> list[list[Fraction]]:
+    """Exact inverse of a square matrix: m / q from :func:`scaled_inverse`."""
+    m, q, _ = scaled_inverse(a)
+    return [[Fraction(v, q) for v in row] for row in m]
 
 
 def solve(a: Mat, b: Vec) -> list[Fraction]:

@@ -66,8 +66,7 @@ def components(d: WeightedDiagram) -> tuple[Component, ...]:
 
     One pass over the positive roots: a root of level 1 has coefficient 1
     at exactly one circled node, and joins that node's piece.  Each piece
-    keeps the positive roots' order.  :func:`pvlab.pvcore.build_parabolic_pv`
-    keeps the split as its instance's ``roots``.
+    keeps the positive roots' order.
     """
     rs = build_root_system(d.type)
     axes = [a - 1 for a in d.circled]

@@ -28,86 +28,79 @@ process-wide table of piece verdicts, keyed by the piece's weighted diagram
 alone, since the verdict is exact and so the same at every seed.  A full
 report of a piece's diagram fills the same entry; whichever comes first stands.
 
-Each piece verdict is decided by (ad x)^2 on level -1
-(:func:`ad_square_regular`), with no isotropy kernel, no Gram matrix and no
-search of its own.  Let V be a component sum of level 1, V^* the span of
-the e_-r for the roots r of V, K the Killing form, and x in V with
-a -> [a, x] mapping g_0 onto V; its kernel h is the isotropy.  For a in g_0
-and y in V^*, K(a, [x, y]) = K([a, x], y), and K pairs V with V^*
-nondegenerately.  So [x, V^*] is orthogonal to h, y -> [x, y] is injective
-on V^* (a y with [x, y] = 0 is orthogonal to every [a, x], that is to all
-of V), and since K is nondegenerate on g_0, [x, V^*] is the whole orthogonal
-of h: both have dimension dim g_0 - dim h = dim V.  The radical of K on h is therefore
-h ∩ [x, V^*] = {[x, y] : [[x, y], x] = 0}, isomorphic to the kernel of
-y -> [[x, y], x] from V^* to V.  In coordinates that map is M = A_x B_x:
-A_x is the action matrix at x and column r of B_x is [x, e_-r] in the
-operator basis, so h is reductive, and the sum regular, exactly when the
-dim V x dim V matrix M is invertible.  When V is all of level 1 and M is
-invertible, y = 2 M^-1 x is the one y at level -1 with [[x, y], x] = 2x,
-and with H = [x, y], (y, H, x) is an sl2-triple: ad x is nilpotent and H
-lies in [x, g], so Morozov's lemma gives a triple (y', H, x), and the
-level -1 part of y' is such a y.  With H_0 the grading element scaled to act by 2 on level 1,
-[H - H_0, x] = 0 and H - H_0 lies in g_0, so the neutral element H lies
-in H_0 + h.  It need not be H_0 itself: it is not on E6[1,2], C6[2,5]
-and D6[2,5,6].  For these triples on regular graded Lie algebras see
-Muller, Rubenthaler and Schiffmann, Math. Ann. 274 (1986).
+Every proper component sum's verdict (each piece's, for a parabolic
+instance), and every form determinant that the cost rule below takes from
+a dim V x dim V minor, reads one matrix built from the action matrix and
+the form alone, N_x = A_x F^-1 A_x^t (:func:`_reductivity_matrix`).
 
-One M serves every component sum of a diagram: M of all of level 1 at the
-point x its full report certified.  Its principal submatrix at a sum's
-coordinates is the sum's own M at the projection x_S of x.  Every operator
-preserves every component, so the sum's A_x at x_S is the full A_x's rows
-at the sum's coordinates, independent because the full A_x has exact rank
-dim_v.  [e_s, e_-r] is zero unless s and r lie in one component, so for r
-in the sum [x, e_-r] = [x_S, e_-r]: the sum's B_x is the full B_x's columns
-at the sum's coordinates, and the product of these rows and columns is that
-principal submatrix.
+Let F be the instance form, nondegenerate on g, x in V with a -> a x of
+rank dim V, A_x its matrix and h = ker A_x the isotropy.  A vector u is
+F-orthogonal to h exactly when the functional F u vanishes on ker A_x,
+that is lies in A_x^t V^*, so h^⊥ = F^-1 A_x^t V^*, with A_x^t injective.
+The radical of F on h is therefore h ∩ h^⊥ = {F^-1 A_x^t y : N_x y = 0},
+isomorphic to ker N_x, so h is reductive (see :func:`is_reductive`), and x
+regular, exactly when N_x is invertible.  F^-1 is read block by block
+(:func:`_form_inverse`); without a nondegenerate F there is no N_x, and
+building it raises.
+
+One N serves every component sum: N_x at the point x the full report
+certified.  Every operator preserves every component, so a sum's action
+matrix at the projection x_S of x is A_x's rows at the sum's coordinates,
+and its N is N_x's principal submatrix there.  An invertible minor makes
+those rows independent, so x_S lies in the sum's open orbit and the sum is
+regular.  A singular one makes the sum not regular when x lies in the open
+orbit of V: the projection to the sum commutes with the group and is onto,
+so it carries that orbit to a dense one, which is open.
+
+On a parabolic instance, with K the Killing form, e_r the level-1 root
+vectors and kappa_r = K(e_r, e_-r), invariance gives F B_x = A_x^t D_kappa,
+where column r of B_x is [x, e_-r] in the operator basis: entry (i, r) of
+both sides is K(b_i, [x, e_-r]) = K([b_i, x], e_-r).  So M = A_x B_x, the
+map y -> [[x, y], x] from level -1 to level 1, is N_x D_kappa.  When V is
+all of level 1 and N_x is invertible, y = 2 M^-1 x is the one y at level
+-1 with [[x, y], x] = 2x, and with H = [x, y], (y, H, x) is an sl2-triple:
+ad x is nilpotent and H lies in [x, g], so Morozov's lemma gives a triple
+(y', H, x), and the level -1 part of y' is such a y.  With H_0 the grading
+element scaled to act by 2 on level 1, [H - H_0, x] = 0 and H - H_0 lies
+in g_0, so the neutral element H lies in H_0 + h.  It need not be H_0
+itself: it is not on E6[1,2], C6[2,5] and D6[2,5,6].  For these triples on
+regular graded Lie algebras see Muller, Rubenthaler and Schiffmann, Math.
+Ann. 274 (1986).
 
 A full report prints the determinant of the form on its isotropy basis S,
-det(S F S^t), with F the form on g_0.  For an instance with a diagram,
-:func:`is_regular` can compute it from the dim V x dim V matrix M instead
-of the k x k Gram matrix, k the isotropy dimension:
+det(S F S^t).  :func:`is_regular` can compute it from the dim V x dim V
+matrix N_x instead of the k x k Gram matrix, k the isotropy dimension:
 
-    det(S F S^t) = det F * det M * prod_f c_f^2 / (prod_r kappa_r * det(A_P)^2).
+    det(S F S^t) = det F * det N_x * prod_f c_f^2 / det(A_P)^2.
 
-1. Invariance gives F B_x = A_x^t D_kappa, with D_kappa the diagonal of
-   kappa_r = K(e_r, e_-r) over the level-1 roots r: entry (i, r) of both
-   sides is K(b_i, [x, e_-r]) = K([b_i, x], e_-r).  So
-   A_x F^-1 A_x^t = M D_kappa^-1.
-2. Let A = A_x, P its pivot columns, A_P its dim V x dim V block on P,
+1. Let A = A_x, P its pivot columns, A_P its dim V x dim V block on P,
    S_free the k x k block of S on the other columns, the free ones, and
    B = [S; e_P], with e_P the unit rows at P; det B = +-det(S_free).  Since
    A S^t = 0, the last dim V columns of B^-1 are A^t A_P^-t.  Jacobi's
    theorem on complementary minors, for Y = B F B^t, whose leading k x k
    block is S F S^t, and Y^-1 = B^-t F^-1 B^-1, then gives
    det(S F S^t) = det F * det(A F^-1 A^t) * det(S_free)^2 / det(A_P)^2.
-3. The kernel's elimination (:func:`~pvlab._linalg.kernel_basis`) gives
+2. The kernel's elimination (:func:`~pvlab._linalg.kernel_basis`) gives
    the vector of free column f as a multiple of
    d e_f - sum_r m[r][f] e_{p_r}, with pivots p_r < f.  So S_free is
    diagonal, and c_f, its entry at f, is the vector's last nonzero
    coordinate.  A has integer entries and rank dim V, so every row is a
    pivot row and the last pivot d is +-det(A_P).
-4. det F needs no dim g_0 x dim g_0 determinant: F is K_h on the Cartan
-   plus the block [[0, k], [k, 0]] on each pair (e_g, e_-g) of level-0 root
-   vectors, with k = K(e_g, e_-g), so det F = det K_h * prod_g (-k^2) over
-   the positive level-0 roots g (:func:`_form_determinant`).
 
-Here M is nonsingular exactly when the Gram matrix is, and both give the
-same value, so each report computes the cheaper of the two complementary
-minors, and the one exact elimination of A_x gives both the isotropy basis
-and det(A_P).  The cost rule reads three numbers that the elimination has
-already given: dim V, k and the bit length b of the last pivot d, with no
-scan of the kernel entries.  The entries of M are small, while a Gram
-entry sums products of two kernel entries of about b bits each, so det M
+Both minors give the same value, so each report computes the cheaper one,
+and the one exact elimination of A_x gives the isotropy basis and det(A_P).
+The cost rule reads dim V, k and the bit length b of the last pivot d, with
+no scan of the kernel entries.  The entries of N_x are small, while a Gram
+entry sums products of two kernel entries of about b bits each, so det N_x
 is taken when 24 dim V^3 < k^3 (2b + 8), constants fitted on diagrams of
-rank 8 to 20.  The report then keeps M^T, and its diagram's piece verdicts
-read that same matrix.  Restrictions, subalgebra instances and the matrix
-models have no diagram and keep the Gram determinant.
+rank 8 to 20, at a point where A_x has rank dim V.  The report then keeps
+N_x, and its lattice reads that same matrix.
 
 All verdicts use exact rational arithmetic.  A full report certifies its
 generic point by the exact elimination of A_x itself (:func:`is_regular`),
 so every reported rank comes from an exact kernel.  A large-prime modular
-rank serves only the principal minors of M: full rank mod p, which can only
-under-report, certifies a piece verdict, and failing that an exact
+rank serves only the principal minors of N_x: full rank mod p, which can
+only under-report, certifies a sum regular, and failing that an exact
 determinant decides.
 """
 from __future__ import annotations
@@ -120,11 +113,10 @@ from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import grading
-from ._linalg import det, kernel_basis, modp_rank, rank
+from ._linalg import det, kernel_basis, modp_rank, rank, scaled_inverse
 from ._rand import Stream
-from .chevalley import ChevalleyBasis, chevalley_basis
+from .chevalley import chevalley_basis
 from .diagram import WeightedDiagram, render_compact, subdiagram
-from .rootsys import Root
 
 Matrix = Sequence[Sequence]
 
@@ -179,9 +171,8 @@ class PVInstance:
     """A linear Lie algebra action with component/form/character bookkeeping.
 
     ``diagram`` is the weighted diagram of a :func:`build_parabolic_pv`
-    instance, whose component i sits at circled node ``diagram.circled[i]``,
-    and ``roots`` the level-1 root at each of its coordinates; restrictions,
-    subalgebra instances and the matrix models have neither.
+    instance, whose component i sits at circled node ``diagram.circled[i]``;
+    restrictions, subalgebra instances and the matrix models have none.
 
     Each of ``operators`` is a dim_v x dim_v matrix given by its nonzero
     entries ``(row, col, value)``, ordered by row and then column, and each
@@ -199,7 +190,6 @@ class PVInstance:
     components: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     diagram: WeightedDiagram | None = None
-    roots: tuple[Root, ...] | None = None
 
     @property
     def dim_g(self) -> int:
@@ -207,7 +197,7 @@ class PVInstance:
 
 
 def make_instance(name, operators, dim_v, form, characters, components, labels,
-                  diagram: WeightedDiagram | None = None, roots=None) -> PVInstance:
+                  diagram: WeightedDiagram | None = None) -> PVInstance:
     return PVInstance(
         name=name,
         operators=tuple(map(tuple, operators)),
@@ -217,7 +207,6 @@ def make_instance(name, operators, dim_v, form, characters, components, labels,
         components=tuple(tuple(c) for c in components),
         labels=tuple(labels),
         diagram=diagram,
-        roots=roots,
     )
 
 
@@ -231,8 +220,8 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
     subalgebra).
 
     The level-1 basis is that of :func:`pvlab.grading.components`, one
-    component after another, kept as the instance's ``roots``, and only the
-    nonzero entries are written, row by row, into the operators.
+    component after another, and only the nonzero entries are written, row
+    by row, into the operators.
     H_i acts on the level-1 root vector e_r by the pairing r(H_i).
     The root vector e_g of a level-0 root g sends e_r to N(g, r) e_s for
     each pair of level-1 roots (r, s) with s - r = g; such a pair lies in
@@ -266,7 +255,7 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
                                    for p, g in enumerate(level0)]
     characters = [[(a - 1, 1)] for a in d.circled]
     return make_instance(render_compact(d), entries, len(level1), form, characters,
-                         ranges, [f"V[{c.alpha}]" for c in components], d, tuple(level1))
+                         ranges, [f"V[{c.alpha}]" for c in components], d)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +278,9 @@ class RegularityReport:
     regular: bool
     n_fundamental_invariants: int
     form_determinant: Fraction
-    # M transposed at the generic point, when the form determinant came from
-    # det M: the lattice reads its piece verdicts from this same matrix.
-    ad_square: list[list] | None = field(default=None, repr=False, compare=False)
+    # c N_x at the generic point, an integer matrix, when the form determinant
+    # came from det N_x: the lattice reads its sums' minors from this matrix.
+    reductivity_matrix: list[list] | None = field(default=None, repr=False, compare=False)
 
 
 # Draws before :func:`is_regular` gives up.  Each draw is certified by its own
@@ -318,19 +307,23 @@ def _candidates(pv: PVInstance, seed: int):
 
 
 def _gram(form: Matrix, vectors: Sequence[Sequence]) -> list[list]:
-    """The instance form F, stored by rows of pairs, on the rows S of ``vectors``: S F S^t.
+    """A symmetric form F, stored by rows of pairs, on the rows S of ``vectors``: S F S^t.
 
-    Every instance form is symmetric, so S F S^t is: the entries on and
-    above the diagonal are computed and mirrored below it.
+    Row i of S F is summed over the nonzeros of row i of S and the rows of
+    F, and entry (i, j) over the nonzeros of row j of S.  S F S^t is
+    symmetric: the entries on and above the diagonal are computed and
+    mirrored below it.
     """
-    images = [[sum(fb * s[b] for b, fb in row) for row in form] for s in vectors]
     supports = [[(a, ta) for a, ta in enumerate(t) if ta] for t in vectors]
     n = len(vectors)
     gram = [[0] * n for _ in range(n)]
     for i, support in enumerate(supports):
+        image = [0] * len(form)
+        for a, ta in support:
+            for b, fb in form[a]:
+                image[b] += ta * fb
         for j in range(i, n):
-            image = images[j]
-            gram[i][j] = gram[j][i] = sum(ta * image[a] for a, ta in support)
+            gram[i][j] = gram[j][i] = sum([ta * image[a] for a, ta in supports[j]])
     return gram
 
 
@@ -370,28 +363,28 @@ def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
     misses costs one exact elimination and no draw is eliminated twice.  An
     instance with a ``diagram`` is prehomogeneous (Vinberg), so there an
     orbit rank below dim_v raises :class:`NonGenericPoint` instead of
-    becoming a verdict.  There the form determinant comes from det M at the
-    same point (:func:`_ad_square_determinant`) whenever the cost rule of
-    the module docstring finds it cheaper, and the report keeps the M^T it
-    built; otherwise it is the Gram determinant (:func:`is_reductive`)."""
+    becoming a verdict.  At a point of orbit rank dim_v the form
+    determinant comes from det N_x (:func:`_reductivity_matrix`, which
+    raises on a degenerate form) whenever the cost rule of the module
+    docstring finds it cheaper, and the report keeps the c N_x it built;
+    otherwise it is the Gram determinant (:func:`is_reductive`)."""
     best = None
     for x in _candidates(pv, seed):
-        a = _action_columns(pv, x)
-        iso, orbit_rank, d = kernel_basis(a)
-        if best is None or orbit_rank > best[3]:
-            best = x, a, iso, orbit_rank, d
+        iso, orbit_rank, d = kernel_basis(_action_columns(pv, x))
+        if best is None or orbit_rank > best[2]:
+            best = x, iso, orbit_rank, d
             if orbit_rank == min(pv.dim_v, pv.dim_g):
                 break
-    x, a, iso, orbit_rank, d = best
+    x, iso, orbit_rank, d = best
     preh = orbit_rank == pv.dim_v
     if pv.diagram is not None and not preh:
         raise NonGenericPoint(f"{pv.name}: orbit rank {orbit_rank} below {pv.dim_v} "
                               f"at {CANDIDATES} draws")
-    mt = None
-    if pv.diagram is not None and 24 * pv.dim_v ** 3 < len(iso) ** 3 * (2 * d.bit_length() + 8):
-        alg = chevalley_basis(pv.diagram.type)
-        mt = _ad_square(pv, alg, x, a)
-        determinant = _ad_square_determinant(pv, alg, mt, iso, d)
+    n = None
+    if preh and 24 * pv.dim_v ** 3 < len(iso) ** 3 * (2 * d.bit_length() + 8):
+        n, c, det_f = _reductivity_matrix(pv, x)
+        scale = prod(next(v for v in reversed(s) if v) for s in iso)  # the c_f
+        determinant = det_f * det(n) * scale ** 2 / (c ** pv.dim_v * d ** 2)
     else:
         determinant = is_reductive(pv, iso).determinant
     return RegularityReport(
@@ -404,7 +397,7 @@ def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
         regular=preh and determinant != 0,
         n_fundamental_invariants=_invariant_count(pv, iso),
         form_determinant=determinant,
-        ad_square=mt,
+        reductivity_matrix=n,
     )
 
 
@@ -447,84 +440,72 @@ def restrict(pv: PVInstance, indices) -> PVInstance:
     return make_instance(name, operators, len(coords), pv.form, pv.characters, components, labels)
 
 
-def ad_square_regular(pv: PVInstance, subset: tuple[int, ...], mt: Matrix) -> bool:
-    """Whether the component sum ``subset`` of a parabolic instance is
-    regular, given ``mt``, M transposed for M = A_x B_x of the whole
-    instance at a point x of its open orbit.  The sum's own M at the
-    projection of x is M's principal submatrix at the sum's coordinates (see
-    the module docstring), and the sum is regular exactly when it is
+def principal_minor_regular(pv: PVInstance, subset: tuple[int, ...], n: Matrix) -> bool:
+    """Whether the principal minor of ``n``, c N_x of the whole instance at
+    a point x, at the coordinates of the component sum ``subset`` is
     invertible: full rank mod p certifies it, and otherwise the exact
-    determinant decides.
-    """
+    determinant decides.  That minor is c N of the sum at the projection of
+    x, so an invertible one certifies the sum regular (see the module
+    docstring)."""
     coords = [c for i in subset for c in pv.components[i]]
-    minor = [[mt[r][c] for c in coords] for r in coords]
+    minor = [[n[r][c] for c in coords] for r in coords]
     return modp_rank(minor) == len(coords) or det(minor) != 0
 
 
-def _ad_square(pv: PVInstance, alg: ChevalleyBasis, x: Sequence, a: Matrix) -> list[list]:
-    """M transposed, for M = A_x B_x at x with action matrix ``a`` = A_x.
-
-    ``pv`` is a parabolic instance of the algebra ``alg``, acting on the
-    span of the level-1 roots ``pv.roots``, in its coordinate order.  Column
-    r of B_x is [x, e_-r] = sum_s x_s [e_s, e_-r] in the operator basis, so
-    row r of the result is A_x [x, e_-r], one column of A_x per bracket,
-    each read by root.
-    """
-    n, roots = alg.rank, pv.roots
-    down = [tuple(-v for v in r) for r in roots]
-    # lowering[r] lists [e_s, e_-r] as (s, operator, coefficient): the coroot
-    # of r for s = r, and N(s, -r) e_g for s - r = g.  The root operator of g
-    # moves e_r to e_s, so those pairs are its nonzero entries (s, r).
-    lowering = [[(r, k, c) for k, c in enumerate(alg.coroot[root]) if c]
-                for r, root in enumerate(roots)]
-    for j, entries in enumerate(pv.operators[n:], n):
-        for s, r, _ in entries:
-            lowering[r].append((s, j, alg.nconst[(roots[s], down[r])]))
-    columns = list(zip(*a))
-    mt = []
-    for brackets in lowering:
-        row = [0] * pv.dim_v
-        for s, j, c in brackets:
-            if x[s]:
-                f = c * x[s]
-                row = [u + f * v for u, v in zip(row, columns[j])]
-        mt.append(row)
-    return mt
+# The inverse of each distinct connected block of an instance form, keyed by
+# the block's rows with each column read as its position in the block: its
+# integer rows over one denominator, that denominator, and its determinant.
+_BLOCK_INVERSES: dict[tuple, tuple[tuple, int, Fraction]] = {}
 
 
-def _ad_square_determinant(pv: PVInstance, alg: ChevalleyBasis, mt: Matrix,
-                           iso: Sequence[Sequence], d: int) -> Fraction:
-    """det(S F S^t), the form on the isotropy basis ``iso`` = S of a
-    parabolic instance at x, from det M (see the module docstring):
+def _form_inverse(pv: PVInstance) -> tuple[list[list[tuple[int, int]]], int, Fraction]:
+    """c F^-1 as sparse integer rows, the least such c > 0, and det F.
 
-        det F * det M * prod_f c_f^2 / (prod_r kappa_r * det(A_P)^2)
+    Two indices of the form F are joined when the entry between them is
+    nonzero.  F is block diagonal over the connected blocks, so F^-1 is
+    too and det F is the product of the block determinants.  Each block is
+    read in increasing index order, and each distinct block matrix is
+    inverted once, in :data:`_BLOCK_INVERSES`.  Raises :class:`PVError` on
+    a degenerate F."""
+    form, seen, found = pv.form, [False] * pv.dim_g, []
+    for i in range(pv.dim_g):
+        if seen[i]:
+            continue
+        block, todo, seen[i] = [], [i], True
+        while todo:
+            block.append(todo.pop())
+            for k, _ in form[block[-1]]:
+                if not seen[k]:
+                    seen[k] = True
+                    todo.append(k)
+        block.sort()
+        key = tuple(tuple((block.index(k), v) for k, v in form[j]) for j in block)
+        if key not in _BLOCK_INVERSES:
+            dense = [[dict(pairs).get(k, 0) for k in range(len(key))] for pairs in key]
+            try:
+                inv, q, block_det = scaled_inverse(dense)
+            except ValueError:
+                raise PVError(f"{pv.name}: the form is degenerate, so N_x needs an F^-1 "
+                              "that does not exist") from None
+            rows = tuple(tuple((k, v) for k, v in enumerate(row) if v) for row in inv)
+            _BLOCK_INVERSES[key] = rows, q, block_det
+        found.append((block, _BLOCK_INVERSES[key]))
+    c = lcm(*(q for _, (_, q, _) in found))
+    g: list[list[tuple[int, int]]] = [[] for _ in range(pv.dim_g)]
+    for block, (rows, q, _) in found:
+        m = c // q
+        for j, row in zip(block, rows):
+            g[j] = [(block[k], v * m) for k, v in row]
+    dets = [block_det for _, (_, _, block_det) in found]
+    return g, c, Fraction(prod(d.numerator for d in dets), prod(d.denominator for d in dets))
 
-    ``pv`` is an instance of the algebra ``alg``, ``mt`` is M transposed at
-    x, as :func:`_ad_square` builds it, and ``iso`` and ``d`` are the kernel
-    basis and last pivot of A_x from :func:`~pvlab._linalg.kernel_basis`.
-    The vector of free column f is d e_f - sum m[r][f] e_{p_r} with
-    p_r < f, made primitive, so f is its last nonzero coordinate and c_f
-    the entry there.  A_x is an integer
-    matrix of rank dim_v, so every row is a pivot row and
-    det(A_P) = +-d; det F is :func:`_form_determinant`.
-    """
-    scale = prod(next(v for v in reversed(s) if v) for s in iso)
-    kappa = prod(alg.root_killing[r] for r in pv.roots)
-    return _form_determinant(pv, alg) * det(mt) * scale ** 2 / (kappa * d ** 2)
 
-
-def _form_determinant(pv: PVInstance, alg: ChevalleyBasis) -> Fraction:
-    """det F for a parabolic instance of the algebra ``alg``, in closed form.
-
-    F is the Killing form K_h on the Cartan, plus the block [[0, k], [k, 0]]
-    on (e_g, e_-g), with k = K(e_g, e_-g), for each positive level-0 root
-    g.  A simultaneous permutation of rows and columns, which keeps the
-    determinant, makes F block diagonal, so det F = det K_h * prod_g (-k^2).
-    :func:`build_parabolic_pv` lists the negative level-0 roots after the
-    positive ones, so the first half of the level-0 rows of F hold the k.
-    """
-    positive = pv.form[alg.rank:(alg.rank + pv.dim_g) // 2]
-    return det(alg.killing_h) * prod(-k ** 2 for ((_, k),) in positive)
+def _reductivity_matrix(pv: PVInstance, x: Sequence) -> tuple[list[list[int]], int, Fraction]:
+    """c N_x = A_x (c F^-1) A_x^t at x, an integer symmetric matrix, with c
+    and det F from :func:`_form_inverse` (which raises on a degenerate F):
+    the form c F^-1 on the rows of A_x, as :func:`_gram` takes it."""
+    g, c, det_f = _form_inverse(pv)
+    return _gram(g, _action_columns(pv, x)), c, det_f
 
 
 def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence]) -> PVInstance:
@@ -532,7 +513,11 @@ def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence]) -> PVInstan
     an operator entry whose terms cancel is dropped.
 
     Its characters are the first restricted characters that are independent
-    of the ones before them, a basis of the restricted characters."""
+    of the ones before them, a basis of the restricted characters.  Its
+    form, the parent form on the vectors, is nondegenerate only on a
+    reductive span, and N_x needs that: on any other span every det N_x and
+    every lattice verdict of a proper sum raise :class:`PVError`.
+    :func:`decompose_filtration` passes only the isotropy of a regular sum."""
     operators = []
     for s in vectors:
         sums: dict[tuple[int, int], object] = {}
@@ -569,15 +554,16 @@ class SubsetLattice:
     One :class:`RegularityReport` per subset of component indices (``full``
     is all of them), computed on first use at the lattice's seed by direct
     restriction.  Every Q-verdict reads the yes/no answer of
-    :meth:`is_regular_sum`.  For a proper subset of a parabolic instance
-    that answer is the conjunction of the verdicts of the subset's
-    :func:`~pvlab.diagram.subdiagram` pieces, read from the process-wide
-    table (see the module docstring).  A piece verdict missing from it is a
-    principal minor of M = A_x B_x at the full report's generic point
-    (:func:`ad_square_regular`), with no restricted instance, isotropy
-    kernel or Gram determinant.  The lattice reads the M^T that the full
-    report kept for its form determinant, and builds M on its first miss
-    only when the report has none.
+    :meth:`is_regular_sum`.  For the full subset that is the full report's
+    verdict.  A proper subset reads a principal minor of c N_x at the full
+    report's generic point (:func:`principal_minor_regular`), for a
+    parabolic instance one minor per piece of the subset's
+    :func:`~pvlab.diagram.subdiagram`, through the process-wide table of
+    piece verdicts (see the module docstring).  An invertible minor
+    certifies "regular"; a singular one certifies "not regular" when the
+    full report is prehomogeneous, as every parabolic one is, and otherwise
+    the sum's own report decides.  The lattice reads the c N_x the full
+    report kept, or builds it on its first minor.
 
     >>> from pvlab.diagram import parse_diagram
     >>> lattice = SubsetLattice(build_parabolic_pv(parse_diagram("A3[1,3]")))
@@ -593,7 +579,7 @@ class SubsetLattice:
         self.full = tuple(range(len(pv.components)))
         self._regular: dict[tuple[int, ...], RegularityReport] = {}
         self._verdict: dict[tuple[int, ...], bool] = {}
-        self._mt: list[list] | None = None  # M transposed at the full report's point
+        self._n: list[list[int]] | None = None  # c N_x at the full report's point
 
     def regular(self, subset: tuple[int, ...]) -> RegularityReport:
         """The exact report of the restriction to ``subset``."""
@@ -605,31 +591,37 @@ class SubsetLattice:
         return self._regular[subset]
 
     def is_regular_sum(self, subset: tuple[int, ...]) -> bool:
-        """Whether the restriction to ``subset`` is regular, piece by piece
-        for a proper subset of a parabolic instance.
+        """Whether the restriction to ``subset`` is regular, from principal
+        minors of c N_x for a proper subset, piece by piece for a parabolic
+        instance.
 
         The subset is checked as :func:`restrict` checks it."""
-        d = self.pv.diagram
-        if d is None or subset == self.full:
+        if subset == self.full:
             return self.regular(subset).regular
         if subset not in self._verdict:
             _component_subset(self.pv, subset)
-            pieces = subdiagram(d, [d.circled[i] for i in subset]).pieces
-            self._verdict[subset] = all(self._piece_verdict(nodes, piece) for nodes, piece in pieces)
+            d = self.pv.diagram
+            if d is None:
+                self._verdict[subset] = self._minor_verdict(subset)
+            else:
+                pieces = subdiagram(d, [d.circled[i] for i in subset]).pieces
+                self._verdict[subset] = all(self._piece_verdict(nodes, piece)
+                                            for nodes, piece in pieces)
         return self._verdict[subset]
 
     def _piece_verdict(self, nodes: tuple[int, ...], piece: WeightedDiagram) -> bool:
         if piece not in _PIECE_VERDICTS:
             own = tuple(i for i, a in enumerate(self.pv.diagram.circled) if a in nodes)
-            if self._mt is None:
-                report = self.regular(self.full)
-                self._mt = report.ad_square
-                if self._mt is None:
-                    x = report.generic_point
-                    alg = chevalley_basis(self.pv.diagram.type)
-                    self._mt = _ad_square(self.pv, alg, x, _action_columns(self.pv, x))
-            _PIECE_VERDICTS[piece] = ad_square_regular(self.pv, own, self._mt)
+            _PIECE_VERDICTS[piece] = self._minor_verdict(own)
         return _PIECE_VERDICTS[piece]
+
+    def _minor_verdict(self, subset: tuple[int, ...]) -> bool:
+        report = self.regular(self.full)
+        if self._n is None:
+            self._n = (report.reductivity_matrix
+                       or _reductivity_matrix(self.pv, report.generic_point)[0])
+        return (principal_minor_regular(self.pv, subset, self._n)
+                or not report.prehomogeneous and self.regular(subset).regular)
 
     def regular_proper_subset(self, subset: tuple[int, ...]) -> tuple[int, ...] | None:
         """First (by size, then lexicographic) proper nonempty regular subset."""

@@ -11,15 +11,18 @@ identity matrix, a simple root, the Cartan integer of two adjacent nodes
 read from their lengths, the exact isotropy basis at a point, a
 generic-point search by mod-p ranks alone (a reference for the point
 ``pvcore.is_regular`` certifies), the Killing pairing with the grading
-element, and the Hessian product identity, a rank reference for the
-graded-logarithm differential that ``pvcore.verify_invariant`` certifies
-by Euler's identities.
+element, the one reference M = A_x B_x of a parabolic instance, read from
+the Chevalley brackets by basis index, against which the reductivity
+matrix N_x that ``pvcore`` builds from the form alone is checked, and the
+Hessian product identity, a rank reference for the graded-logarithm
+differential that ``pvcore.verify_invariant`` certifies by Euler's
+identities.
 """
 from __future__ import annotations
 
 import dataclasses
 
-from pvlab import _linalg, pvcore
+from pvlab import _linalg, grading, pvcore
 from pvlab._rand import Stream
 from pvlab.chevalley import chevalley_basis
 from pvlab.rootsys import SimpleType
@@ -64,14 +67,10 @@ def dense_rows(pv, rows) -> tuple[tuple, ...]:
 
 def dense_repr(pv) -> str:
     """``repr(astuple(pv))`` with every operator, the form and the
-    characters dense and no ``roots``,
-    without astuple's deep copy of every entry: the diagram is the one
-    field that is a dataclass.  The diagram determines the roots, which
-    ``test_roots_follow_the_level_one_split`` checks."""
+    characters dense, without astuple's deep copy of every entry: the
+    diagram is the one field that is a dataclass."""
     fields = []
     for f in dataclasses.fields(pv):
-        if f.name == "roots":
-            continue
         v = getattr(pv, f.name)
         if f.name == "operators":
             v = tuple(dense_operator(pv, op) for op in v)
@@ -149,6 +148,50 @@ def lie_bracket(alg, u: dict, v: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+def level_one_roots(d) -> list[tuple[int, ...]]:
+    """The level-1 root at each coordinate of ``build_parabolic_pv(d)``:
+    the roots of ``grading.components(d)``, one component after another."""
+    return [r for c in grading.components(d) for r in c.roots]
+
+
+def ad_square_by_index(pv, x, a=None) -> list[list]:
+    """M transposed, for M = A_x B_x of a parabolic instance at x, as the
+    basis indices give it: row r is A_x [x, e_-r], with [x, e_-r] expanded
+    by ChevalleyBasis.bracket over e_index and each basis index sent to its
+    operator (the Cartan, then the level-0 root vectors in root order).
+    ``a`` is A_x, computed when not given."""
+    d = pv.diagram
+    alg = chevalley_basis(d.type)
+    n = alg.rank
+    level0 = [g for g in alg.rs.roots if not any(g[c - 1] for c in d.circled)]
+    operator = {**{i: i for i in range(n)},
+                **{alg.e_index(g): n + p for p, g in enumerate(level0)}}
+    roots = level_one_roots(d)
+    if a is None:
+        a = pvcore._action_columns(pv, x)
+    xs = {alg.e_index(s): v for s, v in zip(roots, x) if v}
+    mt = []
+    for r in roots:
+        y: dict = {}  # [x, e_-r] in the operator basis, by its nonzeros
+        for k, c in lie_bracket(alg, xs, {alg.e_index(tuple(-v for v in r)): 1}).items():
+            y[operator[k]] = y.get(operator[k], 0) + c
+        mt.append([sum(row[j] * c for j, c in y.items()) for row in a])
+    return mt
+
+
+def kappas(pv) -> list[int]:
+    """kappa_r = K(e_r, e_-r) at each level-1 coordinate of a parabolic instance."""
+    alg = chevalley_basis(pv.diagram.type)
+    return [alg.root_killing[r] for r in level_one_roots(pv.diagram)]
+
+
+def is_m_over_kappa(pv, n, c, mt) -> bool:
+    """Whether c N = c D_kappa^-1 M^T entry for entry, for ``n`` = c N_x and
+    ``mt`` = M^T at the same point: M^T[r][s] c = kappa_r n[r][s]."""
+    return ([[k * v for v in row] for k, row in zip(kappas(pv), n)]
+            == [[m * c for m in mrow] for mrow in mt])
+
+
 def sl2_triple_neutral(pv, x) -> bool:
     """Check the sl2-triple of a regular parabolic report exactly, and say
     whether its neutral element is the grading element H_0.
@@ -159,15 +202,16 @@ def sl2_triple_neutral(pv, x) -> bool:
     uses (see the pvcore docstring).  g_0 acts faithfully on level 1, so
     H = H_0 exactly when [H, e_r] = 2 e_r for every level-1 root r."""
     alg = chevalley_basis(pv.diagram.type)
-    mt = pvcore._ad_square(pv, alg, x, pvcore._action_columns(pv, x))
+    roots = level_one_roots(pv.diagram)
+    mt = ad_square_by_index(pv, x)
     y = _linalg.solve(_linalg.transpose(mt), [2 * v for v in x])
-    xe = {alg.e_index(r): v for r, v in zip(pv.roots, x) if v}
-    ye = {alg.e_index(tuple(-c for c in r)): v for r, v in zip(pv.roots, y) if v}
+    xe = {alg.e_index(r): v for r, v in zip(roots, x) if v}
+    ye = {alg.e_index(tuple(-c for c in r)): v for r, v in zip(roots, y) if v}
     h = lie_bracket(alg, xe, ye)
     assert lie_bracket(alg, h, xe) == {k: 2 * v for k, v in xe.items()}, pv.name
     assert lie_bracket(alg, h, ye) == {k: -2 * v for k, v in ye.items()}, pv.name
     return all(lie_bracket(alg, h, {alg.e_index(r): 1}) == {alg.e_index(r): 2}
-               for r in pv.roots)
+               for r in roots)
 
 
 class IdentityViolation(Exception):

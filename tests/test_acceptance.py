@@ -8,18 +8,18 @@ behavior rather than internal agreement between modules.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import importlib
 import itertools
 import json
 import time
 from collections import Counter
+from math import prod
 from operator import mul
 from pathlib import Path
 
 import pvlab
 from pvlab import pvcore
-from pvlab._linalg import kernel_basis
+from pvlab._linalg import det, kernel_basis
 from pvlab.chevalley import chevalley_basis
 from pvlab.classify import classify, enumerate_reports
 from pvlab.cli import main
@@ -32,9 +32,10 @@ from pvlab.pvcore import (Invariant, SubsetLattice, build_parabolic_pv,
                           decompose_filtration, is_regular, q_irreducible, restrict)
 from pvlab.rootsys import SimpleType, build_root_system, split_pieces
 
-from _instances import (FROZEN_LARGE, SECOND_CATALOG_TYPES, dense_operator, grading_pairing,
-                        hessian_product_identity_check, identity, isotropy_algebra, length_rule,
-                        lie_bracket, simple_root, sl2_triple_neutral)
+from _instances import (FROZEN_LARGE, SECOND_CATALOG_TYPES, ad_square_by_index, dense_operator,
+                        grading_pairing, hessian_product_identity_check, identity,
+                        is_m_over_kappa, isotropy_algebra, kappas, length_rule, simple_root,
+                        sl2_triple_neutral)
 
 DATA = Path(__file__).parent / "data"
 
@@ -122,10 +123,10 @@ def test_d1_row_probes():
 
 def test_piece_verdicts_match_direct_restriction():
     # The lattice decides a proper component sum from its subdiagram pieces,
-    # each a principal minor of the one M = A_x B_x of its diagram at the
-    # full report's point (see the pvcore docstring).  On every sweep
-    # diagram at seed 0, M is built once: its principal minor on every
-    # coordinate, det M, must equal the full report.  Every proper sum is
+    # each a principal minor of the one N_x = A_x F^-1 A_x^t of its diagram
+    # at the full report's point (see the pvcore docstring).  On every sweep
+    # diagram at seed 0, N is built once: its principal minor on every
+    # coordinate, det N, must equal the full report.  Every proper sum is
     # also decided by direct restriction, a product of parabolic PVs and so
     # prehomogeneous by Vinberg's theorem.  That verdict must equal the
     # standalone instances of the sum's pieces, the principal minor at the
@@ -144,8 +145,8 @@ def test_piece_verdicts_match_direct_restriction():
         lattice = SubsetLattice(pv)
         report = lattice.regular(lattice.full)
         assert report.prehomogeneous, d
-        mt = _full_ad_square(pv, report.generic_point)
-        assert pvcore.ad_square_regular(pv, lattice.full, mt) == report.regular, d
+        n = pvcore._reductivity_matrix(pv, report.generic_point)[0]
+        assert pvcore.principal_minor_regular(pv, lattice.full, n) == report.regular, d
         fulls += 1
         for k in range(1, len(lattice.full)):
             for subset in itertools.combinations(lattice.full, k):
@@ -154,7 +155,7 @@ def test_piece_verdicts_match_direct_restriction():
                 assert report.prehomogeneous, (d, gamma)
                 direct = report.regular
                 pieces = all(piece_regular(p) for _, p in subdiagram(d, gamma).pieces)
-                minor = pvcore.ad_square_regular(pv, subset, mt)
+                minor = pvcore.principal_minor_regular(pv, subset, n)
                 assert direct == pieces == minor == lattice.is_regular_sum(subset), (d, gamma)
                 sums += 1
                 regular_sums += direct
@@ -162,9 +163,11 @@ def test_piece_verdicts_match_direct_restriction():
 
 
 def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
-    # ad_square_regular decides regularity from M = A_x B_x, with no
-    # isotropy kernel and no Gram matrix.  On every sweep diagram at seed 0
-    # it must agree with is_regular on the full instance and on the direct
+    # M = A_x B_x, (ad x)^2 from level -1 to level 1, is N_x D_kappa, so its
+    # principal minors decide regularity as N's do, with no isotropy kernel
+    # and no Gram matrix.  On every sweep diagram at seed 0, M's minors, read
+    # by principal_minor_regular from the reference M built by basis index,
+    # must agree with is_regular on the full instance and on the direct
     # restriction to every proper sum the lattice queries while classifying.
     # Each of those is a product of parabolic PVs, so by Vinberg's theorem
     # it is prehomogeneous, and the report must say so.  M is built once per
@@ -185,43 +188,34 @@ def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
         lattice.completely_q_reducible(lattice.full)
         report = lattice.regular(lattice.full)
         assert report.prehomogeneous, d
-        mt = _full_ad_square(lattice.pv, report.generic_point)
-        assert pvcore.ad_square_regular(lattice.pv, lattice.full, mt) == report.regular, d
+        mt = ad_square_by_index(lattice.pv, report.generic_point)
+        assert pvcore.principal_minor_regular(lattice.pv, lattice.full, mt) == report.regular, d
         fulls += 1
         for subset in set(queried) - {lattice.full}:
             report = is_regular(restrict(lattice.pv, subset))
             assert report.prehomogeneous, (d, subset)
             direct = report.regular
-            assert pvcore.ad_square_regular(lattice.pv, subset, mt) == direct, (d, subset)
+            assert pvcore.principal_minor_regular(lattice.pv, subset, mt) == direct, (d, subset)
             sums += 1
             regular_sums += direct
     assert (fulls, sums, regular_sums) == (927, 6128, 2052)
 
 
-def _full_ad_square(pv, x):
-    """M transposed of a parabolic instance at x, as the lattice builds it."""
-    return pvcore._ad_square(pv, chevalley_basis(pv.diagram.type), x,
-                             pvcore._action_columns(pv, x))
-
-
-def _restricted_ad_square(pv, subset, x):
-    """M transposed of the restriction to ``subset`` at the projection of x,
-    from the restricted instance, with the roots of its coordinates put
-    back, its own action matrix and its own brackets."""
+def _restricted_n(pv, subset, x):
+    """c N of the restriction to ``subset`` at the projection of x, built
+    from the restricted instance alone: its own action matrix and the form."""
     coords = [c for i in subset for c in pv.components[i]]
-    sub = dataclasses.replace(restrict(pv, subset), roots=tuple(pv.roots[c] for c in coords))
-    y = [x[c] for c in coords]
-    return pvcore._ad_square(sub, chevalley_basis(pv.diagram.type), y,
-                             pvcore._action_columns(sub, y))
+    return pvcore._reductivity_matrix(restrict(pv, subset), [x[c] for c in coords])[0]
 
 
 def test_principal_minor_is_the_restricted_m(monkeypatch):
-    # A piece verdict reads the principal submatrix of its diagram's M at the
-    # sum's coordinates, which is the sum's own M at the projected point (see
+    # A piece verdict reads the principal submatrix of its diagram's N at the
+    # sum's coordinates, which is the sum's own N at the projected point (see
     # the pvcore docstring).  Built the long way, from the restricted
     # instance, it must be the same matrix on every proper sum of the sweep
     # diagrams up to rank 5, and on every proper sum the lattice queries
-    # while classifying the nine large diagrams.
+    # while classifying the nine large diagrams.  Each full N is also
+    # D_kappa^-1 M, for the reference M built by basis index.
     def minor(mt, pv, subset):
         coords = [c for i in subset for c in pv.components[i]]
         return [[mt[r][c] for c in coords] for r in coords]
@@ -231,10 +225,11 @@ def test_principal_minor_is_the_restricted_m(monkeypatch):
         if d.type.rank <= 5:
             pv = build_parabolic_pv(d)
             x = is_regular(pv).generic_point
-            mt = _full_ad_square(pv, x)
+            n, c, _ = pvcore._reductivity_matrix(pv, x)
+            assert is_m_over_kappa(pv, n, c, ad_square_by_index(pv, x)), d
             for k in range(1, len(d.circled)):
                 for subset in itertools.combinations(range(len(d.circled)), k):
-                    assert minor(mt, pv, subset) == _restricted_ad_square(pv, subset, x), (d, subset)
+                    assert minor(n, pv, subset) == _restricted_n(pv, subset, x), (d, subset)
                     checked += 1
     queried = []
     original = SubsetLattice.is_regular_sum
@@ -250,9 +245,10 @@ def test_principal_minor_is_the_restricted_m(monkeypatch):
         classify(parse_diagram(text), "both", 0)
         [lattice] = {lattice for lattice, _ in queried}
         pv, x = lattice.pv, lattice.regular(lattice.full).generic_point
-        mt = _full_ad_square(pv, x)
+        n, c, _ = pvcore._reductivity_matrix(pv, x)
+        assert is_m_over_kappa(pv, n, c, ad_square_by_index(pv, x)), text
         for subset in {subset for _, subset in queried} - {lattice.full}:
-            assert minor(mt, pv, subset) == _restricted_ad_square(pv, subset, x), (text, subset)
+            assert minor(n, pv, subset) == _restricted_n(pv, subset, x), (text, subset)
             large += 1
     assert (checked, large) == (960, 26)
 
@@ -278,59 +274,39 @@ def test_full_reports_equal_the_piece_verdicts_before_them(monkeypatch):
         assert met == 242, seed
 
 
-def _ad_square_by_index(pv, d, x, a):
-    """M transposed as the basis indices give it: row r is A_x [x, e_-r],
-    with [x, e_-r] expanded by ChevalleyBasis.bracket over e_index and each
-    basis index sent to its operator (the Cartan, then the level-0 root
-    vectors of the diagram d in root order)."""
-    alg = chevalley_basis(d.type)
-    n = alg.rank
-    level0 = [g for g in alg.rs.roots if not any(g[c - 1] for c in d.circled)]
-    operator = {**{i: i for i in range(n)},
-                **{alg.e_index(g): n + p for p, g in enumerate(level0)}}
-    xs = {alg.e_index(s): v for s, v in zip(pv.roots, x) if v}
-    mt = []
-    for r in pv.roots:
-        y = [0] * pv.dim_g
-        for k, c in lie_bracket(alg, xs, {alg.e_index(tuple(-v for v in r)): 1}).items():
-            y[operator[k]] += c
-        mt.append([sum(map(mul, row, y)) for row in a])
-    return mt
-
-
 def test_ad_square_reads_the_brackets_the_basis_indices_give(monkeypatch):
-    # _ad_square reads each bracket by root (the coroot and N(s, -r)); the
-    # reference expands the same brackets through e_index and bracket.  They
-    # must agree row for row at the first candidate of every sweep diagram
-    # and of the nine large ones, and on every M built in a seed-0 pass over
-    # the sweep, and then over the large diagrams, each from an empty
+    # pvcore builds c N_x = A_x (c F^-1) A_x^t from the action matrix and the
+    # form alone, with no bracket; the reference M = A_x B_x expands each
+    # bracket [x, e_-r] through e_index and bracket.  N must be D_kappa^-1 M
+    # entry for entry at the first candidate of every sweep diagram and of
+    # the nine large ones, and on every N built in a seed-0 pass over the
+    # sweep, and then over the large diagrams, each from an empty
     # piece-verdict table: one per full report that takes its form
-    # determinant from det M, plus one per lattice with a piece-verdict miss
-    # whose full report kept none, all on full instances.  No M is built
+    # determinant from det N, plus one per lattice with a piece-verdict miss
+    # whose full report kept none, all on full instances.  No N is built
     # twice for one instance at one point.
     diagrams = _sweep()
     large = [parse_diagram(s) for s in FROZEN_LARGE]
     for d in diagrams + large:
         pv = build_parabolic_pv(d)
         x = next(pvcore._candidates(pv, 0))
-        a = pvcore._action_columns(pv, x)
-        want = _ad_square_by_index(pv, d, x, a)
-        assert pvcore._ad_square(pv, chevalley_basis(d.type), x, a) == want, d
+        n, c, _ = pvcore._reductivity_matrix(pv, x)
+        assert is_m_over_kappa(pv, n, c, ad_square_by_index(pv, x)), d
     decided, built = [], []
-    decide, ad_square = pvcore.ad_square_regular, pvcore._ad_square
+    decide, reductivity = pvcore.principal_minor_regular, pvcore._reductivity_matrix
 
-    def checking(pv, subset, mt):
+    def checking(pv, subset, n):
         decided.append(pv.diagram)
-        return decide(pv, subset, mt)
+        return decide(pv, subset, n)
 
-    def compared(pv, alg, x, a):
-        mt = ad_square(pv, alg, x, a)
-        assert mt == _ad_square_by_index(pv, pv.diagram, x, a), pv.name
+    def compared(pv, x):
+        n, c, det_f = reductivity(pv, x)
+        assert is_m_over_kappa(pv, n, c, ad_square_by_index(pv, x)), pv.name
         built.append((pv.diagram, tuple(x)))
-        return mt
+        return n, c, det_f
 
-    monkeypatch.setattr(pvcore, "ad_square_regular", checking)
-    monkeypatch.setattr(pvcore, "_ad_square", compared)
+    monkeypatch.setattr(pvcore, "principal_minor_regular", checking)
+    monkeypatch.setattr(pvcore, "_reductivity_matrix", compared)
     counts = []
     for batch in (diagrams, large):
         monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
@@ -390,14 +366,17 @@ def test_neutral_element_of_each_hit_is_frozen():
 
 
 def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):
-    # is_regular computes a parabolic report's form determinant from det M
-    # when its cost rule, 24 dim_v^3 < k^3 (2b + 8) with k the isotropy
-    # dimension and b the bit length of the last pivot, finds it cheaper
-    # (Jacobi's complementary minors; see the pvcore docstring), and from
-    # the Gram matrix otherwise.  Here both are computed at is_regular's own
-    # point on every sweep diagram and every `large` diagram, at seeds 0 and
-    # 1, whichever the rule picks: they must equal each other and the
-    # report, sign included.  A report keeps M^T exactly when it took det M.
+    # is_regular computes a report's form determinant from det N_x when its
+    # cost rule, 24 dim_v^3 < k^3 (2b + 8) with k the isotropy dimension and
+    # b the bit length of the last pivot, finds it cheaper (Jacobi's
+    # complementary minors; see the pvcore docstring), and from the Gram
+    # matrix otherwise.  Here the Gram determinant and the same formula read
+    # from the reference M = N_x D_kappa,
+    #     det F * det M * prod_f c_f^2 / (prod_r kappa_r * det(A_P)^2),
+    # are computed at is_regular's own point on every sweep diagram and
+    # every `large` diagram, at seeds 0 and 1, whichever the rule picks: they
+    # must equal each other and the report, sign included.  A report keeps
+    # c N_x, equal to c D_kappa^-1 M^T, exactly when it took det N_x.
     gram = pvcore.is_reductive
     gram_calls = []
 
@@ -422,15 +401,18 @@ def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):
                 a = pvcore._action_columns(pv, x)
                 iso, _, last_pivot = kernel_basis(a)
                 assert iso == [list(s) for s in report.isotropy_basis]
-                mt = _full_ad_square(pv, x)
-                alg = chevalley_basis(d.type)
-                from_m = pvcore._ad_square_determinant(pv, alg, mt, iso, last_pivot)
+                mt = ad_square_by_index(pv, x, a)
+                _, c, det_f = pvcore._form_inverse(pv)
+                scale = prod(next(v for v in reversed(s) if v) for s in iso)
+                from_m = (det_f * det(mt) * scale ** 2
+                          / (prod(kappas(pv)) * last_pivot ** 2))
                 assert from_m == gram(pv, iso).determinant == report.form_determinant, (d, seed)
                 assert report.reductive == (from_m != 0)
                 rule = 24 * pv.dim_v ** 3 < len(iso) ** 3 * (2 * last_pivot.bit_length() + 8)
-                assert (not gram_calls) == rule == (report.ad_square is not None), (d, seed)
+                n = report.reductivity_matrix
+                assert (not gram_calls) == rule == (n is not None), (d, seed)
                 if rule:
-                    assert report.ad_square == mt, (d, seed)
+                    assert is_m_over_kappa(pv, n, c, mt), (d, seed)
                     picked[label].append(pv.name)
         picks[seed] = len(picked["sweep"]), picked["large"]
     large_picks = ["A12[1,12]", "A12[3,10]", "B10[1,10]", "D12[2,11,12]", "A14[2,13]", "E8[1,2]"]

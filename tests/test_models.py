@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import re
 from collections import defaultdict
 from fractions import Fraction
@@ -13,15 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvlab import models
-from pvlab._linalg import det, matmul, transpose
+from pvlab import models, pvcore
+from pvlab._linalg import det, kernel_basis, matmul, transpose
 from pvlab._rand import Stream
 from pvlab.diagram import parse_diagram
 from pvlab.models import (MODELS, ModelSpec, NotSkew, OddSize, _layout, _lie_basis, _lie_move,
                           _operator, _pack, _spec, _unpack, build_model, descending_chains,
                           diag_chain, dual_pair, generic_det, matrix_pair, pfaffian, skew_pair,
                           sym_vector, vector_skew, verify_model)
-from pvlab.pvcore import Invariant, build_parabolic_pv, is_regular, q_irreducible
+from pvlab.pvcore import (Invariant, SubsetLattice, build_parabolic_pv, is_regular, q_irreducible,
+                          restrict)
 
 from _instances import dense_repr, dense_rows, identity, isotropy_algebra
 
@@ -277,6 +279,65 @@ def test_models_verify_against_their_own_certificates(spec_string):
     ok, lines = verify_model(build_model(spec_string), seed=0)
     failures = [f"{line.name}: {line.detail}" for line in lines if not line.passed]
     assert ok, failures
+
+
+# Every builder of MODELS at the sizes the tests above and the invariant gates
+# use, widened to each small parameter range: 46 instances.
+REDUCTIVITY_GATE = tuple(
+    [f"dual-pair:n={n}" for n in (2, 3, 4)] + [f"sym-vector:n={n}" for n in (2, 3, 4)]
+    + [f"descending-chains:n={n}" for n in (1, 2, 3)]
+    + [f"matrix-pair:p={p},q={q},r={r}" for q in (2, 3, 4) for p in range(1, q)
+       for r in range(1, q)]
+    + [f"matrix-pair:p={p},q=5,r={p}" for p in range(1, 5)]
+    + [f"skew-pair:p={p},r={r}" for r in (3, 5) for p in range(1, r)]
+    + ["skew-pair:p=5,r=7", "skew-pair:p=6,r=7"]
+    + [f"diag-chain:p={p},q={q}" for p, q in ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4),
+                                               (2, 5))]
+    + ["vector-skew:n=3", "vector-skew:n=5", "det-augmented:n=2", "det-augmented:n=3"])
+FILTRATIONS = ("sym-vector:n=3", "descending-chains:n=2", "descending-chains:n=3")
+
+
+def test_reductivity_matrix_decides_every_model(monkeypatch):
+    # Every instance reads regularity from N_x = A_x F^-1 A_x^t at its full
+    # report's point (see the pvcore docstring).  On each model above and on
+    # each stage instance of the three filtrations, all prehomogeneous:
+    # det N != 0 must be the report's reductive verdict, the Jacobi formula
+    # det F det N prod c_f^2 / det(A_P)^2 must be its form determinant,
+    # exactly, and the principal minor of every proper component sum must
+    # give the verdict of the sum's own restricted report and the lattice's.
+    stages = []
+
+    class Recording(SubsetLattice):
+        def __init__(self, pv, seed=0):
+            stages.append(pv)
+            super().__init__(pv, seed)
+
+    monkeypatch.setattr(pvcore, "SubsetLattice", Recording)
+    for s in FILTRATIONS:
+        pvcore.decompose_filtration(build_model(s).instance)
+    monkeypatch.undo()
+    stages = [pv for pv in stages if ".isotropy" in pv.name]
+    assert len(stages) == 4
+    sums = regular_sums = 0
+    for pv in [build_model(s).instance for s in REDUCTIVITY_GATE] + stages:
+        report = is_regular(pv)
+        assert report.prehomogeneous, pv.name
+        x = report.generic_point
+        n, c, det_f = pvcore._reductivity_matrix(pv, x)
+        iso, _, last_pivot = kernel_basis(pvcore._action_columns(pv, x))
+        scale = math.prod(next(v for v in reversed(s) if v) for s in iso)
+        det_n = det(n) / c ** pv.dim_v
+        assert (det_n != 0) == report.reductive, pv.name
+        assert det_f * det_n * scale ** 2 / last_pivot ** 2 == report.form_determinant, pv.name
+        lattice = SubsetLattice(pv)
+        for k in range(1, len(pv.components)):
+            for subset in itertools.combinations(range(len(pv.components)), k):
+                direct = is_regular(restrict(pv, subset)).regular
+                minor = pvcore.principal_minor_regular(pv, subset, n)
+                assert minor == direct == lattice.is_regular_sum(subset), (pv.name, subset)
+                sums += 1
+                regular_sums += direct
+    assert (sums, regular_sums) == (96, 8)
 
 
 def test_model_instances_are_frozen():

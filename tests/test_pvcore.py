@@ -18,15 +18,14 @@ from hypothesis import strategies as st
 from pvlab import grading, pvcore
 from pvlab.classify import classify
 from pvlab._linalg import det, matvec, rank
-from pvlab.chevalley import chevalley_basis
 from pvlab._rand import Stream
 from pvlab.diagram import WeightedDiagram, parse_diagram
 from pvlab.models import (MODELS, build_model, diag_chain, dual_pair, matrix_pair, sym_vector,
                           verify_model)
 from pvlab.pvcore import (DegenerateInvariant, EmptySubset, Invariant, NonGenericPoint,
-                          NotRegular, NotRelativeInvariant, SubsetLattice, build_parabolic_pv,
-                          decompose_filtration, is_reductive, is_regular, q_irreducible,
-                          restrict, verify_invariant)
+                          NotRegular, NotRelativeInvariant, PVError, SubsetLattice,
+                          build_parabolic_pv, decompose_filtration, is_reductive, is_regular,
+                          q_irreducible, restrict, verify_invariant)
 from pvlab.rootsys import SimpleType
 
 from _instances import (FROZEN_ENUMERATED, FROZEN_LARGE, IdentityViolation, dense_operator,
@@ -292,12 +291,58 @@ def test_a_short_orbit_exhausts_every_draw(monkeypatch):
     assert len(drawn) == pvcore.CANDIDATES == 32
 
 
+def test_a_short_orbit_takes_the_gram_determinant():
+    # so(6) on C^6 has orbit rank 5 < dim_v = 6, and its isotropy so(5) has
+    # dimension 10, so the cost rule alone would take det N, which is 0 below
+    # full rank.  The report takes the Gram determinant instead: so(5) is
+    # reductive, and no N is kept.
+    pairs = list(itertools.combinations(range(6), 2))
+    operators = [[(a, b, 1), (b, a, -1)] for a, b in pairs]  # E_ab - E_ba
+    pv = pvcore.make_instance("so6", operators, 6, [[(i, -2)] for i in range(len(pairs))], [],
+                              [tuple(range(6))], ["C^6"])
+    rep = is_regular(pv, 0)
+    assert (rep.prehomogeneous, rep.orbit_rank, rep.isotropy_dim, rep.reductive) == (
+        False, 5, 10, True)
+    assert rep.reductivity_matrix is None
+
+
+def test_a_singular_minor_of_a_short_orbit_reads_the_sum_report(monkeypatch):
+    # The scalars on C^2 + C: the full report is not prehomogeneous, so a
+    # singular principal minor of N certifies nothing there and the sum's
+    # own report decides, while an invertible one certifies "regular" with
+    # no report.  C^2 alone is not prehomogeneous: its minor is singular and
+    # its restricted report reads "not regular".  C alone is regular by its
+    # minor, with no restriction built.
+    pv = pvcore.make_instance("scalars", [[(0, 0, 1), (1, 1, 1), (2, 2, 1)]], 3, [[(0, 1)]],
+                              [[(0, 1)]], [(0, 1), (2,)], ["C^2", "C"])
+    restricted = []
+    restriction = pvcore.restrict
+
+    def recording(pv, indices):
+        restricted.append(tuple(indices))
+        return restriction(pv, indices)
+
+    monkeypatch.setattr(pvcore, "restrict", recording)
+    lattice = SubsetLattice(pv)
+    assert not lattice.regular(lattice.full).prehomogeneous
+    assert (lattice.is_regular_sum((0,)), lattice.is_regular_sum((1,))) == (False, True)
+    assert restricted == [(0, 1), (0,)]
+
+
 def test_closed_form_form_determinant_over_the_sweep():
-    # det F = det K_h * prod over positive level-0 roots g of -K(e_g, e_-g)^2.
-    for d in SWEEP:
-        pv = build_parabolic_pv(d)
-        alg = chevalley_basis(d.type)
-        assert pvcore._form_determinant(pv, alg) == det(dense_rows(pv, pv.form)), d
+    # det F is the product of the determinants of F's connected blocks, and
+    # c F^-1 their inverses scaled by one integer c: on every sweep diagram
+    # and one instance of each model, det F must be the dense determinant
+    # and c F^-1 times F must be c times the identity.
+    instances = [build_parabolic_pv(d) for d in SWEEP]
+    instances += [build_model(s).instance for s in SMALL_MODELS]
+    for pv in instances:
+        form = dense_rows(pv, pv.form)
+        g, c, det_f = pvcore._form_inverse(pv)
+        assert det_f == det(form), pv.name
+        for i, row in enumerate(g):
+            assert [sum(v * form[j][k] for j, v in row) for k in range(pv.dim_g)] == [
+                c * (i == k) for k in range(pv.dim_g)], pv.name
 
 
 # One small instance of each of the eight models.
@@ -338,14 +383,25 @@ def test_characters_are_independent(monkeypatch):
         assert rank(dense_rows(pv, pv.characters)) == len(pv.characters), pv.name
 
 
-def test_roots_follow_the_level_one_split():
-    # A parabolic instance keeps the level-1 root of each coordinate, in
-    # the order of grading.components; the matrix models have none.
-    for d in SWEEP:
-        pv = build_parabolic_pv(d)
-        split = [c.roots for c in grading.components(d)]
-        assert pv.roots == tuple(r for roots in split for r in roots), d
-    assert build_model("dual-pair:n=2").instance.roots is None
+def test_reductivity_matrix_needs_a_nondegenerate_form():
+    # N_x = A_x F^-1 A_x^t needs F^-1.  skew-pair:p=2,r=5 is prehomogeneous
+    # but not regular, so the form on its generic isotropy is degenerate, and
+    # that is the form of the subalgebra instance built on the isotropy.
+    # Building N there, and every lattice query that reads N, must raise; no
+    # verdict may come back or be cached.
+    pv = build_model("skew-pair:p=2,r=5").instance
+    report = is_regular(pv)
+    assert report.prehomogeneous and not report.reductive
+    sub = pvcore.subalgebra_instance(pv, report.isotropy_basis)
+    with pytest.raises(PVError, match="degenerate"):
+        pvcore._reductivity_matrix(sub, report.generic_point)
+    lattice = SubsetLattice(sub)
+    for subset in ((0,), (1,)):
+        with pytest.raises(PVError, match="degenerate"):
+            lattice.is_regular_sum(subset)
+        with pytest.raises(PVError, match="degenerate"):
+            lattice.regular_proper_subset(lattice.full)
+    assert not lattice._verdict
 
 
 def test_is_reductive_on_spans():
@@ -381,20 +437,20 @@ def test_each_regularity_verdict_is_computed_once(monkeypatch):
 
 def test_shared_piece_verdict_is_computed_once(monkeypatch):
     # A3[1,3] and A4[1,3] restricted to V[1] both have the one piece A2[1].
-    # Piece verdicts come from ad_square_regular, so its calls are counted,
+    # Piece verdicts come from principal_minor_regular, so its calls are counted,
     # each named by the restriction it decides.  A full report fills its
     # diagram's entry too: from a cold table A5[1,3,5] decides V[1], V[3]
     # and V[1]+V[3], but after A4[1,3] is classified only V[3], since V[1]
     # is the piece A2[1] and V[1]+V[3] the piece A4[1,3].
     names = []
-    original = pvcore.ad_square_regular
+    original = pvcore.principal_minor_regular
 
-    def counting(pv, subset, mt):
+    def counting(pv, subset, n):
         names.append(restrict(pv, subset).name)
-        return original(pv, subset, mt)
+        return original(pv, subset, n)
 
     monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
-    monkeypatch.setattr(pvcore, "ad_square_regular", counting)
+    monkeypatch.setattr(pvcore, "principal_minor_regular", counting)
     first = SubsetLattice(build_parabolic_pv(parse_diagram("A3[1,3]")))
     assert first.regular_proper_subset(first.full) is None
     assert names == ["A3[1,3]/V[1]", "A3[1,3]/V[3]"]
@@ -420,14 +476,14 @@ def test_piece_verdicts_are_shared_across_seeds(monkeypatch):
     # at seed 1 decides only V[3]; V[1] is the piece A2[1] and V[1]+V[3] the
     # piece A4[1,3], both already in the table.
     names = []
-    original = pvcore.ad_square_regular
+    original = pvcore.principal_minor_regular
 
-    def counting(pv, subset, mt):
+    def counting(pv, subset, n):
         names.append(restrict(pv, subset).name)
-        return original(pv, subset, mt)
+        return original(pv, subset, n)
 
     monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
-    monkeypatch.setattr(pvcore, "ad_square_regular", counting)
+    monkeypatch.setattr(pvcore, "principal_minor_regular", counting)
     classify(parse_diagram("A4[1,3]"), "both", 0)
     names.clear()
     classify(parse_diagram("A5[1,3,5]"), "both", 1)
@@ -436,7 +492,7 @@ def test_piece_verdicts_are_shared_across_seeds(monkeypatch):
 
 
 def test_piece_verdicts_search_no_restriction(monkeypatch):
-    # A piece verdict reads a principal minor of its diagram's M at the
+    # A piece verdict reads a principal minor of its diagram's N at the
     # certified point, so a seed-0 sweep pass from an empty piece-verdict
     # table draws candidates only for full reports, one loop per report and
     # never for a restriction (a name with a "/"), and calls restrict once
@@ -464,10 +520,10 @@ def test_piece_verdicts_search_no_restriction(monkeypatch):
 
 
 def test_level_one_is_split_once_per_diagram(monkeypatch):
-    # The builder splits level 1 and keeps the split as the instance's
-    # roots; M = A_x B_x reads those, for piece verdicts and for the det M
-    # determinant.  An empty piece-verdict table makes the piece verdicts
-    # run whatever tests ran before this one.
+    # The builder splits level 1 once; N_x reads only the action matrix and
+    # the form, so neither piece verdicts nor the det N determinant split
+    # again.  An empty piece-verdict table makes the piece verdicts run
+    # whatever tests ran before this one.
     diagrams = [WeightedDiagram(SimpleType(family, 5), circled)
                 for family in "AD" for size in (2, 3, 4)
                 for circled in itertools.combinations(range(1, 6), size)]
