@@ -10,6 +10,7 @@ from __future__ import annotations
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 VECTOR_BOUND = 9
+WIDE_BITS = 61
 
 
 def _mix(z: int) -> int:
@@ -50,3 +51,7 @@ class Stream:
 
     def vector(self, length: int) -> list[int]:
         return [self.randint(-VECTOR_BOUND, VECTOR_BOUND) for _ in range(length)]
+
+    def wide_vector(self, length: int) -> list[int]:
+        """Entries uniform in [0, 2**WIDE_BITS): the top bits of each draw."""
+        return [self.next64() >> (64 - WIDE_BITS) for _ in range(length)]

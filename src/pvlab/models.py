@@ -585,7 +585,8 @@ def verify_model(spec: ModelSpec, seed: int = 0) -> tuple[bool, list[ModelCheckL
             detail = (f"{f.name}: the derivative along operator {i} is {rep.constants[i]} f, "
                       f"but weight {weight} asks for {mi.differential[i]} f")
         else:
-            detail = f"{rep.points_checked} points, weight {weight}"
+            bits = (rep.error_bound.denominator // rep.error_bound.numerator).bit_length() - 1
+            detail = f"{rep.points_checked} points, error <= 2^-{bits}, weight {weight}"
         lines.append(ModelCheckLine(label, not wrong, detail))
     return all(line.passed for line in lines), lines
 

@@ -114,7 +114,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import grading
 from ._linalg import det, kernel_basis, modp_rank, rank, scaled_inverse
-from ._rand import Stream
+from ._rand import WIDE_BITS, Stream
 from .chevalley import chevalley_basis
 from .diagram import WeightedDiagram, render_compact, subdiagram
 
@@ -724,8 +724,9 @@ def decompose_filtration(pv: PVInstance, seed: int = 0) -> FiltrationReport:
 class Invariant:
     """A polynomial on the module, given as a black-box exact evaluator.
 
-    ``evaluate`` gets a list of ``int`` coordinates at the sample points of
-    :func:`verify_invariant`.  It must use exact arithmetic (``/`` on two
+    ``evaluate`` gets a list of ``int`` coordinates near the sample points
+    of :func:`verify_invariant`, whose entries are small (in [-9, 9]) or
+    wide (up to 61 bits).  It must use exact arithmetic (``/`` on two
     ints makes a float).  The polynomial has degree at most ``degree``, and
     exactly ``degree`` in every term when :func:`verify_invariant` expects
     it to be nondegenerate.
@@ -738,10 +739,16 @@ class Invariant:
 
 @dataclass(frozen=True)
 class InvariantReport:
+    """``error_bound`` bounds the chance that check (a) of
+    :func:`verify_invariant` passed an operator along which f is not
+    relatively invariant; :func:`pvlab.models.verify_model` prints it as
+    ``error <= 2^-e``, e rounded down."""
+
     name: str
     constants: tuple
     points_checked: int
     hessian_nonzero: bool | None
+    error_bound: Fraction
 
 
 def _derivative_weights(degree: int) -> tuple[list[int], list[int], int]:
@@ -827,30 +834,49 @@ def _hessian(f: Invariant, x: Sequence, fx, w2: Sequence, diag: Sequence) -> lis
 
 
 INVARIANT_POINTS = 20
+WIDE_POINTS = 2
 
 
 def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
                      expect_nondegenerate: bool = True) -> InvariantReport:
     """Certify that f transforms by a character under the instance's algebra.
 
-    Checks, in order: (a) for every operator M the derivative of f along Mx
-    is a fixed multiple of f across all sample points; (b) if nondegeneracy
-    is expected, the Hessian determinant is nonzero at one of the first five
-    samples where f does not vanish; (c) Euler's identities grad . x = d f
-    and H x = (d - 1) grad hold there, d = ``f.degree``.  The constants of
-    (a), one per operator, are the differential of f's character, which
-    :func:`pvlab.models.verify_model` compares with a model's declared
-    weight.
+    The samples are the reference x_b, the first of up to
+    ``INVARIANT_POINTS`` small-integer draws (entries in [-9, 9]) at which
+    f does not vanish, and k = ``WIDE_POINTS`` wide points drawn after it
+    from the same splitmix64 stream, with entries uniform in [0, 2**61).
+    Checks, in order: (a) for every operator M the derivative of f along
+    Mx is the same multiple of f at every sample; (b) if nondegeneracy is
+    expected, the Hessian determinant is nonzero at x_b, or else at a
+    wide point where f does not vanish, tried in turn; (c) Euler's identities
+    grad . x = d f and H x = (d - 1) grad hold at that point, d =
+    ``f.degree``.  The constants of (a), one per operator, are the
+    differential of f's character, which :func:`pvlab.models.verify_model`
+    compares with a model's declared weight.
 
     Everything is exact.  Sample points are integer vectors and derivatives
     carry the integer scaling of :func:`_derivative_weights`, so with an
     integer evaluator no rational is formed until the reported constants.
-    Every check reads the reference sample x_b, the first with f(x_b) != 0.
     (a) takes D_i = grad . (M x_i) at every sample x_i and tests
     D_i f(x_b) = D_b f(x_i), which at a zero of f asks D_i = 0; the constant
     is D_b / (scale f(x_b)).  (b) and (c) use g = scale * grad and
     h = 2 * scale**2 * H, for which (c) reads g . x = scale d f and
     h x = 2 scale (d - 1) g.
+
+    (a) is a polynomial identity test, and the report's ``error_bound``,
+    dim_g (d / 2**61)**k, bounds the chance that it passes an operator
+    along which f is not relatively invariant.  Fix M and x_b.  The test
+    at x reads P(x) = 0 for P(x) = f(x_b) scale grad f(x) . (M x)
+    - D_b f(x), a polynomial of degree <= d.  If P were zero, grad f . Mx
+    would be D_b / (scale f(x_b)) times f, so f would be relatively
+    invariant along M; hence P is nonzero.  A wide point is uniform on
+    S^dim_v with |S| = 2**61, drawn after x_b, so by the Schwartz-Zippel
+    lemma (Schwartz, J. ACM 27 (1980); Zippel, EUROSAM 1979) P vanishes
+    there with probability at most d / 2**61, and at all k independent
+    wide points with probability at most (d / 2**61)**k.  The union bound
+    over the dim_g operators gives the report's bound.  It treats the
+    splitmix64 draws as uniform and independent.  At x_b itself the test holds for
+    every f; x_b gives the constants.
 
     A report with ``hessian_nonzero`` True also certifies, by (c), that
     the graded-logarithm differential f*H - grad*grad^t has full rank
@@ -864,41 +890,45 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     when nondegeneracy is expected, or (c) fails.  Then the weighted line
     derivative sum_j w1[j] f(x + j u) is exactly scale times
     grad f(x) . u, which is linear in u.  So (a) takes the scaled gradient
-    once per sample point, from f(x + j e_i) (:func:`_axis_derivatives`),
+    once per sample, from f(x + j e_i) (:func:`_axis_derivatives`),
     and reads the derivative along each M x as grad . (M x), the sum of
     grad[a] * c * x[b] over the operator's entries (a, b, c), with no
-    image M x formed: dim_v * degree evaluations per point, not
+    image M x formed: dim_v * degree evaluations per sample, not
     dim_g * degree.  The same values give the Hessian diagonal, and at the
     Hessian point (b) and (c) reuse both, so only the off-diagonal entries
     are evaluated there.
     """
     stream = Stream(seed, context=f"invariant:{pv.name}:{f.name}")
-    xs = [stream.vector(pv.dim_v) for _ in range(INVARIANT_POINTS)]
-    vals = [f.evaluate(x) for x in xs]
-    nonvanishing = [i for i, v in enumerate(vals) if v != 0]
-    if not nonvanishing:
+    for _ in range(INVARIANT_POINTS):
+        x = stream.vector(pv.dim_v)
+        fx = f.evaluate(x)
+        if fx != 0:
+            break
+    else:
         raise DegenerateInvariant(f"{f.name} vanishes at all {INVARIANT_POINTS} sample points")
-    base = nonvanishing[0]
+    xs = [x] + [stream.wide_vector(pv.dim_v) for _ in range(WIDE_POINTS)]
+    vals = [fx] + [f.evaluate(y) for y in xs[1:]]
     w1, w2, scale = _derivative_weights(f.degree)
     axes = [_axis_derivatives(f, x, v, w1, w2) for x, v in zip(xs, vals)]  # (grad, diag) at x
     constants = []
     for mi, entries in enumerate(pv.operators):
         gs = [sum(grad[a] * c * x[b] for a, b, c in entries)  # grad . (M x)
               for (grad, _), x in zip(axes, xs)]
-        if any(g * vals[base] != gs[base] * v for g, v in zip(gs, vals)):
+        if any(g * fx != gs[0] * v for g, v in zip(gs, vals)):
             raise NotRelativeInvariant(
                 f"{f.name}: derivative along operator {mi} is not proportional to f",
                 direction=mi)
-        constants.append(Fraction(gs[base], scale * vals[base]))
+        constants.append(Fraction(gs[0], scale * fx))
     if expect_nondegenerate:
-        for i in nonvanishing[:5]:
+        nonvanishing = [i for i, v in enumerate(vals) if v != 0]
+        for i in nonvanishing:
             grad, diag = axes[i]
             h = _hessian(f, xs[i], vals[i], w2, diag)
             if det(h) != 0:
                 break
         else:
             raise DegenerateInvariant(
-                f"{f.name}: Hessian determinant zero at {len(nonvanishing[:5])} samples")
+                f"{f.name}: Hessian determinant zero at {len(nonvanishing)} samples")
         x, d = xs[i], f.degree
         if sum(map(mul, grad, x)) != scale * d * vals[i]:
             raise DegenerateInvariant(f"{f.name}: Euler's identity grad . x = d f fails, d = {d}")
@@ -906,4 +936,5 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
             raise DegenerateInvariant(
                 f"{f.name}: Euler's identity H x = (d - 1) grad fails, d = {d}")
     return InvariantReport(name=f.name, constants=tuple(constants), points_checked=len(xs),
-                           hessian_nonzero=True if expect_nondegenerate else None)
+                           hessian_nonzero=True if expect_nondegenerate else None,
+                           error_bound=pv.dim_g * Fraction(f.degree, 1 << WIDE_BITS) ** WIDE_POINTS)

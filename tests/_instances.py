@@ -13,10 +13,10 @@ generic-point search by mod-p ranks alone (a reference for the point
 ``pvcore.is_regular`` certifies), the Killing pairing with the grading
 element, the one reference M = A_x B_x of a parabolic instance, read from
 the Chevalley brackets by basis index, against which the reductivity
-matrix N_x that ``pvcore`` builds from the form alone is checked, and the
-Hessian product identity, a rank reference for the graded-logarithm
-differential that ``pvcore.verify_invariant`` certifies by Euler's
-identities.
+matrix N_x that ``pvcore`` builds from the form alone is checked, the
+sample points of ``pvcore.verify_invariant``, and the Hessian product
+identity, a rank reference for the graded-logarithm differential that
+``pvcore.verify_invariant`` certifies by Euler's identities.
 """
 from __future__ import annotations
 
@@ -212,6 +212,16 @@ def sl2_triple_neutral(pv, x) -> bool:
     assert lie_bracket(alg, h, ye) == {k: -2 * v for k, v in ye.items()}, pv.name
     return all(lie_bracket(alg, h, {alg.e_index(r): 1}) == {alg.e_index(r): 2}
                for r in roots)
+
+
+def invariant_samples(pv, f, seed: int = 0) -> list[list[int]]:
+    """The samples of ``pvcore.verify_invariant``: the reference x_b, the
+    first small draw where f does not vanish, then the wide draws that
+    follow it on the same stream."""
+    stream = Stream(seed, context=f"invariant:{pv.name}:{f.name}")
+    small = (stream.vector(pv.dim_v) for _ in range(pvcore.INVARIANT_POINTS))
+    base = next(x for x in small if f.evaluate(x) != 0)
+    return [base] + [stream.wide_vector(pv.dim_v) for _ in range(pvcore.WIDE_POINTS)]
 
 
 class IdentityViolation(Exception):

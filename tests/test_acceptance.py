@@ -598,7 +598,7 @@ def test_closed_form_invariants_certify_exactly():
         assert ok, failures
         for line in lines:
             if line.name.startswith("invariant "):
-                assert "20 points" in line.detail, (spec_string, line)
+                assert "3 points" in line.detail, (spec_string, line)
 
 
 def test_hessian_product_identity():

@@ -8,6 +8,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from pvlab.rootsys import SimpleType
 
 from _instances import (FROZEN_ENUMERATED, FROZEN_LARGE, IdentityViolation, dense_operator,
                         dense_repr, dense_rows, hessian_product_identity_check,
-                        isotropy_algebra, searched_draw)
+                        invariant_samples, isotropy_algebra, searched_draw)
 
 
 def test_parabolic_instance_shapes():
@@ -572,8 +573,10 @@ def test_verify_invariant_accepts_pairing():
     spec = dual_pair(2)
     mi = spec.invariants[0]
     rep = verify_invariant(spec.instance, mi.invariant)
-    assert rep.points_checked == 20
+    assert rep.points_checked == 3
     assert rep.hessian_nonzero
+    # dim_g (d / 2^61)^2 with dim_g = 5 and d = 2.
+    assert rep.error_bound == Fraction(5 * 2 ** 2, 2 ** 122)
 
 
 @pytest.mark.parametrize("gate,fake", [
@@ -585,13 +588,13 @@ def test_verify_invariant_accepts_pairing():
 def test_non_invariant_direction_is_the_first_failing_operator(gate, fake):
     # check (a) reads each operator's derivative off one gradient per point;
     # the operator it names must be the first whose line derivative along
-    # M_i x, taken point by point, is not proportional to f.
+    # M_i x, taken point by point at the reference and the wide samples, is
+    # not proportional to f.
     spec = build_model(gate)
     pv = spec.instance
     assert pv.dim_g > pv.dim_v
     f = fake(spec.invariants[0].invariant)
-    stream = Stream(0, context=f"invariant:{pv.name}:{f.name}")
-    xs = [stream.vector(pv.dim_v) for _ in range(pvcore.INVARIANT_POINTS)]
+    xs = invariant_samples(pv, f)
     vals = [f.evaluate(x) for x in xs]
     images = [list(zip(*pvcore._action_columns(pv, x))) for x in xs]
     w1, _, _ = pvcore._derivative_weights(f.degree)
@@ -631,29 +634,57 @@ def test_a_zero_first_sample_leaves_the_report(monkeypatch):
 
 
 def test_a_violation_only_where_f_vanishes_is_found(monkeypatch):
-    # f = x0 x1 on dual-pair(n=2), with x0 = 0 at every sample after the
-    # first: f vanishes everywhere but at the reference, so no ratio of
-    # nonzero values can differ, and only a nonzero derivative at a zero of
-    # f shows that f is not relatively invariant.  There grad f = x1 e_0,
-    # so the derivative along M x is x1 (M x)_0.
+    # f = x0 x1 on dual-pair(n=2), with x0 = 0 at both wide samples: f
+    # vanishes everywhere but at the reference, so no ratio of nonzero
+    # values can differ, and only a nonzero derivative at a zero of f shows
+    # that f is not relatively invariant.  There grad f = x1 e_0, so the
+    # derivative along M x is x1 (M x)_0.
     pv = dual_pair(2).instance
     f = Invariant("x0 x1", 2, lambda x: x[0] * x[1])
-    vector, drawn = Stream.vector, []
+    wide_vector = Stream.wide_vector
 
-    def zero_x0_after_first(self, length):
-        drawn.append(vector(self, length))
-        if len(drawn) > 1:
-            drawn[-1][0] = 0
-        return drawn[-1]
+    def zero_x0(self, length):
+        x = wide_vector(self, length)
+        x[0] = 0
+        return x
 
-    monkeypatch.setattr(Stream, "vector", zero_x0_after_first)
+    monkeypatch.setattr(Stream, "wide_vector", zero_x0)
     with pytest.raises(NotRelativeInvariant) as err:
         verify_invariant(pv, f, expect_nondegenerate=False)
-    reference, *zeros = drawn
-    assert f.evaluate(reference) != 0 and len(zeros) == pvcore.INVARIANT_POINTS - 1
+    reference, *zeros = invariant_samples(pv, f)
+    assert f.evaluate(reference) != 0 and not any(f.evaluate(x) for x in zeros)
     want = next(mi for mi in range(pv.dim_g)
                 if any(x[1] * pvcore._action_columns(pv, x)[0][mi] for x in zeros))
     assert err.value.direction == want
+
+
+def test_agreement_with_q_on_the_small_cube_is_not_invariance():
+    # P(t) = prod_{k=-9..9} (t - k) vanishes to second order in P(x0)^2 at
+    # every small coordinate, so at every point of [-9, 9]^4 f = Q + P(x0)^2
+    # has Q's value and gradient, and small samples alone would pass f with
+    # Q's constants.  f is not relatively invariant; the wide samples show it.
+    q = dual_pair(2).invariants[0].invariant
+
+    def f(x):
+        return q.evaluate(x) + prod(x[0] - k for k in range(-9, 10)) ** 2
+
+    with pytest.raises(NotRelativeInvariant):
+        verify_invariant(dual_pair(2).instance, Invariant("Q + P(x0)^2", 38, f),
+                         expect_nondegenerate=False)
+
+
+FROZEN_SAMPLES = [
+    [4, 0, 3, 1],
+    [1226646223015838351, 754462646888449941, 1766951868329961478, 2239799268979316992],
+    [337894838516608646, 2220473446973099714, 836340472555484736, 2166399132131836359],
+]
+
+
+def test_invariant_samples_are_frozen():
+    # The reference and the wide samples of Q on dual-pair(n=2) at seed 0:
+    # splitmix64 draws, bit-stable across runs, versions and machines.
+    spec = dual_pair(2)
+    assert invariant_samples(spec.instance, spec.invariants[0].invariant) == FROZEN_SAMPLES
 
 
 def test_an_invariant_vanishing_at_every_sample_is_degenerate():
@@ -665,24 +696,26 @@ def test_an_invariant_vanishing_at_every_sample_is_degenerate():
 # Calls of each gate's evaluator in verify_invariant at seed 0 (the gates of
 # tests/test_acceptance.py).
 INVARIANT_EVALUATIONS = {
-    "matrix-pair:p=2,q=3,r=2": 1244,
-    "skew-pair:p=4,r=5": 6230,
-    "skew-pair:p=2,r=5": 1220,
-    "vector-skew:n=5": 1235,
-    "dual-pair:n=2": 192,
-    "dual-pair:n=3": 290,
-    "descending-chains:n=1": 100,
-    "descending-chains:n=2": 1320,
+    "matrix-pair:p=2,q=3,r=2": 411,
+    "skew-pair:p=4,r=5": 3153,
+    "skew-pair:p=2,r=5": 183,
+    "vector-skew:n=5": 453,
+    "dual-pair:n=2": 39,
+    "dual-pair:n=3": 69,
+    "descending-chains:n=1": 15,
+    "descending-chains:n=2": 198,
 }
 
 
 def test_invariant_verification_evaluation_counts():
     # One scaled gradient per sample point, from f(x + j e_i) for
     # j = 1..degree, serves check (a); at the Hessian point it and the
-    # Hessian diagonal from the same values serve (b) and (c).  So each
-    # invariant costs 20 (1 + dim_v degree) evaluations for the values and
-    # (a), and degree per off-diagonal Hessian entry at each Hessian point
-    # tried (one at seed 0, on the invariants that must be nondegenerate).
+    # Hessian diagonal from the same values serve (b) and (c).  At seed 0
+    # the first small draw is the reference x_b for every gate, so each
+    # invariant costs (1 + WIDE_POINTS) (1 + dim_v degree) evaluations for
+    # the values and (a), and degree per off-diagonal Hessian entry at each
+    # Hessian point tried (x_b alone at seed 0, on the invariants that must
+    # be nondegenerate).
     for gate, want in INVARIANT_EVALUATIONS.items():
         spec = build_model(gate)
         n = spec.instance.dim_v
@@ -694,10 +727,10 @@ def test_invariant_verification_evaluation_counts():
                                 lambda x, ev=f.evaluate: calls.append(1) or ev(x))
             verify_invariant(spec.instance, counted, seed=0,
                              expect_nondegenerate=mi.nondegenerate)
-            formula += (pvcore.INVARIANT_POINTS * (1 + n * f.degree)
+            formula += ((1 + pvcore.WIDE_POINTS) * (1 + n * f.degree)
                         + mi.nondegenerate * f.degree * n * (n - 1) // 2)
         assert (len(calls), formula) == (want, want), gate
-    assert sum(INVARIANT_EVALUATIONS.values()) == 11831
+    assert sum(INVARIANT_EVALUATIONS.values()) == 4521
 
 
 def test_hessian_of_a_linear_form_makes_no_evaluation():
