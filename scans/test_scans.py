@@ -2,10 +2,12 @@
 
 Every diagram of each scan is classified in ``mode="both"`` at seed 0, so a
 disagreement between the family table and the oracle raises
-``MismatchError``; the Q-irreducible hits must also equal the frozen list.
-The scans cover rank 9 of A-D with any number of circles, the two-circle
-diagrams of the ranks where the A, B, C and D1 rows grow new members, and
-the three-circle diagrams of D10 and D11, where the D3 row sits.
+``MismatchError``; the Q-irreducible hits must also equal the rows of
+``tests/data/family_rows.json`` of the scan's type and circle count.  The
+scans cover rank 9 of A-D with any number of circles, the two-circle
+diagrams of the ranks where the A, B, C and D1 rows grow new members, up to
+rank 16 and A20, and the three-circle diagrams of D10, D11 and D16, where
+the D3 row sits.
 
 The sl2-triple of every regular report of the second catalog (rank 8 of
 A-D, E7, E8, F4, G2) is checked here too, with the helpers the tier-1 check
@@ -17,6 +19,7 @@ This directory lies outside the tier-1 ``testpaths``.
 from __future__ import annotations
 
 import itertools
+import json
 import sys
 from operator import mul
 from pathlib import Path
@@ -24,37 +27,25 @@ from pathlib import Path
 import pytest
 
 from pvlab.classify import classify
-from pvlab.diagram import WeightedDiagram, render_compact
+from pvlab.diagram import WeightedDiagram, parse_diagram
 from pvlab.pvcore import build_parabolic_pv, is_regular
 from pvlab.rootsys import SimpleType
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "tests"))
 from _instances import SECOND_CATALOG_TYPES, grading_pairing, sl2_triple_neutral  # noqa: E402
 
-# (type, circle count or None for every count >= 2) -> frozen hits.
-SCANS = {
-    ("A9", None): ["A9[1,9]", "A9[2,8]", "A9[3,7]"],
-    ("B9", None): ["B9[1,9]", "B9[3,8]"],
-    ("C9", None): ["C9[2,8]"],
-    ("D9", None): ["D9[4,8]", "D9[4,9]", "D9[2,8,9]"],
-    ("A10", 2): ["A10[1,10]", "A10[2,9]", "A10[3,8]"],
-    ("B10", 2): ["B10[1,10]", "B10[3,9]"],
-    ("C10", 2): ["C10[2,9]"],
-    ("D10", 2): [],
-    ("A12", 2): ["A12[1,12]", "A12[2,11]", "A12[3,10]", "A12[4,9]"],
-    ("B11", 2): ["B11[1,11]", "B11[3,10]"],
-    ("C11", 2): ["C11[2,10]", "C11[4,9]"],
-    ("A13", 2): ["A13[1,13]", "A13[2,12]", "A13[3,11]", "A13[4,10]"],
-    ("B12", 2): ["B12[1,12]", "B12[3,11]"],
-    ("C12", 2): ["C12[2,11]", "C12[4,10]"],
-    ("D11", 2): ["D11[4,9]"],
-    ("D12", 2): ["D12[4,10]"],
-    ("D10", 3): ["D10[2,9,10]"],
-    ("D11", 3): ["D11[2,10,11]"],
-}
+# (type, circle count or None for every count >= 2).
+SCANS = [("A9", None), ("B9", None), ("C9", None), ("D9", None),
+         ("A10", 2), ("B10", 2), ("C10", 2), ("D10", 2), ("A12", 2), ("B11", 2), ("C11", 2),
+         ("A13", 2), ("B12", 2), ("C12", 2), ("D11", 2), ("D12", 2),
+         ("A16", 2), ("B16", 2), ("C16", 2), ("D16", 2), ("A20", 2),
+         ("D10", 3), ("D11", 3), ("D16", 3)]
+
+FROZEN = [parse_diagram(row[0]) for row in
+          json.loads((Path(__file__).parents[1] / "tests/data/family_rows.json").read_text())]
 
 
-@pytest.mark.parametrize("name,size", list(SCANS), ids=[f"{n}-{s or 'all'}" for n, s in SCANS])
+@pytest.mark.parametrize("name,size", SCANS, ids=[f"{n}-{s or 'all'}" for n, s in SCANS])
 def test_scan_hits_are_frozen(name, size):
     t = SimpleType(name[0], int(name[1:]))
     sizes = range(2, t.rank + 1) if size is None else (size,)
@@ -63,8 +54,8 @@ def test_scan_hits_are_frozen(name, size):
         for circled in itertools.combinations(range(1, t.rank + 1), k):
             rep = classify(WeightedDiagram(t, circled), mode="both", seed=0)
             if rep.verdicts.q_irreducible:
-                hits.append(render_compact(rep.diagram))
-    assert hits == SCANS[name, size]
+                hits.append(rep.diagram)
+    assert hits == [d for d in FROZEN if d.type == t and len(d.circled) in sizes]
 
 
 def test_second_catalog_regular_reports_carry_an_sl2_triple():

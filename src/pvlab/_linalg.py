@@ -2,16 +2,16 @@
 
 Rank, kernel and determinant decisions feed classification verdicts, so
 everything here is exact.  One eliminator, :func:`_echelon`, serves rank,
-det, kernel, inverse and solve: each row is scaled to integers once by
-:func:`_integer_row`, then fraction-free elimination (Bareiss 1968)
+det, kernel, scaled inverse and solve: each row is scaled to integers once
+by :func:`_integer_row`, then fraction-free elimination (Bareiss 1968)
 divides exactly by the previous pivot, so entries stay integer minors of
 the input and no rational is formed until a caller asks for one.  Forward
 elimination clears below the pivots, touching each row below a pivot only
 from the pivot column on (rank, determinant).  Gauss-Jordan mode (kernel,
-inverse) then substitutes back, from the last pivot row up, leaving a
+scaled inverse) then substitutes back, from the last pivot row up, leaving a
 common pivot value ``d`` such that the reduced row echelon form is
 ``m / d``: each reduced row times d is an integer vector, so every
-division in the substitution is exact.  Solve applies the inverse.
+division in the substitution is exact.  Solve applies the scaled inverse.
 
 Row scaling is lazy.  Textbook Bareiss multiplies every row whose entry in
 the pivot column is zero by ``p / d`` at every step; on the sparse
@@ -172,26 +172,14 @@ def rank(rows: Mat) -> int:
     return len(_echelon(rows, False)[1])
 
 
-def clear_denominators(vec: Vec) -> list[int]:
-    """Scale a rational vector to a primitive integer vector.
-
-    The leading nonzero entry is made positive, so the output is a canonical
-    representative of the line spanned by the input.
-    """
-    out = _integer_row(vec)[0]
-    g = gcd(*out)
-    if next((v for v in out if v), 0) < 0:
-        g = -g
-    return [v // g for v in out] if g else list(out)
-
-
 def kernel_basis(rows: Mat) -> tuple[list[list[int]], int, int]:
     """Basis of the right kernel {x : A x = 0}, as primitive integer vectors,
     with the rank and the last pivot d of the same elimination.
 
     Deterministic: one basis vector per free column, ordered by free column.
     With the reduced row echelon form ``m / d``, the vector of free column f
-    is ``d e_f - sum_r m[r][f] e_{pivot r}``, made primitive.  d is, up to
+    is ``d e_f - sum_r m[r][f] e_{pivot r}`` over the gcd of its entries,
+    signed so that its leading nonzero entry is positive.  d is, up to
     sign, a rank x rank minor of the rows scaled to integers by
     :func:`_integer_row`; ``pvcore`` reads it as +-det(A_P) in a form
     determinant, not mod P61.
@@ -207,7 +195,10 @@ def kernel_basis(rows: Mat) -> tuple[list[list[int]], int, int]:
         x[f] = d
         for r, c in enumerate(pivots):
             x[c] = -m[r][f]
-        basis.append(clear_denominators(x))
+        g = gcd(*x)
+        if next(v for v in x if v) < 0:
+            g = -g
+        basis.append([v // g for v in x])
     return basis, len(pivots), d
 
 
@@ -234,15 +225,11 @@ def scaled_inverse(a: Mat) -> tuple[list[list[int]], int, Fraction]:
     return [[v // g for v in row[n:]] for row in m], d // g, Fraction(sign * d, scale)
 
 
-def inverse(a: Mat) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix: m / q from :func:`scaled_inverse`."""
-    m, q, _ = scaled_inverse(a)
-    return [[Fraction(v, q) for v in row] for row in m]
-
-
 def solve(a: Mat, b: Vec) -> list[Fraction]:
-    """Solve A x = b for square nonsingular A, exactly."""
-    return matvec(inverse(a), b)
+    """Solve A x = b for square nonsingular A, exactly: x = m b / q with
+    a^-1 = m / q from :func:`scaled_inverse`."""
+    m, q, _ = scaled_inverse(a)
+    return [Fraction(v, q) for v in matvec(m, b)]
 
 
 def matvec(m: Mat, v: Vec) -> list:

@@ -333,8 +333,6 @@ def is_reductive(pv: PVInstance, subalgebra: Sequence[Sequence]) -> ReductivityC
     Sound as a reductivity test because every instance form is the trace
     form of a faithful module of the ambient algebra.
     """
-    if not subalgebra:
-        return ReductivityCert(True, Fraction(1))
     d = det(_gram(pv.form, subalgebra))
     return ReductivityCert(d != 0, d)
 
@@ -342,13 +340,6 @@ def is_reductive(pv: PVInstance, subalgebra: Sequence[Sequence]) -> ReductivityC
 def _restricted_characters(pv: PVInstance, vectors: Sequence[Sequence]) -> list[list]:
     """Each character of the instance on each of the algebra vectors, one row per character."""
     return [[sum(v * s[b] for b, v in row) for s in vectors] for row in pv.characters]
-
-
-def _invariant_count(pv: PVInstance, subalgebra: Sequence[Sequence]) -> int:
-    total = len(pv.characters)
-    if not subalgebra or not pv.characters:
-        return total
-    return total - rank(_restricted_characters(pv, subalgebra))
 
 
 def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
@@ -395,7 +386,7 @@ def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
         isotropy_basis=_freeze(iso),
         reductive=determinant != 0,
         regular=preh and determinant != 0,
-        n_fundamental_invariants=_invariant_count(pv, iso),
+        n_fundamental_invariants=len(pv.characters) - rank(_restricted_characters(pv, iso)),
         form_determinant=determinant,
         reductivity_matrix=n,
     )
@@ -752,35 +743,25 @@ class InvariantReport:
 
 
 def _derivative_weights(degree: int) -> tuple[list[int], list[int], int]:
-    """Integer first/second derivative-at-0 weights over the nodes 0..degree.
+    """Integer first/second derivative-at-0 weights ``(w1, w2, scale)`` over
+    the nodes 0..degree.
 
-    Returns ``(w1, w2, scale)``, where ``scale`` is the least common multiple
-    of the Lagrange denominators.  Any univariate polynomial p of degree
-    <= ``degree`` satisfies, exactly, scale * p'(0) = sum_j w1[j] p(j) and
-    scale**2 * p''(0) = sum_j w2[j] p(j).
+    Any univariate polynomial p of degree <= ``degree`` satisfies, exactly,
+    scale * p'(0) = sum_j w1[j] p(j) and scale**2 * p''(0) = sum_j w2[j] p(j).
+    Row j of V^-1, for the Vandermonde matrix V[k][j] = j**k, holds the
+    ascending coefficients of node j's Lagrange polynomial; with
+    V^-1 = m / scale in lowest terms (:func:`scaled_inverse`), w1[j] = m[j][1]
+    and w2[j] = 2 scale m[j][2], zero below degree 1 and 2.
 
     Examples
     ========
     >>> _derivative_weights(2)
     ([-3, 4, -1], [4, -8, 4], 2)
     """
-    nodes = list(range(degree + 1))
-    polys, denoms = [], []
-    for j in nodes:
-        poly = [1]  # ascending coefficients of prod_{k != j} (t - k)
-        denom = 1
-        for k in nodes:
-            if k == j:
-                continue
-            denom *= j - k
-            poly = [0] + poly
-            for a in range(len(poly) - 1):
-                poly[a] -= k * poly[a + 1]
-        polys.append(poly + [0, 0])  # degree < 2 reads zero coefficients
-        denoms.append(denom)
-    scale = lcm(*denoms)
-    w1 = [poly[1] * (scale // denom) for poly, denom in zip(polys, denoms)]
-    w2 = [2 * poly[2] * scale * (scale // denom) for poly, denom in zip(polys, denoms)]
+    nodes = range(degree + 1)
+    m, scale, _ = scaled_inverse([[j ** k for j in nodes] for k in nodes])
+    w1 = [row[1] if degree >= 1 else 0 for row in m]
+    w2 = [2 * scale * row[2] if degree >= 2 else 0 for row in m]
     return w1, w2, scale
 
 

@@ -13,6 +13,8 @@ from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
+from ._linalg import kernel_basis
+
 Root = tuple[int, ...]
 
 _RANK_RANGE = {
@@ -78,25 +80,15 @@ def cartan_matrix(t: SimpleType) -> list[list[int]]:
 def _root_lengths(cartan: list[list[int]]) -> list[int]:
     """Relative squared lengths d_i of the simple roots (smallest = 1).
 
-    Determined up to scale by the symmetry d_i * C[j][i] = d_j * C[i][j];
-    propagated along the (connected) Dynkin graph.
+    The primitive kernel vector of d_i C[j][i] = d_j C[i][j], one equation
+    per Dynkin edge, a line for a connected graph (Kac, *Infinite-Dimensional
+    Lie Algebras*, section 2.1).  A zero row keeps the width when there is
+    no edge (A1).
     """
-    from fractions import Fraction
-
     n = len(cartan)
-    d: list = [None] * n
-    d[0] = Fraction(1)
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        for j in range(n):
-            if j != i and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * cartan[j][i] / cartan[i][j]
-                todo.append(j)
-    scale = min(x for x in d)
-    out = [x / scale for x in d]
-    assert all(x.denominator == 1 for x in out)
-    return [int(x) for x in out]
+    rows = [[cartan[j][i] * (k == i) - cartan[i][j] * (k == j) for k in range(n)]
+            for i in range(n) for j in range(i + 1, n) if cartan[i][j]]
+    return kernel_basis(rows or [[0] * n])[0][0]
 
 
 class RootSystem:

@@ -37,6 +37,32 @@ def test_h_theta_eigenvalues():
         assert degree(d, alpha) == (1 if i in d.circled else 0)
 
 
+# Every circled subset of the sweep types, and the single circles of the
+# other exceptional types.
+GRADED = ([WeightedDiagram(t, circled)
+           for t in ([SimpleType("A", n) for n in range(1, 8)]
+                     + [SimpleType("B", n) for n in range(2, 8)]
+                     + [SimpleType("C", n) for n in range(3, 8)]
+                     + [SimpleType("D", n) for n in range(4, 8)]
+                     + [SimpleType("E", 6)])
+           for size in range(1, t.rank + 1)
+           for circled in itertools.combinations(range(1, t.rank + 1), size)]
+          + [WeightedDiagram(t, (i,))
+             for t in (SimpleType("E", 7), SimpleType("E", 8), SimpleType("F", 4),
+                       SimpleType("G", 2))
+             for i in range(1, t.rank + 1)])
+
+
+def test_grading_element_takes_2_at_circled_nodes():
+    # h_theta solves C h = 2 [i circled] exactly: the simple root alpha_i
+    # takes sum_j C[i][j] h[j] on it.
+    for d in GRADED:
+        cartan = build_root_system(d.type).cartan
+        h = compute_grading(d).h_theta
+        for i, row in enumerate(cartan, start=1):
+            assert sum(c * v for c, v in zip(row, h)) == (2 if i in d.circled else 0), d
+
+
 def test_degree_is_coefficient_sum():
     d = parse_diagram("F4[1,2]")
     rs = build_root_system(d.type)

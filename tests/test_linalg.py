@@ -3,14 +3,15 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvlab._linalg import (P61, _echelon, clear_denominators, det, inverse, kernel_basis, matmul,
-                           matvec, modp_rank, rank, solve, transpose)
+from pvlab._linalg import (P61, _echelon, det, kernel_basis, matmul, matvec, modp_rank, rank,
+                           scaled_inverse, solve, transpose)
 
 from _instances import identity
 
@@ -210,21 +211,25 @@ def test_solve_rational_input():
                        min_size=n, max_size=n)))
 @settings(max_examples=60, deadline=None)
 def test_inverse_is_a_two_sided_inverse(a):
+    # scaled_inverse gives a^-1 = m / q in lowest terms, with det a.
     if det(a) == 0:
         with pytest.raises(ValueError):
-            inverse(a)
+            scaled_inverse(a)
         return
-    inv = inverse(a)
-    assert all(isinstance(v, Fraction) for row in inv for v in row)
+    m, q, d = scaled_inverse(a)
+    assert d == det(a)
+    assert all(type(v) is int for row in m for v in row) and q > 0
+    assert gcd(q, *(v for row in m for v in row)) == 1
+    inv = [[Fraction(v, q) for v in row] for row in m]
     assert matmul(a, inv) == identity(len(a))
     assert matmul(inv, a) == identity(len(a))
 
 
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError):
-        inverse([[1, 2], [2, 4]])
+        scaled_inverse([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
-        inverse([[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 3]])
+        scaled_inverse([[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 3]])
 
 
 def test_solve_rejects_singular():
@@ -232,9 +237,15 @@ def test_solve_rejects_singular():
         solve([[1, 2], [2, 4]], [1, 1])
 
 
-def test_clear_denominators_primitive():
-    v = clear_denominators([Fraction(1, 2), Fraction(2, 3), Fraction(0)])
-    assert v == [3, 4, 0]
+@given(st.one_of(sparse_matrix(), small_matrix(entries=fraction_entries),
+                 low_rank_matrix(fraction_entries)))
+@settings(max_examples=80, deadline=None)
+def test_kernel_vectors_are_primitive(m):
+    # Each kernel vector is the canonical representative of its line: integer
+    # entries with gcd 1 and a positive leading entry, for Fraction input too.
+    for v in kernel_basis(m)[0]:
+        assert all(type(x) is int for x in v)
+        assert gcd(*v) == 1 and next(x for x in v if x) > 0
 
 
 def test_matrix_helpers():

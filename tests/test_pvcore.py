@@ -353,11 +353,11 @@ SMALL_MODELS = ("dual-pair:n=2", "sym-vector:n=3", "descending-chains:n=3",
 
 
 def test_characters_are_independent(monkeypatch):
-    # _invariant_count reads the number of characters as their rank.  The
-    # parabolic instances have unit rows, the models indicator rows on
-    # disjoint generators, and a restriction its parent's rows.  The stage-2
-    # instances of these filtrations restrict dependent rows (2 of rank 1,
-    # or 3 of rank 2) and keep a basis of them.
+    # is_regular's invariant count reads the number of characters as their
+    # rank.  The parabolic instances have unit rows, the models indicator
+    # rows on disjoint generators, and a restriction its parent's rows.  The
+    # stage-2 instances of these filtrations restrict dependent rows (2 of
+    # rank 1, or 3 of rank 2) and keep a basis of them.
     made = []
     subalgebra = pvcore.subalgebra_instance
 
@@ -781,7 +781,7 @@ def test_hessian_identity_violation_on_wrong_degree():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 8).flatmap(
+@given(st.integers(0, 8).flatmap(
     lambda d: st.tuples(st.just(d), st.lists(st.integers(-99, 99), min_size=1, max_size=d + 1))))
 def test_integer_derivative_weights_are_exact(case):
     degree, coeffs = case

@@ -48,17 +48,20 @@ def test_root_closure_b3():
             assert rs.is_root(s) == (s in roots)
 
 
-def test_norms_by_family():
-    # alpha_3 is the short root in B_n and the long root in C_n; G2 takes
-    # alpha_1 long.
-    assert build_root_system(SimpleType("B", 3)).lengths == [2, 2, 1]
-    assert build_root_system(SimpleType("C", 3)).lengths == [1, 1, 2]
-    assert build_root_system(SimpleType("G", 2)).lengths == [3, 1]
-
-
 # Every admissible A-D type up to rank 24, and the exceptional types.
 TYPES_THROUGH_RANK_24 = ([(f, n) for f in "ABCD" for n in range(_RANK_RANGE[f][0], 25)]
                          + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def test_norms_by_family():
+    # alpha_n is the short root in B_n and the long root in C_n; G2 takes
+    # alpha_1 long.
+    closed = {"B": lambda n: [2] * (n - 1) + [1], "C": lambda n: [1] * (n - 1) + [2],
+              "F": lambda n: [2, 2, 1, 1], "G": lambda n: [3, 1]}
+    for family, rank in TYPES_THROUGH_RANK_24:
+        want = closed.get(family, lambda n: [1] * n)(rank)
+        assert build_root_system(SimpleType(family, rank)).lengths == want, (family, rank)
+
 
 # Positive-root counts in closed form.
 POSITIVE_COUNTS = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
