@@ -11,7 +11,9 @@ the D3 row sits.
 
 The sl2-triple of every regular report of the second catalog (rank 8 of
 A-D, E7, E8, F4, G2) is checked here too, with the helpers the tier-1 check
-on the sweep uses.
+on the sweep uses, and so is the closed single-circle rule of
+``single_circle_regular`` on every single-circle diagram of A-D at ranks
+9-16, against the oracle.
 
 Run from the repository root with ``PYTHONPATH=src python -m pytest -q scans``.
 This directory lies outside the tier-1 ``testpaths``.
@@ -32,7 +34,8 @@ from pvlab.pvcore import build_parabolic_pv, is_regular
 from pvlab.rootsys import SimpleType
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "tests"))
-from _instances import SECOND_CATALOG_TYPES, grading_pairing, sl2_triple_neutral  # noqa: E402
+from _instances import (SECOND_CATALOG_TYPES, grading_pairing,  # noqa: E402
+                        single_circle_regular, sl2_triple_neutral)
 
 # (type, circle count or None for every count >= 2).
 SCANS = [("A9", None), ("B9", None), ("C9", None), ("D9", None),
@@ -78,3 +81,11 @@ def test_second_catalog_regular_reports_carry_an_sl2_triple():
                     regular += 1
                     neutral += pairs_to_zero
     assert (regular, neutral) == (389, 138)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_single_circle_rule_matches_the_oracle(family):
+    diagrams = [WeightedDiagram(SimpleType(family, n), (k,))
+                for n in range(9, 17) for k in range(1, n + 1)]
+    assert [d for d in diagrams
+            if single_circle_regular(d) != is_regular(build_parabolic_pv(d)).regular] == []

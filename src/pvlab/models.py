@@ -32,8 +32,8 @@ from operator import mul
 from typing import Callable, Sequence
 
 from ._linalg import matmul, transpose
-from .pvcore import (Invariant, PVError, PVInstance, make_instance, q_irreducible,
-                     verify_invariant)
+from .pvcore import (WIDE_POINTS, Invariant, PVError, PVInstance, make_instance,
+                     q_irreducible, verify_invariant)
 
 __all__ = [
     "ModelSpec", "ModelInvariant", "ModelCheckLine", "pfaffian", "NotSkew",
@@ -586,7 +586,7 @@ def verify_model(spec: ModelSpec, seed: int = 0) -> tuple[bool, list[ModelCheckL
                       f"but weight {weight} asks for {mi.differential[i]} f")
         else:
             bits = (rep.error_bound.denominator // rep.error_bound.numerator).bit_length() - 1
-            detail = f"{rep.points_checked} points, error <= 2^-{bits}, weight {weight}"
+            detail = f"{1 + WIDE_POINTS} points, error <= 2^-{bits}, weight {weight}"
         lines.append(ModelCheckLine(label, not wrong, detail))
     return all(line.passed for line in lines), lines
 

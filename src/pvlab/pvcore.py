@@ -108,6 +108,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import lcm, prod
 from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
@@ -443,10 +444,15 @@ def principal_minor_regular(pv: PVInstance, subset: tuple[int, ...], n: Matrix) 
     return modp_rank(minor) == len(coords) or det(minor) != 0
 
 
-# The inverse of each distinct connected block of an instance form, keyed by
-# the block's rows with each column read as its position in the block: its
-# integer rows over one denominator, that denominator, and its determinant.
-_BLOCK_INVERSES: dict[tuple, tuple[tuple, int, Fraction]] = {}
+@cache
+def _block_inverse(key: tuple) -> tuple[tuple, int, Fraction]:
+    """The inverse of one connected block of an instance form, given by the
+    block's rows with each column read as its position in the block: its
+    integer rows over one denominator, that denominator, and its
+    determinant.  Raises ``ValueError`` on a singular block."""
+    dense = [[dict(pairs).get(k, 0) for k in range(len(key))] for pairs in key]
+    inv, q, block_det = scaled_inverse(dense)
+    return tuple(tuple((k, v) for k, v in enumerate(row) if v) for row in inv), q, block_det
 
 
 def _form_inverse(pv: PVInstance) -> tuple[list[list[tuple[int, int]]], int, Fraction]:
@@ -456,8 +462,8 @@ def _form_inverse(pv: PVInstance) -> tuple[list[list[tuple[int, int]]], int, Fra
     nonzero.  F is block diagonal over the connected blocks, so F^-1 is
     too and det F is the product of the block determinants.  Each block is
     read in increasing index order, and each distinct block matrix is
-    inverted once, in :data:`_BLOCK_INVERSES`.  Raises :class:`PVError` on
-    a degenerate F."""
+    inverted once per process (:func:`_block_inverse`).  Raises
+    :class:`PVError` on a degenerate F."""
     form, seen, found = pv.form, [False] * pv.dim_g, []
     for i in range(pv.dim_g):
         if seen[i]:
@@ -471,24 +477,18 @@ def _form_inverse(pv: PVInstance) -> tuple[list[list[tuple[int, int]]], int, Fra
                     todo.append(k)
         block.sort()
         key = tuple(tuple((block.index(k), v) for k, v in form[j]) for j in block)
-        if key not in _BLOCK_INVERSES:
-            dense = [[dict(pairs).get(k, 0) for k in range(len(key))] for pairs in key]
-            try:
-                inv, q, block_det = scaled_inverse(dense)
-            except ValueError:
-                raise PVError(f"{pv.name}: the form is degenerate, so N_x needs an F^-1 "
-                              "that does not exist") from None
-            rows = tuple(tuple((k, v) for k, v in enumerate(row) if v) for row in inv)
-            _BLOCK_INVERSES[key] = rows, q, block_det
-        found.append((block, _BLOCK_INVERSES[key]))
+        try:
+            found.append((block, _block_inverse(key)))
+        except ValueError:
+            raise PVError(f"{pv.name}: the form is degenerate, so N_x needs an F^-1 "
+                          "that does not exist") from None
     c = lcm(*(q for _, (_, q, _) in found))
     g: list[list[tuple[int, int]]] = [[] for _ in range(pv.dim_g)]
     for block, (rows, q, _) in found:
         m = c // q
         for j, row in zip(block, rows):
             g[j] = [(block[k], v * m) for k, v in row]
-    dets = [block_det for _, (_, _, block_det) in found]
-    return g, c, Fraction(prod(d.numerator for d in dets), prod(d.denominator for d in dets))
+    return g, c, prod(block_det for _, (_, _, block_det) in found)
 
 
 def _reductivity_matrix(pv: PVInstance, x: Sequence) -> tuple[list[list[int]], int, Fraction]:
@@ -737,8 +737,6 @@ class InvariantReport:
 
     name: str
     constants: tuple
-    points_checked: int
-    hessian_nonzero: bool | None
     error_bound: Fraction
 
 
@@ -859,7 +857,7 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     splitmix64 draws as uniform and independent.  At x_b itself the test holds for
     every f; x_b gives the constants.
 
-    A report with ``hessian_nonzero`` True also certifies, by (c), that
+    A report taken with ``expect_nondegenerate`` also certifies, by (c), that
     the graded-logarithm differential f*H - grad*grad^t has full rank
     dim_v.  With f(x) != 0 and det H != 0, the identities rule out d = 1
     (H x = 0 would force x = 0, and then grad . x = 0 != f), so
@@ -916,6 +914,5 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
         if any(sum(map(mul, row, x)) != 2 * scale * (d - 1) * g for row, g in zip(h, grad)):
             raise DegenerateInvariant(
                 f"{f.name}: Euler's identity H x = (d - 1) grad fails, d = {d}")
-    return InvariantReport(name=f.name, constants=tuple(constants), points_checked=len(xs),
-                           hessian_nonzero=True if expect_nondegenerate else None,
+    return InvariantReport(name=f.name, constants=tuple(constants),
                            error_bound=pv.dim_g * Fraction(f.degree, 1 << WIDE_BITS) ** WIDE_POINTS)

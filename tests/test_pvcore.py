@@ -573,8 +573,6 @@ def test_verify_invariant_accepts_pairing():
     spec = dual_pair(2)
     mi = spec.invariants[0]
     rep = verify_invariant(spec.instance, mi.invariant)
-    assert rep.points_checked == 3
-    assert rep.hessian_nonzero
     # dim_g (d / 2^61)^2 with dim_g = 5 and d = 2.
     assert rep.error_bound == Fraction(5 * 2 ** 2, 2 ** 122)
 
@@ -768,8 +766,7 @@ def test_verify_invariant_flags_degenerate_hessian():
         with pytest.raises(DegenerateInvariant, match=re.escape(message)):
             verify_invariant(pv, f, expect_nondegenerate=True)
         # Without the nondegeneracy demand the same invariant certifies fine.
-        rep = verify_invariant(pv, f, expect_nondegenerate=False)
-        assert rep.hessian_nonzero is None
+        verify_invariant(pv, f, expect_nondegenerate=False)
 
 
 def test_hessian_identity_violation_on_wrong_degree():
@@ -828,7 +825,6 @@ def test_rational_coefficient_invariant_is_certified_exactly():
     rep = verify_invariant(spec.instance, third)
     base = verify_invariant(spec.instance, mi.invariant)
     assert rep.constants == base.constants
-    assert rep.hessian_nonzero
     ident = hessian_product_identity_check(third, spec.instance.dim_v)
     assert ident.points_checked == 5
 
@@ -846,9 +842,7 @@ def test_gate_invariant_reports_are_frozen():
                                    expect_nondegenerate=mi.nondegenerate)
             assert all(type(c) is Fraction for c in rep.constants)
             rows.append({"model": model, "invariant": rep.name,
-                         "constants": [str(c) for c in rep.constants],
-                         "points_checked": rep.points_checked,
-                         "hessian_nonzero": rep.hessian_nonzero})
+                         "constants": [str(c) for c in rep.constants]})
     assert len(rows) == 9
     assert rows == frozen
 
