@@ -35,7 +35,7 @@ from pvlab.rootsys import SimpleType, build_root_system, split_pieces
 from _instances import (FROZEN_LARGE, SECOND_CATALOG_TYPES, ad_square_by_index, dense_operator,
                         grading_pairing, hessian_product_identity_check, identity,
                         is_m_over_kappa, isotropy_algebra, kappas, length_rule, simple_root,
-                        single_circle_regular, sl2_triple_neutral)
+                        sl2_triple_neutral)
 
 DATA = Path(__file__).parent / "data"
 
@@ -93,18 +93,6 @@ def test_second_catalog_reproduction():
     assert hits == SECOND_CATALOG
     assert all(r.family is not None for r in reports if r.verdicts.q_irreducible)
     assert time.monotonic() - start < 120
-
-
-def test_single_circle_rule_matches_the_oracle():
-    # A single-circle diagram is Q-irreducible exactly when it is regular.
-    # The closed rule of single_circle_regular must equal the oracle's
-    # verdict on every single-circle diagram of both catalogs' types; scans/
-    # extends the check to A-D at ranks 9-16.
-    diagrams = [WeightedDiagram(t, (k,)) for t in SWEEP_TYPES + SECOND_CATALOG_TYPES
-                for k in range(1, t.rank + 1)]
-    assert len(diagrams) == 161
-    assert [render_compact(d) for d in diagrams
-            if single_circle_regular(d) != is_regular(build_parabolic_pv(d)).regular] == []
 
 
 # Probes of the D1 row, M_{m x k} + M_{k x m} under GL_m x GL_k x SO_m with

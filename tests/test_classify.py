@@ -14,6 +14,8 @@ from pvlab.diagram import SimpleType, WeightedDiagram, parse_diagram, render_com
 from pvlab.pvcore import SubsetLattice, build_parabolic_pv, is_regular, restrict
 from pvlab.rootsys import build_root_system
 
+from _instances import SECOND_CATALOG_TYPES, single_circle_regular
+
 classify_module = importlib.import_module("pvlab.classify")
 
 DATA = Path(__file__).parent / "data"
@@ -325,41 +327,25 @@ def test_classify_single_circle_q_verdicts_mean_regular():
             assert rep.witnesses.regular_gamma is None
 
 
-# The regular single-circle diagrams of the exceptional types, Bourbaki numbering.
-EXCEPTIONAL_REGULAR_NODES = {("E", 6): {2, 4}, ("E", 7): {1, 2, 3, 4, 5, 6, 7},
-                             ("E", 8): {1, 2, 5, 6, 7, 8}, ("F", 4): {1, 2, 4}, ("G", 2): {1}}
-
-
-def _single_circle_rule(family: str, n: int, k: int) -> bool:
-    """Whether the single-circle diagram X_n[k] is regular, in closed form."""
-    if family == "A":
-        return n == 2 * k - 1
-    if family == "B":
-        return 3 * k <= 2 * n + 1
-    if family == "C":
-        return k == n or (k % 2 == 0 and 3 * k <= 2 * n)
-    if family == "D":
-        return n % 2 == 0 if k >= n - 1 else 3 * k <= 2 * n
-    return k in EXCEPTIONAL_REGULAR_NODES[family, n]
-
-
 def test_single_circle_rule_matches_the_oracle():
-    # A single-circle diagram is regular exactly when the closed-form rule
-    # says so: on every single-circle diagram of the sweep types and of E7,
-    # E8, F4 and G2 (Bourbaki numbering, as rootsys uses), the rule must
-    # equal the oracle.  The family table lists multi-circle rows only, so
-    # this rule is not one of its rows.
+    # A single-circle diagram is regular exactly when the closed rule of
+    # single_circle_regular says so: on every single-circle diagram of the
+    # sweep types and of the second catalog's (Bourbaki numbering, as
+    # rootsys uses), the rule must equal the oracle.  The family table lists
+    # multi-circle rows only, so this rule is not one of its rows; scans/
+    # extends the check to A-D at ranks 9-16.
     types = ([SimpleType("A", n) for n in range(1, 8)] + [SimpleType("B", n) for n in range(2, 8)]
              + [SimpleType("C", n) for n in range(3, 8)] + [SimpleType("D", n) for n in range(4, 8)]
-             + [SimpleType(*key) for key in EXCEPTIONAL_REGULAR_NODES])
+             + [SimpleType("E", 6)] + SECOND_CATALOG_TYPES)
     checked = regular = 0
     for t in types:
         for k in range(1, t.rank + 1):
-            oracle = is_regular(build_parabolic_pv(WeightedDiagram(t, (k,)))).regular
-            assert _single_circle_rule(t.family, t.rank, k) == oracle, (str(t), k)
+            d = WeightedDiagram(t, (k,))
+            oracle = is_regular(build_parabolic_pv(d)).regular
+            assert single_circle_regular(d) == oracle, (str(t), k)
             checked += 1
             regular += oracle
-    assert (checked, regular) == (129, 70)
+    assert (checked, regular) == (161, 85)
 
 
 def test_classify_both_raises_on_planted_disagreement(monkeypatch):
