@@ -65,7 +65,6 @@ class FamilyMatch:
 
     family: str
     params: tuple[int, ...]
-    diagram: WeightedDiagram
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def family_match(d: WeightedDiagram) -> FamilyMatch | None:
     family = d.type.family
     shape, blocks = _profile(d)
     row = _ROWS.get((family if family in "ABCD" else str(d.type), shape))
-    return FamilyMatch(row[0], blocks, d) if row and row[1](*blocks) else None
+    return FamilyMatch(row[0], blocks) if row and row[1](*blocks) else None
 
 
 # ---------------------------------------------------------------------------

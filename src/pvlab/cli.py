@@ -76,7 +76,7 @@ def _component_report(d: WeightedDiagram) -> tuple[list[dict], list[str], list[s
     """The level-1 components as payload, text lines and a markdown table."""
     comps = [{
         "alpha": c.alpha,
-        "dim": c.dim,
+        "dim": len(c.roots),
         "j_alpha": list(c.j_alpha),
         "highest_weight": {str(k): v for k, v in sorted(c.highest_weight.items())},
     } for c in components(d)]
@@ -344,21 +344,21 @@ def _cmd_decompose(args: argparse.Namespace) -> Document:
     except pvcore.PartialFiltration as e:
         raise UsageError(f"filtration stalled on {pv.name}: {e}") from None
     stages = [{**dataclasses.asdict(s), "determinant": _num(s.determinant)} for s in rep.stages]
+    last = rep.stages[-1]
     results = {
         "input": pv.name,
         "seed": args.seed,
         "stages": stages,
-        "final_isotropy_dim": rep.final_isotropy_dim,
-        "final_reductive": rep.final_reductive,
+        "final_isotropy_dim": last.isotropy_dim,
+        "final_reductive": last.reductive,
     }
     text = [f"{pv.name}  seed={args.seed}"]
     for i, s in enumerate(stages, 1):
         text.append(f"  stage {i}: {'+'.join(s['labels'])}  dim {s['dim']}, isotropy dim "
                     f"{s['isotropy_dim']}, reductive={s['reductive']}")
-    text.append(f"  final isotropy dim {rep.final_isotropy_dim}, "
-                f"reductive={rep.final_reductive}")
+    text.append(f"  final isotropy dim {last.isotropy_dim}, reductive={last.reductive}")
     summary = (f"{pv.name}: {len(stages)} stage{'' if len(stages) == 1 else 's'}, final isotropy "
-               f"dim {rep.final_isotropy_dim} ({'reductive' if rep.final_reductive else 'NOT reductive'})")
+               f"dim {last.isotropy_dim} ({'reductive' if last.reductive else 'NOT reductive'})")
     md = [f"# decompose {pv.name}", ""]
     md += _md_table([( '+'.join(s["labels"]), s["dim"], s["isotropy_dim"], s["reductive"])
                      for s in stages], ("stage", "dim", "isotropy dim", "reductive"))

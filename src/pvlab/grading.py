@@ -30,7 +30,6 @@ class Component:
 
     alpha: int
     roots: tuple[Root, ...]
-    dim: int
     j_alpha: tuple[int, ...]
     highest_weight: dict[int, int]
 
@@ -79,5 +78,5 @@ def components(d: WeightedDiagram) -> tuple[Component, ...]:
     for a, roots in by_node.items():
         j = tuple(b for b in rs.neighbors(a) if b not in d.circled)
         hw = {b: rs.cartan[a - 1][b - 1] for b in j}
-        out.append(Component(a, tuple(roots), len(roots), j, hw))
+        out.append(Component(a, tuple(roots), j, hw))
     return tuple(out)

@@ -306,11 +306,13 @@ class ModelSpec:
         return _pack(list(self.blocks), point)
 
 
-def _spec(name: str, params: dict, blocks: list[_Block], factors: list[tuple],
+def _spec(model: str, params: dict, blocks: list[_Block], factors: list[tuple],
           invariants, expected: dict) -> ModelSpec:
-    """A model from its factor table.  Each invariant is given as
+    """A model from its factor table, named ``model(k=v,...)`` from its id
+    and params; the name seeds its draws.  Each invariant is given as
     (Invariant, weight, expect_nondegenerate); a weight may name only the
     table's characters."""
+    name = f"{model}({','.join(f'{k}={v}' for k, v in params.items())})"
     instance, labels = _instance(name, blocks, factors)
     unknown = {char for _, weight, _ in invariants for char in weight} - set(labels)
     if unknown:
@@ -344,7 +346,7 @@ def dual_pair(n: int) -> ModelSpec:
         pt = _unpack(blocks, x)
         return sum(pt["v"][i][0] * pt["w"][i][0] for i in range(n))
 
-    return _spec(f"dual-pair(n={n})", {"n": n}, blocks, factors,
+    return _spec("dual-pair", {"n": n}, blocks, factors,
                  [(Invariant("Q", 2, q_eval), {"x": 1, "y": -1}, True)],
                  {"regular": True, "isotropy_dim": (n - 1) ** 2,
                   "n_fundamental_invariants": 1, "q_irreducible": True})
@@ -365,7 +367,7 @@ def sym_vector(n: int) -> ModelSpec:
     def det_s(x):
         return generic_det(_unpack(blocks, x)["S"])
 
-    return _spec(f"sym-vector(n={n})", {"n": n}, blocks, factors,
+    return _spec("sym-vector", {"n": n}, blocks, factors,
                  [(Invariant("det(S)", n, det_s), {"g": 2}, False)],
                  {"regular": True, "isotropy_dim": (n - 1) * (n - 2) // 2,
                   "n_fundamental_invariants": 2})
@@ -396,7 +398,7 @@ def descending_chains(n: int) -> ModelSpec:
             return generic_det(matmul(transpose(prod), prod))
         return ev
 
-    return _spec(f"descending-chains(n={n})", {"n": n}, blocks, factors,
+    return _spec("descending-chains", {"n": n}, blocks, factors,
                  [(Invariant(f"P[{k}]", 2 * k * (n - k + 1), p_eval(k)), {f"g{k}": -2}, False)
                   for k in range(1, n + 1)],
                  {"regular": True, "isotropy_dim": 0, "n_fundamental_invariants": n})
@@ -421,8 +423,7 @@ def matrix_pair(p: int, q: int, r: int) -> ModelSpec:
     invariants = []
     if p == r:
         invariants.append((Invariant("det(YX)", 2 * p, det_yx), {"g1": -1, "g3": 1}, True))
-    return _spec(f"matrix-pair(p={p},q={q},r={r})", {"p": p, "q": q, "r": r}, blocks,
-                 factors, invariants,
+    return _spec("matrix-pair", {"p": p, "q": q, "r": r}, blocks, factors, invariants,
                  {"regular": p == r,
                   **({"n_fundamental_invariants": 1, "q_irreducible": True} if p == r else {})})
 
@@ -456,7 +457,7 @@ def skew_pair(p: int, r: int) -> ModelSpec:
     invariants = []
     if p % 2 == 0:
         invariants.append((Invariant("Pf(XtYX)", 3 * p // 2, pf_xyx), {"g1": -1}, p == r - 1))
-    return _spec(f"skew-pair(p={p},r={r})", {"p": p, "r": r}, blocks, factors, invariants,
+    return _spec("skew-pair", {"p": p, "r": r}, blocks, factors, invariants,
                  {"regular": p == r - 1,
                   **({"n_fundamental_invariants": 1, "q_irreducible": True}
                      if p == r - 1 else {})})
@@ -497,8 +498,7 @@ def diag_chain(p: int, q: int) -> ModelSpec:
         expected = {"regular": False, "n_fundamental_invariants": 2}
     else:
         expected = {"regular": False}
-    return _spec(f"diag-chain(p={p},q={q})", {"p": p, "q": q}, blocks, factors, invariants,
-                 expected)
+    return _spec("diag-chain", {"p": p, "q": q}, blocks, factors, invariants, expected)
 
 
 def vector_skew(n: int) -> ModelSpec:
@@ -524,7 +524,7 @@ def vector_skew(n: int) -> ModelSpec:
         z.append([-v for v in xv] + [0])
         return _pf(z, tuple(range(n + 1)))
 
-    return _spec(f"vector-skew(n={n})", {"n": n}, blocks, factors,
+    return _spec("vector-skew", {"n": n}, blocks, factors,
                  [(Invariant("borderedPf", (n + 1) // 2, bordered), {"g": 1, "a": 1}, True)],
                  {"regular": True, "isotropy_dim": (n * n - n + 2) // 2,
                   "n_fundamental_invariants": 1, "q_irreducible": True})
@@ -545,7 +545,7 @@ def det_augmented(n: int) -> ModelSpec:
         pt = _unpack(blocks, x)
         return generic_det([[*pt["X"][i], pt["Y"][i][0]] for i in range(n)])
 
-    return _spec(f"det-augmented(n={n})", {"n": n}, blocks, factors,
+    return _spec("det-augmented", {"n": n}, blocks, factors,
                  [(Invariant("det[X|Y]", n, det_xy), {"g": 1, "h": -1}, True)],
                  {"regular": True, "n_fundamental_invariants": 1, "q_irreducible": True})
 

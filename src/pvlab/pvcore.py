@@ -249,8 +249,8 @@ def build_parabolic_pv(d: WeightedDiagram) -> PVInstance:
                 p = position.get(tuple(map(sub, s, r)))
                 if p is not None:
                     entries[n + p].append((l, k, alg.nconst[(level0[p], r)]))
-        ranges.append(range(offset, offset + c.dim))
-        offset += c.dim
+        ranges.append(range(offset, offset + len(c.roots)))
+        offset += len(c.roots)
     half = len(level0) // 2  # e_g and e_-g lie half the level-0 list apart
     form = _rows(alg.killing_h) + [[(n + (p + half) % len(level0), alg.root_killing[g])]
                                    for p, g in enumerate(level0)]
@@ -665,8 +665,6 @@ class FiltrationStage:
 @dataclass(frozen=True)
 class FiltrationReport:
     stages: tuple[FiltrationStage, ...]
-    final_isotropy_dim: int
-    final_reductive: bool
 
 
 def decompose_filtration(pv: PVInstance, seed: int = 0) -> FiltrationReport:
@@ -704,7 +702,7 @@ def decompose_filtration(pv: PVInstance, seed: int = 0) -> FiltrationReport:
             break
         rest_pv = restrict(subalgebra_instance(cur, report.isotropy_basis), rest)
         lattice = SubsetLattice(rest_pv, seed)
-    return FiltrationReport(tuple(stages), stages[-1].isotropy_dim, stages[-1].reductive)
+    return FiltrationReport(tuple(stages))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ nonzero ``(column, value)`` pairs.  The frozen digests were taken over
 dense operators, forms and characters, so :func:`dense_repr` rebuilds them.
 The tests are the only readers of the dense matrices.
 
-It also holds the small helpers that several test modules share: an
+It also holds what several test modules share: the tier-1 sweep, an
 identity matrix, a simple root, the Cartan integer of two adjacent nodes
 read from their lengths, the exact isotropy basis at a point, a
 generic-point search by mod-p ranks alone (a reference for the point
@@ -22,10 +22,12 @@ rule for the regularity of single-circle diagrams.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 from pvlab import _linalg, grading, pvcore
 from pvlab._rand import Stream
 from pvlab.chevalley import chevalley_basis
+from pvlab.diagram import WeightedDiagram
 from pvlab.rootsys import SimpleType
 
 # Every multi-circle diagram of the tier-1 sweep (A1-7, B2-7, C3-7, D4-7,
@@ -34,6 +36,15 @@ from pvlab.rootsys import SimpleType
 FROZEN_ENUMERATED = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
                      + [("C", n) for n in range(3, 9)] + [("D", n) for n in range(4, 9)]
                      + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+# The tier-1 sweep: every multi-circle diagram of these types, 927 in all,
+# type by type.
+SWEEP_TYPES = ([SimpleType("A", n) for n in range(1, 8)]
+               + [SimpleType("B", n) for n in range(2, 8)]
+               + [SimpleType("C", n) for n in range(3, 8)]
+               + [SimpleType("D", n) for n in range(4, 8)]
+               + [SimpleType("E", 6)])
+SWEEP = [WeightedDiagram(t, circled) for t in SWEEP_TYPES for size in range(2, t.rank + 1)
+         for circled in itertools.combinations(range(1, t.rank + 1), size)]
 # The second catalog: rank 8 and the exceptional types, where the E7 and E8
 # rows make their only claims.
 SECOND_CATALOG_TYPES = [SimpleType("A", 8), SimpleType("B", 8), SimpleType("C", 8),
@@ -255,14 +266,6 @@ class IdentityViolation(Exception):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class HessianIdentityReport:
-    name: str
-    degree: int
-    dim: int
-    points_checked: int
-
-
 HESSIAN_POINTS = 5
 
 
@@ -272,11 +275,12 @@ def _dlog(fx, h, grad) -> list[list]:
     return [[fx * hab - 2 * ga * gb for hab, gb in zip(row, grad)] for row, ga in zip(h, grad)]
 
 
-def hessian_product_identity_check(f, dim: int, seed: int = 0) -> HessianIdentityReport:
+def hessian_product_identity_check(f, dim: int, seed: int = 0) -> None:
     """Exact check of  f^dim * det(Hessian f) = (1 - deg f) * det(f*H - grad*grad^t).
 
     Both sides are polynomials; they are compared at ``HESSIAN_POINTS``
-    seeded integer sample points, resampling any point where f vanishes.
+    seeded integer sample points, resampling any point where f vanishes, and
+    a violation raises :class:`IdentityViolation`.
     The check uses h = 2 * scale**2 * H and g = scale * grad from the
     integer derivative weights, so f*h - 2*g*g^t is
     2 * scale**2 * (f*H - grad*grad^t) and both sides carry the same factor
@@ -303,4 +307,3 @@ def hessian_product_identity_check(f, dim: int, seed: int = 0) -> HessianIdentit
         if lhs != rhs:
             raise IdentityViolation(f"{f.name} at {x}: {lhs} != {rhs}")
         done += 1
-    return HessianIdentityReport(f.name, f.degree, dim, done)

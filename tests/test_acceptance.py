@@ -32,24 +32,12 @@ from pvlab.pvcore import (Invariant, SubsetLattice, build_parabolic_pv,
                           decompose_filtration, is_regular, q_irreducible, restrict)
 from pvlab.rootsys import SimpleType, build_root_system, split_pieces
 
-from _instances import (FROZEN_LARGE, SECOND_CATALOG_TYPES, ad_square_by_index, dense_operator,
-                        grading_pairing, hessian_product_identity_check, identity,
-                        is_m_over_kappa, isotropy_algebra, kappas, length_rule, simple_root,
-                        sl2_triple_neutral)
+from _instances import (FROZEN_LARGE, SECOND_CATALOG_TYPES, SWEEP, SWEEP_TYPES,
+                        ad_square_by_index, dense_operator, grading_pairing,
+                        hessian_product_identity_check, identity, is_m_over_kappa,
+                        isotropy_algebra, kappas, length_rule, simple_root, sl2_triple_neutral)
 
 DATA = Path(__file__).parent / "data"
-
-SWEEP_TYPES = ([SimpleType("A", n) for n in range(1, 8)]
-               + [SimpleType("B", n) for n in range(2, 8)]
-               + [SimpleType("C", n) for n in range(3, 8)]
-               + [SimpleType("D", n) for n in range(4, 8)]
-               + [SimpleType("E", 6)])
-
-
-def _sweep() -> list[WeightedDiagram]:
-    """The 927 multi-circle diagrams of the sweep, type by type."""
-    return [WeightedDiagram(t, circled) for t in SWEEP_TYPES for size in range(2, t.rank + 1)
-            for circled in itertools.combinations(range(1, t.rank + 1), size)]
 
 
 # The complete catalog of multi-circle Q-irreducible diagrams in the sweep
@@ -140,7 +128,7 @@ def test_piece_verdicts_match_direct_restriction():
         return standalone[key]
 
     fulls = sums = regular_sums = 0
-    for d in _sweep():
+    for d in SWEEP:
         pv = build_parabolic_pv(d)
         lattice = SubsetLattice(pv)
         report = lattice.regular(lattice.full)
@@ -181,7 +169,7 @@ def test_ad_square_criterion_matches_the_gram_determinant(monkeypatch):
 
     monkeypatch.setattr(SubsetLattice, "is_regular_sum", recording)
     fulls = sums = regular_sums = 0
-    for d in _sweep():
+    for d in SWEEP:
         lattice = SubsetLattice(build_parabolic_pv(d))
         queried.clear()
         lattice.q_irreducibility()
@@ -221,7 +209,7 @@ def test_principal_minor_is_the_restricted_m(monkeypatch):
         return [[mt[r][c] for c in coords] for r in coords]
 
     checked = 0
-    for d in _sweep():
+    for d in SWEEP:
         if d.type.rank <= 5:
             pv = build_parabolic_pv(d)
             x = is_regular(pv).generic_point
@@ -259,12 +247,11 @@ def test_full_reports_equal_the_piece_verdicts_before_them(monkeypatch):
     # descending order (E6, D7 ... A1, most circles first), the sweep meets
     # most multi-circle diagrams as pieces before their own full reports,
     # and each full report must equal the piece verdict already there.
-    sweep = _sweep()
     for seed in (0, 1):
         table: dict = {}
         monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", table)
         met = 0
-        for d in reversed(sweep):
+        for d in reversed(SWEEP):
             before = table.get(d)
             regular = classify(d, "both", seed).verdicts.regular
             if before is not None:
@@ -285,9 +272,8 @@ def test_ad_square_reads_the_brackets_the_basis_indices_give(monkeypatch):
     # determinant from det N, plus one per lattice with a piece-verdict miss
     # whose full report kept none, all on full instances.  No N is built
     # twice for one instance at one point.
-    diagrams = _sweep()
     large = [parse_diagram(s) for s in FROZEN_LARGE]
-    for d in diagrams + large:
+    for d in SWEEP + large:
         pv = build_parabolic_pv(d)
         x = next(pvcore._candidates(pv, 0))
         n, c, _ = pvcore._reductivity_matrix(pv, x)
@@ -308,7 +294,7 @@ def test_ad_square_reads_the_brackets_the_basis_indices_give(monkeypatch):
     monkeypatch.setattr(pvcore, "principal_minor_regular", checking)
     monkeypatch.setattr(pvcore, "_reductivity_matrix", compared)
     counts = []
-    for batch in (diagrams, large):
+    for batch in (SWEEP, large):
         monkeypatch.setattr(pvcore, "_PIECE_VERDICTS", {})
         decided.clear()
         built.clear()
@@ -385,13 +371,12 @@ def test_form_determinant_from_det_m_matches_the_gram_determinant(monkeypatch):
         return gram(pv, iso)
 
     monkeypatch.setattr(pvcore, "is_reductive", recording_gram)
-    sweep = _sweep()
     large_json = json.loads((DATA / "large_classify_seed0.json").read_text())
     large = [parse_diagram(text) for text in large_json]
     picks = {}
     for seed in (0, 1):
         picked = {}
-        for label, diagrams in (("sweep", sweep), ("large", large)):
+        for label, diagrams in (("sweep", SWEEP), ("large", large)):
             picked[label] = []
             for d in diagrams:
                 pv = build_parabolic_pv(d)
@@ -613,10 +598,11 @@ def test_hessian_product_identity():
     det_yx = matrix_pair(1, 2, 1).invariants[0].invariant
     cases += [(Invariant("Q^2", 4, lambda x: pairing_q.evaluate(x) ** 2), 4),
               (Invariant("det(YX)^2", 4, lambda x: det_yx.evaluate(x) ** 2), 4)]
-    reports = [hessian_product_identity_check(f, dim) for f, dim in cases]
-    assert [(r.name, r.degree, r.dim, r.points_checked) for r in reports] == [
-        ("det(YX)", 4, 12, 5), ("Pf(XtYX)", 6, 30, 5), ("borderedPf", 3, 15, 5),
-        ("Q", 2, 4, 5), ("Q", 2, 6, 5), ("Q^2", 4, 4, 5), ("det(YX)^2", 4, 4, 5)]
+    assert [(f.name, f.degree, dim) for f, dim in cases] == [
+        ("det(YX)", 4, 12), ("Pf(XtYX)", 6, 30), ("borderedPf", 3, 15),
+        ("Q", 2, 4), ("Q", 2, 6), ("Q^2", 4, 4), ("det(YX)^2", 4, 4)]
+    for f, dim in cases:
+        hessian_product_identity_check(f, dim)
 
 
 def test_structural_property_suite(capsys):
@@ -667,12 +653,12 @@ def test_filtration_stage_sequences():
     assert [s.labels for s in rep.stages] == [("S",), ("v",)]
     assert [s.dim for s in rep.stages] == [6, 3]
     assert all(s.reductive for s in rep.stages)
-    assert rep.final_reductive
+    assert rep.stages[-1].reductive
 
     rep = decompose_filtration(descending_chains(2).instance)
     assert [s.labels for s in rep.stages] == [("V[2]",), ("V[1]",)]
-    assert rep.final_isotropy_dim == 0
-    assert rep.final_reductive
+    assert rep.stages[-1].isotropy_dim == 0
+    assert rep.stages[-1].reductive
 
 
 def _q_partitions(lattice: SubsetLattice, subset: tuple[int, ...]) -> list[tuple]:
@@ -722,7 +708,7 @@ def _structural_theorems(types) -> tuple[int, Counter, int]:
                     assert not partitions, pv.name
                     continue
                 rep = decompose_filtration(pv)
-                assert rep.final_reductive, pv.name
+                assert rep.stages[-1].reductive, pv.name
                 stages[len(rep.stages)] += 1
                 if partitions:
                     assert len(partitions) == 1, (pv.name, partitions)
@@ -751,7 +737,7 @@ def test_out_of_scope_claims_are_not_asserted():
     assert g.dim_by_level == {**by_level,
                               **{-k: v for k, v in by_level.items() if k}}
     assert sum(g.dim_by_level.values()) == 248
-    assert {c.alpha: c.dim for c in components(d)} == {1: 16, 7: 20}
+    assert {c.alpha: len(c.roots) for c in components(d)} == {1: 16, 7: 20}
 
     rep = is_regular(build_parabolic_pv(d))
     assert rep.isotropy_dim == 14

@@ -14,7 +14,7 @@ from pvlab.diagram import SimpleType, WeightedDiagram, parse_diagram, render_com
 from pvlab.pvcore import SubsetLattice, build_parabolic_pv, is_regular, restrict
 from pvlab.rootsys import build_root_system
 
-from _instances import SECOND_CATALOG_TYPES, single_circle_regular
+from _instances import SECOND_CATALOG_TYPES, SWEEP, single_circle_regular
 
 classify_module = importlib.import_module("pvlab.classify")
 
@@ -88,16 +88,6 @@ ROW_GUARD_TYPES = ([SimpleType("A", n) for n in range(1, 21)]
                    + [SimpleType("D", n) for n in range(4, 21)]
                    + [SimpleType("E", n) for n in (6, 7, 8)]
                    + [SimpleType("F", 4), SimpleType("G", 2)])
-
-# The tier-1 sweep: every multi-circle diagram of these types, 927 in all.
-SWEEP = [WeightedDiagram(t, circled)
-         for t in ([SimpleType("A", n) for n in range(1, 8)]
-                   + [SimpleType("B", n) for n in range(2, 8)]
-                   + [SimpleType("C", n) for n in range(3, 8)]
-                   + [SimpleType("D", n) for n in range(4, 8)]
-                   + [SimpleType("E", 6)])
-         for size in range(2, t.rank + 1)
-         for circled in itertools.combinations(range(1, t.rank + 1), size)]
 
 
 def test_family_rows_are_frozen():

@@ -17,7 +17,7 @@ import pytest
 from pvlab._rand import Stream
 from pvlab.cli import main
 from pvlab.models import MODELS, build_model, dual_pair, verify_model
-from pvlab.pvcore import Invariant
+from pvlab.pvcore import Invariant, PartialFiltration, SubsetLattice, decompose_filtration
 
 classify_module = importlib.import_module("pvlab.classify")
 cli_module = importlib.import_module("pvlab.cli")
@@ -155,6 +155,22 @@ def test_decompose_summary_counts_stages(capsys, target, summary):
     assert out == summary + "\n"
 
 
+def test_a_stalled_filtration_keeps_its_stages(capsys, monkeypatch):
+    # sym-vector(n=3) peels S, then v over the isotropy of S's generic point.
+    # With no completely Q-reducible sum on that stage-2 instance the
+    # filtration stalls after stage 1, and the CLI says so as a usage error.
+    real = SubsetLattice.completely_q_reducible
+    monkeypatch.setattr(SubsetLattice, "completely_q_reducible",
+                        lambda self, subset: ".isotropy" not in self.pv.name
+                        and real(self, subset))
+    with pytest.raises(PartialFiltration) as stalled:
+        decompose_filtration(build_model("sym-vector:n=3").instance)
+    assert [s.labels for s in stalled.value.stages] == [("S",)]
+    code, out, err = run(capsys, "decompose", "sym-vector:n=3")
+    assert code == 1 and out == ""
+    assert "filtration stalled" in err and "Traceback" not in err
+
+
 def test_enumerate_summary_counts_one_diagram(capsys):
     # A1 has no multi-circle diagram and A2 one: "1 diagram" in every
     # rendering but --json, whose count is a number.
@@ -276,7 +292,7 @@ def test_mismatch_outputs_are_frozen(capsys, monkeypatch):
     # misses the first and hits the second makes both mismatch.  stderr is
     # hashed too, since the text rendering prints the payloads there.
     def wrong(d):
-        return classify_module.FamilyMatch("A", (1, 1), d) if d.type.family == "B" else None
+        return classify_module.FamilyMatch("A", (1, 1)) if d.type.family == "B" else None
 
     monkeypatch.delenv("PV_LAB_SEED", raising=False)
     monkeypatch.setattr(classify_module, "family_match", wrong)

@@ -121,7 +121,7 @@ COMPONENT_DIMS = {
 @pytest.mark.parametrize("text", sorted(COMPONENT_DIMS))
 def test_component_dimensions(text):
     comps = components(parse_diagram(text))
-    assert {c.alpha: c.dim for c in comps} == COMPONENT_DIMS[text]
+    assert {c.alpha: len(c.roots) for c in comps} == COMPONENT_DIMS[text]
 
 
 def test_components_partition_level_one():
@@ -131,14 +131,12 @@ def test_components_partition_level_one():
         assert [c.alpha for c in comps] == list(d.circled)
         all_roots = [r for c in comps for r in c.roots]
         assert sorted(all_roots) == sorted(_level_roots(d, 1))
-        for c in comps:
-            assert c.dim == len(c.roots)
 
 
 def test_empty_j_alpha_means_one_dimensional():
     comps = {c.alpha: c for c in components(parse_diagram("F4[1,2]"))}
     assert comps[1].j_alpha == ()
-    assert comps[1].dim == 1
+    assert len(comps[1].roots) == 1
     assert comps[1].highest_weight == {}
     assert comps[2].j_alpha == (3,)
     assert comps[2].highest_weight == {3: -2}

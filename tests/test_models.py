@@ -468,7 +468,7 @@ def test_a_wrong_declared_weight_is_named(weight, detail, monkeypatch):
     # operator 0 and a weight without y only on operator 4.
     spec, blocks, factors = _with_factor_table("dual-pair:n=2", monkeypatch)
     q = spec.invariants[0].invariant
-    wrong = _spec(spec.name, spec.params, blocks, factors, [(q, weight, True)], spec.expected)
+    wrong = _spec("dual-pair", spec.params, blocks, factors, [(q, weight, True)], spec.expected)
     ok, lines = verify_model(wrong)
     failing = [line for line in lines if not line.passed]
     assert not ok and [line.name for line in failing] == ["invariant Q"]
@@ -481,7 +481,7 @@ def test_a_weight_on_an_unknown_character_is_rejected(monkeypatch):
     spec, blocks, factors = _with_factor_table("dual-pair:n=2", monkeypatch)
     q = spec.invariants[0].invariant
     with pytest.raises(ValueError, match=re.escape("dual-pair(n=2): no character named ['z']")):
-        _spec(spec.name, spec.params, blocks, factors, [(q, {"x": 1, "y": -1, "z": 1}, True)],
+        _spec("dual-pair", spec.params, blocks, factors, [(q, {"x": 1, "y": -1, "z": 1}, True)],
               spec.expected)
 
 
@@ -573,7 +573,7 @@ def _gl_gl_so(m: int, k: int) -> ModelSpec:
         pt = _unpack(blocks, x)
         return generic_det(matmul(pt["X"], pt["Y"]))
 
-    return _spec(f"gl-gl-so(m={m},k={k})", {"m": m, "k": k}, blocks, factors,
+    return _spec("gl-gl-so", {"m": m, "k": k}, blocks, factors,
                  [(Invariant("det(XY)", 2 * m, det_xy), {"g1": 1}, True)],
                  {"regular": True, "isotropy_dim": (k - m) ** 2 + m * (m - 1) // 2,
                   "n_fundamental_invariants": 1, "q_irreducible": True})

@@ -29,8 +29,8 @@ from pvlab.pvcore import (DegenerateInvariant, EmptySubset, Invariant, NonGeneri
                           q_irreducible, restrict, verify_invariant)
 from pvlab.rootsys import SimpleType
 
-from _instances import (FROZEN_ENUMERATED, FROZEN_LARGE, IdentityViolation, dense_operator,
-                        dense_repr, dense_rows, hessian_product_identity_check,
+from _instances import (FROZEN_ENUMERATED, FROZEN_LARGE, SWEEP, IdentityViolation,
+                        dense_operator, dense_repr, dense_rows, hessian_product_identity_check,
                         invariant_samples, isotropy_algebra, searched_draw)
 
 
@@ -230,14 +230,6 @@ def test_a_seed_whose_first_eight_draws_miss_the_open_orbit():
     assert rep.orbit_rank == 7 and rep.regular
     assert rep.n_fundamental_invariants == 5
     assert rep.generic_point == (-4, -9, 2, 7, 3, -8, 1)
-
-
-# The 927 multi-circle diagrams of the tier-1 sweep.
-SWEEP = [WeightedDiagram(SimpleType(f, n), circled)
-         for f, ranks in (("A", range(1, 8)), ("B", range(2, 8)), ("C", range(3, 8)),
-                          ("D", range(4, 8)), ("E", (6,)))
-         for n in ranks for size in range(2, n + 1)
-         for circled in itertools.combinations(range(1, n + 1), size)]
 
 
 def test_generic_point_is_the_searched_draw():
@@ -562,7 +554,7 @@ def test_filtration_requires_regularity():
 def test_filtration_single_stage():
     rep = decompose_filtration(build_parabolic_pv(parse_diagram("A3[2]")))
     assert len(rep.stages) == 1
-    assert rep.final_reductive
+    assert rep.stages[-1].reductive
 
 
 # ---------------------------------------------------------------------------
@@ -825,8 +817,7 @@ def test_rational_coefficient_invariant_is_certified_exactly():
     rep = verify_invariant(spec.instance, third)
     base = verify_invariant(spec.instance, mi.invariant)
     assert rep.constants == base.constants
-    ident = hessian_product_identity_check(third, spec.instance.dim_v)
-    assert ident.points_checked == 5
+    hessian_product_identity_check(third, spec.instance.dim_v)
 
 
 def test_gate_invariant_reports_are_frozen():
