@@ -11,9 +11,8 @@ the D3 row sits.
 
 The sl2-triple of every regular report of the second catalog (rank 8 of
 A-D, E7, E8, F4, G2) is checked here too, with the helpers the tier-1 check
-on the sweep uses, and so is the closed single-circle rule of
-``single_circle_regular`` on every single-circle diagram of A-D at ranks
-9-16, against the oracle.
+on the sweep uses, and so are the single-circle rows of the family table
+on every single-circle diagram of A-D at ranks 9-16, against the oracle.
 
 Run from the repository root with ``PYTHONPATH=src python -m pytest -q scans``.
 This directory lies outside the tier-1 ``testpaths``.
@@ -28,14 +27,13 @@ from pathlib import Path
 
 import pytest
 
-from pvlab.classify import classify
+from pvlab.classify import classify, family_match
 from pvlab.diagram import WeightedDiagram, parse_diagram
 from pvlab.pvcore import build_parabolic_pv, is_regular
 from pvlab.rootsys import SimpleType
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "tests"))
-from _instances import (SECOND_CATALOG_TYPES, grading_pairing,  # noqa: E402
-                        single_circle_regular, sl2_triple_neutral)
+from _instances import SECOND_CATALOG_TYPES, grading_pairing, sl2_triple_neutral  # noqa: E402
 
 # (type, circle count or None for every count >= 2).
 SCANS = [("A9", None), ("B9", None), ("C9", None), ("D9", None),
@@ -88,4 +86,4 @@ def test_single_circle_rule_matches_the_oracle(family):
     diagrams = [WeightedDiagram(SimpleType(family, n), (k,))
                 for n in range(9, 17) for k in range(1, n + 1)]
     assert [d for d in diagrams
-            if single_circle_regular(d) != is_regular(build_parabolic_pv(d)).regular] == []
+            if (family_match(d) is not None) != is_regular(build_parabolic_pv(d)).regular] == []

@@ -1,18 +1,18 @@
 """Q-irreducibility of weighted diagrams, by pattern and by oracle.
 
-A weighted diagram with at least two circled nodes is Q-irreducible for
-exactly nine families of circle placements.  The pattern path reads a
-placement once, as a shape (two circles on a chain, a D tip with one
-circle, the D fork, or an exceptional circle set) and its block profile
-(the sizes of the uncircled stretches between and around the circles),
-and looks the pair (type, shape) up in one row table, whose value is the
-row's name and its condition on the blocks; so each family is matched up
-to the diagram symmetry of its type, and the table reads like the
+A weighted diagram is Q-irreducible exactly when its circle placement is
+a row of one table: a single circle whose irreducible PV is regular, or
+one of nine families of two or more circles.  The pattern path reads a
+placement once, as a shape (one circle, two circles on a chain, a D tip
+with one circle, the D fork, or an exceptional circle set) and its block
+profile (the sizes of the uncircled stretches between and around the
+circles), and looks the pair (type, shape) up in the table, whose value is
+the row's name and its condition on the blocks; so each family is matched
+up to the diagram symmetry of its type, and the table reads like the
 paper's.  The pattern path answers from that table alone; the oracle path
-reads every verdict, for any number of circles, from one
-:class:`~pvlab.pvcore.SubsetLattice` over the
+reads every verdict from one :class:`~pvlab.pvcore.SubsetLattice` over the
 :func:`~pvlab.pvcore.build_parabolic_pv` instance, and ``mode="both"``
-cross-validates the two wherever the table has rows.
+cross-validates the two on every diagram.
 """
 from __future__ import annotations
 
@@ -57,10 +57,10 @@ class MismatchError(Exception):
 
 @dataclass(frozen=True)
 class FamilyMatch:
-    """A hit in the table of non-irreducible Q-irreducible families.
+    """A hit in the table of Q-irreducible circle placements.
 
     ``params`` are the block sizes read off the diagram (empty for the
-    three exceptional rows, whose circle sets are fixed).
+    exceptional rows, whose circle sets are fixed).
     """
 
     family: str
@@ -90,9 +90,6 @@ class Witnesses:
     form_determinant: Fraction | None
 
 
-_NO_WITNESSES = Witnesses(None, None, None, None)
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     diagram: WeightedDiagram
@@ -110,15 +107,19 @@ class ClassificationReport:
 def _profile(d: WeightedDiagram) -> tuple[object, tuple[int, ...]]:
     """The circle placement's shape and its uncircled block sizes.
 
-    ``"chain"``: two circles and no D tip, blocks (before, between, after)
-    on 1..n.  ``"tip"``: in D, one tip and one circle c <= n-2, blocks
-    (c-1, n-1-c).  ``"fork"``: in D, the circles {2, n-1, n}, blocks
-    (1, n-4).  An exceptional type's shape is its circle set, with no
-    blocks.  Any other placement has shape None.
+    ``"single"``: one circle k, blocks (k-1, n-k), with k = n for a D tip
+    and its D4 triality images.  ``"chain"``: two circles and no D tip,
+    blocks (before, between, after) on 1..n.  ``"tip"``: in D, one tip and
+    one circle c <= n-2, blocks (c-1, n-1-c).  ``"fork"``: in D, the
+    circles {2, n-1, n}, blocks (1, n-4).  An exceptional type's shape is
+    its circle set, with no blocks.  Any other placement has shape None.
     """
     n, c, family = d.type.rank, d.circled, d.type.family
     if family not in "ABCD":
         return c, ()
+    if len(c) == 1:
+        k = n if family == "D" and (c[0] >= n - 1 or n == 4 and c[0] == 1) else c[0]
+        return "single", (k - 1, n - k)
     if family == "D" and c == (2, n - 1, n):
         return "fork", (1, n - 4)
     tips = [a for a in c if family == "D" and a >= n - 1]
@@ -131,8 +132,13 @@ def _profile(d: WeightedDiagram) -> tuple[object, tuple[int, ...]]:
 
 # (type, shape) -> (row, condition on the blocks).  A classical row holds
 # for every rank, so it is keyed by the family letter; an exceptional row
-# by the type itself.
+# by the type itself.  A single-circle row, named "/1", holds exactly when
+# the circle's one level-1 module is a regular PV.
 _ROWS = {
+    ("A", "single"): ("A/1", lambda p1, p2: p1 == p2),
+    ("B", "single"): ("B/1", lambda p1, p2: p1 <= 2 * p2),
+    ("C", "single"): ("C/1", lambda p1, p2: p2 == 0 or p1 % 2 == 1 and p1 < 2 * p2),
+    ("D", "single"): ("D/1", lambda p1, p2: p2 == 0 and p1 % 2 == 1 or p1 < 2 * p2),
     ("A", "chain"): ("A", lambda p1, p2, p3: p1 == p3 and p2 > p1),
     ("B", "chain"): ("B", lambda p1, p2, p3: p2 > p1 and 2 * p3 == p1),
     # No parity condition on p2: both parities verify as Q-irreducible
@@ -150,16 +156,15 @@ _ROWS = {
     ("E7", (2, 5)): ("E7", lambda: True),
     ("E8", (1, 2)): ("E8", lambda: True),
 }
+# The exceptional single circles are the oracle's output over every node,
+# not yet compared with Rubenthaler's list.
+_ROWS.update({(t, (k,)): (t + "/1", lambda: True) for t, nodes in (
+    ("E6", (2, 4)), ("E7", range(1, 8)), ("E8", (1, 2, 5, 6, 7, 8)), ("F4", (1, 2, 4)),
+    ("G2", (1,))) for k in nodes})
 
 
 def family_match(d: WeightedDiagram) -> FamilyMatch | None:
-    """The family row matched by ``d``, or None.
-
-    Only non-irreducible diagrams are tabulated, so at least two circled
-    nodes are required.
-    """
-    if len(d.circled) < 2:
-        raise ValueError("family_match needs at least two circled nodes")
+    """The family row matched by ``d``, or None, for any number of circles."""
     family = d.type.family
     shape, blocks = _profile(d)
     row = _ROWS.get((family if family in "ABCD" else str(d.type), shape))
@@ -204,23 +209,19 @@ def classify(d: WeightedDiagram, mode: str = "both", seed: int = 0) -> Classific
     ``oracle`` reads every verdict from the subset lattice of the built
     instance; ``both`` does the same and raises :class:`MismatchError` if
     the family table disagrees; ``pattern`` answers from the table alone.
-    The table lists only multi-circle diagrams, so a single-circle diagram
-    takes the oracle path in every mode (its ``pattern`` report is labelled
-    ``method="oracle"``), and its one component makes Q-irreducible and
+    A single-circle diagram has one component, so Q-irreducible and
     completely Q-reducible both mean regular.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    irreducible = len(d.circled) == 1
-    match = None if irreducible else family_match(d)
-    if mode == "pattern" and not irreducible:
-        return ClassificationReport(d, _pattern_verdicts(match), match, _NO_WITNESSES,
-                                    "pattern", seed)
+    match = family_match(d)
+    if mode == "pattern":
+        return ClassificationReport(d, _pattern_verdicts(match), match,
+                                    Witnesses(None, None, None, None), "pattern", seed)
     verdicts, witnesses = _oracle_verdicts(d, seed)
-    if mode == "both" and not irreducible and (match is not None) != verdicts.q_irreducible:
+    if mode == "both" and (match is not None) != verdicts.q_irreducible:
         raise MismatchError(d, match, verdicts, witnesses)
-    method = "oracle" if mode == "pattern" else mode
-    return ClassificationReport(d, verdicts, match, witnesses, method, seed)
+    return ClassificationReport(d, verdicts, match, witnesses, mode, seed)
 
 
 def enumerate_reports(types: Iterable[SimpleType], mode: str = "both", seed: int = 0,

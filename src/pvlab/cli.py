@@ -292,7 +292,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> Document:
     rows = []
     for r in hits:
         fam = _family_payload(r.family)
-        label = f"{fam['family']} {tuple(fam['params'])}" if fam else "(irreducible)"
+        label = f"{fam['family']} {tuple(fam['params'])}" if fam else "(no row)"
         text.append(f"  Q-irreducible: {render_compact(r.diagram)}  [{label}]")
         rows.append((fam["family"] if fam else "-",
                      tuple(fam["params"]) if fam else "-", render_compact(r.diagram)))

@@ -362,19 +362,20 @@ def is_regular(pv: PVInstance, seed: int = 0) -> RegularityReport:
     otherwise it is the Gram determinant (:func:`is_reductive`)."""
     best = None
     for x in _candidates(pv, seed):
-        iso, orbit_rank, d = kernel_basis(_action_columns(pv, x))
-        if best is None or orbit_rank > best[2]:
-            best = x, iso, orbit_rank, d
+        a = _action_columns(pv, x)
+        iso, orbit_rank, d = kernel_basis(a)
+        if best is None or orbit_rank > best[3]:
+            best = x, a, iso, orbit_rank, d
             if orbit_rank == min(pv.dim_v, pv.dim_g):
                 break
-    x, iso, orbit_rank, d = best
+    x, a, iso, orbit_rank, d = best
     preh = orbit_rank == pv.dim_v
     if pv.diagram is not None and not preh:
         raise NonGenericPoint(f"{pv.name}: orbit rank {orbit_rank} below {pv.dim_v} "
                               f"at {CANDIDATES} draws")
     n = None
     if preh and 24 * pv.dim_v ** 3 < len(iso) ** 3 * (2 * d.bit_length() + 8):
-        n, c, det_f = _reductivity_matrix(pv, x)
+        n, c, det_f = _reductivity_matrix(pv, a)
         scale = prod(next(v for v in reversed(s) if v) for s in iso)  # the c_f
         determinant = det_f * det(n) * scale ** 2 / (c ** pv.dim_v * d ** 2)
     else:
@@ -491,12 +492,12 @@ def _form_inverse(pv: PVInstance) -> tuple[list[list[tuple[int, int]]], int, Fra
     return g, c, prod(block_det for _, (_, _, block_det) in found)
 
 
-def _reductivity_matrix(pv: PVInstance, x: Sequence) -> tuple[list[list[int]], int, Fraction]:
-    """c N_x = A_x (c F^-1) A_x^t at x, an integer symmetric matrix, with c
-    and det F from :func:`_form_inverse` (which raises on a degenerate F):
-    the form c F^-1 on the rows of A_x, as :func:`_gram` takes it."""
+def _reductivity_matrix(pv: PVInstance, a: Matrix) -> tuple[list[list[int]], int, Fraction]:
+    """c N_x = A_x (c F^-1) A_x^t for ``a`` = A_x, an integer symmetric
+    matrix, with c and det F from :func:`_form_inverse` (which raises on a
+    degenerate F): the form c F^-1 on the rows of A_x, as :func:`_gram` does."""
     g, c, det_f = _form_inverse(pv)
-    return _gram(g, _action_columns(pv, x)), c, det_f
+    return _gram(g, a), c, det_f
 
 
 def subalgebra_instance(pv: PVInstance, vectors: Sequence[Sequence]) -> PVInstance:
@@ -609,8 +610,8 @@ class SubsetLattice:
     def _minor_verdict(self, subset: tuple[int, ...]) -> bool:
         report = self.regular(self.full)
         if self._n is None:
-            self._n = (report.reductivity_matrix
-                       or _reductivity_matrix(self.pv, report.generic_point)[0])
+            self._n = report.reductivity_matrix or _reductivity_matrix(
+                self.pv, _action_columns(self.pv, report.generic_point))[0]
         return (principal_minor_regular(self.pv, subset, self._n)
                 or not report.prehomogeneous and self.regular(subset).regular)
 

@@ -15,9 +15,8 @@ element, the one reference M = A_x B_x of a parabolic instance, read from
 the Chevalley brackets by basis index, against which the reductivity
 matrix N_x that ``pvcore`` builds from the form alone is checked, the
 sample points of ``pvcore.verify_invariant``, the Hessian product
-identity, a rank reference for the graded-logarithm differential that
-``pvcore.verify_invariant`` certifies by Euler's identities, and a closed
-rule for the regularity of single-circle diagrams.
+identity, and a rank reference for the graded-logarithm differential
+that ``pvcore.verify_invariant`` certifies by Euler's identities.
 """
 from __future__ import annotations
 
@@ -52,32 +51,6 @@ SECOND_CATALOG_TYPES = [SimpleType("A", 8), SimpleType("B", 8), SimpleType("C", 
                         SimpleType("F", 4), SimpleType("G", 2)]
 FROZEN_LARGE = ("A12[1,12]", "A12[3,10]", "B10[1,10]", "C12[3,10]", "D12[2,11,12]",
                 "D10[2,4,6,8]", "A14[2,13]", "E8[1,3,5,7]", "E8[1,2]")
-
-
-# The regular single-circle diagrams of the exceptional types, by circled
-# node, as the oracle finds them; they are not yet compared with a published
-# classification.
-SINGLE_CIRCLE_EXCEPTIONAL = {"E6": {2, 4}, "E7": {1, 2, 3, 4, 5, 6, 7},
-                             "E8": {1, 2, 5, 6, 7, 8}, "F4": {1, 2, 4}, "G2": {1}}
-
-
-def single_circle_regular(d) -> bool:
-    """Whether the single-circle diagram X_n[k] is regular, by a closed rule
-    in Bourbaki numbering: A_n[k] iff n = 2k - 1, B_n[k] iff 3k <= 2n + 1,
-    C_n[k] iff k = n or k is even with 3k <= 2n, D_n[k] iff 3k <= 2n for
-    k <= n - 2 and iff n is even at the two tips, and the exceptional types
-    from :data:`SINGLE_CIRCLE_EXCEPTIONAL`.  A reference for
-    ``pvcore.is_regular``, which decides the same diagrams exactly."""
-    (k,), family, n = d.circled, d.type.family, d.type.rank
-    if family == "A":
-        return n == 2 * k - 1
-    if family == "B":
-        return 3 * k <= 2 * n + 1
-    if family == "C":
-        return k == n or k % 2 == 0 and 3 * k <= 2 * n
-    if family == "D":
-        return n % 2 == 0 if k >= n - 1 else 3 * k <= 2 * n
-    return k in SINGLE_CIRCLE_EXCEPTIONAL[str(d.type)]
 
 
 def dense_operator(pv, entries) -> tuple[tuple, ...]:

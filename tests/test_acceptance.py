@@ -133,7 +133,7 @@ def test_piece_verdicts_match_direct_restriction():
         lattice = SubsetLattice(pv)
         report = lattice.regular(lattice.full)
         assert report.prehomogeneous, d
-        n = pvcore._reductivity_matrix(pv, report.generic_point)[0]
+        n = pvcore._reductivity_matrix(pv, pvcore._action_columns(pv, report.generic_point))[0]
         assert pvcore.principal_minor_regular(pv, lattice.full, n) == report.regular, d
         fulls += 1
         for k in range(1, len(lattice.full)):
@@ -193,7 +193,8 @@ def _restricted_n(pv, subset, x):
     """c N of the restriction to ``subset`` at the projection of x, built
     from the restricted instance alone: its own action matrix and the form."""
     coords = [c for i in subset for c in pv.components[i]]
-    return pvcore._reductivity_matrix(restrict(pv, subset), [x[c] for c in coords])[0]
+    sub = restrict(pv, subset)
+    return pvcore._reductivity_matrix(sub, pvcore._action_columns(sub, [x[c] for c in coords]))[0]
 
 
 def test_principal_minor_is_the_restricted_m(monkeypatch):
@@ -213,8 +214,9 @@ def test_principal_minor_is_the_restricted_m(monkeypatch):
         if d.type.rank <= 5:
             pv = build_parabolic_pv(d)
             x = is_regular(pv).generic_point
-            n, c, _ = pvcore._reductivity_matrix(pv, x)
-            assert is_m_over_kappa(pv, n, c, ad_square_by_index(pv, x)), d
+            a = pvcore._action_columns(pv, x)
+            n, c, _ = pvcore._reductivity_matrix(pv, a)
+            assert is_m_over_kappa(pv, n, c, ad_square_by_index(pv, x, a)), d
             for k in range(1, len(d.circled)):
                 for subset in itertools.combinations(range(len(d.circled)), k):
                     assert minor(n, pv, subset) == _restricted_n(pv, subset, x), (d, subset)
@@ -233,8 +235,9 @@ def test_principal_minor_is_the_restricted_m(monkeypatch):
         classify(parse_diagram(text), "both", 0)
         [lattice] = {lattice for lattice, _ in queried}
         pv, x = lattice.pv, lattice.regular(lattice.full).generic_point
-        n, c, _ = pvcore._reductivity_matrix(pv, x)
-        assert is_m_over_kappa(pv, n, c, ad_square_by_index(pv, x)), text
+        a = pvcore._action_columns(pv, x)
+        n, c, _ = pvcore._reductivity_matrix(pv, a)
+        assert is_m_over_kappa(pv, n, c, ad_square_by_index(pv, x, a)), text
         for subset in {subset for _, subset in queried} - {lattice.full}:
             assert minor(n, pv, subset) == _restricted_n(pv, subset, x), (text, subset)
             large += 1
@@ -276,22 +279,31 @@ def test_ad_square_reads_the_brackets_the_basis_indices_give(monkeypatch):
     for d in SWEEP + large:
         pv = build_parabolic_pv(d)
         x = next(pvcore._candidates(pv, 0))
-        n, c, _ = pvcore._reductivity_matrix(pv, x)
-        assert is_m_over_kappa(pv, n, c, ad_square_by_index(pv, x)), d
-    decided, built = [], []
+        a = pvcore._action_columns(pv, x)
+        n, c, _ = pvcore._reductivity_matrix(pv, a)
+        assert is_m_over_kappa(pv, n, c, ad_square_by_index(pv, x, a)), d
+    decided, built, points = [], [], {}
     decide, reductivity = pvcore.principal_minor_regular, pvcore._reductivity_matrix
+    action = pvcore._action_columns
 
     def checking(pv, subset, n):
         decided.append(pv.diagram)
         return decide(pv, subset, n)
 
-    def compared(pv, x):
-        n, c, det_f = reductivity(pv, x)
-        assert is_m_over_kappa(pv, n, c, ad_square_by_index(pv, x)), pv.name
-        built.append((pv.diagram, tuple(x)))
+    def acting(pv, x):  # the point behind each A_x, for N's reference M
+        a = action(pv, x)
+        points[id(a)] = a, tuple(x)
+        return a
+
+    def compared(pv, a):
+        n, c, det_f = reductivity(pv, a)
+        x = points[id(a)][1]
+        assert is_m_over_kappa(pv, n, c, ad_square_by_index(pv, x, a)), pv.name
+        built.append((pv.diagram, x))
         return n, c, det_f
 
     monkeypatch.setattr(pvcore, "principal_minor_regular", checking)
+    monkeypatch.setattr(pvcore, "_action_columns", acting)
     monkeypatch.setattr(pvcore, "_reductivity_matrix", compared)
     counts = []
     for batch in (SWEEP, large):
@@ -300,6 +312,7 @@ def test_ad_square_reads_the_brackets_the_basis_indices_give(monkeypatch):
         built.clear()
         for d in batch:
             classify(d, "both", 0)
+            points.clear()
         assert None not in {d for d, _ in built}
         assert len(set(built)) == len(built)
         counts.append((len(decided), len(built)))

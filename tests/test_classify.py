@@ -14,7 +14,7 @@ from pvlab.diagram import SimpleType, WeightedDiagram, parse_diagram, render_com
 from pvlab.pvcore import SubsetLattice, build_parabolic_pv, is_regular, restrict
 from pvlab.rootsys import build_root_system
 
-from _instances import SECOND_CATALOG_TYPES, SWEEP, single_circle_regular
+from _instances import SECOND_CATALOG_TYPES, SWEEP
 
 classify_module = importlib.import_module("pvlab.classify")
 
@@ -106,9 +106,11 @@ def test_family_rows_are_frozen():
     assert hits == json.loads((DATA / "family_rows.json").read_text())
 
 
-def test_family_match_requires_two_circles():
-    with pytest.raises(ValueError):
-        _match("A3[1]")
+def test_family_match_reads_one_circle():
+    # A single circle hits its type's "/1" row exactly when it is regular.
+    hits = [_match(text) for text in ("A3[2]", "E7[3]")]
+    assert [(m.family, m.params) for m in hits] == [("A/1", (1, 1)), ("E7/1", ())]
+    assert _match("A3[1]") is None and _match("E6[1]") is None
 
 
 def _automorphisms(t: SimpleType) -> list[dict[int, int]]:
@@ -126,14 +128,14 @@ def _automorphisms(t: SimpleType) -> list[dict[int, int]]:
 def test_family_match_is_invariant_under_diagram_automorphisms():
     # A diagram automorphism lifts to a graded automorphism of g, so a
     # circled set and its image give isomorphic PVs and must hit the same
-    # row with the same blocks.  Every 2- and 3-circle diagram of A1-A30,
+    # row with the same blocks.  Every 1-, 2- and 3-circle diagram of A1-A30,
     # D4-D30 (with triality) and E6 is matched against each of its images.
     types = ([SimpleType("A", n) for n in range(1, 31)]
              + [SimpleType("D", n) for n in range(4, 31)] + [SimpleType("E", 6)])
     moved = 0
     for t in types:
         for sigma in _automorphisms(t):
-            for size in (2, 3):
+            for size in (1, 2, 3):
                 for circled in itertools.combinations(range(1, t.rank + 1), size):
                     image = tuple(sorted(sigma.get(a, a) for a in circled))
                     if image == circled:
@@ -144,7 +146,7 @@ def test_family_match_is_invariant_under_diagram_automorphisms():
                     assert (m1 is None) == (m2 is None), (str(t), circled, image)
                     if m1 is not None:
                         assert (m1.family, m1.params) == (m2.family, m2.params), (str(t), circled)
-    assert moved == 43806
+    assert moved == 44324
 
 
 def test_oracle_verdicts_are_invariant_under_diagram_automorphisms():
@@ -302,28 +304,31 @@ SINGLE_CIRCLE_TYPES = ([("A", n) for n in range(1, 6)] + [("B", n) for n in rang
 
 def test_classify_single_circle_q_verdicts_mean_regular():
     rep = classify(parse_diagram("A3[2]"))
-    assert rep.family is None
+    assert (rep.family.family, rep.family.params) == ("A/1", (1, 1))
     assert rep.verdicts.regular and rep.verdicts.q_irreducible
     bad = classify(parse_diagram("A3[1]"))
     assert bad.verdicts.prehomogeneous and not bad.verdicts.regular
-    assert not bad.verdicts.q_irreducible
+    assert not bad.verdicts.q_irreducible and bad.family is None
+    # A row hit answers every verdict in pattern mode, as the oracle does.
     for family, rank in SINGLE_CIRCLE_TYPES:
         for node in range(1, rank + 1):
-            rep = classify(WeightedDiagram(SimpleType(family, rank), (node,)), "both", 0)
+            d = WeightedDiagram(SimpleType(family, rank), (node,))
+            rep = classify(d, "both", 0)
             v = rep.verdicts
-            assert rep.family is None
+            assert (rep.family is not None) == v.regular
+            if v.regular:
+                assert classify(d, "pattern").verdicts == v, d
             assert v.q_irreducible == v.completely_q_reducible == v.regular
             assert v.one_irreducible == (v.regular and v.n_invariants == 1)
             assert rep.witnesses.regular_gamma is None
 
 
 def test_single_circle_rule_matches_the_oracle():
-    # A single-circle diagram is regular exactly when the closed rule of
-    # single_circle_regular says so: on every single-circle diagram of the
-    # sweep types and of the second catalog's (Bourbaki numbering, as
-    # rootsys uses), the rule must equal the oracle.  The family table lists
-    # multi-circle rows only, so this rule is not one of its rows; scans/
-    # extends the check to A-D at ranks 9-16.
+    # A single-circle diagram hits its "/1" row of the family table exactly
+    # when it is regular: on every single-circle diagram of the sweep types
+    # and of the second catalog's (Bourbaki numbering, as rootsys uses), the
+    # row must equal the oracle, and classify(d, "both") must raise no
+    # MismatchError.  scans/ extends the check to A-D at ranks 9-16.
     types = ([SimpleType("A", n) for n in range(1, 8)] + [SimpleType("B", n) for n in range(2, 8)]
              + [SimpleType("C", n) for n in range(3, 8)] + [SimpleType("D", n) for n in range(4, 8)]
              + [SimpleType("E", 6)] + SECOND_CATALOG_TYPES)
@@ -332,7 +337,8 @@ def test_single_circle_rule_matches_the_oracle():
         for k in range(1, t.rank + 1):
             d = WeightedDiagram(t, (k,))
             oracle = is_regular(build_parabolic_pv(d)).regular
-            assert single_circle_regular(d) == oracle, (str(t), k)
+            assert (family_match(d) is not None) == oracle, (str(t), k)
+            assert classify(d, "both").verdicts.q_irreducible == oracle, (str(t), k)
             checked += 1
             regular += oracle
     assert (checked, regular) == (161, 85)

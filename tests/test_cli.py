@@ -97,18 +97,27 @@ def test_classify_json(capsys):
     assert doc["inputs"] == {"diagram": "C6[2,5]", "mode": "both", "seed": 0}
 
 
-def test_classify_single_circle_in_pattern_mode_is_labelled_oracle(capsys):
-    # The family table has no single-circle rows: the verdicts and
-    # witnesses come from the oracle, and the report says so.
+def test_classify_single_circle_in_pattern_mode_hits_its_row(capsys):
+    # A single circle has its row in the family table like any other
+    # placement, so pattern mode answers it from the table, with no witnesses.
     code, doc, _ = run_json(capsys, "classify", "A3[2]", "--mode", "pattern")
     assert code == 0
     res = doc["results"]
-    assert res["method"] == "oracle"
-    assert res["witnesses"]["form_determinant"] == -29491200
+    assert res["method"] == "pattern"
+    assert res["family"] == {"family": "A/1", "params": [1, 1]}
+    assert set(res["witnesses"].values()) == {None}
     assert doc["inputs"]["mode"] == "pattern"
-    code, doc, _ = run_json(capsys, "classify", "A3[1,3]", "--mode", "pattern")
-    assert doc["results"]["method"] == "pattern"
-    assert doc["results"]["witnesses"]["form_determinant"] is None
+
+
+def test_enumerate_lists_an_oracle_hit_with_no_row(capsys, monkeypatch):
+    # Oracle mode does not cross-check the table, so a Q-irreducible diagram
+    # that the table misses is listed with no row.
+    monkeypatch.setattr(classify_module, "family_match", lambda _: None)
+    argv = ("enumerate", "--types", "A", "--max-rank", "3", "--mode", "oracle")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "Q-irreducible: A3[1,3]  [(no row)]" in out
+    code, out, _ = run(capsys, *argv, "--markdown")
+    assert code == 0 and "| - | - | A3[1,3] |" in out
 
 
 def test_enumerate_pattern_counts(capsys):

@@ -323,8 +323,9 @@ def test_reductivity_matrix_decides_every_model(monkeypatch):
         report = is_regular(pv)
         assert report.prehomogeneous, pv.name
         x = report.generic_point
-        n, c, det_f = pvcore._reductivity_matrix(pv, x)
-        iso, _, last_pivot = kernel_basis(pvcore._action_columns(pv, x))
+        a = pvcore._action_columns(pv, x)
+        n, c, det_f = pvcore._reductivity_matrix(pv, a)
+        iso, _, last_pivot = kernel_basis(a)
         scale = math.prod(next(v for v in reversed(s) if v) for s in iso)
         det_n = det(n) / c ** pv.dim_v
         assert (det_n != 0) == report.reductive, pv.name

@@ -387,7 +387,7 @@ def test_reductivity_matrix_needs_a_nondegenerate_form():
     assert report.prehomogeneous and not report.reductive
     sub = pvcore.subalgebra_instance(pv, report.isotropy_basis)
     with pytest.raises(PVError, match="degenerate"):
-        pvcore._reductivity_matrix(sub, report.generic_point)
+        pvcore._reductivity_matrix(sub, pvcore._action_columns(sub, report.generic_point))
     lattice = SubsetLattice(sub)
     for subset in ((0,), (1,)):
         with pytest.raises(PVError, match="degenerate"):
@@ -426,6 +426,28 @@ def test_each_regularity_verdict_is_computed_once(monkeypatch):
     computed = sum(calls.values())
     assert lattice.q_irreducibility() == first
     assert sum(calls.values()) == computed > 0
+
+
+def test_each_draw_builds_one_action_matrix(monkeypatch):
+    # is_regular hands its chosen draw's A_x to the N build, so a report that
+    # takes its form determinant from det N builds A_x once per draw.
+    draws, built = [], []
+    candidates, action = pvcore._candidates, pvcore._action_columns
+
+    def drawing(pv, seed):
+        for x in candidates(pv, seed):
+            draws.append(tuple(x))
+            yield x
+
+    def acting(pv, x):
+        built.append(tuple(x))
+        return action(pv, x)
+
+    monkeypatch.setattr(pvcore, "_candidates", drawing)
+    monkeypatch.setattr(pvcore, "_action_columns", acting)
+    report = is_regular(build_parabolic_pv(parse_diagram("E8[1,2]")))
+    assert report.reductivity_matrix is not None
+    assert built == draws and draws
 
 
 def test_shared_piece_verdict_is_computed_once(monkeypatch):
