@@ -11,6 +11,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 VECTOR_BOUND = 9
 WIDE_BITS = 61
+WEIGHT_BITS = 122
 
 
 def _mix(z: int) -> int:
@@ -55,3 +56,9 @@ class Stream:
     def wide_vector(self, length: int) -> list[int]:
         """Entries uniform in [0, 2**WIDE_BITS): the top bits of each draw."""
         return [self.next64() >> (64 - WIDE_BITS) for _ in range(length)]
+
+    def weights(self, length: int) -> list[int]:
+        """Entries uniform in [1, 2**WEIGHT_BITS]: the top bits of two
+        draws each, plus one."""
+        return [((self.next64() << 64 | self.next64()) >> (128 - WEIGHT_BITS)) + 1
+                for _ in range(length)]

@@ -111,7 +111,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm, prod
 from operator import mul, sub
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import grading
 from ._linalg import det, kernel_basis, modp_rank, rank, scaled_inverse
@@ -716,10 +716,11 @@ class Invariant:
 
     ``evaluate`` gets a list of ``int`` coordinates near the sample points
     of :func:`verify_invariant`, whose entries are small (in [-9, 9]) or
-    wide (up to 61 bits).  It must use exact arithmetic (``/`` on two
-    ints makes a float).  The polynomial has degree at most ``degree``, and
-    exactly ``degree`` in every term when :func:`verify_invariant` expects
-    it to be nondegenerate.
+    wide (up to 61 bits), or on a line through a wide point along a random
+    combination of operator images (about 190 bits).  It must use exact
+    arithmetic (``/`` on two ints makes a float).  The polynomial has
+    degree at most ``degree``, and exactly ``degree`` in every term when
+    :func:`verify_invariant` expects it to be nondegenerate.
     """
 
     name: str
@@ -762,10 +763,40 @@ def _derivative_weights(degree: int) -> tuple[list[int], list[int], int]:
     return w1, w2, scale
 
 
-def _line_sums(f: Invariant, x: Sequence, fx, moves: Sequence[Sequence[int]],
+def _hessian_weights(degree: int) -> tuple[list[int], list[int], int]:
+    """Integer Hessian weights ``(wd, wc, c)`` over the nodes 0..degree.
+
+    For f of degree <= ``degree``, F_u(t) = f(x + t u) and i != l, exactly,
+    c H_ii = sum_j wd[j] F_{e_i}(j) and c H_il = sum_j wc[j] G(j) with
+    G = F_{e_i + e_l} - F_{e_i} - F_{e_l}.  wd is w2 of
+    :func:`_derivative_weights` times c / scale**2.  The line
+    g = G + f(x) has g(0) = g'(0) = 0 and g''(0) = 2 H_il, so its
+    coefficients a_2..a_d solve W (a_2, ..., a_d) = (g(1), ..., g(d - 1))
+    for W[j][m] = j**m, j = 1..d-1, m = 2..d.  With W^-1 = m / q in lowest
+    terms (:func:`scaled_inverse`), q H_il = q a_2 = sum_j m[0][j] g(j);
+    wc holds c / q times m[0][j] at node j, minus their sum at node 0,
+    where G(0) = -f(x), and zero at node d, which is never evaluated.
+    c = lcm(q, scale**2), the least factor both kinds of entry can carry
+    (scale**2 itself at every degree up to 29).
+
+    Examples
+    ========
+    >>> _hessian_weights(3)
+    ([72, -180, 144, -36], [-63, 72, -9, 0], 36)
+    """
+    _, w2, scale = _derivative_weights(degree)
+    if degree < 2:  # every second derivative is zero
+        return w2, [0] * (degree + 1), scale * scale
+    m, q, _ = scaled_inverse([[j ** k for k in range(2, degree + 1)] for j in range(1, degree)])
+    c = lcm(q, scale * scale)
+    row = [c // q * v for v in m[0]]
+    return [c // scale ** 2 * w for w in w2], [-sum(row), *row, 0], c
+
+
+def _line_sums(f: Invariant, x: Sequence, fx, moves: Iterable[Sequence[tuple[int, object]]],
                weights: Sequence[Sequence]) -> list[list]:
-    """For each move and each weight row w, sum_j w[j] f(x + j u), given
-    fx = f(x), where u is the indicator vector of the move's axes.
+    """For each move u, given by its nonzero ``(axis, coefficient)`` pairs,
+    and each weight row w, sum_j w[j] f(x + j u), given fx = f(x).
 
     With the weights of :func:`_derivative_weights` these are scale (resp.
     scale**2) times the first (second) derivatives of f along u.  Each
@@ -774,41 +805,76 @@ def _line_sums(f: Invariant, x: Sequence, fx, moves: Sequence[Sequence[int]],
     """
     nodes = [j for j in range(1, len(weights[0])) if any(w[j] for w in weights)]
     out = []
-    for axes in moves:
+    for move in moves:
         sums = [w[0] * fx for w in weights]
         for j in nodes:
             y = list(x)
-            for a in axes:
-                y[a] += j
+            for a, c in move:
+                y[a] += j * c
             v = f.evaluate(y)
             sums = [acc + w[j] * v for acc, w in zip(sums, weights)]
         out.append(sums)
     return out
 
 
-def _axis_derivatives(f: Invariant, x: Sequence, fx, w1: Sequence,
-                      w2: Sequence) -> tuple[list, list]:
-    """scale times the gradient of f at x, and scale**2 times the diagonal
-    of its Hessian, given fx = f(x): both are line sums along each unit
-    vector e_i, read from the same values f(x + j e_i)."""
-    sums = _line_sums(f, x, fx, [(i,) for i in range(len(x))], (w1, w2))
-    return [g for g, _ in sums], [d for _, d in sums]
+def _axis_derivatives(f: Invariant, x: Sequence, fx, weights: Sequence[Sequence]) -> list[list]:
+    """The line sums of each weight row along each unit vector e_i, one
+    list per row, given fx = f(x): all read from the same values
+    f(x + j e_i).  With rows w1 of :func:`_derivative_weights` and wd, wc of
+    :func:`_hessian_weights` they are scale times the gradient of f at x,
+    c times the diagonal of its Hessian and the axis sums :func:`_hessian`
+    subtracts."""
+    sums = _line_sums(f, x, fx, [((i, 1),) for i in range(len(x))], weights)
+    return [list(row) for row in zip(*sums)]
 
 
-def _hessian(f: Invariant, x: Sequence, fx, w2: Sequence, diag: Sequence) -> list[list]:
-    """2 * scale**2 times the Hessian of f at x, by polarization, given the
-    diagonal from :func:`_axis_derivatives`.
-
-    With D(u) the second derivative along u, D(e_i + e_l) - D(e_i) - D(e_l)
-    is twice the (i, l) entry, so the diagonal is doubled to match and no
-    entry is ever divided.
+def _hessian(f: Invariant, x: Sequence, fx, wc: Sequence, diag: Sequence,
+             cross: Sequence) -> list[list]:
+    """c times the Hessian of f at x, by polarization along each e_i + e_l
+    with the weights wc of :func:`_hessian_weights`, given the diagonal and
+    the axis sums of wc from :func:`_axis_derivatives`: d - 1 evaluations
+    per entry above the diagonal, none on it, and no entry is divided.
     """
     n = len(x)
     pairs = [(i, l) for i in range(n) for l in range(i + 1, n)]
-    h = [[2 * d if i == l else 0 for l in range(n)] for i, d in enumerate(diag)]
-    for (i, l), (s,) in zip(pairs, _line_sums(f, x, fx, pairs, (w2,))):
-        h[i][l] = h[l][i] = s - diag[i] - diag[l]
+    h = [[d if i == l else 0 for l in range(n)] for i, d in enumerate(diag)]
+    moves = (((i, 1), (l, 1)) for i, l in pairs)
+    for (i, l), (s,) in zip(pairs, _line_sums(f, x, fx, moves, (wc,))):
+        h[i][l] = h[l][i] = s - cross[i] - cross[l]
     return h
+
+
+def _along(entries: Sequence, grad: Sequence, x: Sequence):
+    """grad . (M x) for the operator M with these entries, no M x formed."""
+    return sum(grad[a] * c * x[b] for a, b, c in entries)
+
+
+def _combination(operators: Sequence, r: Sequence, x: Sequence) -> list[tuple[int, object]]:
+    """u = sum_M r_M M x, as its nonzero ``(axis, coefficient)`` pairs, from
+    the operators' entries."""
+    u = [0] * len(x)
+    for rm, entries in zip(r, operators):
+        for a, b, e in entries:
+            u[a] += rm * e * x[b]
+    return [(a, e) for a, e in enumerate(u) if e]
+
+
+def _failing_operator(pv: PVInstance, f: Invariant, xs: Sequence, vals: Sequence,
+                      derivs: Sequence, grad: Sequence, w1: Sequence) -> NotRelativeInvariant:
+    """The error of a failed combination in check (a) of
+    :func:`verify_invariant`, from the gradient at every sample (``grad``
+    at x_b): the first operator M whose derivative at some sample x is not
+    ``derivs[M]`` f(x) / f(x_b), or no direction if there is none."""
+    grads = [grad] + [_axis_derivatives(f, y, v, (w1,))[0] for y, v in zip(xs[1:], vals[1:])]
+    for mi, entries in enumerate(pv.operators):
+        if any(_along(entries, g, y) * vals[0] != derivs[mi] * v
+               for g, y, v in zip(grads, xs, vals)):
+            return NotRelativeInvariant(
+                f"{f.name}: derivative along operator {mi} is not proportional to f",
+                direction=mi)
+    return NotRelativeInvariant(
+        f"{f.name}: derivative along a combination of operators is not proportional "
+        f"to f, though along each operator it is: f is not of degree <= {f.degree}")
 
 
 INVARIANT_POINTS = 20
@@ -833,28 +899,46 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     compares with a model's declared weight.
 
     Everything is exact.  Sample points are integer vectors and derivatives
-    carry the integer scaling of :func:`_derivative_weights`, so with an
-    integer evaluator no rational is formed until the reported constants.
-    (a) takes D_i = grad . (M x_i) at every sample x_i and tests
-    D_i f(x_b) = D_b f(x_i), which at a zero of f asks D_i = 0; the constant
-    is D_b / (scale f(x_b)).  (b) and (c) use g = scale * grad and
-    h = 2 * scale**2 * H, for which (c) reads g . x = scale d f and
-    h x = 2 scale (d - 1) g.
+    carry the integer scaling of :func:`_derivative_weights` and
+    :func:`_hessian_weights`, so with an integer evaluator no rational is
+    formed until the reported constants.  (a) reads D_b^M = grad . (M x_b)
+    off the gradient at x_b, and M's constant is D_b^M / (scale f(x_b)).
+    At each wide point x_i it tests every operator at once by one random
+    combination (Freivalds, MFCS 1977): with weights r_M uniform on
+    [1, 2**122], drawn after the wide points and fresh for each x_i, it
+    forms u_i = sum_M r_M M x_i from the operators' entries and tests
+    L_i f(x_b) = (sum_M r_M D_b^M) f(x_i), where
+    L_i = sum_j w1[j] f(x_i + j u_i) is scale grad f(x_i) . u_i; at a zero
+    of f this asks L_i = 0.  A failing combination is never a verdict by
+    itself: the gradient at every wide point is then taken, and the first
+    operator M with D_i^M f(x_b) != D_b^M f(x_i) at some sample, D_i^M =
+    grad . (M x_i), is the error's ``direction``.  If no operator fails,
+    f's line derivatives are not linear in the direction, so f is not a
+    polynomial of degree <= d, and the error names no direction.  (b) and
+    (c) use g = scale * grad and h = c H (c from :func:`_hessian_weights`),
+    for which (c) reads g . x = scale d f and scale (h x) = c (d - 1) g.
 
     (a) is a polynomial identity test, and the report's ``error_bound``,
-    dim_g (d / 2**61)**k, bounds the chance that it passes an operator
-    along which f is not relatively invariant.  Fix M and x_b.  The test
-    at x reads P(x) = 0 for P(x) = f(x_b) scale grad f(x) . (M x)
-    - D_b f(x), a polynomial of degree <= d.  If P were zero, grad f . Mx
-    would be D_b / (scale f(x_b)) times f, so f would be relatively
-    invariant along M; hence P is nonzero.  A wide point is uniform on
-    S^dim_v with |S| = 2**61, drawn after x_b, so by the Schwartz-Zippel
-    lemma (Schwartz, J. ACM 27 (1980); Zippel, EUROSAM 1979) P vanishes
-    there with probability at most d / 2**61, and at all k independent
-    wide points with probability at most (d / 2**61)**k.  The union bound
-    over the dim_g operators gives the report's bound.  It treats the
-    splitmix64 draws as uniform and independent.  At x_b itself the test holds for
-    every f; x_b gives the constants.
+    dim_g (d / 2**61)**k, bounds the chance that it passes an f that is not
+    relatively invariant along some operator M.  Fix x_b, and let
+    P_M(x) = f(x_b) scale grad f(x) . (M x) - D_b^M f(x), a polynomial of
+    degree <= d.  If P_M were zero, grad f . Mx would be
+    D_b^M / (scale f(x_b)) times f, so f would be relatively invariant
+    along M; hence P_M is nonzero.  The test at x_i reads
+    sum_M' r_M' P_M'(x_i) = 0.  A wide point is uniform on S^dim_v with
+    |S| = 2**61, drawn after x_b, so by the Schwartz-Zippel lemma
+    (Schwartz, J. ACM 27 (1980); Zippel, EUROSAM 1979) P_M(x_i) = 0 with
+    probability at most d / 2**61.  Otherwise the test is a linear equation
+    in the weights whose coefficient of r_M is nonzero, so whatever the
+    other weights, at most one of the 2**122 values of r_M satisfies it.
+    The test therefore passes at x_i with probability at most
+    e = d / 2**61 + 2**-122, or d / 2**61 when dim_g = 1, and at all k
+    wide points, whose points and weights are independent, with
+    probability at most e**k.  For dim_g >= 2 that is under the bound:
+    e**k = (d / 2**61)**k (1 + 2**-61 / d)**k <= 2 (d / 2**61)**k, as
+    k <= 2**60.  The proof treats the splitmix64 draws as uniform and
+    independent.  At x_b the test holds for every f; x_b gives the
+    constants.
 
     A report taken with ``expect_nondegenerate`` also certifies, by (c), that
     the graded-logarithm differential f*H - grad*grad^t has full rank
@@ -868,13 +952,14 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     when nondegeneracy is expected, or (c) fails.  Then the weighted line
     derivative sum_j w1[j] f(x + j u) is exactly scale times
     grad f(x) . u, which is linear in u.  So (a) takes the scaled gradient
-    once per sample, from f(x + j e_i) (:func:`_axis_derivatives`),
-    and reads the derivative along each M x as grad . (M x), the sum of
-    grad[a] * c * x[b] over the operator's entries (a, b, c), with no
-    image M x formed: dim_v * degree evaluations per sample, not
-    dim_g * degree.  The same values give the Hessian diagonal, and at the
-    Hessian point (b) and (c) reuse both, so only the off-diagonal entries
-    are evaluated there.
+    once, at x_b, from f(x + j e_i) (:func:`_axis_derivatives`), reads
+    each D_b^M as the sum of grad[a] * c * x[b] over M's entries
+    (a, b, c), with no image M x formed, and evaluates one line of d
+    points at each wide point: dim_v d + k d evaluations, not
+    (1 + k) dim_v d.  The same axis values give the Hessian diagonal and
+    the axis sums of the polarization, which needs d - 1 points per entry
+    above the diagonal (:func:`_hessian_weights`); a wide point's axis
+    values are taken only when (b) tries it.
     """
     stream = Stream(seed, context=f"invariant:{pv.name}:{f.name}")
     for _ in range(INVARIANT_POINTS):
@@ -886,22 +971,22 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
         raise DegenerateInvariant(f"{f.name} vanishes at all {INVARIANT_POINTS} sample points")
     xs = [x] + [stream.wide_vector(pv.dim_v) for _ in range(WIDE_POINTS)]
     vals = [fx] + [f.evaluate(y) for y in xs[1:]]
-    w1, w2, scale = _derivative_weights(f.degree)
-    axes = [_axis_derivatives(f, x, v, w1, w2) for x, v in zip(xs, vals)]  # (grad, diag) at x
-    constants = []
-    for mi, entries in enumerate(pv.operators):
-        gs = [sum(grad[a] * c * x[b] for a, b, c in entries)  # grad . (M x)
-              for (grad, _), x in zip(axes, xs)]
-        if any(g * fx != gs[0] * v for g, v in zip(gs, vals)):
-            raise NotRelativeInvariant(
-                f"{f.name}: derivative along operator {mi} is not proportional to f",
-                direction=mi)
-        constants.append(Fraction(gs[0], scale * fx))
+    w1, _, scale = _derivative_weights(f.degree)
+    wd, wc, c = _hessian_weights(f.degree)
+    lines = (w1, wd, wc)
+    base = _axis_derivatives(f, x, fx, lines)  # grad, diag, cross at x_b
+    derivs = [_along(entries, base[0], x) for entries in pv.operators]  # D_b^M
+    for y, v in zip(xs[1:], vals[1:]):
+        r = stream.weights(pv.dim_g)
+        (line,), = _line_sums(f, y, v, [_combination(pv.operators, r, y)], (w1,))
+        if line * fx != sum(map(mul, r, derivs)) * v:
+            raise _failing_operator(pv, f, xs, vals, derivs, base[0], w1)
+    constants = tuple(Fraction(dm, scale * fx) for dm in derivs)
     if expect_nondegenerate:
         nonvanishing = [i for i, v in enumerate(vals) if v != 0]
         for i in nonvanishing:
-            grad, diag = axes[i]
-            h = _hessian(f, xs[i], vals[i], w2, diag)
+            grad, diag, cross = base if i == 0 else _axis_derivatives(f, xs[i], vals[i], lines)
+            h = _hessian(f, xs[i], vals[i], wc, diag, cross)
             if det(h) != 0:
                 break
         else:
@@ -910,8 +995,8 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
         x, d = xs[i], f.degree
         if sum(map(mul, grad, x)) != scale * d * vals[i]:
             raise DegenerateInvariant(f"{f.name}: Euler's identity grad . x = d f fails, d = {d}")
-        if any(sum(map(mul, row, x)) != 2 * scale * (d - 1) * g for row, g in zip(h, grad)):
+        if any(scale * sum(map(mul, row, x)) != c * (d - 1) * g for row, g in zip(h, grad)):
             raise DegenerateInvariant(
                 f"{f.name}: Euler's identity H x = (d - 1) grad fails, d = {d}")
-    return InvariantReport(name=f.name, constants=tuple(constants),
+    return InvariantReport(name=f.name, constants=constants,
                            error_bound=pv.dim_g * Fraction(f.degree, 1 << WIDE_BITS) ** WIDE_POINTS)

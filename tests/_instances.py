@@ -225,14 +225,21 @@ def sl2_triple_neutral(pv, x) -> bool:
                for r in roots)
 
 
-def invariant_samples(pv, f, seed: int = 0) -> list[list[int]]:
-    """The samples of ``pvcore.verify_invariant``: the reference x_b, the
-    first small draw where f does not vanish, then the wide draws that
-    follow it on the same stream."""
+def invariant_draws(pv, f, seed: int = 0) -> tuple[list[list[int]], list[list[int]]]:
+    """The draws of ``pvcore.verify_invariant``: its samples, the reference
+    x_b, the first small draw where f does not vanish, then the wide draws
+    that follow it on the same stream; and, drawn after those, the weights
+    of check (a)'s combination at each wide sample."""
     stream = Stream(seed, context=f"invariant:{pv.name}:{f.name}")
     small = (stream.vector(pv.dim_v) for _ in range(pvcore.INVARIANT_POINTS))
     base = next(x for x in small if f.evaluate(x) != 0)
-    return [base] + [stream.wide_vector(pv.dim_v) for _ in range(pvcore.WIDE_POINTS)]
+    samples = [base] + [stream.wide_vector(pv.dim_v) for _ in range(pvcore.WIDE_POINTS)]
+    return samples, [stream.weights(pv.dim_g) for _ in samples[1:]]
+
+
+def invariant_samples(pv, f, seed: int = 0) -> list[list[int]]:
+    """The samples of ``pvcore.verify_invariant`` (:func:`invariant_draws`)."""
+    return invariant_draws(pv, f, seed)[0]
 
 
 class IdentityViolation(Exception):
@@ -242,10 +249,10 @@ class IdentityViolation(Exception):
 HESSIAN_POINTS = 5
 
 
-def _dlog(fx, h, grad) -> list[list]:
-    """f*h - 2 g g^t: with h = 2 * scale**2 * H and g = scale * grad, this is
-    2 * scale**2 * (f*H - grad*grad^t), the graded-logarithm differential."""
-    return [[fx * hab - 2 * ga * gb for hab, gb in zip(row, grad)] for row, ga in zip(h, grad)]
+def _dlog(fx, h, grad, k) -> list[list]:
+    """f*h - k g g^t: with h = c * H, g = scale * grad and k = c / scale**2,
+    this is c * (f*H - grad*grad^t), the graded-logarithm differential."""
+    return [[fx * hab - k * ga * gb for hab, gb in zip(row, grad)] for row, ga in zip(h, grad)]
 
 
 def hessian_product_identity_check(f, dim: int, seed: int = 0) -> None:
@@ -254,14 +261,16 @@ def hessian_product_identity_check(f, dim: int, seed: int = 0) -> None:
     Both sides are polynomials; they are compared at ``HESSIAN_POINTS``
     seeded integer sample points, resampling any point where f vanishes, and
     a violation raises :class:`IdentityViolation`.
-    The check uses h = 2 * scale**2 * H and g = scale * grad from the
-    integer derivative weights, so f*h - 2*g*g^t is
-    2 * scale**2 * (f*H - grad*grad^t) and both sides carry the same factor
-    (2 * scale**2)**dim.  Nothing is divided: with an integer evaluator both
-    sides are integer-valued.
+    The check uses h = c * H and g = scale * grad from the integer
+    derivative and Hessian weights, the Hessian by ``pvcore._hessian`` as
+    ``verify_invariant`` takes it.  c is a multiple of scale**2, so with
+    k = c / scale**2, f*h - k*g*g^t is c * (f*H - grad*grad^t) and both
+    sides carry the same factor c**dim.  Nothing is divided: with an
+    integer evaluator both sides are integer-valued.
     """
     stream = Stream(seed, context=f"hessid:{f.name}")
-    w1, w2, _ = pvcore._derivative_weights(f.degree)
+    w1, _, scale = pvcore._derivative_weights(f.degree)
+    wd, wc, c = pvcore._hessian_weights(f.degree)
     done = 0
     attempts = 0
     while done < HESSIAN_POINTS:
@@ -273,10 +282,10 @@ def hessian_product_identity_check(f, dim: int, seed: int = 0) -> None:
         fx = f.evaluate(x)
         if fx == 0:
             continue
-        grad, diag = pvcore._axis_derivatives(f, x, fx, w1, w2)
-        h = pvcore._hessian(f, x, fx, w2, diag)
+        grad, diag, cross = pvcore._axis_derivatives(f, x, fx, (w1, wd, wc))
+        h = pvcore._hessian(f, x, fx, wc, diag, cross)
         lhs = fx ** dim * _linalg.det(h)
-        rhs = (1 - f.degree) * _linalg.det(_dlog(fx, h, grad))
+        rhs = (1 - f.degree) * _linalg.det(_dlog(fx, h, grad, c // scale ** 2))
         if lhs != rhs:
             raise IdentityViolation(f"{f.name} at {x}: {lhs} != {rhs}")
         done += 1

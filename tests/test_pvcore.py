@@ -31,7 +31,7 @@ from pvlab.rootsys import SimpleType
 
 from _instances import (FROZEN_ENUMERATED, FROZEN_LARGE, SWEEP, IdentityViolation,
                         dense_operator, dense_repr, dense_rows, hessian_product_identity_check,
-                        invariant_samples, isotropy_algebra, searched_draw)
+                        invariant_draws, invariant_samples, isotropy_algebra, searched_draw)
 
 
 def test_parabolic_instance_shapes():
@@ -670,6 +670,18 @@ def test_a_violation_only_where_f_vanishes_is_found(monkeypatch):
     assert err.value.direction == want
 
 
+def test_a_combination_failing_where_every_operator_passes_names_no_direction():
+    # f = x0, plus 1 from 2**100 on, is linear at every axis point (entries
+    # of at most 62 bits), so the one operator, x -> x0 e_0, passes at each
+    # sample; the combination's line reaches about 190 bits, where f is not
+    # linear.  f is not a polynomial of degree 1, and no operator is named.
+    pv = dataclasses.replace(dual_pair(2).instance, operators=(((0, 0, 1),),))
+    f = Invariant("x0, bent far out", 1, lambda x: x[0] + (x[0] >= 2 ** 100))
+    with pytest.raises(NotRelativeInvariant, match="though along each operator it is") as err:
+        verify_invariant(pv, f, expect_nondegenerate=False)
+    assert err.value.direction is None
+
+
 def test_agreement_with_q_on_the_small_cube_is_not_invariance():
     # P(t) = prod_{k=-9..9} (t - k) vanishes to second order in P(x0)^2 at
     # every small coordinate, so at every point of [-9, 9]^4 f = Q + P(x0)^2
@@ -708,26 +720,28 @@ def test_an_invariant_vanishing_at_every_sample_is_degenerate():
 # Calls of each gate's evaluator in verify_invariant at seed 0 (the gates of
 # tests/test_acceptance.py).
 INVARIANT_EVALUATIONS = {
-    "matrix-pair:p=2,q=3,r=2": 411,
-    "skew-pair:p=4,r=5": 3153,
-    "skew-pair:p=2,r=5": 183,
-    "vector-skew:n=5": 453,
-    "dual-pair:n=2": 39,
-    "dual-pair:n=3": 69,
-    "descending-chains:n=1": 15,
-    "descending-chains:n=2": 198,
+    "matrix-pair:p=2,q=3,r=2": 257,
+    "skew-pair:p=4,r=5": 2370,
+    "skew-pair:p=2,r=5": 69,
+    "vector-skew:n=5": 264,
+    "dual-pair:n=2": 21,
+    "dual-pair:n=3": 34,
+    "descending-chains:n=1": 11,
+    "descending-chains:n=2": 86,
 }
 
 
 def test_invariant_verification_evaluation_counts():
-    # One scaled gradient per sample point, from f(x + j e_i) for
-    # j = 1..degree, serves check (a); at the Hessian point it and the
-    # Hessian diagonal from the same values serve (b) and (c).  At seed 0
-    # the first small draw is the reference x_b for every gate, so each
-    # invariant costs (1 + WIDE_POINTS) (1 + dim_v degree) evaluations for
-    # the values and (a), and degree per off-diagonal Hessian entry at each
-    # Hessian point tried (x_b alone at seed 0, on the invariants that must
-    # be nondegenerate).
+    # f at each sample; the scaled gradient at x_b alone, from f(x_b + j e_i)
+    # for j = 1..degree, serves check (a) there, and one line of degree
+    # points along the operators' combination at each wide point serves it
+    # there; the same axis values give x_b's Hessian diagonal and the sums
+    # its polarization subtracts, so (b) and (c) add degree - 1 evaluations
+    # per off-diagonal Hessian entry.  At seed 0 the first small draw is the
+    # reference x_b for every gate and its Hessian is nonsingular, so each
+    # invariant costs 1 + WIDE_POINTS + dim_v degree + WIDE_POINTS degree
+    # evaluations, and (degree - 1) dim_v (dim_v - 1) / 2 more when it must
+    # be nondegenerate.
     for gate, want in INVARIANT_EVALUATIONS.items():
         spec = build_model(gate)
         n = spec.instance.dim_v
@@ -739,10 +753,33 @@ def test_invariant_verification_evaluation_counts():
                                 lambda x, ev=f.evaluate: calls.append(1) or ev(x))
             verify_invariant(spec.instance, counted, seed=0,
                              expect_nondegenerate=mi.nondegenerate)
-            formula += ((1 + pvcore.WIDE_POINTS) * (1 + n * f.degree)
-                        + mi.nondegenerate * f.degree * n * (n - 1) // 2)
+            formula += (1 + pvcore.WIDE_POINTS + n * f.degree + pvcore.WIDE_POINTS * f.degree
+                         + mi.nondegenerate * (f.degree - 1) * n * (n - 1) // 2)
         assert (len(calls), formula) == (want, want), gate
-    assert sum(INVARIANT_EVALUATIONS.values()) == 4521
+    assert sum(INVARIANT_EVALUATIONS.values()) == 3112
+
+
+def test_check_a_combination_is_the_weighted_sum_of_operator_derivatives():
+    # At each wide sample x_i check (a) evaluates one line, along
+    # u_i = sum_M r_M M x_i.  Its weighted line derivative must be, exactly,
+    # sum_M r_M grad . (M x_i) with the scaled gradient read off the axis
+    # lines at x_i, which check (a) takes only when a combination fails.
+    for gate, seed in itertools.product(INVARIANT_EVALUATIONS, range(4)):
+        spec = build_model(gate)
+        pv = spec.instance
+        for mi in spec.invariants:
+            f = mi.invariant
+            w1, _, _ = pvcore._derivative_weights(f.degree)
+            samples, weights = invariant_draws(pv, f, seed)
+            for x, r in zip(samples[1:], weights):
+                fx = f.evaluate(x)
+                u = pvcore._combination(pv.operators, r, x)
+                (line,), = pvcore._line_sums(f, x, fx, [u], (w1,))
+                (grad,) = pvcore._axis_derivatives(f, x, fx, (w1,))
+                want = sum(rm * pvcore._along(entries, grad, x)
+                           for rm, entries in zip(r, pv.operators))
+                assert line == want, (gate, seed, f.name)
+                assert all(1 <= rm <= 2 ** 122 for rm in r)
 
 
 def test_hessian_of_a_linear_form_makes_no_evaluation():
@@ -750,13 +787,14 @@ def test_hessian_of_a_linear_form_makes_no_evaluation():
     # Hessian is the zero matrix and no point is evaluated.
     calls = []
     f = Invariant("x0 + 2 x2", 1, lambda x: calls.append(1) or x[0] + 2 * x[2])
-    w1, w2, _ = pvcore._derivative_weights(1)
-    assert not any(w2)
+    w1, _, _ = pvcore._derivative_weights(1)
+    wd, wc, _ = pvcore._hessian_weights(1)
+    assert not any(wd) and not any(wc)
     x = [3, -1, 4, 1]
     fx = f.evaluate(x)
-    grad, diag = pvcore._axis_derivatives(f, x, fx, w1, w2)
-    assert (grad, diag, len(calls)) == ([1, 0, 2, 0], [0, 0, 0, 0], 5)
-    assert pvcore._hessian(f, x, fx, w2, diag) == [[0] * 4 for _ in range(4)]
+    grad, diag, cross = pvcore._axis_derivatives(f, x, fx, (w1, wd, wc))
+    assert (grad, diag, cross, len(calls)) == ([1, 0, 2, 0], [0] * 4, [0] * 4, 5)
+    assert pvcore._hessian(f, x, fx, wc, diag, cross) == [[0] * 4 for _ in range(4)]
     assert len(calls) == 5
 
 
@@ -781,6 +819,33 @@ def test_verify_invariant_flags_degenerate_hessian():
             verify_invariant(pv, f, expect_nondegenerate=True)
         # Without the nondegeneracy demand the same invariant certifies fine.
         verify_invariant(pv, f, expect_nondegenerate=False)
+
+
+def test_degenerate_hessian_at_x_b_is_tried_at_a_wide_point(monkeypatch):
+    # f = sum x_i^3 has Hessian diag(6 x_i).  With the first coordinate of
+    # every small draw set to 0, det H(x_b) = 0 while f(x_b) != 0, so (b)
+    # must go on to a wide point, whose axis lines it then evaluates, and
+    # pass there.  With the wide points' first coordinate zeroed too, no
+    # sample is left.
+    bare = dataclasses.replace(dual_pair(2).instance, operators=())
+    f = Invariant("sum x_i^3", 3, lambda x: sum(v ** 3 for v in x))
+    vector, wide_vector = Stream.vector, Stream.wide_vector
+
+    def zero_x0(draw):
+        def drawn(self, length):
+            x = draw(self, length)
+            x[0] = 0
+            return x
+        return drawn
+
+    monkeypatch.setattr(Stream, "vector", zero_x0(vector))
+    reference, *wide = invariant_samples(bare, f)
+    assert reference[0] == 0 and f.evaluate(reference) != 0
+    assert all(x[0] and f.evaluate(x) for x in wide)
+    assert verify_invariant(bare, f).constants == ()
+    monkeypatch.setattr(Stream, "wide_vector", zero_x0(wide_vector))
+    with pytest.raises(DegenerateInvariant, match="Hessian determinant zero at 3 samples"):
+        verify_invariant(bare, f)
 
 
 def test_hessian_identity_violation_on_wrong_degree():
@@ -811,22 +876,25 @@ def test_integer_derivative_weights_are_exact(case):
 @pytest.mark.parametrize("model,point", [
     ("vector-skew:n=3", [3, -1, 4, 1, -5, 9]),
     ("vector-skew:n=5", [2, -7, 1, 8, -2, 8, 1, -8, 2, 8, -4, 5, 9, 0, -4]),
+    ("skew-pair:p=2,r=3", [2, -7, 1, 8, -2, 8, 1, -8, 3]),
 ])
 def test_hessian_and_gradient_match_sympy(model, point):
+    # The Hessian off the diagonal from degree - 1 points per line, with
+    # its factor c, and the gradient and diagonal from the axis lines.
     spec = build_model(model)
     f = spec.invariants[0].invariant
     syms = sympy.symbols(f"x0:{spec.instance.dim_v}")
     expr = sympy.expand(f.evaluate(list(syms)))
     at = dict(zip(syms, point))
     fx = f.evaluate(point)
-    w1, w2, scale = pvcore._derivative_weights(f.degree)
+    w1, _, scale = pvcore._derivative_weights(f.degree)
+    wd, wc, c = pvcore._hessian_weights(f.degree)
     hess = sympy.hessian(expr, syms).subs(at)
-    want = [[2 * scale ** 2 * int(hess[i, j]) for j in range(len(syms))]
-            for i in range(len(syms))]
-    grad, diag = pvcore._axis_derivatives(f, point, fx, w1, w2)
-    assert diag == [scale ** 2 * int(hess[i, i]) for i in range(len(syms))]
-    assert pvcore._hessian(f, point, fx, w2, diag) == want
-    assert any(any(row) for row in want)
+    want = [[c * int(hess[i, j]) for j in range(len(syms))] for i in range(len(syms))]
+    grad, diag, cross = pvcore._axis_derivatives(f, point, fx, (w1, wd, wc))
+    assert diag == [want[i][i] for i in range(len(syms))]
+    assert pvcore._hessian(f, point, fx, wc, diag, cross) == want
+    assert any(want[i][j] for i in range(len(syms)) for j in range(i))
     assert grad == [scale * int(sympy.diff(expr, s).subs(at)) for s in syms]
 
 
