@@ -109,12 +109,12 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import grading
-from ._linalg import det, kernel_basis, modp_rank, rank, scaled_inverse
+from ._linalg import _echelon, _integer_row, det, kernel_basis, modp_rank, rank, scaled_inverse
 from ._rand import WIDE_BITS, Stream
 from .chevalley import chevalley_basis
 from .diagram import WeightedDiagram, render_compact, subdiagram
@@ -829,24 +829,59 @@ def _axis_derivatives(f: Invariant, x: Sequence, fx, weights: Sequence[Sequence]
 
 
 def _hessian(f: Invariant, x: Sequence, fx, wc: Sequence, diag: Sequence,
-             cross: Sequence) -> list[list]:
-    """c times the Hessian of f at x, by polarization along each e_i + e_l
-    with the weights wc of :func:`_hessian_weights`, given the diagonal and
-    the axis sums of wc from :func:`_axis_derivatives`: d - 1 evaluations
-    per entry above the diagonal, none on it, and no entry is divided.
+             cross: Sequence, cols: Iterable[int]) -> list[list]:
+    """The columns c H e_l of c times the Hessian of f at x, for l in
+    ``cols``, by polarization along each e_i + e_l with the weights wc of
+    :func:`_hessian_weights`, given the diagonal and the axis sums of wc
+    from :func:`_axis_derivatives`: d - 1 evaluations per pair (i, l),
+    i != l, with i or l in ``cols``, each pair once, none on the diagonal,
+    and no entry is divided.  Over every column, H is symmetric, so the
+    list of columns is c H itself.
     """
     n = len(x)
-    pairs = [(i, l) for i in range(n) for l in range(i + 1, n)]
-    h = [[d if i == l else 0 for l in range(n)] for i, d in enumerate(diag)]
+    h = {l: [diag[l] if i == l else 0 for i in range(n)] for l in cols}
+    pairs = [(i, l) for i in range(n) for l in range(i + 1, n) if i in h or l in h]
     moves = (((i, 1), (l, 1)) for i, l in pairs)
     for (i, l), (s,) in zip(pairs, _line_sums(f, x, fx, moves, (wc,))):
-        h[i][l] = h[l][i] = s - cross[i] - cross[l]
-    return h
+        s -= cross[i] + cross[l]
+        if i in h:
+            h[i][l] = s
+        if l in h:
+            h[l][i] = s
+    return list(h.values())
+
+
+def _image_basis(pv: PVInstance, x: Sequence) -> tuple[list[list], list[int], list[int]]:
+    """A_x (:func:`_action_columns`), and from one elimination of
+    [A_x | I] its pivot columns: the operators ``sel`` whose images M x are
+    independent, and the unit vectors ``comp`` that complete them to a basis
+    S = [A_sel | E_comp] of the module."""
+    a = _action_columns(pv, x)
+    n, g = pv.dim_v, pv.dim_g
+    _, pivots, _, _, _ = _echelon([row + [int(r == k) for k in range(n)]
+                                   for r, row in enumerate(a)], False)
+    return a, [p for p in pivots if p < g], [p - g for p in pivots if p >= g]
 
 
 def _along(entries: Sequence, grad: Sequence, x: Sequence):
     """grad . (M x) for the operator M with these entries, no M x formed."""
     return sum(grad[a] * c * x[b] for a, b, c in entries)
+
+
+def _primitive(row: Sequence) -> list:
+    """The row as coprime integers, a positive rational multiple of it
+    (a zero row as it is)."""
+    ints, _ = _integer_row(row)
+    g = gcd(*ints) or 1
+    return [v // g for v in ints]
+
+
+def _pullback(entries: Sequence, grad: Sequence, n: int) -> list:
+    """M^t grad for the operator M with these entries."""
+    t = [0] * n
+    for a, b, c in entries:
+        t[b] += c * grad[a]
+    return t
 
 
 def _combination(operators: Sequence, r: Sequence, x: Sequence) -> list[tuple[int, object]]:
@@ -914,9 +949,36 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     operator M with D_i^M f(x_b) != D_b^M f(x_i) at some sample, D_i^M =
     grad . (M x_i), is the error's ``direction``.  If no operator fails,
     f's line derivatives are not linear in the direction, so f is not a
-    polynomial of degree <= d, and the error names no direction.  (b) and
-    (c) use g = scale * grad and h = c H (c from :func:`_hessian_weights`),
-    for which (c) reads g . x = scale d f and scale (h x) = c (d - 1) g.
+    polynomial of degree <= d, and the error names no direction.
+
+    (b) and (c) use g = scale * grad at the sample x they try and h = c H
+    (c from :func:`_hessian_weights`), and read H from relative invariance
+    wherever the algebra moves x.  Differentiating the identity
+    grad f(y) . (M y) = chi(M) f(y), which (a) certifies for every operator
+    M, gives H(y) (M y) + M^t grad f(y) = chi(M) grad f(y).  With
+    f_b = f(x_b) and chi(M) = D_b^M / (scale f_b), at x, in integers,
+
+        scale**2 f_b H (M x) = D_b^M g - scale f_b M^t g,
+
+    with no evaluation.  One elimination of [A_x | I] (:func:`_image_basis`)
+    picks the operators ``sel`` whose images M x are independent and the
+    unit vectors ``comp`` that complete them, so S = [A_sel | E_comp] is
+    invertible.  Only the columns h e_l, l in ``comp``, are polarized
+    (:func:`_hessian`), and
+
+        K = [c (D_b^M g - scale f_b M^t g), M in sel | scale**2 f_b h e_l, l in comp]
+          = c scale**2 f_b H S.
+
+    At a point of the open orbit A_x has rank dim_v and ``comp`` is empty,
+    so (b) evaluates nothing; with no operators ``comp`` is every
+    coordinate, and H is polarized in full.  det H != 0 exactly when K has
+    rank dim_v.  One Gauss-Jordan pass (:func:`~pvlab._linalg._echelon`) on
+    [K | rhs], rhs = c scale f_b (d - 1) g, each row first divided by the
+    gcd of its entries, which changes neither the rank nor the solution,
+    gives the rank and, when it is full, z with K z = delta rhs, delta the
+    last pivot: then H (S z) = delta (d - 1) grad, so H x = (d - 1) grad
+    exactly when S z = delta x, one integer product.  g . x = scale d f is
+    checked directly.
 
     (a) is a polynomial identity test, and the report's ``error_bound``,
     dim_g (d / 2**61)**k, bounds the chance that it passes an f that is not
@@ -940,6 +1002,15 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     independent.  At x_b the test holds for every f; x_b gives the
     constants.
 
+    (b) and (c) are exact whenever (a)'s conclusion holds.  If f is
+    relatively invariant along every operator M, its character is fixed by
+    x_b, grad f(x_b) . (M x_b) = chi(M) f_b, so chi(M) = D_b^M / (scale f_b)
+    and the identity above holds at every point.  Then K is exactly
+    c scale**2 f_b H S, and (b) and (c) reach the verdict of H polarized
+    in every column.  A report can therefore be wrong only where (a)
+    passed an f that is not relatively invariant, and ``error_bound``
+    bounds that chance for the whole report.
+
     A report taken with ``expect_nondegenerate`` also certifies, by (c), that
     the graded-logarithm differential f*H - grad*grad^t has full rank
     dim_v.  With f(x) != 0 and det H != 0, the identities rule out d = 1
@@ -957,9 +1028,10 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
     (a, b, c), with no image M x formed, and evaluates one line of d
     points at each wide point: dim_v d + k d evaluations, not
     (1 + k) dim_v d.  The same axis values give the Hessian diagonal and
-    the axis sums of the polarization, which needs d - 1 points per entry
-    above the diagonal (:func:`_hessian_weights`); a wide point's axis
-    values are taken only when (b) tries it.
+    the axis sums of the polarization, which needs d - 1 points per pair
+    of coordinates meeting ``comp`` (:func:`_hessian_weights`), and none at
+    a point of the open orbit; a wide point's axis values are taken only
+    when (b) tries it.
     """
     stream = Stream(seed, context=f"invariant:{pv.name}:{f.name}")
     for _ in range(INVARIANT_POINTS):
@@ -983,19 +1055,30 @@ def verify_invariant(pv: PVInstance, f: Invariant, seed: int = 0, *,
             raise _failing_operator(pv, f, xs, vals, derivs, base[0], w1)
     constants = tuple(Fraction(dm, scale * fx) for dm in derivs)
     if expect_nondegenerate:
+        d, n = f.degree, pv.dim_v
         nonvanishing = [i for i, v in enumerate(vals) if v != 0]
         for i in nonvanishing:
-            grad, diag, cross = base if i == 0 else _axis_derivatives(f, xs[i], vals[i], lines)
-            h = _hessian(f, xs[i], vals[i], wc, diag, cross)
-            if det(h) != 0:
+            y = xs[i]
+            grad, diag, cross = base if i == 0 else _axis_derivatives(f, y, vals[i], lines)
+            a, sel, comp = _image_basis(pv, y)
+            cols = [[c * (derivs[mi] * gv - scale * fx * tv)  # the columns of [K | rhs]
+                     for gv, tv in zip(grad, _pullback(pv.operators[mi], grad, n))] for mi in sel]
+            cols += [[scale * scale * fx * e for e in col]
+                     for col in _hessian(f, y, vals[i], wc, diag, cross, comp)]
+            cols.append([c * scale * fx * (d - 1) * gv for gv in grad])
+            m, pivots, delta, _, _ = _echelon([_primitive(row) for row in zip(*cols)], True)
+            if pivots == list(range(n)):
                 break
         else:
             raise DegenerateInvariant(
                 f"{f.name}: Hessian determinant zero at {len(nonvanishing)} samples")
-        x, d = xs[i], f.degree
-        if sum(map(mul, grad, x)) != scale * d * vals[i]:
+        if sum(map(mul, grad, y)) != scale * d * vals[i]:
             raise DegenerateInvariant(f"{f.name}: Euler's identity grad . x = d f fails, d = {d}")
-        if any(scale * sum(map(mul, row, x)) != c * (d - 1) * g for row, g in zip(h, grad)):
+        z = [row[n] for row in m]
+        sz = [sum(row[mi] * zj for mi, zj in zip(sel, z)) for row in a]
+        for l, zj in zip(comp, z[len(sel):]):
+            sz[l] += zj
+        if sz != [delta * v for v in y]:
             raise DegenerateInvariant(
                 f"{f.name}: Euler's identity H x = (d - 1) grad fails, d = {d}")
     return InvariantReport(name=f.name, constants=constants,

@@ -14,14 +14,16 @@ generic-point search by mod-p ranks alone (a reference for the point
 element, the one reference M = A_x B_x of a parabolic instance, read from
 the Chevalley brackets by basis index, against which the reductivity
 matrix N_x that ``pvcore`` builds from the form alone is checked, the
-sample points of ``pvcore.verify_invariant``, the Hessian product
-identity, and a rank reference for the graded-logarithm differential
+sample points of ``pvcore.verify_invariant``, its Hessian checks with
+every column polarized as a reference, the Hessian product identity, and
+a rank reference for the graded-logarithm differential
 that ``pvcore.verify_invariant`` certifies by Euler's identities.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
+from operator import mul
 
 from pvlab import _linalg, grading, pvcore
 from pvlab._rand import Stream
@@ -262,8 +264,8 @@ def hessian_product_identity_check(f, dim: int, seed: int = 0) -> None:
     seeded integer sample points, resampling any point where f vanishes, and
     a violation raises :class:`IdentityViolation`.
     The check uses h = c * H and g = scale * grad from the integer
-    derivative and Hessian weights, the Hessian by ``pvcore._hessian`` as
-    ``verify_invariant`` takes it.  c is a multiple of scale**2, so with
+    derivative and Hessian weights, the Hessian by ``pvcore._hessian``
+    polarized in every column.  c is a multiple of scale**2, so with
     k = c / scale**2, f*h - k*g*g^t is c * (f*H - grad*grad^t) and both
     sides carry the same factor c**dim.  Nothing is divided: with an
     integer evaluator both sides are integer-valued.
@@ -283,9 +285,33 @@ def hessian_product_identity_check(f, dim: int, seed: int = 0) -> None:
         if fx == 0:
             continue
         grad, diag, cross = pvcore._axis_derivatives(f, x, fx, (w1, wd, wc))
-        h = pvcore._hessian(f, x, fx, wc, diag, cross)
+        h = pvcore._hessian(f, x, fx, wc, diag, cross, range(dim))
         lhs = fx ** dim * _linalg.det(h)
         rhs = (1 - f.degree) * _linalg.det(_dlog(fx, h, grad, c // scale ** 2))
         if lhs != rhs:
             raise IdentityViolation(f"{f.name} at {x}: {lhs} != {rhs}")
         done += 1
+
+
+def full_polarization_verdict(pv, f, seed: int = 0) -> str | None:
+    """Checks (b) and (c) of ``pvcore.verify_invariant`` with the Hessian
+    polarized in every column at each sample tried, and no relative
+    invariance used: the ``DegenerateInvariant`` message they raise, or
+    None if they pass.  A reference where check (a) passes."""
+    w1, _, scale = pvcore._derivative_weights(f.degree)
+    wd, wc, c = pvcore._hessian_weights(f.degree)
+    d, n = f.degree, pv.dim_v
+    samples = [(x, f.evaluate(x)) for x in invariant_samples(pv, f, seed)]
+    nonvanishing = [(x, v) for x, v in samples if v != 0]
+    for x, v in nonvanishing:
+        grad, diag, cross = pvcore._axis_derivatives(f, x, v, (w1, wd, wc))
+        h = pvcore._hessian(f, x, v, wc, diag, cross, range(n))
+        if _linalg.det(h) != 0:
+            break
+    else:
+        return f"{f.name}: Hessian determinant zero at {len(nonvanishing)} samples"
+    if sum(map(mul, grad, x)) != scale * d * v:
+        return f"{f.name}: Euler's identity grad . x = d f fails, d = {d}"
+    if any(scale * sum(map(mul, row, x)) != c * (d - 1) * g for row, g in zip(h, grad)):
+        return f"{f.name}: Euler's identity H x = (d - 1) grad fails, d = {d}"
+    return None

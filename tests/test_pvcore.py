@@ -30,7 +30,8 @@ from pvlab.pvcore import (DegenerateInvariant, EmptySubset, Invariant, NonGeneri
 from pvlab.rootsys import SimpleType
 
 from _instances import (FROZEN_ENUMERATED, FROZEN_LARGE, SWEEP, IdentityViolation,
-                        dense_operator, dense_repr, dense_rows, hessian_product_identity_check,
+                        dense_operator, dense_repr, dense_rows, full_polarization_verdict,
+                        hessian_product_identity_check,
                         invariant_draws, invariant_samples, isotropy_algebra, searched_draw)
 
 
@@ -720,43 +721,187 @@ def test_an_invariant_vanishing_at_every_sample_is_degenerate():
 # Calls of each gate's evaluator in verify_invariant at seed 0 (the gates of
 # tests/test_acceptance.py).
 INVARIANT_EVALUATIONS = {
-    "matrix-pair:p=2,q=3,r=2": 257,
-    "skew-pair:p=4,r=5": 2370,
+    "matrix-pair:p=2,q=3,r=2": 59,
+    "skew-pair:p=4,r=5": 195,
     "skew-pair:p=2,r=5": 69,
-    "vector-skew:n=5": 264,
-    "dual-pair:n=2": 21,
-    "dual-pair:n=3": 34,
+    "vector-skew:n=5": 54,
+    "dual-pair:n=2": 15,
+    "dual-pair:n=3": 19,
     "descending-chains:n=1": 11,
     "descending-chains:n=2": 86,
 }
 
 
+def invariant_evaluations(pv, f, nondegenerate: bool, x_b) -> int:
+    """verify_invariant's evaluator calls when (b) stops at x_b: f at each
+    sample; the scaled gradient at x_b alone, from f(x_b + j e_i) for
+    j = 1..degree, serves check (a) there, and one line of degree points
+    along the operators' combination at each wide point serves it there.
+    The same axis values give x_b's Hessian diagonal and the sums its
+    polarization subtracts.  (b) and (c) read H on the r independent
+    operator images M x_b, r the rank of A_{x_b}, from relative invariance,
+    and polarize only the dim_v - r complement columns: degree - 1
+    evaluations for each pair of coordinates that meets the complement."""
+    n, d = pv.dim_v, f.degree
+    r = rank(pvcore._action_columns(pv, x_b))
+    return (1 + pvcore.WIDE_POINTS + n * d + pvcore.WIDE_POINTS * d
+            + nondegenerate * (d - 1) * (n * (n - 1) - r * (r - 1)) // 2)
+
+
+def counted(f: Invariant, calls: list) -> Invariant:
+    """f, appending to ``calls`` at each evaluation."""
+    return Invariant(f.name, f.degree, lambda x, ev=f.evaluate: calls.append(1) or ev(x))
+
+
 def test_invariant_verification_evaluation_counts():
-    # f at each sample; the scaled gradient at x_b alone, from f(x_b + j e_i)
-    # for j = 1..degree, serves check (a) there, and one line of degree
-    # points along the operators' combination at each wide point serves it
-    # there; the same axis values give x_b's Hessian diagonal and the sums
-    # its polarization subtracts, so (b) and (c) add degree - 1 evaluations
-    # per off-diagonal Hessian entry.  At seed 0 the first small draw is the
-    # reference x_b for every gate and its Hessian is nonsingular, so each
-    # invariant costs 1 + WIDE_POINTS + dim_v degree + WIDE_POINTS degree
-    # evaluations, and (degree - 1) dim_v (dim_v - 1) / 2 more when it must
-    # be nondegenerate.
+    # At seed 0 the first small draw is the reference x_b for every gate,
+    # A_{x_b} has rank dim_v and the Hessian there is nonsingular, so no
+    # Hessian entry is polarized.
     for gate, want in INVARIANT_EVALUATIONS.items():
         spec = build_model(gate)
-        n = spec.instance.dim_v
+        pv = spec.instance
         calls = []
         formula = 0
         for mi in spec.invariants:
             f = mi.invariant
-            counted = Invariant(f.name, f.degree,
-                                lambda x, ev=f.evaluate: calls.append(1) or ev(x))
-            verify_invariant(spec.instance, counted, seed=0,
+            verify_invariant(pv, counted(f, calls), seed=0,
                              expect_nondegenerate=mi.nondegenerate)
-            formula += (1 + pvcore.WIDE_POINTS + n * f.degree + pvcore.WIDE_POINTS * f.degree
-                         + mi.nondegenerate * (f.degree - 1) * n * (n - 1) // 2)
+            x_b = invariant_samples(pv, f)[0]
+            assert rank(pvcore._action_columns(pv, x_b)) == pv.dim_v, gate
+            formula += invariant_evaluations(pv, f, mi.nondegenerate, x_b)
         assert (len(calls), formula) == (want, want), gate
-    assert sum(INVARIANT_EVALUATIONS.values()) == 3112
+    assert sum(INVARIANT_EVALUATIONS.values()) == 508
+
+
+def test_hessian_on_operator_images_is_read_from_relative_invariance():
+    # Differentiating grad f(x) . M x = chi(M) f(x) gives
+    # H (M x) = chi(M) grad - M^t grad, and with g = scale grad,
+    # chi(M) = D_b^M / (scale f_b) and h = c H from every column polarized,
+    # scale^2 f_b (h M x) = c (D_b^M g - scale f_b M^t g) at x_b, exactly.
+    # Where verify_invariant stops, det h != 0, and at each nonvanishing
+    # sample it tried before, det h = 0.
+    for gate, seed in itertools.product(INVARIANT_EVALUATIONS, range(4)):
+        spec = build_model(gate)
+        pv = spec.instance
+        for mi in spec.invariants:
+            f = mi.invariant
+            w1, _, scale = pvcore._derivative_weights(f.degree)
+            wd, wc, c = pvcore._hessian_weights(f.degree)
+            x = invariant_samples(pv, f, seed)[0]
+            fb = f.evaluate(x)
+            g, diag, cross = pvcore._axis_derivatives(f, x, fb, (w1, wd, wc))
+            h = pvcore._hessian(f, x, fb, wc, diag, cross, range(pv.dim_v))
+            images = list(zip(*pvcore._action_columns(pv, x)))
+            for entries, mx in zip(pv.operators, images):
+                dm = pvcore._along(entries, g, x)
+                got = [scale * scale * fb * v for v in matvec(h, mx)]
+                assert got == [c * (dm * gv - scale * fb * tv) for gv, tv in
+                               zip(g, pvcore._pullback(entries, g, pv.dim_v))], (gate, seed)
+            if not mi.nondegenerate:
+                continue
+            tried = []
+            basis = pvcore._image_basis
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pvcore, "_image_basis", lambda pv, y: tried.append(y) or basis(pv, y))
+                verify_invariant(pv, f, seed)
+            dets = []
+            for y in tried:
+                v = f.evaluate(y)
+                diag, cross = pvcore._axis_derivatives(f, y, v, (wd, wc))
+                dets.append(det(pvcore._hessian(f, y, v, wc, diag, cross, range(pv.dim_v))))
+            assert dets[-1] != 0 and not any(dets[:-1]), (gate, seed)
+
+
+def test_complement_columns_are_polarized():
+    # dual-pair(n=2) with its two scalars alone: A_x has rank 2 of 4, so
+    # (b) reads two Hessian columns from relative invariance and polarizes
+    # the two complement columns, degree - 1 points per pair meeting them.
+    # Q passes; x0 x2, relatively invariant too, has a singular Hessian;
+    # Q labelled degree 3 fails Euler's grad . x = d f.  With the one sl2
+    # operator x -> -x0 e_1 + x3 e_2, which fixes x0 (rank 1 of 4),
+    # Q + (x0 - p0)^2 is invariant, has Q's value and gradient at the first
+    # sample p but not its Hessian, and fails H x = (d - 1) grad.  Each
+    # verdict is the one of every column polarized.
+    spec = dual_pair(2)
+    ops = spec.instance.operators
+    scalars, sl2 = (dataclasses.replace(spec.instance, operators=tuple(ops[i] for i in keep))
+                    for keep in ((0, 4), (1,)))
+    q = spec.invariants[0].invariant
+    p0 = Stream(0, context=f"invariant:{sl2.name}:bent Q").vector(sl2.dim_v)[0]
+    cases = [(scalars, f, seed) for f, seed in itertools.product(
+        [q, Invariant("x0 x2", 2, lambda x: x[0] * x[2]), Invariant("mislabelled", 3, q.evaluate)],
+        range(4))]
+    cases.append((sl2, Invariant("bent Q", 2, lambda x: q.evaluate(x) + (x[0] - p0) ** 2), 0))
+    verdicts = []
+    for pv, f, seed in cases:
+        x_b = invariant_samples(pv, f, seed)[0]
+        assert 0 < rank(pvcore._action_columns(pv, x_b)) < pv.dim_v
+        calls = []
+        try:
+            verify_invariant(pv, counted(f, calls), seed)
+            got = None
+        except DegenerateInvariant as exc:
+            got = str(exc)
+        assert got == full_polarization_verdict(pv, f, seed), (f.name, seed)
+        if got is None or "Euler" in got:  # (b) stopped at x_b
+            assert len(calls) == invariant_evaluations(pv, f, True, x_b), (f.name, seed)
+        verdicts.append(got)
+    assert verdicts[0] is None and verdicts[4].endswith("zero at 3 samples")
+    assert "grad . x = d f" in verdicts[8] and "H x = (d - 1) grad" in verdicts[-1]
+    assert verify_invariant(scalars, q).constants == (1, -1)
+
+
+def test_hessian_at_a_wide_point_reads_the_character_fixed_at_x_b(monkeypatch):
+    # f = sum x_i^3 under the one operator x -> x, the Euler field, with
+    # chi = 3.  With the first coordinate of every small draw set to 0,
+    # det H(x_b) = 0, so (b) goes on to a wide point x_i.  There it reads
+    # H x_i from the character D_b / (scale f(x_b)) fixed at x_b and
+    # polarizes the three complement columns; it passes, as the Hessian
+    # polarized in every column does.
+    pv = dataclasses.replace(dual_pair(2).instance, operators=(tuple((i, i, 1) for i in range(4)),))
+    f = Invariant("sum x_i^3", 3, lambda x: sum(v ** 3 for v in x))
+    vector = Stream.vector
+
+    def zero_x0(self, length):
+        x = vector(self, length)
+        x[0] = 0
+        return x
+
+    monkeypatch.setattr(Stream, "vector", zero_x0)
+    tried = []
+    basis = pvcore._image_basis
+    monkeypatch.setattr(pvcore, "_image_basis", lambda pv, y: tried.append(y) or basis(pv, y))
+    assert verify_invariant(pv, f).constants == (3,)
+    assert tried == invariant_samples(pv, f)[:2]
+    assert [len(basis(pv, y)[1]) for y in tried] == [1, 1]
+    assert full_polarization_verdict(pv, f) is None
+
+
+def test_derived_hessian_verdicts_match_full_polarization():
+    # On the gates at seeds 0-3, nondegeneracy demanded of every invariant,
+    # and on the degenerate cases below, the verdict of (b) and (c) is the
+    # one of the Hessian with every column polarized.  The last case has a
+    # Hessian of rank 3 and a gradient outside its range, so only the rank
+    # of K itself, not the pivot count of [K | rhs], says it is singular.
+    chain, pair = diag_chain(1, 3), dual_pair(2)
+    q = pair.invariants[0].invariant
+    bare = dataclasses.replace(pair.instance, operators=())
+    p0 = Stream(0, context=f"invariant:{bare.name}:bent Q").vector(bare.dim_v)[0]
+    cases = [(chain.instance, chain.invariants[0].invariant, 0),
+             (pair.instance, Invariant("mislabelled", 3, q.evaluate), 0),
+             (bare, Invariant("bent Q", 2, lambda x: q.evaluate(x) + (x[0] - p0) ** 2), 0),
+             (bare, Invariant("x0^2 + x1^2 + x2^2 + x3", 2,
+                              lambda x: x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + x[3]), 0)]
+    cases += [(spec.instance, mi.invariant, seed)
+              for spec, seed in itertools.product(map(build_model, INVARIANT_EVALUATIONS), range(4))
+              for mi in spec.invariants]
+    for pv, f, seed in cases:
+        try:
+            verify_invariant(pv, f, seed)
+            got = None
+        except DegenerateInvariant as exc:
+            got = str(exc)
+        assert got == full_polarization_verdict(pv, f, seed), (pv.name, f.name, seed)
 
 
 def test_check_a_combination_is_the_weighted_sum_of_operator_derivatives():
@@ -794,7 +939,7 @@ def test_hessian_of_a_linear_form_makes_no_evaluation():
     fx = f.evaluate(x)
     grad, diag, cross = pvcore._axis_derivatives(f, x, fx, (w1, wd, wc))
     assert (grad, diag, cross, len(calls)) == ([1, 0, 2, 0], [0] * 4, [0] * 4, 5)
-    assert pvcore._hessian(f, x, fx, wc, diag, cross) == [[0] * 4 for _ in range(4)]
+    assert pvcore._hessian(f, x, fx, wc, diag, cross, range(4)) == [[0] * 4 for _ in range(4)]
     assert len(calls) == 5
 
 
@@ -893,7 +1038,7 @@ def test_hessian_and_gradient_match_sympy(model, point):
     want = [[c * int(hess[i, j]) for j in range(len(syms))] for i in range(len(syms))]
     grad, diag, cross = pvcore._axis_derivatives(f, point, fx, (w1, wd, wc))
     assert diag == [want[i][i] for i in range(len(syms))]
-    assert pvcore._hessian(f, point, fx, wc, diag, cross) == want
+    assert pvcore._hessian(f, point, fx, wc, diag, cross, range(len(syms))) == want
     assert any(want[i][j] for i in range(len(syms)) for j in range(i))
     assert grad == [scale * int(sympy.diff(expr, s).subs(at)) for s in syms]
 
